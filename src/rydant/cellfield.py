@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+
+from .metrology import GainSample, isotropic_deviation, normalized_gain
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -185,10 +188,25 @@ def path_average(profile: FieldProfile) -> float:
     return float(np.trapezoid(profile.amplitude, profile.positions) / span)
 
 
-def _sweep_samples(geometry: CellGeometry, frequency: float) -> int:
+def sweep_samples(geometry: CellGeometry, frequency: float) -> int:
+    """Interior sample count: SAMPLES_PER_WAVELENGTH per in-vapor wavelength, at least 513."""
     wavelength = SPEED_OF_LIGHT / frequency / geometry.inner_index.real
     needed = int(SAMPLES_PER_WAVELENGTH * geometry.inner_length / wavelength) + 2
     return max(_MIN_SWEEP_SAMPLES, needed)
+
+
+def path_averages(
+    geometry: CellGeometry,
+    frequency: float,
+    angles,
+    polarization: str = "TE",
+) -> list[float]:
+    """Path-averaged field (relative to the incident wave) at each incidence angle."""
+    samples = sweep_samples(geometry, frequency)
+    return [
+        path_average(transfer_matrix_field(geometry, frequency, float(a), polarization, samples))
+        for a in angles
+    ]
 
 
 def angle_sweep_deviation(
@@ -199,38 +217,30 @@ def angle_sweep_deviation(
 ) -> float:
     """Spread (max - min, dB) of the path-averaged field over incidence angles.
 
-    Same metric as metrology.isotropic_deviation: each path average is
-    referenced to the largest one via 20*log10.
+    The path averages are normalized to 0 dB at the largest one and spread
+    exactly as a gain pattern (metrology.normalized_gain, isotropic_deviation).
     """
     angle_list = [float(a) for a in angles]
     if not angle_list:
         raise ValueError("angles must be non-empty")
-    samples = _sweep_samples(geometry, frequency)
-    averages = [
-        path_average(transfer_matrix_field(geometry, frequency, a, polarization, samples))
-        for a in angle_list
-    ]
-    if min(averages) <= 0:
-        raise ValueError("path average vanished; gain undefined in dB")
-    top = max(averages)
-    gains = [20.0 * math.log10(avg / top) for avg in averages]
-    return max(gains) - min(gains)
+    averages = path_averages(geometry, frequency, angle_list, polarization)
+    return isotropic_deviation(normalized_gain(zip(angle_list, averages)))
 
 
-def write_profile_csv(profile: FieldProfile, path) -> None:
+def profile_csv(profile: FieldProfile) -> str:
+    """Profile rows: position_m, amplitude_rel."""
     lines = ["position_m,amplitude_rel"]
     for x, a in zip(profile.positions, profile.amplitude):
         lines.append(f"{x:.9g},{a:.9g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(angles_deg, averages, path) -> None:
-    """Angle sweep rows: angle_deg, path_avg_rel, gain_db (0 dB at the max)."""
-    top = max(averages)
+def sweep_csv(samples: Sequence[GainSample]) -> str:
+    """Angle sweep rows: angle_deg, path_avg_rel, gain_db (0 dB at the max).
+
+    samples are metrology.normalized_gain output over (angle, path average).
+    """
     lines = ["angle_deg,path_avg_rel,gain_db"]
-    for ang, avg in zip(angles_deg, averages):
-        gain = 20.0 * math.log10(avg / top)
-        lines.append(f"{ang:.9g},{avg:.9g},{gain:.9g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    for s in samples:
+        lines.append(f"{math.degrees(s.angle):.9g},{s.raw_ratio:.9g},{s.gain_db:.9g}")
+    return "\n".join(lines) + "\n"

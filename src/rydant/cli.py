@@ -4,7 +4,7 @@ Subcommands: eigen, sweep, spectrum, cellfield, compare.  Exit codes:
 0 success, 1 runtime contract violation (domain errors), 2 usage or
 configuration schema errors.  All file outputs are written atomically
 (temp file then rename) and are byte-reproducible for a given config and
-seed.  RYDANT_THREADS caps internal sweep parallelism (default 1).
+seed.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .angular import Orientation
 from .cellfield import (
     CellGeometry,
     path_average,
+    path_averages,
+    profile_csv,
+    sweep_csv,
+    sweep_samples,
     transfer_matrix_field,
-    write_profile_csv,
-    write_sweep_csv,
-    _sweep_samples,
 )
 from .config import MHZ, ConfigError, RunConfig, load_config, parse_angles_deg
 from .hamiltonian import (
@@ -37,24 +36,30 @@ from .hamiltonian import (
     eigen_closed_form,
     eigen_hermitian,
 )
-from .metrology import branch_splittings, field_from_splitting, splitting_from_eigen
+from .metrology import (
+    branch_splittings,
+    field_from_splitting,
+    isotropic_deviation,
+    normalized_gain,
+    splitting_from_eigen,
+)
 from .patterns import (
     GainPattern,
     SweepPlan,
     compare_patterns,
+    json_text,
+    pattern_csv,
+    polar_csv,
     run_sweep,
-    write_pattern_csv,
-    write_pattern_json,
-    write_polar_csv,
 )
 from .spectra import (
     SteadyStateError,
     UnresolvedSplittingError,
     default_ladder,
     extract_splitting,
-    replace_config,
     scan_spectrum,
-    write_trace_csv,
+    scan_window,
+    trace_csv,
 )
 
 PLACEHOLDER_MU_MHZ = 1.0  # MHz per V/m; non-physical stand-in for the coupling strength
@@ -95,16 +100,21 @@ PRESETS = {
 
 @contextmanager
 def atomic_outputs():
-    """Stage files and rename them into place only if everything succeeds."""
+    """Stage text files and rename them into place only if everything succeeds.
+
+    This is the only place that writes files: stage(path, text) writes the
+    text to a temp file beside path, renamed over path when the block exits.
+    """
     staged: list[tuple[str, str]] = []
 
-    def stage(path: str, writer) -> None:
+    def stage(path: str, text: str) -> None:
         directory = os.path.dirname(os.path.abspath(path)) or "."
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         os.close(fd)
-        os.chmod(tmp, 0o644)
-        writer(tmp)
         staged.append((tmp, path))
+        os.chmod(tmp, 0o644)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
     try:
         yield stage
@@ -118,15 +128,6 @@ def atomic_outputs():
     else:
         for tmp, path in staged:
             os.replace(tmp, path)
-
-
-def _write_json(payload: dict):
-    def writer(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    return writer
 
 
 def _outputs(args, config: RunConfig | None) -> tuple[str, str]:
@@ -168,15 +169,11 @@ def cmd_eigen(args) -> int:
         print(f"branch_minus_mhz = {_mhz(minus):.9g}")
 
     if args.csv:
+        lines = ["index,closed_form_mhz,numeric_mhz"]
+        for i, (cv, nv) in enumerate(zip(closed.values, numeric.values)):
+            lines.append(f"{i},{_mhz(cv):.9g},{_mhz(nv):.9g}")
         with atomic_outputs() as stage:
-            def writer(path):
-                lines = ["index,closed_form_mhz,numeric_mhz"]
-                for i, (cv, nv) in enumerate(zip(closed.values, numeric.values)):
-                    lines.append(f"{i},{_mhz(cv):.9g},{_mhz(nv):.9g}")
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write("\n".join(lines) + "\n")
-
-            stage(args.csv, writer)
+            stage(args.csv, "\n".join(lines) + "\n")
         print(f"wrote {args.csv}")
     return 0
 
@@ -214,9 +211,9 @@ def cmd_sweep(args) -> int:
     json_path = os.path.join(directory, f"{basename}_pattern.json")
     polar_path = os.path.join(directory, f"{basename}_polar.csv")
     with atomic_outputs() as stage:
-        stage(csv_path, lambda p: write_pattern_csv(pattern, p))
-        stage(json_path, lambda p: write_pattern_json(pattern, p))
-        stage(polar_path, lambda p: write_polar_csv(pattern, p))
+        stage(csv_path, pattern_csv(pattern))
+        stage(json_path, json_text(pattern.to_dict()))
+        stage(polar_path, polar_csv(pattern))
 
     print(f"plane {pattern.plane} ({pattern.readout} readout), seed {seed}")
     print(f"isotropic_deviation_db = {pattern.deviation_db:.9g}")
@@ -226,15 +223,6 @@ def cmd_sweep(args) -> int:
     for path in (csv_path, json_path, polar_path):
         print(f"wrote {path}")
     return 0
-
-
-def _spectrum_window(ladder, scan) -> tuple[float, float, int]:
-    if scan is not None:
-        return scan.low, scan.high, scan.points
-    expected = math.hypot(ladder.delta_rf, ladder.omega_rf)
-    center = -ladder.delta_rf / 2.0
-    half_width = 0.75 * expected + 3.0 * ladder.gamma_e
-    return center - half_width, center + half_width, 1201
 
 
 def cmd_spectrum(args) -> int:
@@ -249,9 +237,12 @@ def cmd_spectrum(args) -> int:
     else:
         drive = RfDrive(args.rabi_mhz * MHZ, args.detuning_mhz * MHZ)
     ladder = config.ladder if config and config.ladder else default_ladder(drive.rabi, drive.detuning)
-    ladder = replace_config(ladder, omega_rf=drive.rabi, delta_rf=drive.detuning)
+    ladder = replace(ladder, omega_rf=drive.rabi, delta_rf=drive.detuning)
 
-    low, high, points = _spectrum_window(ladder, config.scan if config else None)
+    if config and config.scan:
+        low, high, points = config.scan.low, config.scan.high, config.scan.points
+    else:
+        (low, high), points = scan_window(ladder), 1201
     trace = scan_spectrum(ladder, (low, high), points)
 
     if config and config.system:
@@ -294,8 +285,8 @@ def cmd_spectrum(args) -> int:
     trace_path = os.path.join(directory, f"{basename}_trace.csv")
     summary_path = os.path.join(directory, f"{basename}_spectrum.json")
     with atomic_outputs() as stage:
-        stage(trace_path, lambda p: write_trace_csv(trace, p))
-        stage(summary_path, _write_json(summary))
+        stage(trace_path, trace_csv(trace))
+        stage(summary_path, json_text(summary))
     print(f"wrote {trace_path}")
     print(f"wrote {summary_path}")
     return 0
@@ -313,12 +304,7 @@ def cmd_cellfield(args) -> int:
     else:
         raise ConfigError("cellfield needs a cell section in --config or a --preset")
     if args.no_walls:
-        geometry = CellGeometry(
-            wall_thickness=geometry.wall_thickness,
-            inner_length=geometry.inner_length,
-            wall_index=1.0 + 0.0j,
-            inner_index=geometry.inner_index,
-        )
+        geometry = replace(geometry, wall_index=1.0 + 0.0j)
     seed = _seed(args, config)
 
     summary = {
@@ -343,44 +329,33 @@ def cmd_cellfield(args) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--angles is not a valid JSON list: {exc}") from exc
         angles = parse_angles_deg(spec, "--angles")
-        averages = [
-            path_average(
-                transfer_matrix_field(
-                    geometry, frequency, float(a), args.polarization,
-                    _sweep_samples(geometry, frequency),
-                )
-            )
-            for a in angles
-        ]
-        top = max(averages)
-        gains = [20.0 * math.log10(avg / top) for avg in averages]
-        deviation = max(gains) - min(gains)
+        samples = normalized_gain(
+            zip(angles, path_averages(geometry, frequency, angles, args.polarization))
+        )
+        deviation = isotropic_deviation(samples)
         summary["angles_deg"] = [round(math.degrees(a), 12) for a in angles]
         summary["deviation_db"] = deviation
-        sweep_path = os.path.join(directory, f"{basename}_cellsweep.csv")
-        summary_path = os.path.join(directory, f"{basename}_cellfield.json")
-        with atomic_outputs() as stage:
-            stage(sweep_path, lambda p: write_sweep_csv([math.degrees(a) for a in angles], averages, p))
-            stage(summary_path, _write_json(summary))
-        print(f"angle_sweep_deviation_db = {deviation:.9g}")
-        print(f"wrote {sweep_path}")
-        print(f"wrote {summary_path}")
+        result = f"angle_sweep_deviation_db = {deviation:.9g}"
+        data_path = os.path.join(directory, f"{basename}_cellsweep.csv")
+        data_text = sweep_csv(samples)
     else:
         angle = math.radians(args.angle_deg)
         profile = transfer_matrix_field(
-            geometry, frequency, angle, args.polarization,
-            _sweep_samples(geometry, frequency),
+            geometry, frequency, angle, args.polarization, sweep_samples(geometry, frequency)
         )
         summary["incidence_angle_deg"] = args.angle_deg
         summary["path_average_rel"] = path_average(profile)
-        profile_path = os.path.join(directory, f"{basename}_profile.csv")
-        summary_path = os.path.join(directory, f"{basename}_cellfield.json")
-        with atomic_outputs() as stage:
-            stage(profile_path, lambda p: write_profile_csv(profile, p))
-            stage(summary_path, _write_json(summary))
-        print(f"path_average_rel = {summary['path_average_rel']:.9g}")
-        print(f"wrote {profile_path}")
-        print(f"wrote {summary_path}")
+        result = f"path_average_rel = {summary['path_average_rel']:.9g}"
+        data_path = os.path.join(directory, f"{basename}_profile.csv")
+        data_text = profile_csv(profile)
+
+    summary_path = os.path.join(directory, f"{basename}_cellfield.json")
+    with atomic_outputs() as stage:
+        stage(data_path, data_text)
+        stage(summary_path, json_text(summary))
+    print(result)
+    print(f"wrote {data_path}")
+    print(f"wrote {summary_path}")
     return 0
 
 
@@ -403,7 +378,7 @@ def cmd_compare(args) -> int:
     print(comparison.format_text())
     if args.json:
         with atomic_outputs() as stage:
-            stage(args.json, _write_json(comparison.to_dict()))
+            stage(args.json, json_text(comparison.to_dict()))
         print(f"wrote {args.json}")
     return 0
 
@@ -418,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rydant",
         description="Rydberg-atom RF antenna: dressed-level, spectrum, cell and pattern tools.",
-        epilog="Set RYDANT_THREADS to cap sweep parallelism (default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,6 +5,13 @@ rf_frequency_ghz...).  Unknown keys are rejected, as are missing required
 keys and type mismatches; all such problems raise ConfigError, which the
 CLI maps to exit code 2.  Frequencies given in MHz/GHz convert to angular
 frequencies (rad/s) on load.
+
+Refused at this boundary, so that they never reach the physics: NaN and
++-inf in any number (Python's json reads the NaN and Infinity literals),
+angle grids longer than MAX_ANGLES, and transitions other than
+J -> J + 1.  That family is the only one whose degenerate pair the eigen
+readout can identify; the spectrum readout, blind to orientation, would
+report a flat pattern for any other.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, LadderConfig
 SCHEMA_VERSION = 1
 
 MHZ = 2.0 * math.pi * 1e6  # MHz -> rad/s
+
+# Longest accepted angle grid: a 0.01-degree step over a full turn.
+MAX_ANGLES = 36_000
 
 
 class ConfigError(Exception):
@@ -87,7 +97,17 @@ def _number(section: dict, key: str, where: str, default=None) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _finite(value, f"{where}.{key}")
+
+
+def _finite(value, where: str) -> float:
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {number!r}")
+    return number
 
 
 def _integer(section: dict, key: str, where: str, default=None) -> int:
@@ -103,7 +123,9 @@ def parse_angles_deg(spec, where: str) -> np.ndarray:
     """Angle grid in degrees: either an explicit list or "start:step:stop".
 
     The string form follows range semantics: stop is exclusive, so
-    "0:10:90" yields 0, 10, ..., 80.
+    "0:10:90" yields 0, 10, ..., 80.  Every number must be finite and the
+    grid may hold at most MAX_ANGLES angles; the length of a range is
+    checked before it is built.
     """
     if isinstance(spec, str):
         parts = spec.split(":")
@@ -113,17 +135,23 @@ def parse_angles_deg(spec, where: str) -> np.ndarray:
             start, step, stop = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"{where}: non-numeric angle range {spec!r}") from exc
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ConfigError(f"{where}: start, step and stop must be finite, got {spec!r}")
         if step <= 0 or stop <= start:
             raise ConfigError(f"{where}: need step > 0 and stop > start, got {spec!r}")
-        count = int(math.ceil((stop - start) / step - 1e-12))
-        values = start + step * np.arange(count)
+        span = (stop - start) / step - 1e-12  # inf when stop - start overflows
+        if span > MAX_ANGLES:
+            raise ConfigError(f"{where}: {spec!r} holds more than MAX_ANGLES = {MAX_ANGLES} angles")
+        values = start + step * np.arange(math.ceil(span))
     elif isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{where}: angle list is empty")
+        if len(spec) > MAX_ANGLES:
+            raise ConfigError(f"{where}: {len(spec)} angles exceed MAX_ANGLES = {MAX_ANGLES}")
         for v in spec:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"{where}: angles must be numbers, got {v!r}")
-        values = np.array(spec, dtype=float)
+        values = np.array([_finite(v, f"{where}: angle") for v in spec])
     else:
         raise ConfigError(f"{where} must be a list of degrees or a 'start:step:stop' string")
     return np.radians(values)
@@ -139,6 +167,11 @@ def _parse_system(section: dict) -> TransitionSystem:
     )
     two_jg = _integer(section, "two_jg", where)
     two_je = _integer(section, "two_je", where)
+    if two_je != two_jg + 2:
+        raise ConfigError(
+            f"{where}.two_je must equal two_jg + 2 (a J -> J + 1 transition), "
+            f"got two_jg = {two_jg}, two_je = {two_je}"
+        )
     mu = _number(section, "mu_mhz_per_v_per_m", where)
     try:
         return TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_je), mu * MHZ)
@@ -191,6 +224,8 @@ def _parse_scan(section: dict) -> ScanSection:
     low = _number(section, "min_mhz", where) * MHZ
     high = _number(section, "max_mhz", where) * MHZ
     points = _integer(section, "points", where)
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ConfigError(f"{where}: min_mhz and max_mhz must stay finite in rad/s")
     if high <= low:
         raise ConfigError(f"{where}: max_mhz must exceed min_mhz")
     if points < 3:
@@ -228,6 +263,8 @@ def _parse_cell(section: dict) -> tuple[CellGeometry, float]:
     frequency = _number(section, "rf_frequency_ghz", where) * 1e9
     if frequency <= 0:
         raise ConfigError(f"{where}: rf_frequency_ghz must be > 0")
+    if not math.isfinite(frequency):
+        raise ConfigError(f"{where}: rf_frequency_ghz must stay finite in Hz")
     return geometry, frequency
 
 

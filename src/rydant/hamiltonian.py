@@ -175,10 +175,14 @@ def build_interaction_general(
 
 def assemble_hamiltonian(interaction: np.ndarray, detuning: float) -> HermitianMatrix:
     """Embed a coupling block into the full rotating-frame matrix."""
-    return HermitianMatrix(_assemble_raw(interaction, detuning))
+    return HermitianMatrix(hamiltonian_array(interaction, detuning))
 
 
-def _assemble_raw(interaction: np.ndarray, detuning: float) -> np.ndarray:
+def hamiltonian_array(interaction: np.ndarray, detuning: float) -> np.ndarray:
+    """The rotating-frame matrix as a plain array, skipping the Hermitian check.
+
+    Hermitian by construction; batched sweeps stack it for numpy.linalg.eigvalsh.
+    """
     block = np.asarray(interaction, dtype=complex)
     if block.ndim != 2 or 0 in block.shape:
         raise ValueError(f"interaction block must be a non-empty 2-D array, got shape {block.shape}")

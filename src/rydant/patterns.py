@@ -11,30 +11,26 @@ the cell changes the incidence angle on the 1-D stack; the angle is folded
 into [0, pi/2].  For XZ/YZ the polarization rotates while the propagation
 direction stays fixed, so the stack sees normal incidence throughout.
 
-Sweeps are deterministic under RYDANT_THREADS-controlled parallelism: the
-noise stream is seeded per angle index and results are assembled in angle
-order.
+Sweeps are deterministic: the noise stream is seeded per angle index.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .angular import Orientation
-from .cellfield import CellGeometry, path_average, transfer_matrix_field, _sweep_samples
+from .cellfield import CellGeometry, path_averages
 from .hamiltonian import (
     EigenSpectrum,
     RfDrive,
     TransitionSystem,
-    _assemble_raw,
     build_interaction_general,
+    hamiltonian_array,
 )
 from .metrology import GainSample, isotropic_deviation, normalized_gain, splitting_from_eigen
 from .spectra import (
@@ -42,8 +38,8 @@ from .spectra import (
     UnresolvedSplittingError,
     default_ladder,
     extract_splitting,
-    replace_config,
     scan_spectrum,
+    scan_window,
 )
 
 PLANES = ("XY", "XZ", "YZ")
@@ -53,23 +49,6 @@ READOUTS = ("eigen", "spectrum")
 DIPOLE_FLOOR_RATIO = 1e-3
 
 TWO_PI = 2.0 * math.pi
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RYDANT_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RYDANT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
-def _map_ordered(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -196,14 +175,8 @@ def incidence_angle(plane: str, angle: float) -> float:
 def _cell_factors(plan: SweepPlan) -> list[float]:
     if plan.cell is None:
         return [1.0] * len(plan.angles)
-    samples = _sweep_samples(plan.cell, plan.cell_frequency)
-
-    def factor(angle: float) -> float:
-        inc = incidence_angle(plan.plane, angle)
-        profile = transfer_matrix_field(plan.cell, plan.cell_frequency, inc, "TE", samples)
-        return path_average(profile)
-
-    return _map_ordered(factor, list(plan.angles))
+    incidences = [incidence_angle(plan.plane, angle) for angle in plan.angles]
+    return path_averages(plan.cell, plan.cell_frequency, incidences)
 
 
 def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
@@ -213,7 +186,7 @@ def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
         orientation = plane_to_orientation(plan.plane, float(angle))
         drive = RfDrive(plan.drive.rabi * factors[i], plan.drive.detuning)
         block = build_interaction_general(plan.system, drive, orientation)
-        stack[i] = _assemble_raw(block, plan.drive.detuning)
+        stack[i] = hamiltonian_array(block, plan.drive.detuning)
     eigenvalues = np.linalg.eigvalsh(stack)
     return [
         splitting_from_eigen(EigenSpectrum(row), plan.drive.detuning).delta_at
@@ -223,11 +196,8 @@ def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
 
 def _spectrum_delta_at(plan: SweepPlan, omega_eff: float) -> float | None:
     base = plan.ladder if plan.ladder is not None else default_ladder(omega_eff, plan.drive.detuning)
-    cfg = replace_config(base, omega_rf=omega_eff, delta_rf=plan.drive.detuning)
-    expected = math.hypot(cfg.delta_rf, omega_eff)
-    center = -cfg.delta_rf / 2.0
-    half_width = 0.75 * expected + 3.0 * cfg.gamma_e
-    trace = scan_spectrum(cfg, (center - half_width, center + half_width), plan.scan_points)
+    cfg = replace(base, omega_rf=omega_eff, delta_rf=plan.drive.detuning)
+    trace = scan_spectrum(cfg, scan_window(cfg), plan.scan_points)
     try:
         return extract_splitting(trace).delta_at
     except UnresolvedSplittingError:
@@ -245,10 +215,7 @@ def run_sweep(plan: SweepPlan) -> GainPattern:
     if plan.readout == "eigen":
         delta_ats = _eigen_delta_ats(plan, factors)
     else:
-        delta_ats = _map_ordered(
-            lambda args: _spectrum_delta_at(plan, args),
-            [plan.drive.rabi * f for f in factors],
-        )
+        delta_ats = [_spectrum_delta_at(plan, plan.drive.rabi * f) for f in factors]
 
     field_amplitude = plan.drive.rabi / plan.system.mu
     pairs: list[tuple[float, float]] = []
@@ -342,25 +309,23 @@ def compare_patterns(a: GainPattern, b: GainPattern) -> PatternComparison:
     )
 
 
-def write_pattern_csv(pattern: GainPattern, path) -> None:
+def json_text(payload: dict) -> str:
+    """A JSON artifact: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def pattern_csv(pattern: GainPattern) -> str:
+    """Pattern rows: plane, angle_deg, gain_db."""
     lines = ["plane,angle_deg,gain_db"]
     for s in pattern.samples:
         lines.append(f"{pattern.plane},{math.degrees(s.angle):.9g},{s.gain_db:.9g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_pattern_json(pattern: GainPattern, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(pattern.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_polar_csv(pattern: GainPattern, path) -> None:
+def polar_csv(pattern: GainPattern) -> str:
     """Polar-plot data: angle in degrees, radius = linear amplitude ratio."""
     lines = ["angle_deg,radius"]
     for s in pattern.samples:
         radius = 10.0 ** (s.gain_db / 20.0)
         lines.append(f"{math.degrees(s.angle):.9g},{radius:.9g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

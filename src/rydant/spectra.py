@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -296,13 +296,12 @@ def extract_splitting(trace: SpectrumTrace, prominence: float = PROMINENCE_DEFAU
     return SplittingResult(float(abs(top_two[1] - top_two[0])), SOURCE_SPECTRUM)
 
 
-def write_trace_csv(trace: SpectrumTrace, path) -> None:
-    """Write a trace as CSV with the detuning axis converted to Hz."""
+def trace_csv(trace: SpectrumTrace) -> str:
+    """A trace as CSV text with the detuning axis converted to Hz."""
     lines = ["detuning_hz,transmission"]
     for det, trans in zip(trace.detunings, trace.transmission):
         lines.append(f"{det / (2.0 * math.pi):.9g},{trans:.9g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def default_ladder(omega_rf: float, delta_rf: float) -> LadderConfig:
@@ -315,6 +314,13 @@ def default_ladder(omega_rf: float, delta_rf: float) -> LadderConfig:
     )
 
 
-def replace_config(cfg: LadderConfig, **changes) -> LadderConfig:
-    """dataclasses.replace passthrough, re-running validation."""
-    return replace(cfg, **changes)
+def scan_window(cfg: LadderConfig) -> tuple[float, float]:
+    """Default scan bounds (rad/s) around both Autler-Townes peaks.
+
+    Centred on -delta_rf / 2, half-width 0.75 * hypot(delta_rf, omega_rf)
+    plus 3 * gamma_e, so each peak keeps a few linewidths of margin.
+    """
+    expected = math.hypot(cfg.delta_rf, cfg.omega_rf)
+    center = -cfg.delta_rf / 2.0
+    half_width = 0.75 * expected + 3.0 * cfg.gamma_e
+    return center - half_width, center + half_width

@@ -27,12 +27,12 @@ from rydant.hamiltonian import (
     EigenSpectrum,
     RfDrive,
     TransitionSystem,
-    _assemble_raw,
     assemble_hamiltonian,
     build_interaction_general,
     build_interaction_paper,
     eigen_closed_form,
     eigen_hermitian,
+    hamiltonian_array,
 )
 from rydant.metrology import (
     field_from_splitting,
@@ -95,7 +95,7 @@ def test_2_closed_form_eigenvalues_match_numerics():
         )
         drives.append(drive)
         orientations.append(orientation)
-        stack[i] = _assemble_raw(build_interaction_paper(drive, orientation), drive.detuning)
+        stack[i] = hamiltonian_array(build_interaction_paper(drive, orientation), drive.detuning)
     numeric = np.linalg.eigvalsh(stack)
 
     worst = 0.0
@@ -126,7 +126,7 @@ def test_3_orientation_grid_is_isotropic():
             block = build_interaction_general(
                 SYSTEM, drive, Orientation(chi=float(chi), theta=float(theta), phi=0.0)
             )
-            stack[i] = _assemble_raw(block, drive.detuning)
+            stack[i] = hamiltonian_array(block, drive.detuning)
             i += 1
     eigenvalues = np.linalg.eigvalsh(stack)
     field = drive.rabi / SYSTEM.mu

@@ -9,13 +9,14 @@ from rydant.cellfield import (
     CellGeometry,
     FieldProfile,
     _stack_amplitudes,
-    _sweep_samples,
     angle_sweep_deviation,
     path_average,
+    profile_csv,
+    sweep_csv,
+    sweep_samples,
     transfer_matrix_field,
-    write_profile_csv,
-    write_sweep_csv,
 )
+from rydant.metrology import normalized_gain
 
 THZ_FREQ = 0.1296e12
 DEFAULT_GEOMETRY = CellGeometry(wall_thickness=2e-3, inner_length=20e-3)
@@ -125,8 +126,8 @@ class TestAngleSweep:
         assert math.isfinite(dev)
 
     def test_sample_density_tracks_the_wavelength(self):
-        assert _sweep_samples(DEFAULT_GEOMETRY, THZ_FREQ) == 513
-        dense = _sweep_samples(DEFAULT_GEOMETRY, 1.0e12)
+        assert sweep_samples(DEFAULT_GEOMETRY, THZ_FREQ) == 513
+        dense = sweep_samples(DEFAULT_GEOMETRY, 1.0e12)
         assert dense > 2000
 
     def test_rejects_empty_angles(self):
@@ -165,19 +166,18 @@ class TestValidation:
 
 
 class TestCsvWriters:
-    def test_profile_csv(self, tmp_path):
+    def test_profile_csv(self):
         profile = FieldProfile(np.array([0.0, 0.001]), np.array([1.0, 0.5]), 0.0, 1e9)
-        path = tmp_path / "profile.csv"
-        write_profile_csv(profile, path)
-        lines = path.read_text().splitlines()
+        lines = profile_csv(profile).splitlines()
         assert lines[0] == "position_m,amplitude_rel"
         assert lines[1] == "0,1"
         assert lines[2] == "0.001,0.5"
 
-    def test_sweep_csv_references_zero_db_to_the_max(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv([0.0, 10.0], [0.5, 1.0], path)
-        lines = path.read_text().splitlines()
+    def test_sweep_csv_references_zero_db_to_the_max(self):
+        samples = normalized_gain([(0.0, 0.5), (math.radians(10.0), 1.0)])
+        lines = sweep_csv(samples).splitlines()
+        assert lines[1].startswith("0,0.5,")
+        assert lines[2].startswith("10,1,")
         assert lines[0] == "angle_deg,path_avg_rel,gain_db"
         assert lines[2].endswith(",0")
         first_gain = float(lines[1].split(",")[2])

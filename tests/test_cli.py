@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rydant.cli import main
-from rydant.patterns import dipole_reference, write_pattern_json
+from rydant.patterns import dipole_reference, json_text
 
 
 def write_config(tmp_path, name="run.json", **sections):
@@ -81,6 +81,55 @@ class TestUsageErrors:
         code = main(["sweep", "--config", str(tmp_path / "none.json")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestRefusedInput:
+    """Input the program cannot handle ends in exit 2 and a message naming the key."""
+
+    @pytest.mark.parametrize(
+        "angles,key",
+        [("0:1:inf", "angles_deg"), ("nan:1:10", "angles_deg"), ("0:1e-9:360", "MAX_ANGLES")],
+    )
+    def test_bad_angle_grids(self, tmp_path, capsys, angles, key):
+        config = sweep_config(tmp_path, sweep={"plane": "XZ", "angles_deg": angles})
+        assert main(["sweep", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_json_nan_literal(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"schema_version": 1, "cell": {"wall_thickness_mm": 2, "inner_length_mm": 20, '
+            '"rf_frequency_ghz": NaN}}'
+        )
+        assert main(["cellfield", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "rf_frequency_ghz" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("angles", ["0:1:inf", "[0, NaN]", "[Infinity]"])
+    def test_cellfield_angles(self, tmp_path, capsys, angles):
+        code = main(["cellfield", "--preset", "thz-33s", "--angles", angles, "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--angles" in err and "finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("two_jg,two_je", [(1, 1), (3, 3), (2, 2), (3, 1), (5, 3), (2, 0)])
+    def test_unsupported_transitions(self, tmp_path, capsys, two_jg, two_je):
+        system = {"two_jg": two_jg, "two_je": two_je, "mu_mhz_per_v_per_m": 1.0}
+        for readout in ("eigen", "spectrum"):
+            config = sweep_config(
+                tmp_path, system=system, sweep={"plane": "XZ", "angles_deg": "0:30:90", "readout": readout}
+            )
+            assert main(["sweep", "--config", config]) == 2
+            err = capsys.readouterr().err
+            assert "system.two_je" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("two_jg,two_je", [(0, 2), (1, 3), (2, 4), (3, 5), (5, 7)])
+    def test_supported_transitions_resolve_an_eigen_sweep(self, tmp_path, capsys, two_jg, two_je):
+        system = {"two_jg": two_jg, "two_je": two_je, "mu_mhz_per_v_per_m": 1.0}
+        config = sweep_config(tmp_path, system=system, sweep={"plane": "XZ", "angles_deg": "0:15:180"})
+        assert main(["sweep", "--config", config]) == 0
+        assert "isotropic_deviation_db" in capsys.readouterr().out
 
 
 class TestSweepCommand:
@@ -314,8 +363,8 @@ class TestCompareCommand:
         angles = np.radians(np.arange(0.0, 360.0, 1.0))
         iso_path = tmp_path / "iso.json"
         dip_path = tmp_path / "dip.json"
-        write_pattern_json(dipole_reference(angles, plane="equatorial"), iso_path)
-        write_pattern_json(dipole_reference(angles, plane="axial"), dip_path)
+        iso_path.write_text(json_text(dipole_reference(angles, plane="equatorial").to_dict()))
+        dip_path.write_text(json_text(dipole_reference(angles, plane="axial").to_dict()))
         return str(iso_path), str(dip_path)
 
     def test_table_output(self, tmp_path, capsys):

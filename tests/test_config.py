@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydant.config import (
+    MAX_ANGLES,
     MHZ,
     ConfigError,
+    RunConfig,
     load_config,
     parse_angles_deg,
     parse_config,
@@ -201,3 +205,131 @@ class TestLoadConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
             load_config(path)
+
+
+NUMERIC_KEYS = [
+    ("system", "mu_mhz_per_v_per_m"),
+    ("drive", "rabi_mhz"),
+    ("drive", "detuning_mhz"),
+    ("ladder", "probe_rabi_mhz"),
+    ("ladder", "gamma_e_mhz"),
+    ("ladder", "doppler_sigma_mhz"),
+    ("scan", "min_mhz"),
+    ("scan", "max_mhz"),
+    ("cell", "wall_thickness_mm"),
+    ("cell", "wall_index_im"),
+    ("cell", "rf_frequency_ghz"),
+    ("sweep", "noise_sigma_db"),
+]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("section,key", NUMERIC_KEYS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_numbers_must_be_finite(self, section, key, value):
+        payload = make_config()
+        payload[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+            parse_config(payload)
+
+    def test_json_nan_literal_is_refused(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(make_config()).replace("129.6", "NaN"))
+        with pytest.raises(ConfigError, match="rf_frequency_ghz"):
+            load_config(path)
+
+    def test_integer_beyond_the_float_range(self):
+        payload = make_config()
+        payload["drive"]["rabi_mhz"] = 10**400
+        with pytest.raises(ConfigError, match="drive.rabi_mhz must be finite"):
+            parse_config(payload)
+
+    def test_unit_conversion_must_stay_finite(self):
+        payload = make_config()
+        payload["cell"]["rf_frequency_ghz"] = 1e300
+        with pytest.raises(ConfigError, match="rf_frequency_ghz"):
+            parse_config(payload)
+        payload = make_config()
+        payload["scan"]["max_mhz"] = 1e303
+        with pytest.raises(ConfigError, match="max_mhz"):
+            parse_config(payload)
+
+    @pytest.mark.parametrize(
+        "spec", ["0:1:inf", "nan:1:10", "0:nan:10", "-inf:1:0", "0:inf:10", [0.0, math.nan], [math.inf]]
+    )
+    def test_angles_must_be_finite(self, spec):
+        with pytest.raises(ConfigError, match="sweep.angles_deg: .* must be finite"):
+            parse_angles_deg(spec, "sweep.angles_deg")
+
+
+class TestGridCap:
+    @pytest.fixture
+    def small_arange(self, monkeypatch):
+        # A grid past the cap must be refused before numpy is asked for it.
+        arange = np.arange
+
+        def guarded(count, *args, **kwargs):
+            assert count <= MAX_ANGLES, f"np.arange asked for {count} values"
+            return arange(count, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", guarded)
+
+    def test_cap_admits_the_largest_grid(self, small_arange):
+        assert len(parse_angles_deg(f"0:1:{MAX_ANGLES}", "test")) == MAX_ANGLES
+        assert len(parse_angles_deg("0:0.01:360", "test")) == MAX_ANGLES
+
+    @pytest.mark.parametrize("spec", [f"0:1:{MAX_ANGLES + 1}", "0:1e-9:360", "-1e308:1:1e308", "0:5e-324:1"])
+    def test_longer_ranges_are_refused(self, spec, small_arange):
+        with pytest.raises(ConfigError, match="MAX_ANGLES"):
+            parse_angles_deg(spec, "test")
+
+    def test_longer_lists_are_refused(self):
+        with pytest.raises(ConfigError, match="MAX_ANGLES"):
+            parse_angles_deg([0.0] * (MAX_ANGLES + 1), "test")
+
+
+class TestTransitions:
+    @pytest.mark.parametrize("two_jg,two_je", [(0, 2), (1, 3), (2, 4), (3, 5), (5, 7)])
+    def test_j_to_j_plus_one_is_accepted(self, two_jg, two_je):
+        payload = make_config(system={"two_jg": two_jg, "two_je": two_je, "mu_mhz_per_v_per_m": 1.0})
+        cfg = parse_config(payload)
+        assert (cfg.system.jg.two_j, cfg.system.je.two_j) == (two_jg, two_je)
+
+    @pytest.mark.parametrize("two_jg,two_je", [(1, 1), (3, 3), (2, 2), (3, 1), (5, 3), (2, 0)])
+    def test_other_transitions_are_refused(self, two_jg, two_je):
+        payload = make_config(system={"two_jg": two_jg, "two_je": two_je, "mu_mhz_per_v_per_m": 1.0})
+        with pytest.raises(ConfigError, match="system.two_je"):
+            parse_config(payload)
+
+
+_range_parts = st.one_of(st.floats(), st.integers(), st.sampled_from(["", "x", "1e999", "-0"]))
+_angle_specs = st.one_of(
+    st.text(),
+    st.floats(),
+    st.lists(st.one_of(st.floats(), st.integers()), max_size=8),
+    st.builds(lambda *p: ":".join(str(v) for v in p), _range_parts, _range_parts, _range_parts),
+)
+_values = st.one_of(st.floats(), st.integers(), st.text(max_size=8), st.booleans(), st.none())
+
+
+@pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+@settings(max_examples=300, deadline=None)
+@given(
+    angles=_angle_specs,
+    section_key=st.sampled_from(NUMERIC_KEYS + [("scan", "points"), ("system", "two_jg"), ("seed", None)]),
+    value=_values,
+)
+def test_random_input_ends_in_a_config_or_a_config_error(angles, section_key, value):
+    payload = make_config()
+    payload["sweep"]["angles_deg"] = angles
+    section, key = section_key
+    if key is None:
+        payload[section] = value
+    else:
+        payload[section][key] = value
+    try:
+        cfg = parse_config(payload)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    assert np.all(np.isfinite(cfg.sweep.angles)) and 0 < len(cfg.sweep.angles) <= MAX_ANGLES

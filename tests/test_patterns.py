@@ -14,11 +14,11 @@ from rydant.patterns import (
     compare_patterns,
     dipole_reference,
     incidence_angle,
+    json_text,
+    pattern_csv,
     plane_to_orientation,
+    polar_csv,
     run_sweep,
-    write_pattern_csv,
-    write_pattern_json,
-    write_polar_csv,
 )
 
 MHZ = 2.0 * math.pi * 1e6
@@ -197,28 +197,6 @@ class TestSpectrumReadout:
             run_sweep(plan)
 
 
-class TestThreading:
-    def test_parallel_map_matches_serial(self, monkeypatch):
-        plan = make_plan(
-            angles=np.radians(np.arange(0.0, 50.0, 10.0)),
-            cell=THZ_CELL,
-            cell_frequency=THZ_FREQ,
-        )
-        monkeypatch.setenv("RYDANT_THREADS", "1")
-        serial = run_sweep(plan)
-        monkeypatch.setenv("RYDANT_THREADS", "4")
-        parallel = run_sweep(plan)
-        assert [s.raw_ratio for s in serial.samples] == [s.raw_ratio for s in parallel.samples]
-
-    def test_malformed_thread_count_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("RYDANT_THREADS", "lots")
-        plan = make_plan(
-            angles=np.radians([0.0, 10.0]), cell=THZ_CELL, cell_frequency=THZ_FREQ
-        )
-        with pytest.raises(ValueError, match="RYDANT_THREADS"):
-            run_sweep(plan)
-
-
 class TestDipoleReference:
     def test_axial_pattern_frozen_values(self):
         pattern = dipole_reference(np.radians([30.0, 90.0]))
@@ -288,25 +266,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             GainPattern.from_dict({"kind": "gain_pattern", "schema_version": 2, "samples": []})
 
-    def test_csv_writers(self, tmp_path):
+    def test_csv_writers(self):
         pattern = run_sweep(make_plan(angles=np.radians([0.0, 90.0])))
-        csv_path = tmp_path / "pattern.csv"
-        write_pattern_csv(pattern, csv_path)
-        lines = csv_path.read_text().splitlines()
+        lines = pattern_csv(pattern).splitlines()
         assert lines[0] == "plane,angle_deg,gain_db"
         assert lines[1].startswith("XY,0,")
         assert len(lines) == 3
 
-        polar_path = tmp_path / "polar.csv"
-        write_polar_csv(pattern, polar_path)
-        plines = polar_path.read_text().splitlines()
+        plines = polar_csv(pattern).splitlines()
         assert plines[0] == "angle_deg,radius"
         radius = float(plines[1].split(",")[1])
         assert radius == pytest.approx(10 ** (pattern.samples[0].gain_db / 20.0), rel=1e-6)
 
-        json_path = tmp_path / "pattern.json"
-        write_pattern_json(pattern, json_path)
-        doc = json.loads(json_path.read_text())
+        text = json_text(pattern.to_dict())
+        assert text.endswith("}\n")
+        doc = json.loads(text)
         assert doc["kind"] == "gain_pattern"
         assert len(doc["samples"]) == 2
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from rydant.spectra import (
     default_ladder,
     extract_splitting,
     normalize_trace,
-    replace_config,
     scan_spectrum,
+    scan_window,
     steady_state,
     steady_state_rho,
-    write_trace_csv,
+    trace_csv,
 )
 
 MHZ = 2.0 * math.pi * 1e6
@@ -25,12 +26,6 @@ MHZ = 2.0 * math.pi * 1e6
 def two_level_coherence(omega, delta, gamma):
     """Closed-form Im(rho_ge) for a driven, decaying two-level atom."""
     return (omega * gamma / 4.0) / (delta * delta + gamma * gamma / 4.0 + omega * omega / 2.0)
-
-
-def rf_scan_window(cfg):
-    center = -cfg.delta_rf / 2.0
-    half = 0.75 * math.hypot(cfg.delta_rf, cfg.omega_rf) + 3.0 * cfg.gamma_e
-    return center - half, center + half
 
 
 class TestSteadyState:
@@ -112,7 +107,7 @@ class TestScanSpectrum:
         # separation sqrt(omega_rf^2 + delta_rf^2)
         for omega_mhz, delta_mhz in ((10.0, 0.0), (10.0, 5.0), (6.0, -4.0)):
             cfg = default_ladder(omega_rf=omega_mhz * MHZ, delta_rf=delta_mhz * MHZ)
-            trace = scan_spectrum(cfg, rf_scan_window(cfg), 1201)
+            trace = scan_spectrum(cfg, scan_window(cfg), 1201)
             assert len(trace.peaks) == 2
             split = math.hypot(omega_mhz, delta_mhz) * MHZ
             expected = (-cfg.delta_rf - split) / 2.0, (-cfg.delta_rf + split) / 2.0
@@ -121,7 +116,7 @@ class TestScanSpectrum:
 
     def test_detuned_rf_shifts_the_pattern_off_center(self):
         cfg = default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ)
-        trace = scan_spectrum(cfg, rf_scan_window(cfg), 1201)
+        trace = scan_spectrum(cfg, scan_window(cfg), 1201)
         midpoint = float(trace.peaks.mean())
         split = math.hypot(10.0, 5.0) * MHZ
         assert abs(midpoint - (-cfg.delta_rf / 2.0)) < 0.05 * split
@@ -129,7 +124,7 @@ class TestScanSpectrum:
 
     def test_splitting_matches_quadrature_oracle(self):
         cfg = default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ)
-        trace = scan_spectrum(cfg, rf_scan_window(cfg), 1201)
+        trace = scan_spectrum(cfg, scan_window(cfg), 1201)
         result = extract_splitting(trace)
         assert result.source == SOURCE_SPECTRUM
         oracle = math.hypot(10.0, 5.0) * MHZ
@@ -146,7 +141,7 @@ class TestScanSpectrum:
         scan = (-8 * MHZ, 8 * MHZ)
         sharp = scan_spectrum(cfg, scan, 501)
         broad = scan_spectrum(
-            replace_config(cfg, doppler_sigma=2.0 * MHZ), scan, 501, doppler_nodes=21
+            replace(cfg, doppler_sigma=2.0 * MHZ), scan, 501, doppler_nodes=21
         )
         width = lambda t: int(np.sum(t.transmission > 0.5))  # noqa: E731
         assert width(broad) > 2 * width(sharp)
@@ -225,12 +220,10 @@ class TestTraceUtilities:
         with pytest.raises(ValueError):
             SpectrumTrace(np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([]))
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         x = np.array([0.0, 2.0 * math.pi * 1e6, 2.0 * math.pi * 2e6])
         trace = SpectrumTrace(x, np.array([0.0, 1.0, 0.5]), np.array([]))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
+        lines = trace_csv(trace).splitlines()
         assert lines[0] == "detuning_hz,transmission"
         assert lines[1] == "0,0"
         assert lines[2] == "1000000,1"
@@ -238,6 +231,6 @@ class TestTraceUtilities:
 
     def test_replace_config_revalidates(self):
         cfg = default_ladder(1.0, 0.0)
-        assert replace_config(cfg, omega_rf=2.0).omega_rf == 2.0
+        assert replace(cfg, omega_rf=2.0).omega_rf == 2.0
         with pytest.raises(ValueError):
-            replace_config(cfg, omega_c=-1.0)
+            replace(cfg, omega_c=-1.0)
