@@ -32,6 +32,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 # Trapezoid averaging wants at least this many samples per in-vapor wavelength.
 SAMPLES_PER_WAVELENGTH = 32
 _MIN_SWEEP_SAMPLES = 513
+# Most samples in one profile: 3125 in-vapor wavelengths, which a 20 mm
+# cell reaches near 47 THz.  A profile holds a few arrays of this length.
+MAX_SWEEP_SAMPLES = 100_000
 
 POLARIZATIONS = ("TE", "TM")
 
@@ -189,10 +192,18 @@ def path_average(profile: FieldProfile) -> float:
 
 
 def sweep_samples(geometry: CellGeometry, frequency: float) -> int:
-    """Interior sample count: SAMPLES_PER_WAVELENGTH per in-vapor wavelength, at least 513."""
-    wavelength = SPEED_OF_LIGHT / frequency / geometry.inner_index.real
-    needed = int(SAMPLES_PER_WAVELENGTH * geometry.inner_length / wavelength) + 2
-    return max(_MIN_SWEEP_SAMPLES, needed)
+    """Interior sample count: SAMPLES_PER_WAVELENGTH per in-vapor wavelength, at least 513.
+
+    Raises ValueError when the count would exceed MAX_SWEEP_SAMPLES.
+    """
+    wavelengths = geometry.inner_length * frequency * geometry.inner_index.real / SPEED_OF_LIGHT
+    needed = SAMPLES_PER_WAVELENGTH * wavelengths
+    if not needed + 2 <= MAX_SWEEP_SAMPLES:
+        raise ValueError(
+            f"the vapor spans {wavelengths:.4g} wavelengths, which needs more than "
+            f"MAX_SWEEP_SAMPLES = {MAX_SWEEP_SAMPLES} samples"
+        )
+    return max(_MIN_SWEEP_SAMPLES, int(needed) + 2)
 
 
 def path_averages(

@@ -8,7 +8,10 @@ frequencies (rad/s) on load.
 
 Refused at this boundary, so that they never reach the physics: NaN and
 +-inf in any number (Python's json reads the NaN and Infinity literals),
-angle grids longer than MAX_ANGLES, and transitions other than
+angle grids longer than MAX_ANGLES, scans longer than
+spectra.MAX_SCAN_POINTS, cells whose standing-wave profile would need
+more than cellfield.MAX_SWEEP_SAMPLES samples, readout noise above
+patterns.MAX_NOISE_SIGMA_DB, and transitions other than
 J -> J + 1.  That family is the only one whose degenerate pair the eigen
 readout can identify; the spectrum readout, blind to orientation, would
 report a flat pattern for any other.
@@ -23,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularMomentum
-from .cellfield import CellGeometry
+from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
-from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, LadderConfig
+from .patterns import MAX_NOISE_SIGMA_DB
+from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, MAX_SCAN_POINTS, LadderConfig
 
 SCHEMA_VERSION = 1
 
@@ -142,7 +146,7 @@ def parse_angles_deg(spec, where: str) -> np.ndarray:
         span = (stop - start) / step - 1e-12  # inf when stop - start overflows
         if span > MAX_ANGLES:
             raise ConfigError(f"{where}: {spec!r} holds more than MAX_ANGLES = {MAX_ANGLES} angles")
-        values = start + step * np.arange(math.ceil(span))
+        values = start + step * np.arange(max(1, math.ceil(span)))  # start itself, at least
     elif isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{where}: angle list is empty")
@@ -230,6 +234,8 @@ def _parse_scan(section: dict) -> ScanSection:
         raise ConfigError(f"{where}: max_mhz must exceed min_mhz")
     if points < 3:
         raise ConfigError(f"{where}: points must be >= 3, got {points}")
+    if points > MAX_SCAN_POINTS:
+        raise ConfigError(f"{where}.points: {points} exceeds MAX_SCAN_POINTS = {MAX_SCAN_POINTS}")
     return ScanSection(low, high, points)
 
 
@@ -265,6 +271,13 @@ def _parse_cell(section: dict) -> tuple[CellGeometry, float]:
         raise ConfigError(f"{where}: rf_frequency_ghz must be > 0")
     if not math.isfinite(frequency):
         raise ConfigError(f"{where}: rf_frequency_ghz must stay finite in Hz")
+    try:
+        sweep_samples(geometry, frequency)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{where}.rf_frequency_ghz x {where}.inner_length_mm is too large "
+            f"(MAX_SWEEP_SAMPLES = {MAX_SWEEP_SAMPLES}): {exc}"
+        ) from exc
     return geometry, frequency
 
 
@@ -284,6 +297,8 @@ def _parse_sweep(section: dict) -> SweepSection:
     noise = _number(section, "noise_sigma_db", where, 0.0)
     if noise < 0:
         raise ConfigError(f"{where}.noise_sigma_db must be >= 0")
+    if noise > MAX_NOISE_SIGMA_DB:
+        raise ConfigError(f"{where}.noise_sigma_db: {noise} exceeds MAX_NOISE_SIGMA_DB = {MAX_NOISE_SIGMA_DB}")
     return SweepSection(
         plane=plane,
         angles=parse_angles_deg(section["angles_deg"], f"{where}.angles_deg"),

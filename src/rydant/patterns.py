@@ -12,6 +12,8 @@ into [0, pi/2].  For XZ/YZ the polarization rotates while the propagation
 direction stays fixed, so the stack sees normal incidence throughout.
 
 Sweeps are deterministic: the noise stream is seeded per angle index.
+The spectrum readout scans once per distinct cell factor, since the ladder
+does not depend on the orientation.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .hamiltonian import (
 )
 from .metrology import GainSample, isotropic_deviation, normalized_gain, splitting_from_eigen
 from .spectra import (
+    MAX_SCAN_POINTS,
     LadderConfig,
     UnresolvedSplittingError,
     default_ladder,
@@ -47,6 +50,11 @@ READOUTS = ("eigen", "spectrum")
 
 # Relative pattern floor for the analytic dipole (-60 dB).
 DIPOLE_FLOOR_RATIO = 1e-3
+
+# Largest readout-noise sigma.  A jitter of J dB scales a ratio by
+# 10 ** (J / 20), which leaves the float range past about 6000 dB, 60 sigma
+# at this cap: no normal draw gets there.
+MAX_NOISE_SIGMA_DB = 100.0
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,10 +99,12 @@ class SweepPlan:
         if self.cell is not None:
             if self.cell_frequency is None or self.cell_frequency <= 0:
                 raise ValueError("cell modulation requires cell_frequency > 0 (Hz)")
-        if not math.isfinite(self.noise_sigma_db) or self.noise_sigma_db < 0:
-            raise ValueError(f"noise_sigma_db must be >= 0, got {self.noise_sigma_db}")
-        if self.scan_points < 3:
-            raise ValueError(f"scan_points must be >= 3, got {self.scan_points}")
+        if not 0.0 <= self.noise_sigma_db <= MAX_NOISE_SIGMA_DB:
+            raise ValueError(
+                f"noise_sigma_db must be in [0, {MAX_NOISE_SIGMA_DB}], got {self.noise_sigma_db}"
+            )
+        if not 3 <= self.scan_points <= MAX_SCAN_POINTS:
+            raise ValueError(f"scan_points must be in [3, {MAX_SCAN_POINTS}], got {self.scan_points}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,9 @@ def run_sweep(plan: SweepPlan) -> GainPattern:
     if plan.readout == "eigen":
         delta_ats = _eigen_delta_ats(plan, factors)
     else:
-        delta_ats = [_spectrum_delta_at(plan, plan.drive.rabi * f) for f in factors]
+        # The ladder never sees the orientation: one scan per distinct drive.
+        by_factor = {f: _spectrum_delta_at(plan, plan.drive.rabi * f) for f in dict.fromkeys(factors)}
+        delta_ats = [by_factor[f] for f in factors]
 
     field_amplitude = plan.drive.rabi / plan.system.mu
     pairs: list[tuple[float, float]] = []

@@ -20,6 +20,17 @@ could not do that (it conserves populations).
 The probe absorption is Im(rho_ge) (positive at resonance); the exported
 transmission proxy is -Im(rho_ge) offset and scaled to span [0, 1].
 
+Solver
+------
+The scanned detuning enters the trace-constrained Liouvillian linearly,
+through a diagonal slope.  One eigendecomposition at the scan centre
+therefore turns a whole scan into a sum of poles in the detuning, and a
+single-detuning steady state is the one-point scan.  Doppler averaging
+shifts only the scanned detuning by a Gaussian velocity term; the average
+of each pole over that Gaussian is exact through the Faddeeva function
+(scipy.special.wofz, the only scipy import, made inside the Doppler path).
+Peaks are local maxima filtered by topographic prominence.
+
 Defaults gamma_e = 2*pi*5.2e6 rad/s and gamma_r = 2*pi*0.1e6 rad/s are
 plausible vapor-cell numbers, not measured values; override per setup.
 """
@@ -32,7 +43,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 GAMMA_E_DEFAULT = 2.0 * math.pi * 5.2e6
 GAMMA_R_DEFAULT = 2.0 * math.pi * 0.1e6
@@ -46,8 +56,13 @@ RESIDUAL_TOL = 1e-8
 # Peak prominence threshold as a fraction of the full transmission scale.
 PROMINENCE_DEFAULT = 0.05
 
+# Longest accepted scan: a 0.01 MHz step over a 200 MHz window.  A scan
+# holds a few (points x 16) complex arrays, about 5 MB each at this size.
+MAX_SCAN_POINTS = 20_001
+
 _DIM = 4
 _TRACE_IDX = np.arange(_DIM) * (_DIM + 1)
+_GE = _DIM  # rho[0, 1] in the column-stacked state
 _IDENTITY = np.eye(_DIM)
 
 
@@ -63,9 +78,11 @@ class UnresolvedSplittingError(ValueError):
 class LadderConfig:
     """Ladder drive and decay parameters, all angular frequencies in rad/s.
 
-    doppler_sigma > 0 enables Gaussian averaging of the scanned detuning
-    (quadrature over velocity classes); zero keeps the single stationary
-    class and is exactly the one-node quadrature path.
+    doppler_sigma > 0 makes scan_spectrum average each point over a
+    Gaussian shift of the scanned detuning with this standard deviation
+    (velocity classes); the average is exact, one Faddeeva function per
+    pole.  Zero keeps the single stationary class.  The single-detuning
+    steady_state and steady_state_rho always give the stationary class.
     """
 
     omega_p: float
@@ -160,37 +177,91 @@ def _liouvillian(h: np.ndarray, c_ops: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _scan_slope() -> np.ndarray:
-    # d(Liouvillian)/d(delta_c): the scan enters H only on the r1/r2 diagonal.
+    # Diagonal of d(Liouvillian)/d(delta_c): the scan enters H only on the
+    # r1/r2 diagonal.  Its entry for rho_gg (the trace row) is zero.
     slope = np.zeros((_DIM, _DIM), dtype=complex)
     slope[2, 2] = -1.0
     slope[3, 3] = -1.0
-    return -1j * (np.kron(_IDENTITY, slope) - np.kron(slope.T, _IDENTITY))
+    return np.diag(-1j * (np.kron(_IDENTITY, slope) - np.kron(slope.T, _IDENTITY))).copy()
 
 
-def _solve(lv: np.ndarray) -> np.ndarray:
+_SCAN_SLOPE = _scan_slope()
+
+
+def _steady_states(cfg: LadderConfig, detunings: np.ndarray, doppler_sigma: float = 0.0) -> np.ndarray:
+    """Column-stacked steady states, one row per scanned detuning.
+
+    With the trace row in place of row 0, the Liouvillian is
+    A(delta) = A0 + (delta - delta0) S, where A0 is taken at the scan centre
+    delta0 and S is the diagonal scan slope.  One eigendecomposition
+    A0^-1 S = V diag(lam) V^-1, with x0 = A0^-1 b and c = V^-1 x0, gives
+    every point as x(delta) = x0 - V [eps lam / (1 + eps lam) * c] with
+    eps = delta - delta0; a one-point scan returns x0 itself.  Each point's
+    residual |L(delta) x(delta)| is checked against RESIDUAL_TOL.
+
+    doppler_sigma > 0 returns instead the average over a Gaussian shift of
+    the scanned detuning, taken pole by pole in closed form.
+    """
+    center = 0.5 * (detunings[0] + detunings[-1])
+    lv = _liouvillian(_hamiltonian(cfg, center), _collapse_ops(cfg))
     a = lv.copy()
     a[0, :] = 0.0
     a[0, _TRACE_IDX] = 1.0
     b = np.zeros(_DIM * _DIM, dtype=complex)
     b[0] = 1.0
     try:
-        x = np.linalg.solve(a, b)
+        x0 = np.linalg.solve(a, b)
+        lam, v = np.linalg.eig(np.linalg.solve(a, np.diag(_SCAN_SLOPE)))
+        c = np.linalg.solve(v, x0)
     except np.linalg.LinAlgError as exc:
         raise SteadyStateError(f"singular Liouvillian: {exc}") from exc
-    scale = float(np.abs(lv).max()) * float(np.abs(x).max())
-    residual = float(np.abs(lv @ x).max())
-    if not math.isfinite(residual) or residual > RESIDUAL_TOL * max(scale, 1e-300):
+
+    eps = (detunings - center)[:, None]
+    with np.errstate(all="ignore"):
+        eps_lam = eps * lam
+        states = x0 - (eps_lam / (1.0 + eps_lam) * c) @ v.T
+        # L(delta) x = L0 x + eps S x; the slope moves only the diagonal of L.
+        residual = np.abs(states @ lv.T + eps * _SCAN_SLOPE * states).max(axis=1)
+        off_diagonal = np.abs(lv - np.diag(np.diag(lv))).max()
+        lv_max = np.maximum(np.abs(np.diag(lv) + eps * _SCAN_SLOPE).max(axis=1), off_diagonal)
+        scale = np.maximum(lv_max * np.abs(states).max(axis=1), 1e-300)
+    failed = ~np.isfinite(residual) | (residual > RESIDUAL_TOL * scale)
+    if failed.any():
+        i = int(np.argmax(failed))
         raise SteadyStateError(
-            f"no unique steady state: residual {residual:.3e} vs scale {scale:.3e}"
+            f"no unique steady state at detuning {detunings[i]:.6e}: "
+            f"residual {residual[i]:.3e} vs scale {scale[i]:.3e}"
         )
-    return x.reshape((_DIM, _DIM), order="F")
+    if doppler_sigma > 0.0:
+        return x0 - (_doppler_pole_average(eps, lam, doppler_sigma) * c) @ v.T
+    return states
+
+
+def _doppler_pole_average(eps: np.ndarray, lam: np.ndarray, sigma: float) -> np.ndarray:
+    """<e lam / (1 + e lam)> over e = eps + u, u ~ N(0, sigma^2), for each pole.
+
+    For lam != 0 the term is 1 + (1 / lam) / (z - e) with the pole
+    z = -1 / lam.  For Im(a) > 0, <1 / (a - u)> = -i sqrt(pi/2) / sigma *
+    w(a / (sigma sqrt 2)), with w the Faddeeva function; below the real
+    axis conj(w(conj(zeta))) = w(-zeta) gives the mirrored form.  lam = 0
+    terms are zero at every detuning and stay zero.
+    """
+    from scipy.special import wofz
+
+    average = np.zeros((eps.shape[0], lam.size), dtype=complex)
+    poles = lam != 0.0
+    a = -1.0 / lam[poles] - eps
+    side = np.where(a.imag > 0.0, 1.0, -1.0)
+    mean_inverse = -1j * side * math.sqrt(math.pi / 2.0) / sigma * wofz(side * a / (sigma * math.sqrt(2.0)))
+    average[:, poles] = 1.0 + mean_inverse / lam[poles]
+    return average
 
 
 def steady_state_rho(cfg: LadderConfig, delta_c: float) -> np.ndarray:
     """Full steady-state density matrix at one scanned detuning."""
     if not math.isfinite(delta_c):
         raise ValueError(f"delta_c must be finite, got {delta_c}")
-    return _solve(_liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg)))
+    return _steady_states(cfg, np.array([float(delta_c)]))[0].reshape((_DIM, _DIM), order="F")
 
 
 def steady_state(cfg: LadderConfig, delta_c: float) -> float:
@@ -207,50 +278,59 @@ def normalize_trace(values: np.ndarray) -> np.ndarray:
     return (arr - arr.min()) / span
 
 
-def _doppler_nodes(cfg: LadderConfig, node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.doppler_sigma == 0.0:
-        return np.array([0.0]), np.array([1.0])
-    x, w = np.polynomial.hermite.hermgauss(node_count)
-    return math.sqrt(2.0) * cfg.doppler_sigma * x, w / math.sqrt(math.pi)
-
-
-def scan_spectrum(
-    cfg: LadderConfig,
-    scan: tuple[float, float],
-    points: int,
-    doppler_nodes: int = 11,
-) -> SpectrumTrace:
+def scan_spectrum(cfg: LadderConfig, scan: tuple[float, float], points: int) -> SpectrumTrace:
     """Scan the coupling detuning and return a normalized transmission trace.
 
     Parameters
     ----------
-    cfg : LadderConfig
+    cfg : LadderConfig; doppler_sigma > 0 averages each point over a
+        Gaussian shift of the scanned detuning.
     scan : (low, high) bounds of the scanned detuning in rad/s, low < high.
-    points : number of samples, >= 3.
-    doppler_nodes : Gauss-Hermite node count used when doppler_sigma > 0.
+    points : number of samples, 3 <= points <= MAX_SCAN_POINTS.
     """
     low, high = float(scan[0]), float(scan[1])
     if not (math.isfinite(low) and math.isfinite(high)) or high <= low:
         raise ValueError(f"scan range must satisfy low < high, got ({low}, {high})")
-    if points < 3:
-        raise ValueError(f"points must be >= 3, got {points}")
-    if doppler_nodes < 1:
-        raise ValueError(f"doppler_nodes must be >= 1, got {doppler_nodes}")
+    if not 3 <= points <= MAX_SCAN_POINTS:
+        raise ValueError(f"points must be in [3, {MAX_SCAN_POINTS}], got {points}")
 
     detunings = np.linspace(low, high, points)
-    shifts, weights = _doppler_nodes(cfg, doppler_nodes)
-    base = _liouvillian(_hamiltonian(cfg, 0.0), _collapse_ops(cfg))
-    slope = _scan_slope()
-
-    absorption = np.zeros(points)
-    for shift, weight in zip(shifts, weights):
-        for i, dc in enumerate(detunings):
-            rho = _solve(base + (dc + shift) * slope)
-            absorption[i] += weight * rho[0, 1].imag
-
+    absorption = _steady_states(cfg, detunings, cfg.doppler_sigma)[:, _GE].imag
     transmission = normalize_trace(-absorption)
     positions, _ = _peak_positions(detunings, transmission, PROMINENCE_DEFAULT)
     return SpectrumTrace(detunings, transmission, np.sort(positions))
+
+
+def _local_maxima(y: np.ndarray) -> np.ndarray:
+    """Indices of samples above both neighbours; a flat top reports its middle.
+
+    A run of equal samples is a maximum when both samples bordering it are
+    lower; its index is the middle of the run, rounded down.  Runs touching
+    either end of the trace are never maxima.
+    """
+    change = np.flatnonzero(y[1:] != y[:-1])
+    starts = np.concatenate(([0], change + 1))
+    ends = np.concatenate((change, [y.size - 1]))
+    inner = (starts > 0) & (ends < y.size - 1)
+    starts, ends = starts[inner], ends[inner]
+    top = (y[starts - 1] < y[starts]) & (y[ends + 1] < y[ends])
+    return (starts[top] + ends[top]) // 2
+
+
+def _prominences(y: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Height of each peak above the higher of its two bases.
+
+    A base is the lowest sample between the peak and the nearest sample
+    higher than the peak on that side, or the end of the trace.
+    """
+    result = np.empty(peaks.size)
+    for k, p in enumerate(peaks):
+        higher_left = np.flatnonzero(y[:p] > y[p])
+        higher_right = np.flatnonzero(y[p + 1:] > y[p])
+        start = higher_left[-1] + 1 if higher_left.size else 0
+        stop = p + 1 + higher_right[0] if higher_right.size else y.size
+        result[k] = y[p] - max(y[start:p + 1].min(), y[p:stop].min())
+    return result
 
 
 def _peak_positions(
@@ -264,17 +344,15 @@ def _peak_positions(
     span = float(y.max() - y.min())
     if span <= 0.0:
         return np.array([]), np.array([])
-    idx, props = find_peaks(y, prominence=prominence * span)
-    positions = []
-    for i in idx:
-        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-        if denom < 0.0:
-            offset = 0.5 * (y[i - 1] - y[i + 1]) / denom
-        else:
-            offset = 0.0
-        step = x[i + 1] - x[i] if offset >= 0 else x[i] - x[i - 1]
-        positions.append(x[i] + offset * step)
-    return np.array(positions), props["prominences"]
+    peaks = _local_maxima(y)
+    proms = _prominences(y, peaks)
+    keep = proms >= prominence * span
+    i, proms = peaks[keep], proms[keep]
+    left, mid, right = y[i - 1], y[i], y[i + 1]
+    denom = left - 2.0 * mid + right
+    offset = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom < 0.0)
+    step = np.where(offset >= 0, x[i + 1] - x[i], x[i] - x[i - 1])
+    return x[i] + offset * step, proms
 
 
 def extract_splitting(trace: SpectrumTrace, prominence: float = PROMINENCE_DEFAULT):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +116,30 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert "--angles" in err and "finite" in err and "Traceback" not in err
 
+    def test_oversized_scan(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, drive={"rabi_mhz": 10.0}, scan={"min_mhz": -20.0, "max_mhz": 20.0, "points": 10**10}
+        )
+        assert main(["spectrum", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "scan.points" in err and "MAX_SCAN_POINTS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["cellfield", "sweep"])
+    def test_oversized_cell_profile(self, tmp_path, capsys, command):
+        cell = {"wall_thickness_mm": 2.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 1e9}
+        config = sweep_config(tmp_path, cell=cell, sweep={"plane": "XY", "angles_deg": "0:30:90", "use_cell": True})
+        assert main([command, "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cell.rf_frequency_ghz" in err and "cell.inner_length_mm" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("readout", ["eigen", "spectrum"])
+    def test_overflowing_noise(self, tmp_path, capsys, readout):
+        sweep = {"plane": "XZ", "angles_deg": "0:30:90", "readout": readout, "noise_sigma_db": 1e5}
+        config = sweep_config(tmp_path, sweep=sweep)
+        assert main(["sweep", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.noise_sigma_db" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("two_jg,two_je", [(1, 1), (3, 3), (2, 2), (3, 1), (5, 3), (2, 0)])
     def test_unsupported_transitions(self, tmp_path, capsys, two_jg, two_je):
         system = {"two_jg": two_jg, "two_je": two_je, "mu_mhz_per_v_per_m": 1.0}
@@ -130,6 +157,32 @@ class TestRefusedInput:
         config = sweep_config(tmp_path, system=system, sweep={"plane": "XZ", "angles_deg": "0:15:180"})
         assert main(["sweep", "--config", config]) == 0
         assert "isotropic_deviation_db" in capsys.readouterr().out
+
+
+class TestImports:
+    """Only the Doppler path imports scipy."""
+
+    def scipy_loaded(self, tmp_path, argv):
+        code = (
+            "import sys; from rydant.cli import main; "
+            f"code = main({argv!r}); print(code, 'scipy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        status, loaded = done.stdout.split()[-2:]
+        assert status == "0", done.stderr
+        return loaded == "True"
+
+    def test_eigen_and_plain_spectrum_leave_scipy_unloaded(self, tmp_path):
+        assert not self.scipy_loaded(tmp_path, ["eigen", "--rabi-mhz", "10", "--detuning-mhz", "2"])
+        assert not self.scipy_loaded(tmp_path, ["spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"])
+
+    def test_doppler_spectrum_loads_scipy(self, tmp_path):
+        ladder = {"probe_rabi_mhz": 0.1, "coupling_rabi_mhz": 1.0, "doppler_sigma_mhz": 1.0}
+        config = write_config(tmp_path, drive={"rabi_mhz": 20.0}, ladder=ladder)
+        assert self.scipy_loaded(tmp_path, ["spectrum", "--config", config])
 
 
 class TestSweepCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydant.cellfield import MAX_SWEEP_SAMPLES, SAMPLES_PER_WAVELENGTH, SPEED_OF_LIGHT, sweep_samples
 from rydant.config import (
     MAX_ANGLES,
     MHZ,
@@ -15,6 +16,8 @@ from rydant.config import (
     parse_angles_deg,
     parse_config,
 )
+from rydant.patterns import MAX_NOISE_SIGMA_DB
+from rydant.spectra import MAX_SCAN_POINTS
 
 FULL_CONFIG = {
     "schema_version": 1,
@@ -167,6 +170,10 @@ class TestAngleRanges:
     def test_exact_multiple_excludes_stop(self):
         assert len(parse_angles_deg("0:90:360", "test")) == 4
 
+    @pytest.mark.parametrize("spec", ["0:10:5", "-1:1e12:0", "0:1:1e-13"])
+    def test_step_past_stop_keeps_start(self, spec):
+        np.testing.assert_array_equal(parse_angles_deg(spec, "test"), np.radians([float(spec.split(":")[0])]))
+
     def test_fractional_step(self):
         angles = parse_angles_deg("0:2.5:10", "test")
         np.testing.assert_allclose(np.degrees(angles), [0.0, 2.5, 5.0, 7.5])
@@ -286,6 +293,47 @@ class TestGridCap:
     def test_longer_lists_are_refused(self):
         with pytest.raises(ConfigError, match="MAX_ANGLES"):
             parse_angles_deg([0.0] * (MAX_ANGLES + 1), "test")
+
+
+class TestAllocationCaps:
+    def test_scan_points_cap(self):
+        payload = make_config()
+        payload["scan"]["points"] = MAX_SCAN_POINTS
+        assert parse_config(payload).scan.points == MAX_SCAN_POINTS
+        for points in (MAX_SCAN_POINTS + 1, 10**10):
+            payload["scan"]["points"] = points
+            with pytest.raises(ConfigError, match=r"scan\.points.*MAX_SCAN_POINTS"):
+                parse_config(payload)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"rf_frequency_ghz": 1e9},
+            {"inner_length_mm": 1e6},
+            {"inner_index_re": 1e308, "rf_frequency_ghz": 1e290},
+        ],
+    )
+    def test_cell_sample_cap(self, cell):
+        payload = make_config()
+        payload["cell"].update(cell)
+        with pytest.raises(ConfigError, match="cell.rf_frequency_ghz x cell.inner_length_mm.*MAX_SWEEP_SAMPLES"):
+            parse_config(payload)
+
+    def test_largest_cell_profile_is_accepted(self):
+        payload = make_config()
+        # just under the cap: 32 samples per wavelength across a 20 mm vapor
+        ghz = (MAX_SWEEP_SAMPLES - 3) / SAMPLES_PER_WAVELENGTH / 0.02 * SPEED_OF_LIGHT / 1e9
+        payload["cell"]["rf_frequency_ghz"] = ghz
+        cfg = parse_config(payload)
+        assert sweep_samples(cfg.cell, cfg.cell_frequency) <= MAX_SWEEP_SAMPLES
+
+    def test_noise_cap(self):
+        payload = make_config()
+        payload["sweep"]["noise_sigma_db"] = MAX_NOISE_SIGMA_DB
+        assert parse_config(payload).sweep.noise_sigma_db == MAX_NOISE_SIGMA_DB
+        payload["sweep"]["noise_sigma_db"] = 1e5
+        with pytest.raises(ConfigError, match=r"sweep\.noise_sigma_db.*MAX_NOISE_SIGMA_DB"):
+            parse_config(payload)
 
 
 class TestTransitions:

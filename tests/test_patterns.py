@@ -8,7 +8,9 @@ from rydant.angular import AngularMomentum
 from rydant.cellfield import CellGeometry, angle_sweep_deviation
 from rydant.hamiltonian import RfDrive, TransitionSystem
 from rydant.metrology import isotropic_deviation
+from rydant import patterns
 from rydant.patterns import (
+    MAX_NOISE_SIGMA_DB,
     GainPattern,
     SweepPlan,
     compare_patterns,
@@ -20,6 +22,7 @@ from rydant.patterns import (
     polar_csv,
     run_sweep,
 )
+from rydant.spectra import MAX_SCAN_POINTS, scan_spectrum
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -186,6 +189,28 @@ class TestSpectrumReadout:
         assert pattern.deviation_db == 0.0
         assert pattern.gap_angles == ()
 
+    @pytest.mark.parametrize("cell", [None, THZ_CELL])
+    def test_one_scan_per_distinct_drive(self, monkeypatch, cell):
+        # XZ sees normal incidence at every angle, so every angle shares one drive
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(patterns, "scan_spectrum", counted)
+        plan = make_plan(
+            plane="XZ",
+            angles=np.radians(np.arange(0.0, 180.0, 30.0)),
+            readout="spectrum",
+            scan_points=401,
+            cell=cell,
+            cell_frequency=THZ_FREQ if cell else None,
+        )
+        pattern = run_sweep(plan)
+        assert len(calls) == 1
+        assert len(pattern.samples) == 6 and pattern.deviation_db == 0.0
+
     def test_unresolvable_drive_raises_after_all_gaps(self):
         plan = make_plan(
             angles=np.radians([0.0, 20.0, 40.0]),
@@ -309,3 +334,12 @@ class TestPlanValidation:
     def test_noise_sigma_domain(self):
         with pytest.raises(ValueError):
             make_plan(noise_sigma_db=-0.1)
+        with pytest.raises(ValueError):
+            make_plan(noise_sigma_db=MAX_NOISE_SIGMA_DB * 1.01)
+        assert make_plan(noise_sigma_db=MAX_NOISE_SIGMA_DB).noise_sigma_db == MAX_NOISE_SIGMA_DB
+
+    def test_scan_points_domain(self):
+        with pytest.raises(ValueError):
+            make_plan(readout="spectrum", scan_points=2)
+        with pytest.raises(ValueError):
+            make_plan(readout="spectrum", scan_points=MAX_SCAN_POINTS + 1)

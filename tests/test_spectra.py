@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
+from _oracles import doppler_absorption, ladder_states
 from rydant.metrology import SOURCE_SPECTRUM
 from rydant.spectra import (
+    MAX_SCAN_POINTS,
     LadderConfig,
     SpectrumTrace,
     SteadyStateError,
@@ -19,6 +22,7 @@ from rydant.spectra import (
     steady_state_rho,
     trace_csv,
 )
+from rydant.spectra import _local_maxima, _peak_positions, _prominences, _steady_states
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -130,19 +134,20 @@ class TestScanSpectrum:
         oracle = math.hypot(10.0, 5.0) * MHZ
         assert abs(result.delta_at - oracle) / oracle < 0.05
 
-    def test_zero_sigma_equals_single_node_quadrature(self):
-        cfg = default_ladder(omega_rf=6.0 * MHZ, delta_rf=0.0)
-        a = scan_spectrum(cfg, (-8 * MHZ, 8 * MHZ), 301, doppler_nodes=1)
-        b = scan_spectrum(cfg, (-8 * MHZ, 8 * MHZ), 301, doppler_nodes=15)
-        np.testing.assert_array_equal(a.transmission, b.transmission)
+    def test_doppler_average_matches_the_velocity_integral(self):
+        for rabi_mhz, detuning_mhz, sigma_mhz in ((20.0, 0.0, 1.0), (20.0, 0.0, 5.0), (8.0, 3.0, 5.0)):
+            cfg = default_ladder(omega_rf=rabi_mhz * MHZ, delta_rf=detuning_mhz * MHZ)
+            cfg = replace(cfg, doppler_sigma=sigma_mhz * MHZ)
+            low, high = scan_window(cfg)
+            trace = scan_spectrum(cfg, (low, high), 401)
+            integral = doppler_absorption(cfg, low, high, 401, cfg.doppler_sigma, 0.02 * MHZ)
+            assert np.abs(trace.transmission - normalize_trace(-integral)).max() < 1e-10
 
     def test_doppler_averaging_broadens_the_window(self):
         cfg = default_ladder(omega_rf=0.0, delta_rf=0.0)
         scan = (-8 * MHZ, 8 * MHZ)
         sharp = scan_spectrum(cfg, scan, 501)
-        broad = scan_spectrum(
-            replace(cfg, doppler_sigma=2.0 * MHZ), scan, 501, doppler_nodes=21
-        )
+        broad = scan_spectrum(replace(cfg, doppler_sigma=2.0 * MHZ), scan, 501)
         width = lambda t: int(np.sum(t.transmission > 0.5))  # noqa: E731
         assert width(broad) > 2 * width(sharp)
         # the dominant transparency stays at line center
@@ -157,7 +162,108 @@ class TestScanSpectrum:
         with pytest.raises(ValueError):
             scan_spectrum(cfg, (-1.0, 1.0), 2)
         with pytest.raises(ValueError):
-            scan_spectrum(cfg, (-1.0, 1.0), 101, doppler_nodes=0)
+            scan_spectrum(cfg, (-1.0, 1.0), MAX_SCAN_POINTS + 1)
+
+
+def random_ladder(rng):
+    return LadderConfig(
+        omega_p=rng.uniform(0.01, 0.5) * MHZ,
+        omega_c=rng.uniform(0.0, 5.0) * MHZ,
+        omega_rf=rng.uniform(0.0, 50.0) * MHZ,
+        delta_p=rng.uniform(-3.0, 3.0) * MHZ,
+        delta_rf=rng.uniform(-20.0, 20.0) * MHZ,
+        gamma_e=rng.uniform(1.0, 10.0) * MHZ,
+        gamma_r=rng.uniform(0.01, 1.0) * MHZ,
+    )
+
+
+DEGENERATE_LADDERS = {
+    "coupling off": dict(omega_c=0.0),
+    "rf off": dict(omega_rf=0.0),
+    "probe off": dict(omega_p=0.0),
+    "coupling and rf off": dict(omega_c=0.0, omega_rf=0.0),
+    "slow rydberg decay": dict(gamma_r=1e-6),
+    "no rydberg decay": dict(gamma_r=0.0),
+}
+
+
+class TestPoleExpansion:
+    """The one-eigendecomposition scan against a direct solve at every point."""
+
+    def assert_matches_direct_solve(self, cfg, detunings):
+        poles = _steady_states(cfg, detunings).reshape(-1, 4, 4).transpose(0, 2, 1)
+        direct = ladder_states(cfg, detunings)
+        assert np.abs(poles - direct).max() < 1e-10 * np.abs(direct).max()
+
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+    def test_random_ladders(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            cfg = random_ladder(rng)
+            self.assert_matches_direct_solve(cfg, np.linspace(*scan_window(cfg), 201))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_LADDERS))
+    def test_degenerate_ladders(self, name):
+        drive = dict(omega_p=0.1 * MHZ, omega_c=1.0 * MHZ, omega_rf=10.0 * MHZ)
+        cfg = LadderConfig(**{**drive, **DEGENERATE_LADDERS[name]})
+        self.assert_matches_direct_solve(cfg, np.linspace(-40 * MHZ, 40 * MHZ, 401))
+
+    @pytest.mark.parametrize("gamma_e,omega_rf", [(0.0, 1.0), (1.0, 0.0)])
+    def test_scans_without_a_unique_steady_state_are_refused(self, gamma_e, omega_rf):
+        # undamped, or the RF-free Rydberg pair left without relaxation
+        cfg = LadderConfig(omega_p=0.1, omega_c=1.0, omega_rf=omega_rf, gamma_e=gamma_e, gamma_r=0.0)
+        with pytest.raises(SteadyStateError):
+            scan_spectrum(cfg, (-5.0, 5.0), 101)
+
+    def test_single_detuning_matches_the_scan(self):
+        cfg = default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ)
+        detunings = np.linspace(-20 * MHZ, 30 * MHZ, 101)
+        scan = _steady_states(cfg, detunings)
+        for i in (0, 37, 50, 100):
+            rho = steady_state_rho(cfg, float(detunings[i]))
+            np.testing.assert_allclose(rho.reshape(-1, order="F"), scan[i], rtol=0, atol=1e-12)
+
+
+class TestPeakFinder:
+    """The in-repo peak search against scipy.signal.find_peaks."""
+
+    def random_traces(self, rng, count):
+        for _ in range(count):
+            n = int(rng.integers(3, 60))
+            # coarse levels make plateaus and equal neighbours common
+            y = rng.integers(0, int(rng.integers(2, 8)), size=n).astype(float)
+            if rng.random() < 0.5:
+                y = y + rng.normal(scale=1e-3, size=n) * (rng.random(n) < 0.3)
+            yield y
+
+    def test_maxima_and_prominences_match(self):
+        rng = np.random.default_rng(4)
+        for y in self.random_traces(rng, 3000):
+            idx, props = find_peaks(y, prominence=0.0)
+            peaks = _local_maxima(y)
+            np.testing.assert_array_equal(peaks, idx)
+            np.testing.assert_array_equal(_prominences(y, peaks), props["prominences"])
+
+    def test_prominence_threshold_matches(self):
+        rng = np.random.default_rng(6)
+        for y in self.random_traces(rng, 500):
+            span = float(y.max() - y.min())
+            if span == 0.0:
+                continue
+            x = np.arange(y.size, dtype=float)
+            positions, proms = _peak_positions(x, y, 0.3)
+            idx, props = find_peaks(y, prominence=0.3 * span)
+            np.testing.assert_array_equal(proms, props["prominences"])
+            # parabolic refinement moves a peak by at most half a step
+            assert positions.shape == idx.shape and np.all(np.abs(positions - idx) <= 0.5 + 1e-12)
+
+    def test_spectrum_traces_match(self):
+        for rabi_mhz in (0.0, 3.0, 10.0, 25.0):
+            cfg = default_ladder(omega_rf=rabi_mhz * MHZ, delta_rf=0.0)
+            y = scan_spectrum(cfg, scan_window(cfg), 801).transmission
+            idx, props = find_peaks(y, prominence=0.0)
+            np.testing.assert_array_equal(_local_maxima(y), idx)
+            np.testing.assert_array_equal(_prominences(y, idx), props["prominences"])
 
 
 class TestExtractSplitting:
