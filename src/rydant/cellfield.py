@@ -19,6 +19,7 @@ borosilicate-like stand-in, not a measured value; treat it as a knob.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,6 +36,13 @@ _MIN_SWEEP_SAMPLES = 513
 # Most samples in one profile: 3125 in-vapor wavelengths, which a 20 mm
 # cell reaches near 47 THz.  A profile holds a few arrays of this length.
 MAX_SWEEP_SAMPLES = 100_000
+# Most growth or decay of the field across walls and vapor, in nepers
+# (e^100, about 870 dB).  It keeps every amplitude of the transfer-matrix
+# walk far inside the float range; a real cell stays below 1.
+MAX_STACK_NEPERS = 100.0
+# Range of k0, k0 |n| (rad/m) and |n| in any layer: their squares stay
+# normal floats, so no wave vanishes or overflows in the walk.
+_WAVENUMBER_RANGE = (1e-150, 1e150)
 
 POLARIZATIONS = ("TE", "TM")
 
@@ -138,6 +146,73 @@ def _stack_amplitudes(
     return scaled, r, t
 
 
+def stack_nepers(geometry: CellGeometry, frequency: float) -> float:
+    """Largest growth or decay of the field across the walls and vapor, in nepers.
+
+    The sum of |Im kx| * thickness over both walls and the vapor.  |Im kx|
+    grows with the incidence angle, so its grazing value (beta = k0) bounds
+    every incidence.  Infinite when k0, k0 |n| or |n| of a layer leaves
+    1e-150 .. 1e150.
+    """
+    low, high = _WAVENUMBER_RANGE
+    k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
+    total = 0.0
+    for n, thickness in (
+        (geometry.wall_index, 2.0 * geometry.wall_thickness),
+        (geometry.inner_index, geometry.inner_length),
+    ):
+        if not (low <= k0 and abs(n) <= high and k0 * abs(n) <= high):
+            return math.inf
+        total += abs(cmath.sqrt(n * n - 1.0).imag) * k0 * thickness
+    return total
+
+
+def check_stack(geometry: CellGeometry, frequency: float) -> None:
+    """Raise ValueError unless the stack can be solved at this frequency (Hz).
+
+    Refuses a frequency that is not finite and > 0, and a stack whose
+    stack_nepers passes MAX_STACK_NEPERS.
+    """
+    if not (math.isfinite(frequency) and frequency > 0):
+        raise ValueError(f"frequency must be > 0, got {frequency}")
+    nepers = stack_nepers(geometry, frequency)
+    if not nepers <= MAX_STACK_NEPERS:
+        raise ValueError(
+            f"the field grows or decays by {nepers:.4g} nepers across the cell, "
+            f"more than MAX_STACK_NEPERS = {MAX_STACK_NEPERS} (inf: k0 |n| outside "
+            f"{_WAVENUMBER_RANGE[0]:g} .. {_WAVENUMBER_RANGE[1]:g} rad/m)"
+        )
+
+
+def _check_incidence(angle: float, polarization: str) -> None:
+    if not (0.0 <= angle < math.pi / 2):
+        raise ValueError(f"angle must lie in [0, pi/2), got {angle}")
+    if polarization not in POLARIZATIONS:
+        raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {polarization!r}")
+
+
+def _interior_amplitude(
+    geometry: CellGeometry, frequency: float, angle: float, polarization: str, x: np.ndarray
+) -> np.ndarray:
+    """|E| relative to the incident wave at interior positions x (TE or TM rule above)."""
+    k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
+    beta = k0 * math.sin(angle)
+    ns = [1.0 + 0j, geometry.wall_index, geometry.inner_index, geometry.wall_index, 1.0 + 0j]
+    ds = [0.0, geometry.wall_thickness, geometry.inner_length, geometry.wall_thickness, 0.0]
+    amps, _, _ = _stack_amplitudes(ns, ds, k0, beta, polarization)
+
+    a, b = amps[2]
+    kx = _kx(geometry.inner_index, k0, beta)
+    forward = a * np.exp(1j * kx * x)
+    backward = b * np.exp(-1j * kx * x)
+    u = forward + backward
+    if polarization == "TE":
+        return np.abs(u)
+    du = 1j * kx * (forward - backward)
+    n2 = abs(geometry.inner_index) ** 2
+    return np.sqrt(beta**2 * np.abs(u) ** 2 + np.abs(du) ** 2) / (k0 * n2)
+
+
 def transfer_matrix_field(
     geometry: CellGeometry,
     frequency: float,
@@ -155,34 +230,12 @@ def transfer_matrix_field(
     polarization : "TE" or "TM".
     samples : number of interior sample points, >= 2.
     """
-    if not (math.isfinite(frequency) and frequency > 0):
-        raise ValueError(f"frequency must be > 0, got {frequency}")
-    if not (0.0 <= angle < math.pi / 2):
-        raise ValueError(f"angle must lie in [0, pi/2), got {angle}")
-    if polarization not in POLARIZATIONS:
-        raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {polarization!r}")
+    check_stack(geometry, frequency)
+    _check_incidence(angle, polarization)
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-
-    k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
-    beta = k0 * math.sin(angle)
-    ns = [1.0 + 0j, geometry.wall_index, geometry.inner_index, geometry.wall_index, 1.0 + 0j]
-    ds = [0.0, geometry.wall_thickness, geometry.inner_length, geometry.wall_thickness, 0.0]
-    amps, _, _ = _stack_amplitudes(ns, ds, k0, beta, polarization)
-
-    a, b = amps[2]
-    kx = _kx(geometry.inner_index, k0, beta)
     x = np.linspace(0.0, geometry.inner_length, samples)
-    forward = a * np.exp(1j * kx * x)
-    backward = b * np.exp(-1j * kx * x)
-    u = forward + backward
-    if polarization == "TE":
-        amplitude = np.abs(u)
-    else:
-        du = 1j * kx * (forward - backward)
-        n2 = abs(geometry.inner_index) ** 2
-        amplitude = np.sqrt(beta**2 * np.abs(u) ** 2 + np.abs(du) ** 2) / (k0 * n2)
-    return FieldProfile(x, amplitude, angle, frequency)
+    return FieldProfile(x, _interior_amplitude(geometry, frequency, angle, polarization, x), angle, frequency)
 
 
 def path_average(profile: FieldProfile) -> float:
@@ -212,12 +265,23 @@ def path_averages(
     angles,
     polarization: str = "TE",
 ) -> list[float]:
-    """Path-averaged field (relative to the incident wave) at each incidence angle."""
+    """Path-averaged field (relative to the incident wave) at each incidence angle.
+
+    Equal to path_average(transfer_matrix_field(..., sweep_samples(...))) per
+    angle, bit for bit.  One profile is computed per distinct angle, all on
+    one shared sample grid, and no FieldProfile is built.
+    """
     samples = sweep_samples(geometry, frequency)
-    return [
-        path_average(transfer_matrix_field(geometry, frequency, float(a), polarization, samples))
-        for a in angles
-    ]
+    check_stack(geometry, frequency)
+    x = np.linspace(0.0, geometry.inner_length, samples)
+    span = x[-1] - x[0]
+    angle_list = [float(a) for a in angles]
+    by_angle = {}
+    for a in dict.fromkeys(angle_list):
+        _check_incidence(a, polarization)
+        amplitude = _interior_amplitude(geometry, frequency, a, polarization, x)
+        by_angle[a] = float(np.trapezoid(amplitude, x) / span)
+    return [by_angle[a] for a in angle_list]
 
 
 def angle_sweep_deviation(

@@ -191,19 +191,23 @@ def cmd_sweep(args) -> int:
         cell = config.require("cell")
         cell_frequency = config.cell_frequency
 
-    plan = SweepPlan(
-        plane=sweep.plane,
-        angles=sweep.angles,
-        drive=drive,
-        system=system,
-        readout=sweep.readout,
-        cell=cell,
-        cell_frequency=cell_frequency,
-        noise_sigma_db=sweep.noise_sigma_db,
-        seed=seed,
-        ladder=config.ladder,
-        scan_points=config.scan.points if config.scan else 801,
-    )
+    try:
+        plan = SweepPlan(
+            plane=sweep.plane,
+            angles=sweep.angles,
+            drive=drive,
+            system=system,
+            readout=sweep.readout,
+            cell=cell,
+            cell_frequency=cell_frequency,
+            noise_sigma_db=sweep.noise_sigma_db,
+            seed=seed,
+            ladder=config.ladder,
+            scan_points=config.scan.points if config.scan else 801,
+        )
+    except ValueError as exc:
+        # Every plan field comes from the config or a flag.
+        raise ConfigError(f"sweep: {exc}") from exc
     pattern = run_sweep(plan)
 
     directory, basename = _outputs(args, config)

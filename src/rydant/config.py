@@ -8,13 +8,15 @@ frequencies (rad/s) on load.
 
 Refused at this boundary, so that they never reach the physics: NaN and
 +-inf in any number (Python's json reads the NaN and Infinity literals),
-angle grids longer than MAX_ANGLES, scans longer than
-spectra.MAX_SCAN_POINTS, cells whose standing-wave profile would need
-more than cellfield.MAX_SWEEP_SAMPLES samples, readout noise above
-patterns.MAX_NOISE_SIGMA_DB, and transitions other than
-J -> J + 1.  That family is the only one whose degenerate pair the eigen
-readout can identify; the spectrum readout, blind to orientation, would
-report a flat pattern for any other.
+angle grids longer than MAX_ANGLES, drives and couplings outside
+MAGNITUDE_RANGE, scans longer than spectra.MAX_SCAN_POINTS, cells whose
+standing-wave profile would need more than cellfield.MAX_SWEEP_SAMPLES
+samples or that cellfield.check_stack refuses, XY angles that fold onto
+grazing incidence on a cell, readout noise above
+patterns.MAX_NOISE_SIGMA_DB, and transitions other than J -> J + 1.
+That family is the only one whose degenerate pair the eigen readout can
+identify; the spectrum readout, blind to orientation, would report a flat
+pattern for any other.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularMomentum
-from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, sweep_samples
+from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, check_stack, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
-from .patterns import MAX_NOISE_SIGMA_DB
+from .patterns import MAX_NOISE_SIGMA_DB, TWO_PI, incidence_angle
 from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, MAX_SCAN_POINTS, LadderConfig
 
 SCHEMA_VERSION = 1
@@ -37,6 +39,13 @@ MHZ = 2.0 * math.pi * 1e6  # MHz -> rad/s
 
 # Longest accepted angle grid: a 0.01-degree step over a full turn.
 MAX_ANGLES = 36_000
+
+# Accepted magnitudes of system.mu_mhz_per_v_per_m, and of drive.rabi_mhz
+# and drive.detuning_mhz unless 0: nine decades either side of 1.  Inside
+# them a sweep's raw ratios delta_at * mu / rabi stay within about 1e-64 to
+# 1e77, even through a cell at cellfield.MAX_STACK_NEPERS, so no sweep
+# quantity leaves the float range.
+MAGNITUDE_RANGE = (1e-9, 1e9)
 
 
 class ConfigError(Exception):
@@ -114,6 +123,14 @@ def _finite(value, where: str) -> float:
     return number
 
 
+def _magnitude(value: float, key: str, where: str, zero_ok: bool) -> float:
+    low, high = MAGNITUDE_RANGE
+    if (zero_ok and value == 0) or low <= abs(value) <= high:
+        return value
+    allowed = f"0 or a magnitude in [{low:g}, {high:g}]" if zero_ok else f"within [{low:g}, {high:g}]"
+    raise ConfigError(f"{where}.{key} must be {allowed} (MAGNITUDE_RANGE), got {value!r}")
+
+
 def _integer(section: dict, key: str, where: str, default=None) -> int:
     if key not in section:
         return default
@@ -176,7 +193,7 @@ def _parse_system(section: dict) -> TransitionSystem:
             f"{where}.two_je must equal two_jg + 2 (a J -> J + 1 transition), "
             f"got two_jg = {two_jg}, two_je = {two_je}"
         )
-    mu = _number(section, "mu_mhz_per_v_per_m", where)
+    mu = _magnitude(_number(section, "mu_mhz_per_v_per_m", where), "mu_mhz_per_v_per_m", where, zero_ok=False)
     try:
         return TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_je), mu * MHZ)
     except (TypeError, ValueError) as exc:
@@ -186,8 +203,8 @@ def _parse_system(section: dict) -> TransitionSystem:
 def _parse_drive(section: dict) -> RfDrive:
     where = "drive"
     _check_keys(section, {"rabi_mhz", "detuning_mhz"}, {"rabi_mhz"}, where)
-    rabi = _number(section, "rabi_mhz", where)
-    detuning = _number(section, "detuning_mhz", where, 0.0)
+    rabi = _magnitude(_number(section, "rabi_mhz", where), "rabi_mhz", where, zero_ok=True)
+    detuning = _magnitude(_number(section, "detuning_mhz", where, 0.0), "detuning_mhz", where, zero_ok=True)
     try:
         return RfDrive(rabi * MHZ, detuning * MHZ)
     except ValueError as exc:
@@ -278,6 +295,13 @@ def _parse_cell(section: dict) -> tuple[CellGeometry, float]:
             f"{where}.rf_frequency_ghz x {where}.inner_length_mm is too large "
             f"(MAX_SWEEP_SAMPLES = {MAX_SWEEP_SAMPLES}): {exc}"
         ) from exc
+    try:
+        check_stack(geometry, frequency)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{where}: walls (wall_thickness_mm, wall_index_*) and vapor (inner_length_mm, "
+            f"inner_index_*) at rf_frequency_ghz: {exc}"
+        ) from exc
     return geometry, frequency
 
 
@@ -299,9 +323,18 @@ def _parse_sweep(section: dict) -> SweepSection:
         raise ConfigError(f"{where}.noise_sigma_db must be >= 0")
     if noise > MAX_NOISE_SIGMA_DB:
         raise ConfigError(f"{where}.noise_sigma_db: {noise} exceeds MAX_NOISE_SIGMA_DB = {MAX_NOISE_SIGMA_DB}")
+    angles = parse_angles_deg(section["angles_deg"], f"{where}.angles_deg")
+    # The sweep reduces its angles modulo 2 pi, then folds them onto the cell.
+    # No incident wave propagates once the sine of the incidence rounds to 1,
+    # within about 1.5e-8 rad of grazing.
+    if use_cell and any(math.sin(incidence_angle(plane, a)) >= 1.0 for a in (angles % TWO_PI).tolist()):
+        raise ConfigError(
+            f"{where}.angles_deg: 90 deg + k * 180 deg in XY is grazing incidence on the cell, "
+            "outside the stack model; offset the grid"
+        )
     return SweepSection(
         plane=plane,
-        angles=parse_angles_deg(section["angles_deg"], f"{where}.angles_deg"),
+        angles=angles,
         readout=readout,
         use_cell=use_cell,
         noise_sigma_db=noise,

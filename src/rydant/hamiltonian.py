@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -146,6 +148,46 @@ def build_interaction_paper(drive: RfDrive, orientation: Orientation) -> np.ndar
     )
 
 
+@lru_cache(maxsize=None)
+def _coupling_table(two_jg: int, two_je: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per q = -1, 0, +1: excited-row indices, ground-column indices, CG values.
+
+    Lists every entry with m_e - m_g = q, including those whose coefficient
+    vanishes, so a filled block matches an entry-by-entry fill exactly.
+    """
+    jg, je = AngularMomentum(two_jg), AngularMomentum(two_je)
+    table = []
+    for q in (-1, 0, +1):
+        rows, cols, cgs = [], [], []
+        for row, tme in enumerate(je.two_m_values()):
+            for col, tmg in enumerate(jg.two_m_values()):
+                if tme - tmg == 2 * q:
+                    rows.append(row)
+                    cols.append(col)
+                    cgs.append(clebsch_gordan(jg, tmg / 2, _PHOTON, q, je, tme / 2))
+        arrays = (np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(cgs))
+        for arr in arrays:
+            arr.flags.writeable = False  # shared by every caller through the cache
+        table.append(arrays)
+    return tuple(table)
+
+
+def _coupling_blocks(system: TransitionSystem, rabis: np.ndarray, orientations) -> np.ndarray:
+    """Stacked coupling blocks, shape (n, excited sublevels, ground sublevels)."""
+    pols = [decompose_polarization(o) for o in orientations]
+    # The opposite-handed spherical component carries each sigma amplitude.
+    eps = (
+        np.array([p.eps_plus for p in pols], dtype=complex),
+        np.array([p.eps_zero for p in pols], dtype=complex),
+        np.array([p.eps_minus for p in pols], dtype=complex),
+    )
+    amp = math.sqrt(6.0) / 4.0 * rabis
+    blocks = np.zeros((len(pols), system.je.sublevel_count, system.jg.sublevel_count), dtype=complex)
+    for eps_q, (rows, cols, cg) in zip(eps, _coupling_table(system.jg.two_j, system.je.two_j)):
+        blocks[:, rows, cols] = (amp * eps_q)[:, None] * cg
+    return blocks
+
+
 def build_interaction_general(
     system: TransitionSystem, drive: RfDrive, orientation: Orientation
 ) -> np.ndarray:
@@ -154,23 +196,35 @@ def build_interaction_general(
     Entry (m_e row, m_g col) is sqrt(6)/4 * rabi * eps_{-q} * <jg m_g; 1 q | je m_e>
     with q = m_e - m_g; the opposite-handed spherical component carries each
     sigma amplitude.  Normalization reproduces build_interaction_paper exactly
-    for jg = 1/2 -> je = 3/2.
+    for jg = 1/2 -> je = 3/2.  The one-orientation call of hamiltonian_stack's
+    coupling table.
     """
-    pol = decompose_polarization(orientation)
-    coeff = {-1: pol.eps_plus, 0: pol.eps_zero, +1: pol.eps_minus}
-    amp = math.sqrt(6.0) / 4.0 * drive.rabi
-    two_mg = system.jg.two_m_values()
-    two_me = system.je.two_m_values()
-    block = np.zeros((len(two_me), len(two_mg)), dtype=complex)
-    for row, tme in enumerate(two_me):
-        for col, tmg in enumerate(two_mg):
-            two_q = tme - tmg
-            if abs(two_q) > 2 or two_q % 2:
-                continue
-            q = two_q // 2
-            cg = clebsch_gordan(system.jg, tmg / 2, _PHOTON, q, system.je, tme / 2)
-            block[row, col] = amp * coeff[q] * cg
-    return block
+    return _coupling_blocks(system, np.array([drive.rabi]), [orientation])[0]
+
+
+def hamiltonian_stack(
+    system: TransitionSystem, rabis, orientations: Sequence[Orientation], detuning: float
+) -> np.ndarray:
+    """Rotating-frame matrices for one drive per orientation, shape (n, dim, dim).
+
+    rabis holds one Rabi frequency per orientation; the detuning is shared.
+    Each matrix equals hamiltonian_array(build_interaction_general(...), detuning)
+    bit for bit, and the Clebsch-Gordan table is built once per transition.
+    """
+    rabis = np.asarray(rabis, dtype=float)
+    if rabis.shape != (len(orientations),):
+        raise ValueError(f"need one Rabi frequency per orientation, got shape {rabis.shape}")
+    if not np.all(np.isfinite(rabis)) or np.any(rabis < 0):
+        raise ValueError("rabi frequencies must be finite and >= 0")
+    if not math.isfinite(detuning):
+        raise ValueError(f"detuning must be finite, got {detuning}")
+    blocks = _coupling_blocks(system, rabis, orientations)
+    ng = system.jg.sublevel_count
+    h = np.zeros((len(blocks), system.dim, system.dim), dtype=complex)
+    h[:, ng:, ng:] = -detuning * np.eye(system.je.sublevel_count)
+    h[:, ng:, :ng] = blocks
+    h[:, :ng, ng:] = blocks.conj().transpose(0, 2, 1)
+    return h
 
 
 def assemble_hamiltonian(interaction: np.ndarray, detuning: float) -> HermitianMatrix:
@@ -181,7 +235,7 @@ def assemble_hamiltonian(interaction: np.ndarray, detuning: float) -> HermitianM
 def hamiltonian_array(interaction: np.ndarray, detuning: float) -> np.ndarray:
     """The rotating-frame matrix as a plain array, skipping the Hermitian check.
 
-    Hermitian by construction; batched sweeps stack it for numpy.linalg.eigvalsh.
+    Hermitian by construction; hamiltonian_stack fills its matrices the same way.
     """
     block = np.asarray(interaction, dtype=complex)
     if block.ndim != 2 or 0 in block.shape:

@@ -77,21 +77,41 @@ def splitting_from_eigen(spectrum: EigenSpectrum, detuning: float) -> SplittingR
     Removes the two eigenvalues forming the degenerate pair at -detuning
     (identified within DEGENERACY_TOL * max|eigenvalue|) and returns
     max - min of the remaining branch values.  For the 1/2 -> 3/2 system
-    with phi = 0 this equals sqrt(detuning^2 + rabi^2).
+    with phi = 0 this equals sqrt(detuning^2 + rabi^2).  The one-row call
+    of splittings_from_eigen.
     """
-    values = spectrum.values
-    if len(values) < 4:
-        raise ValueError(f"need at least 4 eigenvalues, got {len(values)}")
-    tol = DEGENERACY_TOL * float(np.abs(values).max())
+    delta_at = splittings_from_eigen(spectrum.values[None, :], detuning)[0]
+    return SplittingResult(float(delta_at), SOURCE_EIGEN)
+
+
+def splittings_from_eigen(values: np.ndarray, detuning: float) -> np.ndarray:
+    """Splittings of a stack of spectra, values[n, dim] -> delta_at[n].
+
+    Row by row the rule of splitting_from_eigen: the per-row tolerance is
+    DEGENERACY_TOL * max|eigenvalue| of that row, the pair is the first two
+    of a stable argsort of |value + detuning|, and the splitting is max - min
+    of the rest.  A row without an identifiable pair raises ValueError
+    quoting that row's residuals; the first such row is reported.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"values must be 2-D, one spectrum per row, got shape {values.shape}")
+    if values.shape[1] < 4:
+        raise ValueError(f"need at least 4 eigenvalues, got {values.shape[1]}")
+    tol = DEGENERACY_TOL * np.abs(values).max(axis=1)
     distance = np.abs(values + detuning)
-    pair = np.argsort(distance, kind="stable")[:2]
-    if np.any(distance[pair] > tol):
+    pair = np.argsort(distance, axis=1, kind="stable")[:, :2]
+    bad = np.any(np.take_along_axis(distance, pair, axis=1) > tol[:, None], axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(
             "degenerate pair at -detuning not identifiable "
-            f"(closest residuals {np.sort(distance)[:2]}, tolerance {tol:.3e})"
+            f"(closest residuals {np.sort(distance[i])[:2]}, tolerance {tol[i]:.3e})"
         )
-    rest = np.delete(values, pair)
-    return SplittingResult(float(rest.max() - rest.min()), SOURCE_EIGEN)
+    keep = np.ones(values.shape, dtype=bool)
+    np.put_along_axis(keep, pair, False, axis=1)
+    rest = values[keep].reshape(len(values), values.shape[1] - 2)
+    return rest.max(axis=1) - rest.min(axis=1)
 
 
 def branch_splittings(drive: RfDrive, orientation: Orientation) -> tuple[float, float]:

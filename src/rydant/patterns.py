@@ -12,8 +12,11 @@ into [0, pi/2].  For XZ/YZ the polarization rotates while the propagation
 direction stays fixed, so the stack sees normal incidence throughout.
 
 Sweeps are deterministic: the noise stream is seeded per angle index.
-The spectrum readout scans once per distinct cell factor, since the ladder
-does not depend on the orientation.
+The cell factors are computed once per distinct incidence angle.  The eigen
+readout builds one stacked Hamiltonian per sweep (hamiltonian_stack), takes
+its eigenvalues in one batched call and reads every splitting in one pass
+(splittings_from_eigen).  The spectrum readout scans once per distinct cell
+factor, since the ladder does not depend on the orientation.
 """
 
 from __future__ import annotations
@@ -27,14 +30,8 @@ import numpy as np
 
 from .angular import Orientation
 from .cellfield import CellGeometry, path_averages
-from .hamiltonian import (
-    EigenSpectrum,
-    RfDrive,
-    TransitionSystem,
-    build_interaction_general,
-    hamiltonian_array,
-)
-from .metrology import GainSample, isotropic_deviation, normalized_gain, splitting_from_eigen
+from .hamiltonian import RfDrive, TransitionSystem, hamiltonian_stack
+from .metrology import GainSample, isotropic_deviation, normalized_gain, splittings_from_eigen
 from .spectra import (
     MAX_SCAN_POINTS,
     LadderConfig,
@@ -63,6 +60,9 @@ TWO_PI = 2.0 * math.pi
 class SweepPlan:
     """One pattern measurement: plane, angle grid, readout and its knobs.
 
+    system must be a J -> J + 1 transition (two_je = two_jg + 2): for any
+    other pair the eigen readout cannot identify its degenerate pair and the
+    orientation-blind spectrum readout would report a flat pattern.
     The injected field amplitude is drive.rabi / system.mu and is held
     fixed over the sweep; the cell (when present, with cell_frequency in
     Hz) rescales the field each angle.  noise_sigma_db adds multiplicative
@@ -95,7 +95,15 @@ class SweepPlan:
         arr.flags.writeable = False
         object.__setattr__(self, "angles", arr)
         if self.drive.rabi <= 0:
-            raise ValueError("sweep drive needs rabi > 0")
+            raise ValueError(f"sweep drive needs rabi > 0, got {self.drive.rabi}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        two_jg, two_je = self.system.jg.two_j, self.system.je.two_j
+        if two_je != two_jg + 2:
+            raise ValueError(
+                "system must be a J -> J + 1 transition (two_je = two_jg + 2), "
+                f"got two_jg = {two_jg}, two_je = {two_je}"
+            )
         if self.cell is not None:
             if self.cell_frequency is None or self.cell_frequency <= 0:
                 raise ValueError("cell modulation requires cell_frequency > 0 (Hz)")
@@ -190,18 +198,10 @@ def _cell_factors(plan: SweepPlan) -> list[float]:
 
 
 def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
-    dim = plan.system.dim
-    stack = np.empty((len(plan.angles), dim, dim), dtype=complex)
-    for i, angle in enumerate(plan.angles):
-        orientation = plane_to_orientation(plan.plane, float(angle))
-        drive = RfDrive(plan.drive.rabi * factors[i], plan.drive.detuning)
-        block = build_interaction_general(plan.system, drive, orientation)
-        stack[i] = hamiltonian_array(block, plan.drive.detuning)
-    eigenvalues = np.linalg.eigvalsh(stack)
-    return [
-        splitting_from_eigen(EigenSpectrum(row), plan.drive.detuning).delta_at
-        for row in eigenvalues
-    ]
+    orientations = [plane_to_orientation(plan.plane, float(angle)) for angle in plan.angles]
+    rabis = plan.drive.rabi * np.asarray(factors, dtype=float)
+    stack = hamiltonian_stack(plan.system, rabis, orientations, plan.drive.detuning)
+    return splittings_from_eigen(np.linalg.eigvalsh(stack), plan.drive.detuning).tolist()
 
 
 def _spectrum_delta_at(plan: SweepPlan, omega_eff: float) -> float | None:

@@ -163,15 +163,21 @@ def _collapse_ops(cfg: LadderConfig) -> list[np.ndarray]:
     return ops
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron of two n x n matrices, as one broadcast outer product.
+    n = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * n, n * n)
+
+
 def _liouvillian(h: np.ndarray, c_ops: Sequence[np.ndarray]) -> np.ndarray:
     # Column-stacking convention: x = rho.reshape(-1, order="F").
-    lv = -1j * (np.kron(_IDENTITY, h) - np.kron(h.T, _IDENTITY))
+    lv = -1j * (_kron(_IDENTITY, h) - _kron(h.T, _IDENTITY))
     for c in c_ops:
         cdc = c.conj().T @ c
         lv += (
-            np.kron(c.conj(), c)
-            - 0.5 * np.kron(_IDENTITY, cdc)
-            - 0.5 * np.kron(cdc.T, _IDENTITY)
+            _kron(c.conj(), c)
+            - 0.5 * _kron(_IDENTITY, cdc)
+            - 0.5 * _kron(cdc.T, _IDENTITY)
         )
     return lv
 
@@ -182,7 +188,7 @@ def _scan_slope() -> np.ndarray:
     slope = np.zeros((_DIM, _DIM), dtype=complex)
     slope[2, 2] = -1.0
     slope[3, 3] = -1.0
-    return np.diag(-1j * (np.kron(_IDENTITY, slope) - np.kron(slope.T, _IDENTITY))).copy()
+    return np.diag(-1j * (_kron(_IDENTITY, slope) - _kron(slope.T, _IDENTITY))).copy()
 
 
 _SCAN_SLOPE = _scan_slope()

@@ -11,13 +11,22 @@ column-stacks), and solve it directly with one batched np.linalg.solve per
 chunk of detunings.  The Doppler oracle integrates that stationary
 absorption against the Gaussian velocity distribution on a fine uniform
 grid, with no pole expansion.
+
+The per-angle oracles are the eigen sweep and the cell sweep as they were
+before batching: a coupling block filled entry by entry from clebsch_gordan,
+one splitting per eigenvalue row (np.delete of the degenerate pair), and one
+validated transfer-matrix profile per incidence angle.  The batched code
+must match them exactly.
 """
 
 import math
 
 import numpy as np
 
-from rydant.cellfield import SPEED_OF_LIGHT, _eta, _kx
+from rydant.angular import AngularMomentum, clebsch_gordan, decompose_polarization
+from rydant.cellfield import SPEED_OF_LIGHT, _eta, _kx, path_average, sweep_samples, transfer_matrix_field
+from rydant.hamiltonian import RfDrive, hamiltonian_array
+from rydant.patterns import plane_to_orientation
 
 
 def _rk4_step(u, v, w, h):
@@ -164,3 +173,64 @@ def doppler_absorption(cfg, low, high, points, sigma, max_grid_step, span_sigmas
     absorption = ladder_states(cfg, grid)[:, 0, 1].imag
     weights = h * np.exp(-0.5 * (offsets / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     return np.correlate(absorption, weights, mode="valid")[::per_step]
+
+
+def interaction_block(system, drive, orientation):
+    """Coupling block filled entry by entry, one clebsch_gordan call per entry.
+
+    Entry (m_e row, m_g col) is sqrt(6)/4 * rabi * eps_{-q} * <jg m_g; 1 q | je m_e>
+    with q = m_e - m_g, the rule stated in the hamiltonian module.
+    """
+    pol = decompose_polarization(orientation)
+    coeff = {-1: pol.eps_plus, 0: pol.eps_zero, +1: pol.eps_minus}
+    amp = math.sqrt(6.0) / 4.0 * drive.rabi
+    two_mg = system.jg.two_m_values()
+    two_me = system.je.two_m_values()
+    block = np.zeros((len(two_me), len(two_mg)), dtype=complex)
+    for row, tme in enumerate(two_me):
+        for col, tmg in enumerate(two_mg):
+            two_q = tme - tmg
+            if abs(two_q) > 2 or two_q % 2:
+                continue
+            q = two_q // 2
+            cg = clebsch_gordan(system.jg, tmg / 2, AngularMomentum(2), q, system.je, tme / 2)
+            block[row, col] = amp * coeff[q] * cg
+    return block
+
+
+def splitting(values, detuning, tolerance=1e-8):
+    """max - min of one spectrum after deleting the two values nearest -detuning.
+
+    Raises ValueError with the message of metrology.splitting_from_eigen when
+    that pair is farther than tolerance * max|value| from -detuning.
+    """
+    tol = tolerance * float(np.abs(values).max())
+    distance = np.abs(values + detuning)
+    pair = np.argsort(distance, kind="stable")[:2]
+    if np.any(distance[pair] > tol):
+        raise ValueError(
+            "degenerate pair at -detuning not identifiable "
+            f"(closest residuals {np.sort(distance)[:2]}, tolerance {tol:.3e})"
+        )
+    rest = np.delete(values, pair)
+    return float(rest.max() - rest.min())
+
+
+def eigen_delta_ats(plan, factors):
+    """Eigen-readout splittings of a sweep, built and read out one angle at a time."""
+    dim = plan.system.dim
+    stack = np.empty((len(plan.angles), dim, dim), dtype=complex)
+    for i, angle in enumerate(plan.angles):
+        orientation = plane_to_orientation(plan.plane, float(angle))
+        drive = RfDrive(plan.drive.rabi * factors[i], plan.drive.detuning)
+        stack[i] = hamiltonian_array(interaction_block(plan.system, drive, orientation), plan.drive.detuning)
+    return [splitting(row, plan.drive.detuning) for row in np.linalg.eigvalsh(stack)]
+
+
+def path_averages(geometry, frequency, angles, polarization="TE"):
+    """One validated transfer-matrix profile and its path average per angle."""
+    samples = sweep_samples(geometry, frequency)
+    return [
+        path_average(transfer_matrix_field(geometry, frequency, float(a), polarization, samples))
+        for a in angles
+    ]

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import path_averages as per_angle_path_averages
 from _oracles import random_cell_case, rk4_field_profile
 from rydant.cellfield import (
+    MAX_STACK_NEPERS,
     SPEED_OF_LIGHT,
     CellGeometry,
     FieldProfile,
+    _kx,
     _stack_amplitudes,
     angle_sweep_deviation,
     path_average,
+    path_averages,
+    stack_nepers,
     profile_csv,
     sweep_csv,
     sweep_samples,
@@ -182,3 +187,89 @@ class TestCsvWriters:
         assert lines[2].endswith(",0")
         first_gain = float(lines[1].split(",")[2])
         assert first_gain == pytest.approx(20 * math.log10(0.5), abs=1e-6)
+
+
+class TestBatchedPathAverages:
+    """path_averages against one validated profile per angle, exactly."""
+
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    def test_matches_one_profile_per_angle(self, polarization):
+        angles = [0.0, 0.3, 0.3, 1.2, 0.0, -0.0, 0.7, 0.3, 1.5]
+        cells = [(DEFAULT_GEOMETRY, THZ_FREQ)]
+        rng = np.random.default_rng(21)
+        cells += [random_cell_case(rng)[:2] for _ in range(6)]
+        for geometry, frequency in cells:
+            got = path_averages(geometry, frequency, angles, polarization)
+            assert got == per_angle_path_averages(geometry, frequency, angles, polarization)
+            assert got[0] == got[4] == got[5] and got[1] == got[2] == got[7]
+
+    def test_one_profile_per_distinct_angle(self, monkeypatch):
+        from rydant import cellfield
+
+        calls = []
+        real = cellfield._interior_amplitude
+        monkeypatch.setattr(cellfield, "_interior_amplitude", lambda *a: calls.append(a[2]) or real(*a))
+        path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.0] * 50 + [0.4, 0.2, 0.4])
+        assert calls == [0.0, 0.4, 0.2]
+
+    def test_refusals_match_the_profile_builder(self):
+        for bad in ([0.1, math.pi / 2], [-0.1], [math.nan]):
+            with pytest.raises(ValueError, match="angle must lie"):
+                path_averages(DEFAULT_GEOMETRY, THZ_FREQ, bad)
+        with pytest.raises(ValueError, match="polarization"):
+            path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.1], "XX")
+        with pytest.raises(ValueError, match="frequency"):
+            path_averages(DEFAULT_GEOMETRY, -1.0, [0.1])
+        assert path_averages(DEFAULT_GEOMETRY, THZ_FREQ, []) == []
+
+
+class TestStackNepers:
+    def test_lossless_stack_neither_grows_nor_decays(self):
+        geometry = CellGeometry(wall_thickness=2e-3, inner_length=20e-3, wall_index=2.1 + 0j)
+        assert stack_nepers(geometry, THZ_FREQ) == 0.0
+
+    def test_bounds_every_incidence(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            geometry, frequency, _, _ = random_cell_case(rng)
+            k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
+            layers = ((geometry.wall_index, 2 * geometry.wall_thickness), (geometry.inner_index, geometry.inner_length))
+            sampled = [
+                sum(abs(complex(_kx(n, k0, k0 * math.sin(a))).imag) * d for n, d in layers)
+                for a in np.linspace(0.0, math.pi / 2, 200)
+            ]
+            bound = stack_nepers(geometry, frequency)
+            assert max(sampled) <= bound * (1 + 1e-12)
+            assert sampled[-1] == pytest.approx(bound, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            CellGeometry(wall_thickness=1.0, inner_length=20e-3),  # 1 m of lossy glass
+            CellGeometry(wall_thickness=2e-3, inner_length=20e-3, wall_index=2.1 + 1e3j),
+            CellGeometry(wall_thickness=2e-3, inner_length=20e-3, inner_index=1.0 + 100j),
+            CellGeometry(wall_thickness=2e-3, inner_length=20e-3, wall_index=1e200),
+        ],
+    )
+    def test_opaque_or_overflowing_stacks_are_refused(self, geometry):
+        assert not stack_nepers(geometry, THZ_FREQ) <= MAX_STACK_NEPERS
+        with pytest.raises(ValueError, match="MAX_STACK_NEPERS"):
+            transfer_matrix_field(geometry, THZ_FREQ, 0.2)
+        with pytest.raises(ValueError, match="MAX_STACK_NEPERS"):
+            path_averages(geometry, THZ_FREQ, [0.2])
+
+    def test_wavenumbers_out_of_range_are_refused(self):
+        for frequency in (1e-160, 1e300):
+            assert stack_nepers(DEFAULT_GEOMETRY, frequency) == math.inf
+            with pytest.raises(ValueError, match="rad/m"):
+                transfer_matrix_field(DEFAULT_GEOMETRY, frequency, 0.0)
+
+    def test_stacks_under_the_cap_stay_finite_up_to_grazing(self):
+        # lossy, gaining and high-index walls at 0.99 of the cap, up to 1e-7 rad from grazing
+        k0 = 2.0 * math.pi * THZ_FREQ / SPEED_OF_LIGHT
+        for index in (2.1 + 0.02j, 2.1 - 0.02j, 30.0 + 0.5j):
+            thickness = 0.99 * MAX_STACK_NEPERS / (2.0 * abs(complex(_kx(index, k0, k0)).imag))
+            geometry = CellGeometry(wall_thickness=thickness, inner_length=20e-3, wall_index=index)
+            for polarization in ("TE", "TM"):
+                averages = path_averages(geometry, THZ_FREQ, [0.0, 1.0, 1.5, math.pi / 2 - 1e-7], polarization)
+                assert all(math.isfinite(a) and a > 0 for a in averages)

@@ -6,9 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rydant.cli import main
-from rydant.patterns import dipole_reference, json_text
+from rydant.patterns import PLANES, dipole_reference, json_text
+from test_config import ANGLE_SPECS, CONFIG_VALUES, MUTABLE_KEYS, make_config, mutate
 
 
 def write_config(tmp_path, name="run.json", **sections):
@@ -150,6 +153,54 @@ class TestRefusedInput:
             assert main(["sweep", "--config", config]) == 2
             err = capsys.readouterr().err
             assert "system.two_je" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides,args,key",
+        [
+            ({"drive": {"rabi_mhz": 0.0}}, [], "rabi"),
+            ({"seed": -3}, [], "seed must be >= 0"),
+            ({}, ["--seed", "-1"], "seed must be >= 0"),
+            ({"sweep": {"plane": "XY", "angles_deg": [0, 90], "use_cell": True}}, [], "sweep.angles_deg"),
+            ({"cell": {"wall_thickness_mm": 6524.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 129.6}}, [], "MAX_STACK_NEPERS"),
+            ({"cell": {"wall_thickness_mm": 2.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 129.6, "wall_index_re": 1e200}}, [], "MAX_STACK_NEPERS"),
+        ],
+    )
+    def test_sweep_plans_the_physics_cannot_run(self, tmp_path, capsys, overrides, args, key):
+        sections = {
+            "cell": {"wall_thickness_mm": 2.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 129.6},
+            "sweep": {"plane": "XY", "angles_deg": "2.5:5:360", "use_cell": True, "noise_sigma_db": 0.5},
+        }
+        sections.update(overrides)
+        config = sweep_config(tmp_path, **sections)
+        assert main(["sweep", "--config", config, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "drive,mu",
+        [
+            ({"rabi_mhz": 1e-9, "detuning_mhz": -1e9}, 1e9),
+            ({"rabi_mhz": 1e9, "detuning_mhz": 1e-9}, 1e-9),
+            ({"rabi_mhz": 1e-9}, 1e-9),
+        ],
+    )
+    def test_noisy_cell_sweeps_at_the_magnitude_corners_stay_finite(self, tmp_path, capsys, drive, mu):
+        cell = {"wall_thickness_mm": 20.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 129.6, "wall_index_im": -0.4}
+        sweep = {"plane": "XY", "angles_deg": "0.5:7:360", "use_cell": True, "noise_sigma_db": 100.0}
+        system = {"two_jg": 1, "two_je": 3, "mu_mhz_per_v_per_m": mu}
+        config = sweep_config(tmp_path, drive=drive, system=system, cell=cell, sweep=sweep)
+        assert main(["sweep", "--config", config]) == 0
+        doc = json.loads((tmp_path / "out" / "case_pattern.json").read_text())
+        assert all(math.isfinite(s["raw_ratio"]) and s["raw_ratio"] > 0 for s in doc["samples"])
+        assert math.isfinite(doc["deviation_db"])
+
+    def test_opaque_cell_under_cellfield(self, tmp_path, capsys):
+        cell = {"wall_thickness_mm": 1000.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 129.6}
+        config = write_config(tmp_path, cell=cell)
+        assert main(["cellfield", "--config", config, "--angles", "0:10:90", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "MAX_STACK_NEPERS" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("two_jg,two_je", [(0, 2), (1, 3), (2, 4), (3, 5), (5, 7)])
     def test_supported_transitions_resolve_an_eigen_sweep(self, tmp_path, capsys, two_jg, two_je):
@@ -443,3 +494,24 @@ class TestCompareCommand:
         iso, _ = self.make_patterns(tmp_path)
         assert main(["compare", str(bad), iso]) == 2
         assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    angles=ANGLE_SPECS,
+    section_key=st.sampled_from(MUTABLE_KEYS),
+    value=CONFIG_VALUES,
+    plane=st.sampled_from(PLANES),
+    noise_sigma_db=st.sampled_from([0.0, 0.5]),
+)
+def test_random_sweep_config_exits_0_or_2(tmp_path, capsys, angles, section_key, value, plane, noise_sigma_db):
+    payload = make_config()
+    payload["sweep"].update(plane=plane, angles_deg=angles, noise_sigma_db=noise_sigma_db)
+    mutate(payload, section_key, value)
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(payload))
+    code = main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert "Traceback" not in err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rydant.cellfield import MAX_SWEEP_SAMPLES, SAMPLES_PER_WAVELENGTH, SPEED_OF_LIGHT, sweep_samples
 from rydant.config import (
+    MAGNITUDE_RANGE,
     MAX_ANGLES,
     MHZ,
     ConfigError,
@@ -336,6 +337,74 @@ class TestAllocationCaps:
             parse_config(payload)
 
 
+class TestMagnitudes:
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("system", "mu_mhz_per_v_per_m", 5e-324),
+            ("system", "mu_mhz_per_v_per_m", 2.8e301),
+            ("system", "mu_mhz_per_v_per_m", 0.0),
+            ("drive", "rabi_mhz", 5e-324),
+            ("drive", "rabi_mhz", 1e10),
+            ("drive", "detuning_mhz", -1e300),
+            ("drive", "detuning_mhz", 1e-320),
+        ],
+    )
+    def test_out_of_range_magnitudes_are_refused(self, section, key, value):
+        payload = make_config()
+        payload[section][key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be .*MAGNITUDE_RANGE"):
+            parse_config(payload)
+
+    def test_range_ends_and_zero_drive_are_accepted(self):
+        low, high = MAGNITUDE_RANGE
+        for mu, rabi, detuning in ((low, high, -high), (high, low, 0.0), (1.0, 0.0, low)):
+            payload = make_config()
+            payload["system"]["mu_mhz_per_v_per_m"] = mu
+            payload["drive"].update(rabi_mhz=rabi, detuning_mhz=detuning)
+            cfg = parse_config(payload)
+            assert cfg.system.mu == mu * MHZ and cfg.drive.rabi == rabi * MHZ
+
+
+class TestCellDomain:
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"wall_thickness_mm": 1000.0},
+            {"wall_index_im": 1e3},
+            {"inner_index_im": 100.0},
+            {"wall_index_re": 1e200},
+            {"inner_length_mm": 1e-290, "rf_frequency_ghz": 1e280},
+            {"rf_frequency_ghz": 1.95e-169},  # k0 squared underflows: no wave at normal incidence
+        ],
+    )
+    def test_opaque_or_overflowing_stack_is_refused(self, cell):
+        payload = make_config()
+        payload["cell"].update(cell)
+        with pytest.raises(ConfigError, match=r"cell: .*wall_thickness_mm.*MAX_STACK_NEPERS"):
+            parse_config(payload)
+
+    def test_gaining_walls_under_the_cap_are_accepted(self):
+        payload = make_config()
+        payload["cell"]["wall_index_im"] = -0.5
+        assert parse_config(payload).cell.wall_index == 2.1 - 0.5j
+
+    @pytest.mark.parametrize("angles", [[90], [45, 270], [-90], [450.0], [89.9999999]])
+    def test_grazing_xy_angles_on_a_cell_are_refused(self, angles):
+        payload = make_config()
+        payload["sweep"]["angles_deg"] = angles
+        with pytest.raises(ConfigError, match=r"sweep\.angles_deg: .*grazing"):
+            parse_config(payload)
+
+    @pytest.mark.parametrize(
+        "plane,use_cell,angles", [("XZ", True, [90, 270]), ("XY", False, [90]), ("XY", True, [89.99, 270.01])]
+    )
+    def test_other_angles_are_accepted(self, plane, use_cell, angles):
+        payload = make_config()
+        payload["sweep"].update(plane=plane, use_cell=use_cell, angles_deg=angles)
+        assert len(parse_config(payload).sweep.angles) == len(angles)
+
+
 class TestTransitions:
     @pytest.mark.parametrize("two_jg,two_je", [(0, 2), (1, 3), (2, 4), (3, 5), (5, 7)])
     def test_j_to_j_plus_one_is_accepted(self, two_jg, two_je):
@@ -351,30 +420,33 @@ class TestTransitions:
 
 
 _range_parts = st.one_of(st.floats(), st.integers(), st.sampled_from(["", "x", "1e999", "-0"]))
-_angle_specs = st.one_of(
+ANGLE_SPECS = st.one_of(
     st.text(),
     st.floats(),
     st.lists(st.one_of(st.floats(), st.integers()), max_size=8),
     st.builds(lambda *p: ":".join(str(v) for v in p), _range_parts, _range_parts, _range_parts),
 )
-_values = st.one_of(st.floats(), st.integers(), st.text(max_size=8), st.booleans(), st.none())
+CONFIG_VALUES = st.one_of(st.floats(), st.integers(), st.text(max_size=8), st.booleans(), st.none())
+MUTABLE_KEYS = NUMERIC_KEYS + [("scan", "points"), ("system", "two_jg"), ("seed", None)]
 
 
-@pytest.mark.filterwarnings("ignore:probe Rabi frequency")
-@settings(max_examples=300, deadline=None)
-@given(
-    angles=_angle_specs,
-    section_key=st.sampled_from(NUMERIC_KEYS + [("scan", "points"), ("system", "two_jg"), ("seed", None)]),
-    value=_values,
-)
-def test_random_input_ends_in_a_config_or_a_config_error(angles, section_key, value):
-    payload = make_config()
-    payload["sweep"]["angles_deg"] = angles
+def mutate(payload, section_key, value):
+    """Set one key of a config document; key None replaces the whole section."""
     section, key = section_key
     if key is None:
         payload[section] = value
     else:
         payload[section][key] = value
+    return payload
+
+
+@pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+@settings(max_examples=300, deadline=None)
+@given(angles=ANGLE_SPECS, section_key=st.sampled_from(MUTABLE_KEYS), value=CONFIG_VALUES)
+def test_random_input_ends_in_a_config_or_a_config_error(angles, section_key, value):
+    payload = make_config()
+    payload["sweep"]["angles_deg"] = angles
+    mutate(payload, section_key, value)
     try:
         cfg = parse_config(payload)
     except ConfigError:

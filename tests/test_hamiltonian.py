@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import interaction_block
+from rydant import hamiltonian
 from rydant.angular import AngularMomentum, Orientation
 from rydant.hamiltonian import (
     EigenSpectrum,
@@ -14,6 +16,8 @@ from rydant.hamiltonian import (
     build_interaction_paper,
     eigen_closed_form,
     eigen_hermitian,
+    hamiltonian_array,
+    hamiltonian_stack,
 )
 
 HALF = AngularMomentum(1)
@@ -184,3 +188,65 @@ class TestEigensolutions:
             RfDrive(rabi=math.inf)
         with pytest.raises(ValueError):
             RfDrive(rabi=1.0, detuning=math.nan)
+
+
+class TestStackedBuilder:
+    """hamiltonian_stack against blocks filled entry by entry, byte for byte."""
+
+    @pytest.mark.parametrize("two_jg", range(8))  # J -> J + 1 up to je = 9/2
+    @pytest.mark.parametrize("detuning", [0.0, 3.7, -2.9])
+    def test_stack_matches_the_per_element_oracle(self, two_jg, detuning):
+        rng = np.random.default_rng(100 + two_jg)
+        system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
+        orientations = [random_orientation(rng) for _ in range(40)]
+        orientations += [Orientation(0.0, 0.0), Orientation(math.pi / 2, 1.1), Orientation(math.pi, 0.0, 0.0)]
+        assert all(o.phi != 0.0 for o in orientations[:40])
+        rabis = rng.uniform(0.0, 20.0, len(orientations))
+        rabis[0] = 0.0
+        stack = hamiltonian_stack(system, rabis, orientations, detuning)
+        expected = np.stack(
+            [
+                hamiltonian_array(interaction_block(system, RfDrive(r, detuning), o), detuning)
+                for r, o in zip(rabis, orientations)
+            ]
+        )
+        assert stack.shape == (len(orientations), system.dim, system.dim)
+        assert stack.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("two_jg,two_je", [(1, 1), (2, 2), (3, 1), (4, 2), (9, 7)])
+    def test_general_block_matches_the_oracle_off_the_sweep_family(self, two_jg, two_je):
+        rng = np.random.default_rng(two_jg * 10 + two_je)
+        system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_je), mu=1.0)
+        for _ in range(20):
+            drive = RfDrive(rng.uniform(0.0, 10.0), rng.uniform(-5.0, 5.0))
+            orientation = random_orientation(rng)
+            block = build_interaction_general(system, drive, orientation)
+            assert block.tobytes() == interaction_block(system, drive, orientation).tobytes()
+
+    def test_coupling_table_is_built_once_per_transition(self, monkeypatch):
+        calls = []
+        real = hamiltonian.clebsch_gordan
+        monkeypatch.setattr(hamiltonian, "clebsch_gordan", lambda *a: calls.append(a) or real(*a))
+        hamiltonian._coupling_table.cache_clear()
+        system = TransitionSystem(AngularMomentum(3), AngularMomentum(5), mu=1.0)
+        orientations = [Orientation(0.3 * k, 0.2 * k, 0.1) for k in range(30)]
+        hamiltonian_stack(system, np.ones(30), orientations, 0.5)
+        # every entry with m_e - m_g in {-1, 0, +1}: 4 ground x 3 = 12
+        assert len(calls) == 12
+        hamiltonian_stack(system, np.ones(30), orientations, -0.5)
+        build_interaction_general(system, RfDrive(1.0), orientations[0])
+        assert len(calls) == 12
+        info = hamiltonian._coupling_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_stack_validation(self):
+        orientations = [Orientation(0.1, 0.2)] * 3
+        with pytest.raises(ValueError, match="one Rabi frequency per orientation"):
+            hamiltonian_stack(SYSTEM, np.ones(2), orientations, 0.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            hamiltonian_stack(SYSTEM, [1.0, -1.0, 1.0], orientations, 0.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            hamiltonian_stack(SYSTEM, [1.0, math.nan, 1.0], orientations, 0.0)
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            hamiltonian_stack(SYSTEM, np.ones(3), orientations, math.inf)
+        assert hamiltonian_stack(SYSTEM, [], [], 0.0).shape == (0, 6, 6)

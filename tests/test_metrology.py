@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from rydant.angular import Orientation
+from _oracles import splitting
+from rydant.angular import AngularMomentum, Orientation
 from rydant.hamiltonian import (
     EigenSpectrum,
     RfDrive,
+    TransitionSystem,
     assemble_hamiltonian,
     build_interaction_paper,
     eigen_hermitian,
+    hamiltonian_stack,
 )
 from rydant.metrology import (
     SOURCE_EIGEN,
@@ -21,6 +24,7 @@ from rydant.metrology import (
     isotropic_deviation,
     normalized_gain,
     splitting_from_eigen,
+    splittings_from_eigen,
 )
 
 
@@ -181,3 +185,36 @@ class TestValueObjects:
             GainSample(angle=0.0, raw_ratio=1.0, gain_db=0.5)
         with pytest.raises(ValueError):
             GainSample(angle=0.0, raw_ratio=-1.0, gain_db=-1.0)
+
+
+class TestBatchedSplittings:
+    @pytest.mark.parametrize("two_jg", [0, 1, 3, 6])
+    @pytest.mark.parametrize("detuning", [0.0, 2.5, -4.0])
+    def test_rows_match_the_one_row_call_and_the_oracle(self, two_jg, detuning):
+        rng = np.random.default_rng(7 * two_jg + 1)
+        system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
+        orientations = [Orientation(*rng.uniform(0.0, 2 * math.pi, 2)) for _ in range(60)]
+        values = np.linalg.eigvalsh(hamiltonian_stack(system, rng.uniform(0.0, 10.0, 60), orientations, detuning))
+        batched = splittings_from_eigen(values, detuning)
+        assert batched.tolist() == [splitting_from_eigen(EigenSpectrum(row), detuning).delta_at for row in values]
+        assert batched.tolist() == [splitting(row, detuning) for row in values]
+
+    def test_refusal_reports_the_first_bad_row(self):
+        good = spectrum_for(4.0, 3.0).values
+        bad_a = spectrum_for(4.0, 3.0).values + 0.5  # pair moved off -detuning
+        bad_b = spectrum_for(4.0, 3.0).values + 2.0
+        with pytest.raises(ValueError) as one_row:
+            splitting_from_eigen(EigenSpectrum(bad_a), 3.0)
+        with pytest.raises(ValueError) as oracle:
+            splitting(bad_a, 3.0)
+        with pytest.raises(ValueError) as batch:
+            splittings_from_eigen(np.stack([good, bad_a, good, bad_b]), 3.0)
+        assert str(batch.value) == str(one_row.value) == str(oracle.value)
+        assert "degenerate pair at -detuning not identifiable" in str(batch.value)
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="2-D"):
+            splittings_from_eigen(np.zeros(6), 0.0)
+        with pytest.raises(ValueError, match="at least 4"):
+            splittings_from_eigen(np.zeros((2, 3)), 0.0)
+        assert splittings_from_eigen(np.zeros((0, 6)), 0.0).shape == (0,)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles
 from rydant.angular import AngularMomentum
 from rydant.cellfield import CellGeometry, angle_sweep_deviation
 from rydant.hamiltonian import RfDrive, TransitionSystem
@@ -343,3 +344,39 @@ class TestPlanValidation:
             make_plan(readout="spectrum", scan_points=2)
         with pytest.raises(ValueError):
             make_plan(readout="spectrum", scan_points=MAX_SCAN_POINTS + 1)
+
+
+class TestBatchedEigenSweep:
+    """run_sweep against the per-angle eigen readout and cell sweep, exactly."""
+
+    @pytest.mark.parametrize("plane", ["XY", "XZ", "YZ"])
+    @pytest.mark.parametrize("two_jg", [1, 3])
+    @pytest.mark.parametrize("cell,noise", [(False, 0.0), (True, 0.0), (True, 0.7), (False, 0.4)])
+    def test_patterns_equal_the_per_angle_oracle(self, monkeypatch, plane, two_jg, cell, noise):
+        plan = make_plan(
+            plane=plane,
+            angles=np.radians(np.arange(1.5, 360.0, 4.0)),
+            drive=RfDrive(rabi=7.3 * MHZ, detuning=-2.2 * MHZ),
+            system=TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=MHZ),
+            cell=THZ_CELL if cell else None,
+            cell_frequency=THZ_FREQ if cell else None,
+            noise_sigma_db=noise,
+            seed=19,
+        )
+        batched = run_sweep(plan).to_dict()
+        monkeypatch.setattr(patterns, "_eigen_delta_ats", _oracles.eigen_delta_ats)
+        monkeypatch.setattr(patterns, "path_averages", _oracles.path_averages)
+        assert batched == run_sweep(plan).to_dict()
+
+
+class TestPlanRefusals:
+    @pytest.mark.parametrize("two_jg,two_je", [(1, 1), (3, 3), (3, 1)])
+    @pytest.mark.parametrize("readout", ["eigen", "spectrum"])
+    def test_unsupported_transitions(self, two_jg, two_je, readout):
+        system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_je), mu=MHZ)
+        with pytest.raises(ValueError, match="system must be a J -> J \\+ 1 transition"):
+            make_plan(system=system, readout=readout)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            make_plan(seed=-1)

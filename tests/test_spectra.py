@@ -22,7 +22,16 @@ from rydant.spectra import (
     steady_state_rho,
     trace_csv,
 )
-from rydant.spectra import _local_maxima, _peak_positions, _prominences, _steady_states
+from rydant.spectra import (
+    _SCAN_SLOPE,
+    _collapse_ops,
+    _hamiltonian,
+    _liouvillian,
+    _local_maxima,
+    _peak_positions,
+    _prominences,
+    _steady_states,
+)
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -340,3 +349,37 @@ class TestTraceUtilities:
         assert replace(cfg, omega_rf=2.0).omega_rf == 2.0
         with pytest.raises(ValueError):
             replace(cfg, omega_c=-1.0)
+
+
+class TestLiouvillianAssembly:
+    @staticmethod
+    def kron_liouvillian(h, c_ops):
+        eye = np.eye(4)
+        lv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for c in c_ops:
+            cdc = c.conj().T @ c
+            lv += np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
+        return lv
+
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")  # strong probes are allowed here
+    def test_outer_products_equal_kron_byte_for_byte(self):
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            cfg = LadderConfig(
+                omega_p=rng.uniform(0.0, 0.5) * MHZ,
+                omega_c=rng.uniform(0.0, 10.0) * MHZ,
+                omega_rf=rng.uniform(0.0, 50.0) * MHZ,
+                delta_p=rng.uniform(-5.0, 5.0) * MHZ,
+                delta_rf=rng.uniform(-5.0, 5.0) * MHZ,
+                gamma_e=rng.choice([0.0, rng.uniform(1.0, 10.0)]) * MHZ,
+                gamma_r=rng.choice([0.0, rng.uniform(0.01, 1.0)]) * MHZ,
+            )
+            h = _hamiltonian(cfg, rng.uniform(-30.0, 30.0) * MHZ)
+            c_ops = _collapse_ops(cfg)
+            assert _liouvillian(h, c_ops).tobytes() == self.kron_liouvillian(h, c_ops).tobytes()
+
+    def test_scan_slope_equals_kron_form(self):
+        slope = np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex)
+        eye = np.eye(4)
+        expected = np.diag(-1j * (np.kron(eye, slope) - np.kron(slope.T, eye)))
+        assert _SCAN_SLOPE.tobytes() == expected.tobytes()
