@@ -1,0 +1,214 @@
+#!/usr/bin/env python3
+"""Golden-set check: run the same rydant commands from two source trees and
+compare every byte they leave behind.
+
+Usage:
+    python3 scripts/golden.py --parent SRC --change SRC [--work DIR]
+
+Each SRC is a checkout: the directory that holds src/rydant.  Every case
+runs its commands as `python -m rydant.cli ...` with PYTHONPATH=SRC/src,
+in a fresh directory of its own under the work directory (a new temporary
+directory unless --work is given), once per tree.  The case's config files
+are written there first and all paths are relative, so both trees see the
+same arguments.  The check then compares, command by command, the exit
+code, standard output and standard error, and, file by file, everything
+the case left in its directory.  Every difference is printed.
+
+Exit status: 0 when both trees agree byte for byte, 1 when anything
+differs, 2 on a usage error.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SYSTEM_J12 = {"two_jg": 1, "two_je": 3, "mu_mhz_per_v_per_m": 1.0}
+LADDER = {"probe_rabi_mhz": 0.1, "coupling_rabi_mhz": 1.0}
+THZ_CELL = {"wall_thickness_mm": 2.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 129.6}
+MW_CELL = {"wall_thickness_mm": 2.0, "inner_length_mm": 80.0, "rf_frequency_ghz": 4.8}
+
+
+def config(basename: str, **sections) -> dict:
+    payload = {"schema_version": 1, "output": {"directory": "out", "basename": basename}}
+    payload.update(sections)
+    return payload
+
+
+def sweep_case(name, sweep, system=SYSTEM_J12, drive=None, args=(), **sections):
+    payload = config(name, system=system, drive=drive or {"rabi_mhz": 10.0, "detuning_mhz": 2.0}, sweep=sweep, **sections)
+    return name, {"run.json": payload}, [["sweep", "--config", "run.json", *args]]
+
+
+def cli_case(name, *argv, files=None):
+    return name, files or {}, [list(argv)]
+
+
+XY_CELL_NOISE = {"plane": "XY", "angles_deg": "2.5:5:360", "use_cell": True, "noise_sigma_db": 0.3}
+YZ_EIGEN = {"plane": "YZ", "angles_deg": "0:7.5:360"}
+XZ_SPECTRUM = {"plane": "XZ", "angles_deg": [0, 30, 60, 90, 120], "readout": "spectrum"}
+SCAN_401 = {"min_mhz": -30.0, "max_mhz": 30.0, "points": 401}
+
+CASES = [
+    cli_case("eigen", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "5", "--chi", "0.8", "--theta", "0.3",
+             "--csv", "eigen0.csv"),
+    cli_case("eigen-elliptical", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "5", "--chi", "0.8",
+             "--theta", "0.3", "--phi", "0.4", "--csv", "eigen1.csv"),
+    # sweeps
+    sweep_case("sweep-xy-eigen-cell-noise", XY_CELL_NOISE, cell=THZ_CELL),
+    sweep_case("sweep-xz-spectrum", XZ_SPECTRUM, ladder=LADDER, scan=SCAN_401),
+    sweep_case("sweep-yz-eigen", YZ_EIGEN, args=("--seed", "11", "--out-dir", "o2")),
+    sweep_case("sweep-xy-spectrum-cell-noise",
+               {"plane": "XY", "angles_deg": "0:20:60", "readout": "spectrum", "use_cell": True,
+                "noise_sigma_db": 0.5},
+               drive={"rabi_mhz": 20.0}, ladder=LADDER, cell=THZ_CELL, seed=4),
+    sweep_case("sweep-j32-cell-noise",
+               {"plane": "XY", "angles_deg": "1:4:360", "use_cell": True, "noise_sigma_db": 0.4},
+               system={"two_jg": 3, "two_je": 5, "mu_mhz_per_v_per_m": 2.0}, cell=MW_CELL, seed=7),
+    sweep_case("sweep-j52-cell-noise",
+               {"plane": "XY", "angles_deg": "0.3:6:360", "use_cell": True, "noise_sigma_db": 1.0},
+               system={"two_jg": 5, "two_je": 7, "mu_mhz_per_v_per_m": 0.5},
+               drive={"rabi_mhz": 30.0, "detuning_mhz": -6.0}, cell=THZ_CELL, seed=9),
+    sweep_case("sweep-xy-lossy-vapor-noise",
+               {"plane": "XY", "angles_deg": "0.7:1.5:360", "use_cell": True, "noise_sigma_db": 0.6},
+               cell=dict(THZ_CELL, inner_index_re=1.02, inner_index_im=0.01, wall_index_im=0.05), seed=13),
+    # spectra
+    cli_case("spectrum-thz", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"),
+    cli_case("spectrum-mw", "spectrum", "--preset", "mw-93s", "--rabi-mhz", "20", "--detuning-mhz", "4"),
+    cli_case("spectrum-config-scan", "spectrum", "--config", "run.json",
+             files={"run.json": config("spec", drive={"rabi_mhz": 12.0, "detuning_mhz": 3.0}, ladder=LADDER,
+                                       scan={"min_mhz": -25.0, "max_mhz": 25.0, "points": 601})}),
+    cli_case("spectrum-config-scan-preset", "spectrum", "--config", "run.json", "--preset", "mw-93s",
+             files={"run.json": config("spec", drive={"rabi_mhz": 12.0, "detuning_mhz": 3.0}, ladder=LADDER,
+                                       scan={"min_mhz": -25.0, "max_mhz": 25.0, "points": 601})}),
+    cli_case("spectrum-config-no-scan", "spectrum", "--config", "run.json",
+             files={"run.json": config("spec", drive={"rabi_mhz": 8.0}, ladder=LADDER)}),
+    cli_case("spectrum-doppler-1mhz", "spectrum", "--config", "run.json",
+             files={"run.json": config("dop", drive={"rabi_mhz": 10.0}, ladder=dict(LADDER, doppler_sigma_mhz=1.0),
+                                       scan=SCAN_401)}),
+    cli_case("spectrum-doppler-5mhz", "spectrum", "--config", "run.json",
+             files={"run.json": config("dop", drive={"rabi_mhz": 20.0, "detuning_mhz": 3.0},
+                                       ladder=dict(LADDER, doppler_sigma_mhz=5.0), scan=SCAN_401)}),
+    # cell fields
+    cli_case("cellfield-te", "cellfield", "--preset", "thz-33s", "--angle-deg", "30"),
+    cli_case("cellfield-tm", "cellfield", "--preset", "thz-33s", "--angle-deg", "30", "--polarization", "TM"),
+    cli_case("cellfield-angles", "cellfield", "--preset", "thz-33s", "--angles", "0:10:90"),
+    cli_case("cellfield-mw-list-tm", "cellfield", "--preset", "mw-93s", "--angles", "[0, 15.5, 45, 60, 89]",
+             "--polarization", "TM"),
+    cli_case("cellfield-angles-no-walls", "cellfield", "--preset", "thz-33s", "--angles", "0:10:90", "--no-walls"),
+    cli_case("cellfield-no-walls-tm", "cellfield", "--preset", "thz-33s", "--angle-deg", "45", "--no-walls",
+             "--polarization", "TM"),
+    cli_case("cellfield-config-angles", "cellfield", "--config", "run.json", "--angles", "5:20:85",
+             files={"run.json": config("cf", cell=dict(THZ_CELL, wall_thickness_mm=1.7))}),
+    cli_case("cellfield-config-angle", "cellfield", "--config", "run.json", "--angle-deg", "12.5",
+             files={"run.json": config("cf", cell=dict(THZ_CELL, wall_thickness_mm=1.7))}),
+    cli_case("cellfield-duplicate-angles", "cellfield", "--preset", "thz-33s", "--angles",
+             "[0, 30, 30, 60, 0, 89, 60]"),
+    cli_case("cellfield-tm-sweep", "cellfield", "--preset", "thz-33s", "--angles", "0.25:0.5:90",
+             "--polarization", "TM"),
+    # comparisons of two sweep patterns
+    ("compare-eigen", {"xy.json": config("xy", system=SYSTEM_J12, drive={"rabi_mhz": 10.0}, cell=THZ_CELL,
+                                         sweep=XY_CELL_NOISE),
+                       "yz.json": config("yz", system=SYSTEM_J12, drive={"rabi_mhz": 10.0}, sweep=YZ_EIGEN)},
+     [["sweep", "--config", "xy.json"], ["sweep", "--config", "yz.json"],
+      ["compare", "out/xy_pattern.json", "out/yz_pattern.json", "--json", "cmp.json"]]),
+    ("compare-spectrum", {"xz.json": config("xz", system=SYSTEM_J12, drive={"rabi_mhz": 10.0}, ladder=LADDER,
+                                            scan=SCAN_401, sweep=XZ_SPECTRUM),
+                          "yz.json": config("yz", system=SYSTEM_J12, drive={"rabi_mhz": 10.0}, sweep=YZ_EIGEN)},
+     [["sweep", "--config", "xz.json"], ["sweep", "--config", "yz.json"],
+      ["compare", "out/yz_pattern.json", "out/xz_pattern.json", "--json", "cmp.json"]]),
+    # refusals, whose messages must not move
+    cli_case("refuse-range", "cellfield", "--preset", "thz-33s", "--angles", "0:10"),
+    cli_case("refuse-list", "cellfield", "--preset", "thz-33s", "--angles", "[0, 1"),
+    cli_case("refuse-bare-spectrum", "spectrum"),
+]
+
+
+def run_case(src: str, case_dir: str, files: dict, commands: list) -> list[tuple[int, bytes, bytes]]:
+    os.makedirs(case_dir)
+    for name, payload in files.items():
+        with open(os.path.join(case_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(src), "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    results = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "rydant.cli", *argv], cwd=case_dir, env=env,
+                              capture_output=True, timeout=600)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    return results
+
+
+def artifacts(case_dir: str) -> dict[str, bytes]:
+    found = {}
+    for root, _, names in os.walk(case_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, case_dir)] = fh.read()
+    return found
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    lines_a, lines_b = a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines()
+    for i, (la, lb) in enumerate(zip(lines_a, lines_b)):
+        if la != lb:
+            return f"line {i + 1}: parent {la[:120]!r} / change {lb[:120]!r}"
+    return f"{len(lines_a)} lines in parent, {len(lines_b)} in change"
+
+
+def compare(name: str, commands: list, parent_dir: str, change_dir: str, results: tuple) -> list[str]:
+    problems = []
+    for argv, old, new in zip(commands, *results):
+        label = f"{name}: rydant {' '.join(argv)}"
+        if old[0] != new[0]:
+            problems.append(f"{label}: exit code {old[0]} -> {new[0]}")
+        for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+            if a != b:
+                problems.append(f"{label}: {stream} differs, {first_difference(a, b)}")
+    old_files, new_files = artifacts(parent_dir), artifacts(change_dir)
+    for path in sorted(set(old_files) | set(new_files)):
+        if path not in new_files:
+            problems.append(f"{name}: {path} written by the parent only")
+        elif path not in old_files:
+            problems.append(f"{name}: {path} written by the change only")
+        elif old_files[path] != new_files[path]:
+            problems.append(f"{name}: {path} differs, {first_difference(old_files[path], new_files[path])}")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout to compare against")
+    parser.add_argument("--change", required=True, help="checkout under test")
+    parser.add_argument("--work", default=None, help="empty or new directory for the runs (default: a temporary one)")
+    args = parser.parse_args(argv)
+    for src in (args.parent, args.change):
+        if not os.path.isfile(os.path.join(src, "src", "rydant", "cli.py")):
+            parser.error(f"{src} holds no src/rydant/cli.py")
+    work = args.work or tempfile.mkdtemp(prefix="rydant-golden-")
+    if os.path.exists(work) and os.listdir(work):
+        parser.error(f"--work {work} is not empty")
+
+    problems, commands_run, artifact_count = [], 0, 0
+    for name, files, commands in CASES:
+        dirs = [os.path.join(work, side, name) for side in ("parent", "change")]
+        results = tuple(run_case(src, d, files, commands) for src, d in zip((args.parent, args.change), dirs))
+        found = compare(name, commands, *dirs, results)
+        commands_run += len(commands)
+        artifact_count += len(artifacts(dirs[0]))
+        print(f"{name}: {'identical' if not found else f'{len(found)} difference(s)'}", flush=True)
+        problems += found
+    print(f"\n{len(CASES)} cases, {commands_run} commands, {artifact_count} files per tree, work directory {work}")
+    for problem in problems:
+        print(problem)
+    print("byte-identical" if not problems else f"{len(problems)} difference(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,15 +17,20 @@ resolves in the spherical basis as::
     eps_zero  = cos(chi)
     eps_plus  = -sin(chi) * exp(+i*(theta + phi)) / sqrt(2)
     eps_minus = +sin(chi) * exp(-i*(theta - phi)) / sqrt(2)
+
+decompose_polarizations refuses, wraps and resolves whole arrays of angles
+at once; Orientation (the refusal and the wrap) and decompose_polarization
+(the components) are its one-row forms and give the same bits.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,18 +85,10 @@ class Orientation:
     phi: float = 0.0
 
     def __post_init__(self):
-        for name in ("chi", "theta", "phi"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        chi = self.chi % TWO_PI
-        theta = self.theta
-        if chi > math.pi:
-            chi = TWO_PI - chi
-            theta = theta + math.pi
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "theta", theta % TWO_PI)
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        (chi,), (theta,), (phi,) = _wrapped([self.chi], [self.theta], [self.phi])
+        object.__setattr__(self, "chi", float(chi))
+        object.__setattr__(self, "theta", float(theta))
+        object.__setattr__(self, "phi", float(phi))
 
 
 @dataclass(frozen=True)
@@ -103,15 +100,7 @@ class SphericalPolarization:
     eps_plus: complex
 
     def __post_init__(self):
-        norm_sq = (
-            abs(self.eps_minus) ** 2
-            + abs(self.eps_zero) ** 2
-            + abs(self.eps_plus) ** 2
-        )
-        if abs(norm_sq - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(
-                f"polarization components must have unit norm, got |eps|^2 = {norm_sq!r}"
-            )
+        _check_unit_norm(self.eps_minus, self.eps_zero, self.eps_plus)
 
     def component(self, q: int) -> complex:
         """Spherical component for q in (-1, 0, +1)."""
@@ -124,16 +113,61 @@ class SphericalPolarization:
         raise ValueError(f"q must be -1, 0 or +1, got {q}")
 
 
-def decompose_polarization(orientation: Orientation) -> SphericalPolarization:
-    """Resolve an orientation into spherical components (see module header)."""
-    s = math.sin(orientation.chi)
-    c = math.cos(orientation.chi)
+def _wrapped(chi, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orientation's rule over arrays: refuse non-finite angles, fold chi, wrap."""
+    arrays = [np.asarray(v, dtype=float) for v in (chi, theta, phi)]
+    for name, v in zip(("chi", "theta", "phi"), arrays):
+        finite = np.isfinite(v)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {v[~finite][0]}")
+    chi, theta, phi = arrays
+    chi = chi % TWO_PI
+    fold = chi > math.pi
+    return np.where(fold, TWO_PI - chi, chi), np.where(fold, theta + math.pi, theta) % TWO_PI, phi % TWO_PI
+
+
+def _check_unit_norm(eps_minus, eps_zero, eps_plus) -> None:
+    norm_sq = np.atleast_1d(np.abs(eps_minus) ** 2 + np.abs(eps_zero) ** 2 + np.abs(eps_plus) ** 2)
+    bad = np.abs(norm_sq - 1.0) > UNIT_NORM_TOL
+    if bad.any():
+        raise ValueError(
+            f"polarization components must have unit norm, got |eps|^2 = {float(norm_sq[bad][0])!r}"
+        )
+
+
+def _components(chi, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    s = np.sin(chi)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return SphericalPolarization(
-        eps_minus=+s * inv_sqrt2 * cmath.exp(1j * (orientation.phi - orientation.theta)),
-        eps_zero=complex(c),
-        eps_plus=-s * inv_sqrt2 * cmath.exp(1j * (orientation.phi + orientation.theta)),
+    return (
+        +s * inv_sqrt2 * np.exp(1j * (phi - theta)),
+        np.cos(chi).astype(complex),
+        -s * inv_sqrt2 * np.exp(1j * (phi + theta)),
     )
+
+
+def decompose_polarizations(chi, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spherical components (eps_minus, eps_zero, eps_plus) of many orientations.
+
+    chi, theta and phi are equal-length arrays of angles in radians, refused
+    and wrapped exactly as Orientation refuses and wraps one orientation.
+    Each row equals decompose_polarization of that Orientation, bit for bit.
+    """
+    eps = _components(*_wrapped(chi, theta, phi))
+    _check_unit_norm(*eps)
+    return eps
+
+
+def decompose_polarization(orientation: Orientation) -> SphericalPolarization:
+    """Resolve an orientation into spherical components (see module header).
+
+    The one-row form of decompose_polarizations: the same components, from
+    angles that Orientation has already wrapped and that are not wrapped
+    twice.
+    """
+    (eps_minus,), (eps_zero,), (eps_plus,) = _components(
+        np.array([orientation.chi]), np.array([orientation.theta]), np.array([orientation.phi])
+    )
+    return SphericalPolarization(complex(eps_minus), complex(eps_zero), complex(eps_plus))
 
 
 def _half(two_x: int) -> int:

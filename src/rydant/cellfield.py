@@ -43,6 +43,10 @@ MAX_STACK_NEPERS = 100.0
 # Range of k0, k0 |n| (rad/m) and |n| in any layer: their squares stay
 # normal floats, so no wave vanishes or overflows in the walk.
 _WAVENUMBER_RANGE = (1e-150, 1e150)
+# Samples per chunk of path_averages' batched walk: it turns as many angles
+# at a time into profiles as keep its (angles, samples) arrays at this size,
+# and at least one.
+WALK_SAMPLES = 16_384
 
 POLARIZATIONS = ("TE", "TM")
 
@@ -98,52 +102,55 @@ def _eta(n: complex, polarization: str) -> complex:
     return 1.0 if polarization == "TE" else 1.0 / (n * n)
 
 
-def _kx(n: complex, k0: float, beta: float) -> complex:
-    return np.sqrt(complex((k0 * n) ** 2 - beta**2))
+def _cmul(x, y) -> np.ndarray:
+    """x * y from separate real products and sums.
+
+    numpy's array loops may fuse a complex product's multiplies and adds,
+    and then differ in the last bit from the same product of two complex
+    scalars; written out this way, every entry equals the scalar product.
+    A product with a real or purely imaginary factor rounds the same either
+    way and stays a plain product.
+    """
+    out = (x.real * y.real - x.imag * y.imag).astype(complex)
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
-def _stack_amplitudes(
-    ns: list[complex],
-    ds: list[float],
-    k0: float,
-    beta: float,
-    polarization: str,
-):
-    """Forward/backward amplitudes per layer for a unit incident wave.
+def _walk(ns: list[complex], ds: list[float], k0: float, betas: list[float], polarization: str):
+    """Forward/backward amplitudes per layer for a unit incident wave, one row per beta.
 
     ns and ds are aligned; the first and last entries are semi-infinite and
-    their thickness is ignored.  Amplitudes are referenced to each layer's
-    left edge.  Returns (amplitudes, r, t).
+    their thickness is ignored.  Walks backward from a unit transmitted wave,
+    then rescales so the incident amplitude is exactly 1.  Returns
+    (kxs, amps): per layer, the normal wavevectors and the (forward,
+    backward) amplitudes referenced to the layer's left edge, each an array
+    over betas.  The reflection is amps[0][1], the transmission amps[-1][0].
     """
-    count = len(ns)
-    kxs = [_kx(n, k0, beta) for n in ns]
-    qs = [_eta(n, polarization) * kx for n, kx in zip(ns, kxs)]
-    if abs(qs[0]) == 0:
+    beta_sq = np.array([beta**2 for beta in betas])
+    kxs = [np.sqrt((k0 * n) ** 2 - beta_sq) for n in ns]
+    qs = [_cmul(complex(_eta(n, polarization)), kx) for n, kx in zip(ns, kxs)]
+    if np.any(np.abs(qs[0]) == 0):
         raise ValueError("grazing incidence: no propagating incident wave")
 
-    # Walk backward from a unit transmitted wave, then rescale so the
-    # incident amplitude is exactly 1.
+    count = len(ns)
     amps = [None] * count
-    amps[count - 1] = (1.0 + 0.0j, 0.0 + 0.0j)
+    amps[count - 1] = (np.ones(len(betas), dtype=complex), np.zeros(len(betas), dtype=complex))
     for j in range(count - 2, -1, -1):
         a_next, b_next = amps[j + 1]
         total = a_next + b_next
-        diff = (qs[j + 1] / qs[j]) * (a_next - b_next)
+        diff = _cmul(qs[j + 1] / qs[j], a_next - b_next)
         right_a = 0.5 * (total + diff)
         right_b = 0.5 * (total - diff)
         if j == 0:
             amps[j] = (right_a, right_b)
         else:
             phase = np.exp(1j * kxs[j] * ds[j])
-            amps[j] = (right_a / phase, right_b * phase)
+            amps[j] = (right_a / phase, _cmul(right_b, phase))
 
     incident = amps[0][0]
-    if abs(incident) == 0:
+    if np.any(np.abs(incident) == 0):
         raise ValueError("degenerate stack: vanishing incident amplitude")
-    scaled = [(a / incident, b / incident) for a, b in amps]
-    r = scaled[0][1]
-    t = scaled[-1][0]
-    return scaled, r, t
+    return kxs, [(a / incident, b / incident) for a, b in amps]
 
 
 def stack_nepers(geometry: CellGeometry, frequency: float) -> float:
@@ -184,33 +191,58 @@ def check_stack(geometry: CellGeometry, frequency: float) -> None:
         )
 
 
+def incidence_in_domain(angle: float) -> bool:
+    """True for 0 <= angle < pi/2 short of grazing.
+
+    Within about 1.5e-8 rad of pi/2 the sine of the angle rounds to 1, and
+    no incident wave propagates; such angles are outside the domain too.
+    """
+    return 0.0 <= angle < math.pi / 2 and math.sin(angle) < 1.0
+
+
 def _check_incidence(angle: float, polarization: str) -> None:
-    if not (0.0 <= angle < math.pi / 2):
-        raise ValueError(f"angle must lie in [0, pi/2), got {angle}")
+    if not incidence_in_domain(angle):
+        raise ValueError(f"angle must lie in [0, pi/2) with a sine below 1, got {angle}")
     if polarization not in POLARIZATIONS:
         raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {polarization!r}")
+
+
+def _interior_amplitudes(
+    geometry: CellGeometry, frequency: float, angles: list[float], polarization: str, x: np.ndarray, rows: int
+):
+    """Yield |E| relative to the incident wave at interior positions x, rows angles at a time.
+
+    One batched walk serves every angle; each yielded (rows, x) array
+    follows the TE/TM rule of the module header, and each of its rows
+    equals the one-angle computation bit for bit.
+    """
+    k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
+    betas = [k0 * math.sin(angle) for angle in angles]
+    ns = [1.0 + 0j, geometry.wall_index, geometry.inner_index, geometry.wall_index, 1.0 + 0j]
+    ds = [0.0, geometry.wall_thickness, geometry.inner_length, geometry.wall_thickness, 0.0]
+    kxs, amps = _walk(ns, ds, k0, betas, polarization)
+    beta_sq = np.array([beta**2 for beta in betas])[:, None]
+    n2 = abs(geometry.inner_index) ** 2
+
+    for start in range(0, len(angles), rows):
+        chunk = slice(start, start + rows)
+        a, b = (amp[chunk, None] for amp in amps[2])
+        kx = kxs[2][chunk, None]
+        forward = a * np.exp(1j * kx * x)
+        backward = b * np.exp(-1j * kx * x)
+        u = forward + backward
+        if polarization == "TE":
+            yield np.abs(u)
+        else:
+            du = 1j * kx * (forward - backward)
+            yield np.sqrt(beta_sq[chunk] * np.abs(u) ** 2 + np.abs(du) ** 2) / (k0 * n2)
 
 
 def _interior_amplitude(
     geometry: CellGeometry, frequency: float, angle: float, polarization: str, x: np.ndarray
 ) -> np.ndarray:
-    """|E| relative to the incident wave at interior positions x (TE or TM rule above)."""
-    k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
-    beta = k0 * math.sin(angle)
-    ns = [1.0 + 0j, geometry.wall_index, geometry.inner_index, geometry.wall_index, 1.0 + 0j]
-    ds = [0.0, geometry.wall_thickness, geometry.inner_length, geometry.wall_thickness, 0.0]
-    amps, _, _ = _stack_amplitudes(ns, ds, k0, beta, polarization)
-
-    a, b = amps[2]
-    kx = _kx(geometry.inner_index, k0, beta)
-    forward = a * np.exp(1j * kx * x)
-    backward = b * np.exp(-1j * kx * x)
-    u = forward + backward
-    if polarization == "TE":
-        return np.abs(u)
-    du = 1j * kx * (forward - backward)
-    n2 = abs(geometry.inner_index) ** 2
-    return np.sqrt(beta**2 * np.abs(u) ** 2 + np.abs(du) ** 2) / (k0 * n2)
+    """|E| at interior positions x for one angle: the one-row call of _interior_amplitudes."""
+    return next(_interior_amplitudes(geometry, frequency, [angle], polarization, x, 1))[0]
 
 
 def transfer_matrix_field(
@@ -269,18 +301,23 @@ def path_averages(
 
     Equal to path_average(transfer_matrix_field(..., sweep_samples(...))) per
     angle, bit for bit.  One profile is computed per distinct angle, all on
-    one shared sample grid, and no FieldProfile is built.
+    one shared sample grid by one batched walk, WALK_SAMPLES samples at a
+    time, and no FieldProfile is built.
     """
     samples = sweep_samples(geometry, frequency)
     check_stack(geometry, frequency)
     x = np.linspace(0.0, geometry.inner_length, samples)
     span = x[-1] - x[0]
     angle_list = [float(a) for a in angles]
-    by_angle = {}
-    for a in dict.fromkeys(angle_list):
+    distinct = list(dict.fromkeys(angle_list))
+    for a in distinct:
         _check_incidence(a, polarization)
-        amplitude = _interior_amplitude(geometry, frequency, a, polarization, x)
-        by_angle[a] = float(np.trapezoid(amplitude, x) / span)
+    averages = []
+    for amplitude in _interior_amplitudes(
+        geometry, frequency, distinct, polarization, x, max(1, WALK_SAMPLES // samples)
+    ):
+        averages += (np.trapezoid(amplitude, x, axis=-1) / span).tolist()
+    by_angle = dict(zip(distinct, averages))
     return [by_angle[a] for a in angle_list]
 
 

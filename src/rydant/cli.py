@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from .angular import Orientation
 from .cellfield import (
     CellGeometry,
+    incidence_in_domain,
     path_average,
     path_averages,
     profile_csv,
@@ -296,6 +297,16 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _incidences(angles, flag: str) -> None:
+    """Refuse incidence angles (radians) outside the cell model, naming the flag."""
+    for angle in angles:
+        if not incidence_in_domain(angle):
+            raise ConfigError(
+                f"{flag}: incidence {math.degrees(angle):.12g} deg must lie in [0, 90) deg, "
+                "short of grazing, where its sine rounds to 1"
+            )
+
+
 def cmd_cellfield(args) -> int:
     config = load_config(args.config) if args.config else None
     preset = PRESETS[args.preset] if args.preset else None
@@ -333,6 +344,7 @@ def cmd_cellfield(args) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--angles is not a valid JSON list: {exc}") from exc
         angles = parse_angles_deg(spec, "--angles")
+        _incidences(angles, "--angles")
         samples = normalized_gain(
             zip(angles, path_averages(geometry, frequency, angles, args.polarization))
         )
@@ -344,6 +356,7 @@ def cmd_cellfield(args) -> int:
         data_text = sweep_csv(samples)
     else:
         angle = math.radians(args.angle_deg)
+        _incidences([angle], "--angle-deg")
         profile = transfer_matrix_field(
             geometry, frequency, angle, args.polarization, sweep_samples(geometry, frequency)
         )

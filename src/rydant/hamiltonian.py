@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -172,18 +171,15 @@ def _coupling_table(two_jg: int, two_je: int) -> tuple[tuple[np.ndarray, np.ndar
     return tuple(table)
 
 
-def _coupling_blocks(system: TransitionSystem, rabis: np.ndarray, orientations) -> np.ndarray:
+def _coupling_blocks(system: TransitionSystem, rabis: np.ndarray, polarizations) -> np.ndarray:
     """Stacked coupling blocks, shape (n, excited sublevels, ground sublevels)."""
-    pols = [decompose_polarization(o) for o in orientations]
-    # The opposite-handed spherical component carries each sigma amplitude.
-    eps = (
-        np.array([p.eps_plus for p in pols], dtype=complex),
-        np.array([p.eps_zero for p in pols], dtype=complex),
-        np.array([p.eps_minus for p in pols], dtype=complex),
-    )
+    eps_minus, eps_zero, eps_plus = polarizations
     amp = math.sqrt(6.0) / 4.0 * rabis
-    blocks = np.zeros((len(pols), system.je.sublevel_count, system.jg.sublevel_count), dtype=complex)
-    for eps_q, (rows, cols, cg) in zip(eps, _coupling_table(system.jg.two_j, system.je.two_j)):
+    blocks = np.zeros((len(rabis), system.je.sublevel_count, system.jg.sublevel_count), dtype=complex)
+    # The opposite-handed spherical component carries each sigma amplitude.
+    for eps_q, (rows, cols, cg) in zip(
+        (eps_plus, eps_zero, eps_minus), _coupling_table(system.jg.two_j, system.je.two_j)
+    ):
         blocks[:, rows, cols] = (amp * eps_q)[:, None] * cg
     return blocks
 
@@ -199,28 +195,31 @@ def build_interaction_general(
     for jg = 1/2 -> je = 3/2.  The one-orientation call of hamiltonian_stack's
     coupling table.
     """
-    return _coupling_blocks(system, np.array([drive.rabi]), [orientation])[0]
+    pol = decompose_polarization(orientation)
+    eps = tuple(np.array([e]) for e in (pol.eps_minus, pol.eps_zero, pol.eps_plus))
+    return _coupling_blocks(system, np.array([drive.rabi]), eps)[0]
 
 
-def hamiltonian_stack(
-    system: TransitionSystem, rabis, orientations: Sequence[Orientation], detuning: float
-) -> np.ndarray:
-    """Rotating-frame matrices for one drive per orientation, shape (n, dim, dim).
+def hamiltonian_stack(system: TransitionSystem, rabis, polarizations, detuning: float) -> np.ndarray:
+    """Rotating-frame matrices for one drive per polarization, shape (n, dim, dim).
 
-    rabis holds one Rabi frequency per orientation; the detuning is shared.
+    polarizations is (eps_minus, eps_zero, eps_plus), three arrays of n
+    spherical components as angular.decompose_polarizations returns them;
+    rabis holds one Rabi frequency per polarization; the detuning is shared.
     Each matrix equals hamiltonian_array(build_interaction_general(...), detuning)
     bit for bit, and the Clebsch-Gordan table is built once per transition.
     """
+    count = len(polarizations[0])
     rabis = np.asarray(rabis, dtype=float)
-    if rabis.shape != (len(orientations),):
+    if rabis.shape != (count,):
         raise ValueError(f"need one Rabi frequency per orientation, got shape {rabis.shape}")
     if not np.all(np.isfinite(rabis)) or np.any(rabis < 0):
         raise ValueError("rabi frequencies must be finite and >= 0")
     if not math.isfinite(detuning):
         raise ValueError(f"detuning must be finite, got {detuning}")
-    blocks = _coupling_blocks(system, rabis, orientations)
+    blocks = _coupling_blocks(system, rabis, polarizations)
     ng = system.jg.sublevel_count
-    h = np.zeros((len(blocks), system.dim, system.dim), dtype=complex)
+    h = np.zeros((count, system.dim, system.dim), dtype=complex)
     h[:, ng:, ng:] = -detuning * np.eye(system.je.sublevel_count)
     h[:, ng:, :ng] = blocks
     h[:, :ng, ng:] = blocks.conj().transpose(0, 2, 1)

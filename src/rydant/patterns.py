@@ -11,12 +11,18 @@ the cell changes the incidence angle on the 1-D stack; the angle is folded
 into [0, pi/2].  For XZ/YZ the polarization rotates while the propagation
 direction stays fixed, so the stack sees normal incidence throughout.
 
-Sweeps are deterministic: the noise stream is seeded per angle index.
-The cell factors are computed once per distinct incidence angle.  The eigen
-readout builds one stacked Hamiltonian per sweep (hamiltonian_stack), takes
-its eigenvalues in one batched call and reads every splitting in one pass
-(splittings_from_eigen).  The spectrum readout scans once per distinct cell
-factor, since the ladder does not depend on the orientation.
+Sweeps are array-native and deterministic.  plane_angles maps the grid onto
+(chi, theta, phi) arrays and angular.decompose_polarizations resolves them in
+one pass.  The cell factors come from cellfield.path_averages: one profile
+per distinct incidence angle, all from one batched transfer-matrix walk.
+The eigen readout builds one stacked Hamiltonian per sweep
+(hamiltonian_stack), takes its eigenvalues in one batched call and reads
+every splitting in one pass (splittings_from_eigen).  The spectrum readout
+scans once per distinct cell factor, since the ladder does not depend on
+the orientation.  Each batched stage gives the bits of its one-angle form
+(plane_to_orientation, decompose_polarization, transfer_matrix_field).
+What still runs per angle is the noise, seeded per angle index, and the
+conversion to dB.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import Orientation
+from .angular import Orientation, decompose_polarizations
 from .cellfield import CellGeometry, path_averages
 from .hamiltonian import RfDrive, TransitionSystem, hamiltonian_stack
 from .metrology import GainSample, isotropic_deviation, normalized_gain, splittings_from_eigen
@@ -171,15 +177,23 @@ class GainPattern:
         )
 
 
-def plane_to_orientation(plane: str, angle: float) -> Orientation:
-    """Map a sweep angle in a principal plane onto (chi, theta, phi = 0)."""
+def plane_angles(plane: str, angles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map sweep angles in a principal plane onto (chi, theta, phi = 0) arrays."""
+    angles = np.asarray(angles, dtype=float)
+    zeros = np.zeros_like(angles)
     if plane == "XY":
-        return Orientation(chi=math.pi / 2, theta=angle, phi=0.0)
+        return np.full_like(angles, math.pi / 2), angles, zeros
     if plane == "XZ":
-        return Orientation(chi=angle, theta=0.0, phi=0.0)
+        return angles, zeros, zeros
     if plane == "YZ":
-        return Orientation(chi=angle, theta=math.pi / 2, phi=0.0)
+        return angles, np.full_like(angles, math.pi / 2), zeros
     raise ValueError(f"plane must be one of {PLANES}, got {plane!r}")
+
+
+def plane_to_orientation(plane: str, angle: float) -> Orientation:
+    """One sweep angle as an Orientation: the one-row call of plane_angles."""
+    (chi,), (theta,), (phi,) = plane_angles(plane, [angle])
+    return Orientation(float(chi), float(theta), float(phi))
 
 
 def incidence_angle(plane: str, angle: float) -> float:
@@ -198,9 +212,9 @@ def _cell_factors(plan: SweepPlan) -> list[float]:
 
 
 def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
-    orientations = [plane_to_orientation(plan.plane, float(angle)) for angle in plan.angles]
+    polarizations = decompose_polarizations(*plane_angles(plan.plane, plan.angles))
     rabis = plan.drive.rabi * np.asarray(factors, dtype=float)
-    stack = hamiltonian_stack(plan.system, rabis, orientations, plan.drive.detuning)
+    stack = hamiltonian_stack(plan.system, rabis, polarizations, plan.drive.detuning)
     return splittings_from_eigen(np.linalg.eigvalsh(stack), plan.drive.detuning).tolist()
 
 

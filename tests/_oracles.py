@@ -13,20 +13,132 @@ absorption against the Gaussian velocity distribution on a fine uniform
 grid, with no pole expansion.
 
 The per-angle oracles are the eigen sweep and the cell sweep as they were
-before batching: a coupling block filled entry by entry from clebsch_gordan,
-one splitting per eigenvalue row (np.delete of the degenerate pair), and one
-validated transfer-matrix profile per incidence angle.  The batched code
-must match them exactly.
+before batching, one angle at a time in Python scalars: the orientation
+wrap and the cmath polarization decomposition, a coupling block filled
+entry by entry from clebsch_gordan, one splitting per eigenvalue row
+(np.delete of the degenerate pair), and one scalar transfer-matrix walk and
+interior profile per incidence angle.  The batched code must match them
+exactly.
 """
 
+import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from rydant.angular import AngularMomentum, clebsch_gordan, decompose_polarization
-from rydant.cellfield import SPEED_OF_LIGHT, _eta, _kx, path_average, sweep_samples, transfer_matrix_field
+from rydant.angular import AngularMomentum, clebsch_gordan, decompose_polarizations
+from rydant.cellfield import SPEED_OF_LIGHT, sweep_samples
 from rydant.hamiltonian import RfDrive, hamiltonian_array
-from rydant.patterns import plane_to_orientation
+
+TWO_PI = 2.0 * math.pi
+
+
+def kx(n, k0, beta):
+    """Normal wavevector sqrt(k0^2 n^2 - beta^2), principal branch."""
+    return np.sqrt(complex((k0 * n) ** 2 - beta**2))
+
+
+def eta(n, polarization):
+    """Interface weight of u': 1 for TE, 1 / n^2 for TM."""
+    return 1.0 if polarization == "TE" else 1.0 / (n * n)
+
+
+def stack_amplitudes(ns, ds, k0, beta, polarization):
+    """Forward/backward amplitudes per layer for a unit incident wave, one beta.
+
+    ns and ds are aligned; the first and last entries are semi-infinite and
+    their thickness is ignored.  Amplitudes are referenced to each layer's
+    left edge.  Returns (amplitudes, r, t).
+    """
+    count = len(ns)
+    kxs = [kx(n, k0, beta) for n in ns]
+    qs = [eta(n, polarization) * k for n, k in zip(ns, kxs)]
+    if abs(qs[0]) == 0:
+        raise ValueError("grazing incidence: no propagating incident wave")
+
+    # Walk backward from a unit transmitted wave, then rescale so the
+    # incident amplitude is exactly 1.
+    amps = [None] * count
+    amps[count - 1] = (1.0 + 0.0j, 0.0 + 0.0j)
+    for j in range(count - 2, -1, -1):
+        a_next, b_next = amps[j + 1]
+        total = a_next + b_next
+        diff = (qs[j + 1] / qs[j]) * (a_next - b_next)
+        right_a = 0.5 * (total + diff)
+        right_b = 0.5 * (total - diff)
+        if j == 0:
+            amps[j] = (right_a, right_b)
+        else:
+            phase = np.exp(1j * kxs[j] * ds[j])
+            amps[j] = (right_a / phase, right_b * phase)
+
+    incident = amps[0][0]
+    if abs(incident) == 0:
+        raise ValueError("degenerate stack: vanishing incident amplitude")
+    scaled = [(a / incident, b / incident) for a, b in amps]
+    return scaled, scaled[0][1], scaled[-1][0]
+
+
+def interior_amplitude(geometry, frequency, angle, polarization, x):
+    """|E| relative to the incident wave at interior positions x, for one angle."""
+    k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
+    beta = k0 * math.sin(angle)
+    ns = [1.0 + 0j, geometry.wall_index, geometry.inner_index, geometry.wall_index, 1.0 + 0j]
+    ds = [0.0, geometry.wall_thickness, geometry.inner_length, geometry.wall_thickness, 0.0]
+    amps, _, _ = stack_amplitudes(ns, ds, k0, beta, polarization)
+
+    a, b = amps[2]
+    k = kx(geometry.inner_index, k0, beta)
+    forward = a * np.exp(1j * k * x)
+    backward = b * np.exp(-1j * k * x)
+    u = forward + backward
+    if polarization == "TE":
+        return np.abs(u)
+    du = 1j * k * (forward - backward)
+    n2 = abs(geometry.inner_index) ** 2
+    return np.sqrt(beta**2 * np.abs(u) ** 2 + np.abs(du) ** 2) / (k0 * n2)
+
+
+class Angles(NamedTuple):
+    chi: float
+    theta: float
+    phi: float
+
+
+def wrap_orientation(chi, theta, phi):
+    """Orientation's rule on Python floats: chi folded into [0, pi], theta and phi wrapped."""
+    for name, v in (("chi", chi), ("theta", theta), ("phi", phi)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    chi = chi % TWO_PI
+    if chi > math.pi:
+        chi = TWO_PI - chi
+        theta = theta + math.pi
+    return Angles(chi, theta % TWO_PI, phi % TWO_PI)
+
+
+def plane_orientation(plane, angle):
+    """A sweep angle in a principal plane as wrapped (chi, theta, phi), phi = 0."""
+    chi, theta = {"XY": (math.pi / 2, angle), "XZ": (angle, 0.0), "YZ": (angle, math.pi / 2)}[plane]
+    return wrap_orientation(chi, theta, 0.0)
+
+
+def polarizations(orientations):
+    """hamiltonian_stack's spherical-component arrays for a list of Orientation objects."""
+    return decompose_polarizations(*(np.array([getattr(o, k) for o in orientations]) for k in Angles._fields))
+
+
+def spherical_components(orientation):
+    """(eps_minus, eps_zero, eps_plus) of a wrapped orientation, in cmath scalars."""
+    s = math.sin(orientation.chi)
+    c = math.cos(orientation.chi)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    return (
+        +s * inv_sqrt2 * cmath.exp(1j * (orientation.phi - orientation.theta)),
+        complex(c),
+        -s * inv_sqrt2 * cmath.exp(1j * (orientation.phi + orientation.theta)),
+    )
 
 
 def _rk4_step(u, v, w, h):
@@ -54,15 +166,15 @@ def rk4_field_profile(geometry, frequency, angle, polarization, samples, steps_p
     ns = [1 + 0j, geometry.wall_index, geometry.inner_index, geometry.wall_index, 1 + 0j]
     ds = [0.0, geometry.wall_thickness, geometry.inner_length, geometry.wall_thickness, 0.0]
 
-    kx_out = complex(_kx(ns[4], k0, beta))
+    kx_out = complex(kx(ns[4], k0, beta))
     u, v = 1.0 + 0j, 1j * kx_out
-    eta_prev = _eta(ns[4], polarization)
+    eta_prev = eta(ns[4], polarization)
     vapor = None
     for j in (3, 2, 1):
-        eta_j = _eta(ns[j], polarization)
+        eta_j = eta(ns[j], polarization)
         v = v * eta_prev / eta_j  # eta * u' is continuous across the interface
         w = beta * beta - (k0 * ns[j]) ** 2
-        kmag = abs(complex(_kx(ns[j], k0, beta)))
+        kmag = abs(complex(kx(ns[j], k0, beta)))
         if j == 2:
             xs = np.linspace(0.0, ds[j], samples)
             us = np.empty(samples, dtype=complex)
@@ -85,8 +197,8 @@ def rk4_field_profile(geometry, frequency, angle, polarization, samples, steps_p
                 u, v = _rk4_step(u, v, w, h)
         eta_prev = eta_j
 
-    v0 = v * eta_prev / _eta(ns[0], polarization)
-    kx0 = complex(_kx(ns[0], k0, beta))
+    v0 = v * eta_prev / eta(ns[0], polarization)
+    kx0 = complex(kx(ns[0], k0, beta))
     incident = 0.5 * (u + v0 / (1j * kx0))
 
     xs, us, vs = vapor
@@ -100,8 +212,11 @@ def rk4_field_profile(geometry, frequency, angle, polarization, samples, steps_p
     return xs, amp
 
 
-def random_cell_case(rng):
-    """One random (geometry, frequency, angle, polarization) tuple."""
+def random_cell_case(rng, lossy_vapor=False):
+    """One random (geometry, frequency, angle, polarization) tuple.
+
+    With lossy_vapor the vapor gets a complex index too, drawn after the rest.
+    """
     from rydant.cellfield import CellGeometry
 
     geometry = CellGeometry(
@@ -112,6 +227,9 @@ def random_cell_case(rng):
     frequency = float(rng.uniform(0.05e12, 0.2e12))
     angle = float(rng.uniform(0.0, 1.3))
     polarization = "TE" if rng.integers(2) else "TM"
+    if lossy_vapor:
+        inner_index = complex(rng.uniform(1.0, 1.5), rng.uniform(0.0, 0.05))
+        geometry = CellGeometry(geometry.wall_thickness, geometry.inner_length, geometry.wall_index, inner_index)
     return geometry, frequency, angle, polarization
 
 
@@ -181,8 +299,8 @@ def interaction_block(system, drive, orientation):
     Entry (m_e row, m_g col) is sqrt(6)/4 * rabi * eps_{-q} * <jg m_g; 1 q | je m_e>
     with q = m_e - m_g, the rule stated in the hamiltonian module.
     """
-    pol = decompose_polarization(orientation)
-    coeff = {-1: pol.eps_plus, 0: pol.eps_zero, +1: pol.eps_minus}
+    eps_minus, eps_zero, eps_plus = spherical_components(orientation)
+    coeff = {-1: eps_plus, 0: eps_zero, +1: eps_minus}
     amp = math.sqrt(6.0) / 4.0 * drive.rabi
     two_mg = system.jg.two_m_values()
     two_me = system.je.two_m_values()
@@ -221,16 +339,16 @@ def eigen_delta_ats(plan, factors):
     dim = plan.system.dim
     stack = np.empty((len(plan.angles), dim, dim), dtype=complex)
     for i, angle in enumerate(plan.angles):
-        orientation = plane_to_orientation(plan.plane, float(angle))
+        orientation = plane_orientation(plan.plane, float(angle))
         drive = RfDrive(plan.drive.rabi * factors[i], plan.drive.detuning)
         stack[i] = hamiltonian_array(interaction_block(plan.system, drive, orientation), plan.drive.detuning)
     return [splitting(row, plan.drive.detuning) for row in np.linalg.eigvalsh(stack)]
 
 
 def path_averages(geometry, frequency, angles, polarization="TE"):
-    """One validated transfer-matrix profile and its path average per angle."""
-    samples = sweep_samples(geometry, frequency)
+    """One scalar interior profile and its trapezoid path average per angle."""
+    x = np.linspace(0.0, geometry.inner_length, sweep_samples(geometry, frequency))
     return [
-        path_average(transfer_matrix_field(geometry, frequency, float(a), polarization, samples))
+        float(np.trapezoid(interior_amplitude(geometry, frequency, float(a), polarization, x), x) / (x[-1] - x[0]))
         for a in angles
     ]

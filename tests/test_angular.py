@@ -5,13 +5,16 @@ import pytest
 from sympy import Rational
 from sympy.physics.quantum.cg import CG as SymCG
 
+from _oracles import plane_orientation, spherical_components, wrap_orientation
 from rydant.angular import (
     AngularMomentum,
     Orientation,
     SphericalPolarization,
     clebsch_gordan,
     decompose_polarization,
+    decompose_polarizations,
 )
+from rydant.patterns import plane_angles
 
 HALF = AngularMomentum(1)
 ONE = AngularMomentum(2)
@@ -203,3 +206,55 @@ class TestDecomposePolarization:
         assert pol.component(1) == pol.eps_plus
         with pytest.raises(ValueError):
             pol.component(2)
+
+
+def component_bytes(components):
+    return np.array(components, dtype=complex).tobytes()
+
+
+def astuple(pol):
+    return (pol.eps_minus, pol.eps_zero, pol.eps_plus)
+
+
+class TestBatchedDecomposition:
+    """decompose_polarizations against the scalar cmath decomposition, byte for byte."""
+
+    GRID = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, math.nextafter(TWO_PI, 0.0)]
+
+    @pytest.mark.parametrize("plane", ["XY", "XZ", "YZ"])
+    def test_plane_components_match_the_scalar_oracle(self, plane):
+        rng = np.random.default_rng(31)
+        angles = np.array(self.GRID + list(rng.uniform(0.0, TWO_PI, 200)))
+        eps = decompose_polarizations(*plane_angles(plane, angles))
+        got = np.stack(eps, axis=1)
+        expected = [spherical_components(plane_orientation(plane, float(a))) for a in angles]
+        assert got.tobytes() == component_bytes(expected)
+
+    def test_raw_angles_are_wrapped_as_orientation_wraps_them(self):
+        rng = np.random.default_rng(32)
+        chi, theta, phi = rng.uniform(-20.0, 20.0, (3, 500))
+        chi[:4] = [0.0, -0.0, math.pi, 3 * math.pi / 2]
+        theta[:4] = [-1e-20, TWO_PI, -0.0, 1e-300]
+        got = np.stack(decompose_polarizations(chi, theta, phi), axis=1)
+        wrapped = [wrap_orientation(*row) for row in zip(chi.tolist(), theta.tolist(), phi.tolist())]
+        assert got.tobytes() == component_bytes([spherical_components(w) for w in wrapped])
+        for w, row in zip(wrapped, zip(chi.tolist(), theta.tolist(), phi.tolist())):
+            o = Orientation(*row)
+            assert (o.chi, o.theta, o.phi) == tuple(w)
+            assert component_bytes([astuple(decompose_polarization(o))]) == component_bytes([spherical_components(w)])
+
+    def test_non_finite_angles_name_the_angle(self):
+        good = np.zeros(3)
+        for position, name in enumerate(("chi", "theta", "phi")):
+            angles = [good, good, good]
+            angles[position] = np.array([0.1, math.inf, math.nan])
+            with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+                decompose_polarizations(*angles)
+
+    def test_empty_and_unit_norm(self):
+        assert all(e.shape == (0,) for e in decompose_polarizations([], [], []))
+        eps_minus, eps_zero, eps_plus = decompose_polarizations(*np.random.default_rng(33).uniform(0.0, 7.0, (3, 1000)))
+        norm_sq = np.abs(eps_minus) ** 2 + np.abs(eps_zero) ** 2 + np.abs(eps_plus) ** 2
+        assert np.abs(norm_sq - 1.0).max() < 1e-12
+        with pytest.raises(ValueError, match="unit norm, got .*0.5"):
+            SphericalPolarization(0.5, 0.5, 0.0)

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import interior_amplitude, kx, random_cell_case, rk4_field_profile, stack_amplitudes
 from _oracles import path_averages as per_angle_path_averages
-from _oracles import random_cell_case, rk4_field_profile
 from rydant.cellfield import (
     MAX_STACK_NEPERS,
     SPEED_OF_LIGHT,
+    WALK_SAMPLES,
     CellGeometry,
     FieldProfile,
-    _kx,
-    _stack_amplitudes,
+    _walk,
     angle_sweep_deviation,
+    incidence_in_domain,
     path_average,
     path_averages,
     stack_nepers,
@@ -83,17 +84,22 @@ class TestStackInvariants:
         [0.0, 1.3e-3, 9e-3, 0.7e-3, 0.0],
     )
 
+    @staticmethod
+    def reflection_and_transmission(ns, ds, k0, betas, pol):
+        _, amps = _walk(ns, ds, k0, betas, pol)
+        return amps[0][1], amps[-1][0]
+
     def test_energy_conservation_without_loss(self):
         ns, ds = self.LOSSLESS
+        betas = [self.K0 * math.sin(angle) for angle in (0.0, 0.4, 1.2)]
         for pol in ("TE", "TM"):
-            for angle in (0.0, 0.4, 1.2):
-                beta = self.K0 * math.sin(angle)
-                _, r, t = _stack_amplitudes(ns, ds, self.K0, beta, pol)
-                assert abs(r) ** 2 + abs(t) ** 2 == pytest.approx(1.0, abs=1e-10)
+            r, t = self.reflection_and_transmission(ns, ds, self.K0, betas, pol)
+            for r_row, t_row in zip(r, t):
+                assert abs(r_row) ** 2 + abs(t_row) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_absorbing_walls_dissipate(self):
         ns, ds = self.LOSSY
-        _, r, t = _stack_amplitudes(ns, ds, self.K0, 0.0, "TE")
+        (r,), (t,) = self.reflection_and_transmission(ns, ds, self.K0, [0.0], "TE")
         assert abs(r) ** 2 + abs(t) ** 2 < 1.0 - 1e-3
 
     def test_transmission_reciprocity(self):
@@ -101,9 +107,20 @@ class TestStackInvariants:
         ns, ds = self.LOSSY
         beta = self.K0 * math.sin(0.5)
         for pol in ("TE", "TM"):
-            _, _, forward = _stack_amplitudes(ns, ds, self.K0, beta, pol)
-            _, _, backward = _stack_amplitudes(ns[::-1], ds[::-1], self.K0, beta, pol)
+            _, (forward,) = self.reflection_and_transmission(ns, ds, self.K0, [beta], pol)
+            _, (backward,) = self.reflection_and_transmission(ns[::-1], ds[::-1], self.K0, [beta], pol)
             assert abs(forward - backward) < 1e-12
+
+    def test_walk_matches_the_scalar_walk(self):
+        betas = [self.K0 * math.sin(angle) for angle in (0.0, -0.0, 0.4, 1.2, math.pi / 2 - 1e-7)]
+        for ns, ds in (self.LOSSLESS, self.LOSSY, (self.LOSSY[0][::-1], self.LOSSY[1][::-1])):
+            for pol in ("TE", "TM"):
+                _, amps = _walk(ns, ds, self.K0, betas, pol)
+                for i, beta in enumerate(betas):
+                    expected, r, t = stack_amplitudes(ns, ds, self.K0, beta, pol)
+                    got = [(complex(a[i]), complex(b[i])) for a, b in amps]
+                    assert np.array(got).tobytes() == np.array(expected, dtype=complex).tobytes()
+                    assert (complex(amps[0][1][i]), complex(amps[-1][0][i])) == (r, t)
 
 
 class TestPathAverage:
@@ -206,11 +223,60 @@ class TestBatchedPathAverages:
     def test_one_profile_per_distinct_angle(self, monkeypatch):
         from rydant import cellfield
 
-        calls = []
-        real = cellfield._interior_amplitude
-        monkeypatch.setattr(cellfield, "_interior_amplitude", lambda *a: calls.append(a[2]) or real(*a))
+        rows = []
+        real = cellfield._interior_amplitudes
+        monkeypatch.setattr(cellfield, "_interior_amplitudes", lambda *a: rows.extend(a[2]) or real(*a))
         path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.0] * 50 + [0.4, 0.2, 0.4])
-        assert calls == [0.0, 0.4, 0.2]
+        assert rows == [0.0, 0.4, 0.2]
+
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    def test_lossy_walls_and_vapor_match_the_scalar_walk(self, polarization):
+        rng = np.random.default_rng(606)
+        angles = [0.0, -0.0, math.pi / 2 - 1e-7, 0.05, 1.0, 1.4]
+        for _ in range(8):
+            geometry, frequency, angle, _ = random_cell_case(rng, lossy_vapor=True)
+            assert geometry.inner_index.imag > 0 and geometry.wall_index.imag > 0
+            got = path_averages(geometry, frequency, angles + [angle], polarization)
+            assert got == per_angle_path_averages(geometry, frequency, angles + [angle], polarization)
+            for a in (0.0, -0.0, math.pi / 2 - 1e-7, angle):
+                profile = transfer_matrix_field(geometry, frequency, a, polarization, samples=257)
+                expected = interior_amplitude(geometry, frequency, a, polarization, profile.positions)
+                assert profile.amplitude.tobytes() == expected.tobytes()
+
+    def test_chunks_stay_within_walk_samples(self, monkeypatch):
+        from rydant import cellfield
+
+        chunks = []
+        real = cellfield._interior_amplitudes
+
+        def spy(*args):
+            for amplitude in real(*args):
+                chunks.append(amplitude.shape)
+                yield amplitude
+
+        monkeypatch.setattr(cellfield, "_interior_amplitudes", spy)
+        angles = list(np.linspace(0.0, 1.5, 70))
+        got = path_averages(DEFAULT_GEOMETRY, THZ_FREQ, angles, "TM")
+        samples = sweep_samples(DEFAULT_GEOMETRY, THZ_FREQ)
+        assert sum(rows for rows, _ in chunks) == 70 and len(chunks) > 1
+        assert all(rows * width <= WALK_SAMPLES and width == samples for rows, width in chunks)
+        assert got == per_angle_path_averages(DEFAULT_GEOMETRY, THZ_FREQ, angles, "TM")
+        chunks.clear()
+        # a profile longer than WALK_SAMPLES goes one angle at a time
+        long_cell = CellGeometry(wall_thickness=2e-3, inner_length=0.2)
+        path_averages(long_cell, 1.0e12, [0.1, 0.2])
+        assert [rows for rows, _ in chunks] == [1, 1] and chunks[0][1] > WALK_SAMPLES
+
+    def test_grazing_sines_are_refused(self):
+        # the sine of these angles rounds to 1: no incident wave propagates
+        for angle in (math.pi / 2 - 1e-9, math.nextafter(math.pi / 2, 0.0)):
+            assert math.sin(angle) == 1.0
+            with pytest.raises(ValueError, match="angle must lie"):
+                path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.1, angle])
+            with pytest.raises(ValueError, match="angle must lie"):
+                transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, angle)
+        assert incidence_in_domain(math.pi / 2 - 1e-7)
+        assert not incidence_in_domain(math.pi / 2 - 1e-9)
 
     def test_refusals_match_the_profile_builder(self):
         for bad in ([0.1, math.pi / 2], [-0.1], [math.nan]):
@@ -235,7 +301,7 @@ class TestStackNepers:
             k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
             layers = ((geometry.wall_index, 2 * geometry.wall_thickness), (geometry.inner_index, geometry.inner_length))
             sampled = [
-                sum(abs(complex(_kx(n, k0, k0 * math.sin(a))).imag) * d for n, d in layers)
+                sum(abs(complex(kx(n, k0, k0 * math.sin(a))).imag) * d for n, d in layers)
                 for a in np.linspace(0.0, math.pi / 2, 200)
             ]
             bound = stack_nepers(geometry, frequency)
@@ -268,7 +334,7 @@ class TestStackNepers:
         # lossy, gaining and high-index walls at 0.99 of the cap, up to 1e-7 rad from grazing
         k0 = 2.0 * math.pi * THZ_FREQ / SPEED_OF_LIGHT
         for index in (2.1 + 0.02j, 2.1 - 0.02j, 30.0 + 0.5j):
-            thickness = 0.99 * MAX_STACK_NEPERS / (2.0 * abs(complex(_kx(index, k0, k0)).imag))
+            thickness = 0.99 * MAX_STACK_NEPERS / (2.0 * abs(complex(kx(index, k0, k0)).imag))
             geometry = CellGeometry(wall_thickness=thickness, inner_length=20e-3, wall_index=index)
             for polarization in ("TE", "TM"):
                 averages = path_averages(geometry, THZ_FREQ, [0.0, 1.0, 1.5, math.pi / 2 - 1e-7], polarization)

@@ -119,6 +119,31 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert "--angles" in err and "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--angles", "[10, 89.99999999]"),
+            ("--angles", "0:30:120"),
+            ("--angles", "[-5]"),
+            ("--angle-deg", "89.9999999"),
+            ("--angle-deg", "89.999999999999"),
+            ("--angle-deg", "-1"),
+            ("--angle-deg", "nan"),
+        ],
+    )
+    def test_cellfield_incidence_outside_the_stack_model(self, tmp_path, capsys, flag, value):
+        code = main(["cellfield", "--preset", "thz-33s", flag, value, "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag}: incidence") and "grazing" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_cellfield_incidence_just_inside_grazing_runs(self, tmp_path, capsys):
+        # sin(89.9999 deg) = 1 - 1.5e-12: still a propagating incident wave
+        args = ["cellfield", "--preset", "thz-33s", "--out-dir", str(tmp_path)]
+        assert main([*args, "--angles", "[10, 89.9999]", "--polarization", "TM"]) == 0
+        assert main([*args, "--angle-deg", "89.9999"]) == 0
+
     def test_oversized_scan(self, tmp_path, capsys):
         config = write_config(
             tmp_path, drive={"rabi_mhz": 10.0}, scan={"min_mhz": -20.0, "max_mhz": 20.0, "points": 10**10}
@@ -448,8 +473,9 @@ class TestCellfieldCommand:
                 "--out-dir", str(tmp_path),
             ]
         )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --angle-deg") and "Traceback" not in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = [

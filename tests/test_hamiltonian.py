@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import interaction_block
+from _oracles import interaction_block, polarizations
 from rydant import hamiltonian
 from rydant.angular import AngularMomentum, Orientation
 from rydant.hamiltonian import (
@@ -203,7 +203,7 @@ class TestStackedBuilder:
         assert all(o.phi != 0.0 for o in orientations[:40])
         rabis = rng.uniform(0.0, 20.0, len(orientations))
         rabis[0] = 0.0
-        stack = hamiltonian_stack(system, rabis, orientations, detuning)
+        stack = hamiltonian_stack(system, rabis, polarizations(orientations), detuning)
         expected = np.stack(
             [
                 hamiltonian_array(interaction_block(system, RfDrive(r, detuning), o), detuning)
@@ -230,17 +230,17 @@ class TestStackedBuilder:
         hamiltonian._coupling_table.cache_clear()
         system = TransitionSystem(AngularMomentum(3), AngularMomentum(5), mu=1.0)
         orientations = [Orientation(0.3 * k, 0.2 * k, 0.1) for k in range(30)]
-        hamiltonian_stack(system, np.ones(30), orientations, 0.5)
+        hamiltonian_stack(system, np.ones(30), polarizations(orientations), 0.5)
         # every entry with m_e - m_g in {-1, 0, +1}: 4 ground x 3 = 12
         assert len(calls) == 12
-        hamiltonian_stack(system, np.ones(30), orientations, -0.5)
+        hamiltonian_stack(system, np.ones(30), polarizations(orientations), -0.5)
         build_interaction_general(system, RfDrive(1.0), orientations[0])
         assert len(calls) == 12
         info = hamiltonian._coupling_table.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_stack_validation(self):
-        orientations = [Orientation(0.1, 0.2)] * 3
+        orientations = polarizations([Orientation(0.1, 0.2)] * 3)
         with pytest.raises(ValueError, match="one Rabi frequency per orientation"):
             hamiltonian_stack(SYSTEM, np.ones(2), orientations, 0.0)
         with pytest.raises(ValueError, match="finite and >= 0"):
@@ -249,4 +249,4 @@ class TestStackedBuilder:
             hamiltonian_stack(SYSTEM, [1.0, math.nan, 1.0], orientations, 0.0)
         with pytest.raises(ValueError, match="detuning must be finite"):
             hamiltonian_stack(SYSTEM, np.ones(3), orientations, math.inf)
-        assert hamiltonian_stack(SYSTEM, [], [], 0.0).shape == (0, 6, 6)
+        assert hamiltonian_stack(SYSTEM, [], polarizations([]), 0.0).shape == (0, 6, 6)

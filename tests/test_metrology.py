@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import splitting
+from _oracles import polarizations, splitting
 from rydant.angular import AngularMomentum, Orientation
 from rydant.hamiltonian import (
     EigenSpectrum,
@@ -194,7 +194,7 @@ class TestBatchedSplittings:
         rng = np.random.default_rng(7 * two_jg + 1)
         system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
         orientations = [Orientation(*rng.uniform(0.0, 2 * math.pi, 2)) for _ in range(60)]
-        values = np.linalg.eigvalsh(hamiltonian_stack(system, rng.uniform(0.0, 10.0, 60), orientations, detuning))
+        values = np.linalg.eigvalsh(hamiltonian_stack(system, rng.uniform(0.0, 10.0, 60), polarizations(orientations), detuning))
         batched = splittings_from_eigen(values, detuning)
         assert batched.tolist() == [splitting_from_eigen(EigenSpectrum(row), detuning).delta_at for row in values]
         assert batched.tolist() == [splitting(row, detuning) for row in values]
