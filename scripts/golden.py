@@ -12,7 +12,9 @@ directory unless --work is given), once per tree.  The case's config files
 are written there first and all paths are relative, so both trees see the
 same arguments.  The check then compares, command by command, the exit
 code, standard output and standard error, and, file by file, everything
-the case left in its directory.  Every difference is printed.
+the case left in its directory.  Every difference is printed; for a CSV or
+JSON artifact whose numbers line up on both sides, so is the largest
+absolute difference per column or key.
 
 Exit status: 0 when both trees agree byte for byte, 1 when anything
 differs, 2 on a usage error.  Standard library only.
@@ -48,7 +50,9 @@ def cli_case(name, *argv, files=None):
     return name, files or {}, [list(argv)]
 
 
-XY_CELL_NOISE = {"plane": "XY", "angles_deg": "2.5:5:360", "use_cell": True, "noise_sigma_db": 0.3}
+XY_CELL = {"plane": "XY", "angles_deg": "2.5:5:360", "use_cell": True}
+XY_CELL_NOISE = dict(XY_CELL, noise_sigma_db=0.3)
+LOSSY_VAPOR_CELL = dict(THZ_CELL, inner_index_re=1.02, inner_index_im=0.01, wall_index_im=0.05)
 YZ_EIGEN = {"plane": "YZ", "angles_deg": "0:7.5:360"}
 XZ_SPECTRUM = {"plane": "XZ", "angles_deg": [0, 30, 60, 90, 120], "readout": "spectrum"}
 SCAN_401 = {"min_mhz": -30.0, "max_mhz": 30.0, "points": 401}
@@ -75,7 +79,13 @@ CASES = [
                drive={"rabi_mhz": 30.0, "detuning_mhz": -6.0}, cell=THZ_CELL, seed=9),
     sweep_case("sweep-xy-lossy-vapor-noise",
                {"plane": "XY", "angles_deg": "0.7:1.5:360", "use_cell": True, "noise_sigma_db": 0.6},
-               cell=dict(THZ_CELL, inner_index_re=1.02, inner_index_im=0.01, wall_index_im=0.05), seed=13),
+               cell=LOSSY_VAPOR_CELL, seed=13),
+    # noise-free XY cell sweeps: any difference here comes from the cell factors alone
+    sweep_case("sweep-xy-eigen-cell", XY_CELL, cell=THZ_CELL),
+    sweep_case("sweep-j32-mw-cell", {"plane": "XY", "angles_deg": "0.1:2:360", "use_cell": True},
+               system={"two_jg": 3, "two_je": 5, "mu_mhz_per_v_per_m": 2.0}, cell=MW_CELL),
+    sweep_case("sweep-xy-lossy-vapor", {"plane": "XY", "angles_deg": "0.7:1.5:360", "use_cell": True},
+               cell=LOSSY_VAPOR_CELL),
     # spectra
     cli_case("spectrum-thz", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"),
     cli_case("spectrum-mw", "spectrum", "--preset", "mw-93s", "--rabi-mhz", "20", "--detuning-mhz", "4"),
@@ -161,6 +171,52 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"{len(lines_a)} lines in parent, {len(lines_b)} in change"
 
 
+def numbers(path: str, data: bytes) -> list[tuple[str, float]] | None:
+    """Every number of a CSV or JSON artifact with its column or key, in order; None for other files."""
+    text = data.decode(errors="replace")
+    found = []
+    if path.endswith(".json"):
+        def walk(node, key):
+            if isinstance(node, dict):
+                for k in sorted(node):
+                    walk(node[k], k)
+            elif isinstance(node, list):
+                for item in node:
+                    walk(item, key)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                found.append((key, float(node)))
+
+        try:
+            walk(json.loads(text), "")
+        except ValueError:
+            return None
+        return found
+    if path.endswith(".csv"):
+        header, *rows = text.splitlines() or [""]
+        for row in rows:
+            for column, cell in zip(header.split(","), row.split(",")):
+                try:
+                    found.append((column, float(cell)))
+                except ValueError:
+                    pass
+        return found
+    return None
+
+
+def largest_differences(path: str, a: bytes, b: bytes) -> str:
+    """The largest absolute difference per column or key between two CSV or JSON artifacts."""
+    old, new = numbers(path, a), numbers(path, b)
+    if old is None or new is None:
+        return ""
+    if [label for label, _ in old] != [label for label, _ in new]:
+        return "; numbers not comparable"
+    largest = {}
+    for (label, x), (_, y) in zip(old, new):
+        largest[label] = max(largest.get(label, 0.0), abs(x - y))
+    moved = [f"{label or 'value'} {gap:.2g}" for label, gap in sorted(largest.items()) if gap]
+    return f"; largest numeric differences: {', '.join(moved) or 'none'}"
+
+
 def compare(name: str, commands: list, parent_dir: str, change_dir: str, results: tuple) -> list[str]:
     problems = []
     for argv, old, new in zip(commands, *results):
@@ -177,7 +233,8 @@ def compare(name: str, commands: list, parent_dir: str, change_dir: str, results
         elif path not in old_files:
             problems.append(f"{name}: {path} written by the change only")
         elif old_files[path] != new_files[path]:
-            problems.append(f"{name}: {path} differs, {first_difference(old_files[path], new_files[path])}")
+            problems.append(f"{name}: {path} differs, {first_difference(old_files[path], new_files[path])}"
+                            f"{largest_differences(path, old_files[path], new_files[path])}")
     return problems
 
 

@@ -214,7 +214,10 @@ def _interior_amplitudes(
 
     One batched walk serves every angle; each yielded (rows, x) array
     follows the TE/TM rule of the module header, and each of its rows
-    equals the one-angle computation bit for bit.
+    equals the one-angle computation bit for bit.  Each sample takes one
+    complex exponential: the backward factor exp(-i kx x) is
+    conj(exp(i kx x)) * exp(2 Im(kx) x), which is exact for a real kx and
+    within the last bits for a lossy vapor.
     """
     k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
     betas = [k0 * math.sin(angle) for angle in angles]
@@ -228,8 +231,9 @@ def _interior_amplitudes(
         chunk = slice(start, start + rows)
         a, b = (amp[chunk, None] for amp in amps[2])
         kx = kxs[2][chunk, None]
-        forward = a * np.exp(1j * kx * x)
-        backward = b * np.exp(-1j * kx * x)
+        phase = np.exp(1j * kx * x)
+        forward = a * phase
+        backward = b * (phase.conj() * np.exp(2.0 * kx.imag * x))
         u = forward + backward
         if polarization == "TE":
             yield np.abs(u)
@@ -300,9 +304,11 @@ def path_averages(
     """Path-averaged field (relative to the incident wave) at each incidence angle.
 
     Equal to path_average(transfer_matrix_field(..., sweep_samples(...))) per
-    angle, bit for bit.  One profile is computed per distinct angle, all on
-    one shared sample grid by one batched walk, WALK_SAMPLES samples at a
-    time, and no FieldProfile is built.
+    angle, bit for bit.  One profile is computed per distinct angle, that is
+    per distinct float (dict.fromkeys), all on one shared sample grid by one
+    batched walk, WALK_SAMPLES samples at a time, and no FieldProfile is
+    built.  Angles that should share a profile must be passed as equal
+    floats; patterns.incidence_angles does so for mirror angles of a sweep.
     """
     samples = sweep_samples(geometry, frequency)
     check_stack(geometry, frequency)

@@ -30,7 +30,7 @@ import numpy as np
 from .angular import AngularMomentum
 from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, check_stack, incidence_in_domain, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
-from .patterns import MAX_NOISE_SIGMA_DB, TWO_PI, incidence_angle
+from .patterns import MAX_NOISE_SIGMA_DB, TWO_PI, incidence_angles
 from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, MAX_SCAN_POINTS, LadderConfig
 
 SCHEMA_VERSION = 1
@@ -325,7 +325,7 @@ def _parse_sweep(section: dict) -> SweepSection:
         raise ConfigError(f"{where}.noise_sigma_db: {noise} exceeds MAX_NOISE_SIGMA_DB = {MAX_NOISE_SIGMA_DB}")
     angles = parse_angles_deg(section["angles_deg"], f"{where}.angles_deg")
     # The sweep reduces its angles modulo 2 pi, then folds them onto the cell.
-    if use_cell and not all(incidence_in_domain(incidence_angle(plane, a)) for a in (angles % TWO_PI).tolist()):
+    if use_cell and not all(incidence_in_domain(i) for i in incidence_angles(plane, angles % TWO_PI).tolist()):
         raise ConfigError(
             f"{where}.angles_deg: 90 deg + k * 180 deg in XY is grazing incidence on the cell, "
             "outside the stack model; offset the grid"

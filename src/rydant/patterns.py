@@ -8,21 +8,23 @@ Plane conventions (phi = 0 throughout; the sweep angle is "angle"):
 
 Cell modulation applies only to XY sweeps, where moving the source around
 the cell changes the incidence angle on the 1-D stack; the angle is folded
-into [0, pi/2].  For XZ/YZ the polarization rotates while the propagation
+into [0, pi/2] by incidence_angles, which gives mirror angles one equal
+incidence.  For XZ/YZ the polarization rotates while the propagation
 direction stays fixed, so the stack sees normal incidence throughout.
 
 Sweeps are array-native and deterministic.  plane_angles maps the grid onto
 (chi, theta, phi) arrays and angular.decompose_polarizations resolves them in
 one pass.  The cell factors come from cellfield.path_averages: one profile
-per distinct incidence angle, all from one batched transfer-matrix walk.
+per distinct incidence angle, so one per mirror set of XY angles, all from
+one batched transfer-matrix walk.
 The eigen readout builds one stacked Hamiltonian per sweep
 (hamiltonian_stack), takes its eigenvalues in one batched call and reads
 every splitting in one pass (splittings_from_eigen).  The spectrum readout
 scans once per distinct cell factor, since the ladder does not depend on
 the orientation.  Each batched stage gives the bits of its one-angle form
 (plane_to_orientation, decompose_polarization, transfer_matrix_field).
-What still runs per angle is the noise, seeded per angle index, and the
-conversion to dB.
+The readout noise is one normal stream per sweep.  What still runs per
+angle is the conversion to dB.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .angular import Orientation, decompose_polarizations
-from .cellfield import CellGeometry, path_averages
+from .cellfield import CellGeometry, incidence_in_domain, path_averages
 from .hamiltonian import RfDrive, TransitionSystem, hamiltonian_stack
 from .metrology import GainSample, isotropic_deviation, normalized_gain, splittings_from_eigen
 from .spectra import (
@@ -61,6 +63,11 @@ MAX_NOISE_SIGMA_DB = 100.0
 
 TWO_PI = 2.0 * math.pi
 
+# Widest gap between XY incidences that incidence_angles merges: 64 ulp of
+# pi/2, about 1.4e-14 rad.  theta, theta + pi, pi - theta and 2 pi - theta
+# fold onto incidences up to about 1.1e-15 rad (5 ulp) apart.
+MIRROR_MERGE_RAD = 64 * math.ulp(math.pi / 2)
+
 
 @dataclass(frozen=True)
 class SweepPlan:
@@ -71,8 +78,10 @@ class SweepPlan:
     orientation-blind spectrum readout would report a flat pattern.
     The injected field amplitude is drive.rabi / system.mu and is held
     fixed over the sweep; the cell (when present, with cell_frequency in
-    Hz) rescales the field each angle.  noise_sigma_db adds multiplicative
-    Gaussian jitter to each extracted splitting; seed makes it reproducible.
+    Hz) rescales the field each angle, and no angle may fold onto grazing
+    incidence on it.  noise_sigma_db adds multiplicative Gaussian jitter to
+    each extracted splitting: angle i takes draw i of one normal stream
+    seeded by seed, so a gap angle shifts no other angle's draw.
     """
 
     plane: str
@@ -113,6 +122,13 @@ class SweepPlan:
         if self.cell is not None:
             if self.cell_frequency is None or self.cell_frequency <= 0:
                 raise ValueError("cell modulation requires cell_frequency > 0 (Hz)")
+            grazing = [a for a, i in zip(arr.tolist(), incidence_angles(self.plane, arr).tolist())
+                       if not incidence_in_domain(i)]
+            if grazing:
+                raise ValueError(
+                    f"angles: {len(grazing)} angle(s) fold onto grazing incidence on the cell "
+                    f"(90 deg + k * 180 deg in XY), first {math.degrees(grazing[0]):.9g} deg"
+                )
         if not 0.0 <= self.noise_sigma_db <= MAX_NOISE_SIGMA_DB:
             raise ValueError(
                 f"noise_sigma_db must be in [0, {MAX_NOISE_SIGMA_DB}], got {self.noise_sigma_db}"
@@ -196,19 +212,31 @@ def plane_to_orientation(plane: str, angle: float) -> Orientation:
     return Orientation(float(chi), float(theta), float(phi))
 
 
-def incidence_angle(plane: str, angle: float) -> float:
-    """Stack incidence for a sweep angle: folded for XY, normal otherwise."""
+def incidence_angles(plane: str, angles) -> np.ndarray:
+    """Stack incidences for sweep angles: folded into [0, pi/2] for XY, normal otherwise.
+
+    theta, theta + pi, pi - theta and 2 pi - theta fold onto floats a few
+    ulp apart.  Sorted incidences whose neighbours lie within MIRROR_MERGE_RAD
+    of each other form a run and all take the smallest value of their run,
+    so mirror angles share one cell profile; an incidence with no such
+    neighbour keeps its exact fold.
+    """
+    angles = np.asarray(angles, dtype=float)
     if plane != "XY":
-        return 0.0
-    folded = angle % math.pi
-    return folded if folded <= math.pi / 2 else math.pi - folded
+        return np.zeros_like(angles)
+    folded = angles % math.pi
+    folded = np.where(folded <= math.pi / 2, folded, math.pi - folded)
+    order = np.argsort(folded, kind="stable")
+    ranked = folded[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-math.inf) > MIRROR_MERGE_RAD)
+    folded[order] = np.repeat(ranked[starts], np.diff(starts, append=ranked.size))
+    return folded
 
 
 def _cell_factors(plan: SweepPlan) -> list[float]:
     if plan.cell is None:
         return [1.0] * len(plan.angles)
-    incidences = [incidence_angle(plan.plane, angle) for angle in plan.angles]
-    return path_averages(plan.cell, plan.cell_frequency, incidences)
+    return path_averages(plan.cell, plan.cell_frequency, incidence_angles(plan.plane, plan.angles).tolist())
 
 
 def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
@@ -244,17 +272,18 @@ def run_sweep(plan: SweepPlan) -> GainPattern:
         delta_ats = [by_factor[f] for f in factors]
 
     field_amplitude = plan.drive.rabi / plan.system.mu
+    scales = [1.0] * len(plan.angles)
+    if plan.noise_sigma_db > 0.0:
+        # One stream per sweep; angle i takes draw i, gap or not.
+        jitter_db = np.random.default_rng(plan.seed).normal(0.0, plan.noise_sigma_db, len(plan.angles))
+        scales = (10.0 ** (jitter_db / 20.0)).tolist()
     pairs: list[tuple[float, float]] = []
     gaps: list[float] = []
-    for i, (angle, delta_at) in enumerate(zip(plan.angles, delta_ats)):
+    for angle, delta_at, scale in zip(plan.angles.tolist(), delta_ats, scales):
         if delta_at is None:
-            gaps.append(float(angle))
-            continue
-        ratio = delta_at / field_amplitude
-        if plan.noise_sigma_db > 0.0:
-            jitter_db = np.random.default_rng((plan.seed, i)).normal(0.0, plan.noise_sigma_db)
-            ratio *= 10.0 ** (jitter_db / 20.0)
-        pairs.append((float(angle), ratio))
+            gaps.append(angle)
+        else:
+            pairs.append((angle, delta_at / field_amplitude * scale))
 
     if not pairs:
         raise ValueError("sweep produced no resolvable angles (all gaps)")

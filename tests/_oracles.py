@@ -18,7 +18,9 @@ wrap and the cmath polarization decomposition, a coupling block filled
 entry by entry from clebsch_gordan, one splitting per eigenvalue row
 (np.delete of the degenerate pair), and one scalar transfer-matrix walk and
 interior profile per incidence angle.  The batched code must match them
-exactly.
+exactly.  folded_incidence folds one XY angle alone, without merging the
+mirror twins that patterns.incidence_angles merges; patterns built on it
+are the unmerged reference.
 """
 
 import cmath
@@ -90,8 +92,11 @@ def interior_amplitude(geometry, frequency, angle, polarization, x):
 
     a, b = amps[2]
     k = kx(geometry.inner_index, k0, beta)
-    forward = a * np.exp(1j * k * x)
-    backward = b * np.exp(-1j * k * x)
+    phase = np.exp(1j * k * x)
+    forward = a * phase
+    # exp(-i k x) as conj(exp(i k x)) * exp(2 Im(k) x): one complex
+    # exponential per sample, as in the production profile.
+    backward = b * (np.conj(phase) * np.exp(2.0 * k.imag * x))
     u = forward + backward
     if polarization == "TE":
         return np.abs(u)
@@ -122,6 +127,14 @@ def plane_orientation(plane, angle):
     """A sweep angle in a principal plane as wrapped (chi, theta, phi), phi = 0."""
     chi, theta = {"XY": (math.pi / 2, angle), "XZ": (angle, 0.0), "YZ": (angle, math.pi / 2)}[plane]
     return wrap_orientation(chi, theta, 0.0)
+
+
+def folded_incidence(plane, angle):
+    """A sweep angle's stack incidence, folded alone: no merging of mirror twins."""
+    if plane != "XY":
+        return 0.0
+    folded = angle % math.pi
+    return folded if folded <= math.pi / 2 else math.pi - folded
 
 
 def polarizations(orientations):

@@ -243,6 +243,19 @@ class TestBatchedPathAverages:
                 expected = interior_amplitude(geometry, frequency, a, polarization, profile.positions)
                 assert profile.amplitude.tobytes() == expected.tobytes()
 
+    def test_backward_factor_takes_one_exponential(self):
+        # the profile's exp(-i kx x) is conj(exp(i kx x)) * exp(2 Im(kx) x)
+        rng = np.random.default_rng(77)
+        x = np.concatenate([np.zeros(8), rng.uniform(0.0, 0.1, 50_000)])
+
+        def factors(kx):
+            return np.conj(np.exp(1j * kx * x)) * np.exp(2.0 * kx.imag * x), np.exp(-1j * kx * x)
+
+        got, expected = factors(rng.uniform(0.0, 1e4, x.size) + 0j)
+        assert got.tobytes() == expected.tobytes()
+        got, expected = factors(rng.uniform(0.0, 1e4, x.size) + 1j * rng.uniform(0.0, 60.0, x.size))
+        assert np.all(np.abs(got - expected) <= 4 * np.finfo(float).eps * np.abs(expected))
+
     def test_chunks_stay_within_walk_samples(self, monkeypatch):
         from rydant import cellfield
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rydant.patterns import (
     SweepPlan,
     compare_patterns,
     dipole_reference,
-    incidence_angle,
+    incidence_angles,
     json_text,
     pattern_csv,
     plane_to_orientation,
@@ -62,12 +63,11 @@ class TestPlaneConventions:
             plane_to_orientation("XW", 0.0)
 
     def test_incidence_folds_only_in_xy(self):
-        assert incidence_angle("XY", 0.0) == 0.0
-        assert incidence_angle("XY", 0.3) == pytest.approx(0.3)
-        assert incidence_angle("XY", 2.0) == pytest.approx(math.pi - 2.0)
-        assert incidence_angle("XY", 4.0) == pytest.approx(4.0 % math.pi)
-        assert incidence_angle("XZ", 1.2) == 0.0
-        assert incidence_angle("YZ", 1.2) == 0.0
+        xy = incidence_angles("XY", [0.0, 0.3, 2.0, 4.0])
+        assert xy[0] == 0.0
+        assert xy[1:].tolist() == pytest.approx([0.3, math.pi - 2.0, 4.0 % math.pi])
+        assert incidence_angles("XZ", [1.2]).tolist() == [0.0]
+        assert incidence_angles("YZ", [1.2]).tolist() == [0.0]
 
 
 class TestIdealSweeps:
@@ -144,11 +144,11 @@ class TestCellModulation:
         assert pattern.deviation_db == pytest.approx(direct, abs=1e-12)
 
     def test_grazing_incidence_is_out_of_domain(self):
-        plan = make_plan(
-            angles=np.radians([0.0, 90.0]), cell=THZ_CELL, cell_frequency=THZ_FREQ
-        )
-        with pytest.raises(ValueError):
-            run_sweep(plan)
+        # refused by the plan, naming angles, before the cell solver sees it
+        for degrees in ([0.0, 90.0], np.arange(0.0, 360.0, 10.0), [5.0, 270.0]):
+            with pytest.raises(ValueError, match="angles: .* grazing incidence"):
+                make_plan(angles=np.radians(degrees), cell=THZ_CELL, cell_frequency=THZ_FREQ)
+            assert make_plan(angles=np.radians(degrees)).cell is None
 
     def test_off_plane_sweeps_see_normal_incidence(self):
         # XZ rotates the polarization, not the arrival direction: no modulation
@@ -159,6 +159,127 @@ class TestCellModulation:
             cell_frequency=THZ_FREQ,
         )
         assert run_sweep(plan).deviation_db < 1e-10
+
+
+MW_CELL = CellGeometry(wall_thickness=2e-3, inner_length=80e-3)
+MW_FREQ = 4.8e9
+LOSSY_CELL = CellGeometry(2e-3, 20e-3, wall_index=2.1 + 0.05j, inner_index=1.02 + 0.01j)
+
+
+def grid(start, step):
+    """np.radians of start:step:360 in degrees, as a config grid spells it."""
+    return np.radians(np.arange(start, 360.0, step))
+
+
+def unmerged_incidences(plane, angles):
+    return np.array([_oracles.folded_incidence(plane, a) for a in angles])
+
+
+class TestMirrorFolding:
+    """XY incidences: mirror twins merge, every other incidence keeps its exact fold."""
+
+    @pytest.mark.parametrize("cell,freq", [(THZ_CELL, THZ_FREQ), (MW_CELL, MW_FREQ), (LOSSY_CELL, THZ_FREQ)])
+    def test_mirror_angles_give_equal_cell_factors(self, cell, freq):
+        thetas = np.random.default_rng(71).uniform(0.0, 90.0, 40)
+        degrees = np.concatenate([thetas, thetas + 180.0, 180.0 - thetas, 360.0 - thetas])
+        plan = make_plan(angles=np.radians(degrees), cell=cell, cell_frequency=freq)
+        incidences = incidence_angles("XY", plan.angles).reshape(4, -1)
+        factors = np.array(patterns._cell_factors(plan)).reshape(4, -1)
+        assert (incidences == incidences[0]).all() and (factors == factors[0]).all()
+
+    @pytest.mark.parametrize("count,cell,freq", [(360, THZ_CELL, THZ_FREQ), (180, MW_CELL, MW_FREQ)])
+    @pytest.mark.parametrize("offset", [0.1, 0.37, 0.9])
+    def test_one_profile_per_mirror_distinct_incidence(self, monkeypatch, count, cell, freq, offset):
+        from rydant import cellfield
+
+        rows = []
+        real = cellfield._interior_amplitudes
+        monkeypatch.setattr(cellfield, "_interior_amplitudes", lambda *a: rows.extend(a[2]) or real(*a))
+        step = 360.0 / count
+        run_sweep(make_plan(angles=grid(offset * step, step), cell=cell, cell_frequency=freq))
+        assert len(rows) == count // 2 == len(set(rows))
+
+    def test_incidences_without_twins_keep_their_exact_fold(self):
+        angles = np.random.default_rng(72).uniform(0.0, 2.0 * math.pi, 500)
+        folds = [_oracles.folded_incidence("XY", a) for a in angles.tolist()]
+        assert np.diff(np.sort(folds)).min() > patterns.MIRROR_MERGE_RAD
+        assert incidence_angles("XY", angles).tolist() == folds
+
+    def test_runs_merge_onto_their_smallest_member(self):
+        # each step of the chain is inside the merge gap, its whole span is not
+        chain = [0.6 + k * 0.9 * patterns.MIRROR_MERGE_RAD for k in range(4)]
+        far = chain[-1] + 2 * patterns.MIRROR_MERGE_RAD
+        angles = [chain[2], 0.2, chain[0], far, chain[3], chain[1]]
+        expected = [0.6, 0.2, 0.6, far, 0.6, 0.6]
+        assert incidence_angles("XY", angles).tolist() == expected
+        assert incidence_angles("XY", angles[::-1]).tolist() == expected[::-1]
+
+    @pytest.mark.parametrize(
+        "cell,freq,two_jg,degrees",
+        [
+            (THZ_CELL, THZ_FREQ, 1, (2.5, 5.0)),
+            (THZ_CELL, THZ_FREQ, 1, (0.37, 1.0)),
+            (MW_CELL, MW_FREQ, 3, (0.1, 2.0)),
+            (LOSSY_CELL, THZ_FREQ, 1, (0.7, 1.5)),
+        ],
+    )
+    def test_noise_free_patterns_match_the_unmerged_oracle(self, monkeypatch, cell, freq, two_jg, degrees):
+        plan = make_plan(
+            angles=grid(*degrees),
+            system=TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=MHZ),
+            cell=cell,
+            cell_frequency=freq,
+        )
+        merged = run_sweep(plan)
+        monkeypatch.setattr(patterns, "path_averages", _oracles.path_averages)
+        monkeypatch.setattr(patterns, "incidence_angles", unmerged_incidences)
+        unmerged = run_sweep(plan)
+        gains = np.array([[s.gain_db for s in p.samples] for p in (merged, unmerged)])
+        assert np.abs(gains[0] - gains[1]).max() <= 1e-11
+        assert abs(merged.deviation_db - unmerged.deviation_db) <= 1e-11
+
+    def test_acceptance_criterion_8_grid_has_no_twins(self, monkeypatch):
+        # its 0-80 deg grid folds onto itself, so its sweep keeps every bit
+        angles = np.radians(np.arange(0.0, 90.0, 10.0))
+        assert incidence_angles("XY", angles).tolist() == angles.tolist()
+        plan = make_plan(angles=angles, cell=THZ_CELL, cell_frequency=THZ_FREQ)
+        merged = run_sweep(plan)
+        monkeypatch.setattr(patterns, "incidence_angles", unmerged_incidences)
+        assert merged == run_sweep(plan)
+
+
+class TestNoiseStream:
+    """One normal stream per sweep: angle i takes draw i."""
+
+    @pytest.mark.parametrize("plane,cell", [("XY", None), ("XY", THZ_CELL), ("YZ", None)])
+    def test_jitter_of_angle_i_is_draw_i(self, plane, cell):
+        kwargs = dict(plane=plane, angles=grid(0.5, 3.0), cell=cell, cell_frequency=THZ_FREQ if cell else None)
+        clean = run_sweep(make_plan(**kwargs))
+        noisy = run_sweep(make_plan(noise_sigma_db=0.8, seed=23, **kwargs))
+        draws = np.random.default_rng(23).normal(0.0, 0.8, 120)
+        jitter = [20.0 * math.log10(n.raw_ratio / c.raw_ratio) for n, c in zip(noisy.samples, clean.samples)]
+        assert jitter == pytest.approx(draws.tolist(), rel=0, abs=1e-12)
+
+    def test_gaps_keep_every_other_angle_jitter(self, monkeypatch):
+        angles = np.radians([3.0, 20.0, 37.0, 55.0, 125.0, 160.0])
+        plan = make_plan(
+            angles=angles, drive=RfDrive(rabi=40 * MHZ), readout="spectrum", scan_points=401,
+            cell=THZ_CELL, cell_frequency=THZ_FREQ, noise_sigma_db=0.5, seed=8,
+        )
+        full = run_sweep(plan)
+        clean = run_sweep(replace(plan, noise_sigma_db=0.0))
+        draws = np.random.default_rng(8).normal(0.0, 0.5, len(angles))
+        jitter = [20.0 * math.log10(n.raw_ratio / c.raw_ratio) for n, c in zip(full.samples, clean.samples)]
+        assert jitter == pytest.approx(draws.tolist(), rel=0, abs=1e-12)
+        real = patterns._spectrum_delta_at
+        gap_drive = 40 * MHZ * patterns._cell_factors(plan)[2]
+        monkeypatch.setattr(
+            patterns, "_spectrum_delta_at", lambda p, omega: None if omega == gap_drive else real(p, omega)
+        )
+        gapped = run_sweep(plan)
+        assert gapped.gap_angles == (angles[2],)
+        kept = [s for i, s in enumerate(full.samples) if i != 2]
+        assert [s.raw_ratio for s in gapped.samples] == [s.raw_ratio for s in kept]
 
 
 class TestSpectrumReadout:
