@@ -56,6 +56,11 @@ LOSSY_VAPOR_CELL = dict(THZ_CELL, inner_index_re=1.02, inner_index_im=0.01, wall
 YZ_EIGEN = {"plane": "YZ", "angles_deg": "0:7.5:360"}
 XZ_SPECTRUM = {"plane": "XZ", "angles_deg": [0, 30, 60, 90, 120], "readout": "spectrum"}
 SCAN_401 = {"min_mhz": -30.0, "max_mhz": 30.0, "points": 401}
+# A gain_pattern document as `rydant sweep` writes it, for `compare`.
+PATTERN = {"schema_version": 1, "kind": "gain_pattern", "plane": "XY", "readout": "eigen", "seed": 0,
+           "cell_enabled": False, "noise_sigma_db": 0.0, "deviation_db": 6.020599913279624, "gap_angles_deg": [],
+           "samples": [{"angle_deg": 0.0, "raw_ratio": 1.0, "gain_db": 0.0},
+                       {"angle_deg": 90.0, "raw_ratio": 0.5, "gain_db": -6.020599913279624}]}
 
 CASES = [
     cli_case("eigen", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "5", "--chi", "0.8", "--theta", "0.3",
@@ -86,6 +91,10 @@ CASES = [
                system={"two_jg": 3, "two_je": 5, "mu_mhz_per_v_per_m": 2.0}, cell=MW_CELL),
     sweep_case("sweep-xy-lossy-vapor", {"plane": "XY", "angles_deg": "0.7:1.5:360", "use_cell": True},
                cell=LOSSY_VAPOR_CELL),
+    # the largest Gram matrix (5 x 5 for J = 9/2 -> 11/2), noise- and cell-free, off resonance
+    sweep_case("sweep-xz-j92-eigen", {"plane": "XZ", "angles_deg": "0:2.5:360"},
+               system={"two_jg": 9, "two_je": 11, "mu_mhz_per_v_per_m": 1.0},
+               drive={"rabi_mhz": 12.0, "detuning_mhz": -3.5}),
     # spectra
     cli_case("spectrum-thz", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"),
     cli_case("spectrum-mw", "spectrum", "--preset", "mw-93s", "--rabi-mhz", "20", "--detuning-mhz", "4"),
@@ -135,6 +144,19 @@ CASES = [
     cli_case("refuse-range", "cellfield", "--preset", "thz-33s", "--angles", "0:10"),
     cli_case("refuse-list", "cellfield", "--preset", "thz-33s", "--angles", "[0, 1"),
     cli_case("refuse-bare-spectrum", "spectrum"),
+    sweep_case("refuse-two-jg", {"plane": "XZ", "angles_deg": "0:1:360"},
+               system={"two_jg": 10001, "two_je": 10003, "mu_mhz_per_v_per_m": 1.0}),
+    cli_case("refuse-eigen-huge-rabi", "eigen", "--rabi-mhz", "1e300"),
+    cli_case("refuse-eigen-nan-rabi", "eigen", "--rabi-mhz", "nan"),
+    cli_case("refuse-eigen-negative-rabi", "eigen", "--rabi-mhz=-1"),
+    cli_case("refuse-eigen-inf-detuning", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "inf"),
+    cli_case("refuse-spectrum-huge-rabi", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "1e300"),
+    ("refuse-compare-malformed",
+     {"ok.json": PATTERN, "list.json": [PATTERN], "text.json": dict(PATTERN, deviation_db="x"),
+      "nan.json": dict(PATTERN, deviation_db=float("nan")), "empty.json": dict(PATTERN, samples=[]),
+      "spread.json": dict(PATTERN, samples=PATTERN["samples"][:1], deviation_db=5.0)},
+     [["compare", "ok.json", bad, "--json", "cmp.json"]
+      for bad in ("list.json", "text.json", "nan.json", "empty.json", "spread.json")]),
 ]
 
 

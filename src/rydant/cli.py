@@ -29,7 +29,7 @@ from .cellfield import (
     sweep_samples,
     transfer_matrix_field,
 )
-from .config import MHZ, ConfigError, RunConfig, load_config, parse_angles_deg
+from .config import MHZ, ConfigError, RunConfig, _finite, _magnitude, load_config, parse_angles_deg
 from .hamiltonian import (
     RfDrive,
     assemble_hamiltonian,
@@ -148,8 +148,17 @@ def _mhz(value_rad_s: float) -> float:
     return value_rad_s / MHZ
 
 
+def _flag_drive(args) -> RfDrive:
+    """The drive of --rabi-mhz and --detuning-mhz, under the config's drive rules."""
+    rabi = _magnitude(_finite(args.rabi_mhz, "--rabi-mhz"), "--rabi-mhz", zero_ok=True)
+    if rabi < 0:
+        raise ConfigError(f"--rabi-mhz must be >= 0, got {rabi!r}")
+    detuning = _magnitude(_finite(args.detuning_mhz, "--detuning-mhz"), "--detuning-mhz", zero_ok=True)
+    return RfDrive(rabi * MHZ, detuning * MHZ)
+
+
 def cmd_eigen(args) -> int:
-    drive = RfDrive(args.rabi_mhz * MHZ, args.detuning_mhz * MHZ)
+    drive = _flag_drive(args)
     orientation = Orientation(args.chi, args.theta, args.phi)
     closed = eigen_closed_form(drive, orientation)
     numeric = eigen_hermitian(
@@ -237,10 +246,8 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("spectrum needs --config and/or --preset")
     seed = _seed(args, config)
 
-    if config and config.drive:
-        drive = config.drive
-    else:
-        drive = RfDrive(args.rabi_mhz * MHZ, args.detuning_mhz * MHZ)
+    flag_drive = _flag_drive(args)
+    drive = config.drive if config and config.drive else flag_drive
     ladder = config.ladder if config and config.ladder else default_ladder(drive.rabi, drive.detuning)
     ladder = replace(ladder, omega_rf=drive.rabi, delta_rf=drive.detuning)
 

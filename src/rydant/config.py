@@ -13,10 +13,10 @@ MAGNITUDE_RANGE, scans longer than spectra.MAX_SCAN_POINTS, cells whose
 standing-wave profile would need more than cellfield.MAX_SWEEP_SAMPLES
 samples or that cellfield.check_stack refuses, XY angles that fold onto
 grazing incidence on a cell, readout noise above
-patterns.MAX_NOISE_SIGMA_DB, and transitions other than J -> J + 1.
-That family is the only one whose degenerate pair the eigen readout can
-identify; the spectrum readout, blind to orientation, would report a flat
-pattern for any other.
+patterns.MAX_NOISE_SIGMA_DB, transitions other than J -> J + 1, and lower
+momenta above patterns.MAX_TWO_JG.  J -> J + 1 is the only family whose
+two dark states the eigen readout's splitting rule rests on; the spectrum
+readout, blind to orientation, would report a flat pattern for any other.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .angular import AngularMomentum
 from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, check_stack, incidence_in_domain, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
-from .patterns import MAX_NOISE_SIGMA_DB, TWO_PI, incidence_angles
+from .patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG, TWO_PI, finite_number, incidence_angles
 from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, MAX_SCAN_POINTS, LadderConfig
 
 SCHEMA_VERSION = 1
@@ -105,30 +105,22 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], where: str
 
 
 def _number(section: dict, key: str, where: str, default=None) -> float:
-    if key not in section:
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return _finite(value, f"{where}.{key}")
+    return _finite(section[key], f"{where}.{key}") if key in section else default
 
 
 def _finite(value, where: str) -> float:
     try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {number!r}")
-    return number
+        return finite_number(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _magnitude(value: float, key: str, where: str, zero_ok: bool) -> float:
+def _magnitude(value: float, where: str, zero_ok: bool) -> float:
     low, high = MAGNITUDE_RANGE
     if (zero_ok and value == 0) or low <= abs(value) <= high:
         return value
     allowed = f"0 or a magnitude in [{low:g}, {high:g}]" if zero_ok else f"within [{low:g}, {high:g}]"
-    raise ConfigError(f"{where}.{key} must be {allowed} (MAGNITUDE_RANGE), got {value!r}")
+    raise ConfigError(f"{where} must be {allowed} (MAGNITUDE_RANGE), got {value!r}")
 
 
 def _integer(section: dict, key: str, where: str, default=None) -> int:
@@ -193,7 +185,9 @@ def _parse_system(section: dict) -> TransitionSystem:
             f"{where}.two_je must equal two_jg + 2 (a J -> J + 1 transition), "
             f"got two_jg = {two_jg}, two_je = {two_je}"
         )
-    mu = _magnitude(_number(section, "mu_mhz_per_v_per_m", where), "mu_mhz_per_v_per_m", where, zero_ok=False)
+    if two_jg > MAX_TWO_JG:
+        raise ConfigError(f"{where}.two_jg: {two_jg} exceeds MAX_TWO_JG = {MAX_TWO_JG} (J_g = {MAX_TWO_JG}/2)")
+    mu = _magnitude(_number(section, "mu_mhz_per_v_per_m", where), f"{where}.mu_mhz_per_v_per_m", zero_ok=False)
     try:
         return TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_je), mu * MHZ)
     except (TypeError, ValueError) as exc:
@@ -203,8 +197,8 @@ def _parse_system(section: dict) -> TransitionSystem:
 def _parse_drive(section: dict) -> RfDrive:
     where = "drive"
     _check_keys(section, {"rabi_mhz", "detuning_mhz"}, {"rabi_mhz"}, where)
-    rabi = _magnitude(_number(section, "rabi_mhz", where), "rabi_mhz", where, zero_ok=True)
-    detuning = _magnitude(_number(section, "detuning_mhz", where, 0.0), "detuning_mhz", where, zero_ok=True)
+    rabi = _magnitude(_number(section, "rabi_mhz", where), f"{where}.rabi_mhz", zero_ok=True)
+    detuning = _magnitude(_number(section, "detuning_mhz", where, 0.0), f"{where}.detuning_mhz", zero_ok=True)
     try:
         return RfDrive(rabi * MHZ, detuning * MHZ)
     except ValueError as exc:

@@ -17,6 +17,10 @@ polarization onto the Delta-m = -1, 0, +1 transition amplitudes.  The
 sigma-plus spherical component drives Delta-m = -1 and vice versa (the
 usual contraction of the field with the dipole operator); the overall
 scale is fixed so the reduced Rabi frequency is sqrt(6) * rabi.
+
+coupling_stack fills the blocks M_I of a whole sweep from one
+Clebsch-Gordan table per transition; a sweep reads its splittings from their
+Gram matrices M_I^dag M_I (see patterns) and never assembles H.
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ def build_interaction_paper(drive: RfDrive, orientation: Orientation) -> np.ndar
 
     Rows are excited sublevels m = (-3/2, -1/2, +1/2, +3/2); columns are
     ground sublevels m = (-1/2, +1/2).  Serves as the hand-written reference
-    the general builder must reproduce bit-for-bit.
+    the general builder reproduces to within rounding: the two differ in the
+    last bits of nearly every entry.
     """
     s = math.sin(orientation.chi)
     c = math.cos(orientation.chi)
@@ -171,9 +176,21 @@ def _coupling_table(two_jg: int, two_je: int) -> tuple[tuple[np.ndarray, np.ndar
     return tuple(table)
 
 
-def _coupling_blocks(system: TransitionSystem, rabis: np.ndarray, polarizations) -> np.ndarray:
-    """Stacked coupling blocks, shape (n, excited sublevels, ground sublevels)."""
+def coupling_stack(system: TransitionSystem, rabis, polarizations) -> np.ndarray:
+    """Coupling blocks for one drive per polarization, shape (n, excited, ground sublevels).
+
+    polarizations is (eps_minus, eps_zero, eps_plus), three arrays of n
+    spherical components as angular.decompose_polarizations returns them;
+    rabis holds one Rabi frequency per polarization.  The Clebsch-Gordan
+    table is built once per transition; build_interaction_general is the
+    one-orientation call.
+    """
     eps_minus, eps_zero, eps_plus = polarizations
+    rabis = np.asarray(rabis, dtype=float)
+    if rabis.shape != (len(eps_zero),):
+        raise ValueError(f"need one Rabi frequency per orientation, got shape {rabis.shape}")
+    if not np.all(np.isfinite(rabis)) or np.any(rabis < 0):
+        raise ValueError("rabi frequencies must be finite and >= 0")
     amp = math.sqrt(6.0) / 4.0 * rabis
     blocks = np.zeros((len(rabis), system.je.sublevel_count, system.jg.sublevel_count), dtype=complex)
     # The opposite-handed spherical component carries each sigma amplitude.
@@ -191,39 +208,13 @@ def build_interaction_general(
 
     Entry (m_e row, m_g col) is sqrt(6)/4 * rabi * eps_{-q} * <jg m_g; 1 q | je m_e>
     with q = m_e - m_g; the opposite-handed spherical component carries each
-    sigma amplitude.  Normalization reproduces build_interaction_paper exactly
-    for jg = 1/2 -> je = 3/2.  The one-orientation call of hamiltonian_stack's
-    coupling table.
+    sigma amplitude.  Normalization reproduces build_interaction_paper for
+    jg = 1/2 -> je = 3/2 to within rounding.  The one-orientation call of
+    coupling_stack.
     """
     pol = decompose_polarization(orientation)
     eps = tuple(np.array([e]) for e in (pol.eps_minus, pol.eps_zero, pol.eps_plus))
-    return _coupling_blocks(system, np.array([drive.rabi]), eps)[0]
-
-
-def hamiltonian_stack(system: TransitionSystem, rabis, polarizations, detuning: float) -> np.ndarray:
-    """Rotating-frame matrices for one drive per polarization, shape (n, dim, dim).
-
-    polarizations is (eps_minus, eps_zero, eps_plus), three arrays of n
-    spherical components as angular.decompose_polarizations returns them;
-    rabis holds one Rabi frequency per polarization; the detuning is shared.
-    Each matrix equals hamiltonian_array(build_interaction_general(...), detuning)
-    bit for bit, and the Clebsch-Gordan table is built once per transition.
-    """
-    count = len(polarizations[0])
-    rabis = np.asarray(rabis, dtype=float)
-    if rabis.shape != (count,):
-        raise ValueError(f"need one Rabi frequency per orientation, got shape {rabis.shape}")
-    if not np.all(np.isfinite(rabis)) or np.any(rabis < 0):
-        raise ValueError("rabi frequencies must be finite and >= 0")
-    if not math.isfinite(detuning):
-        raise ValueError(f"detuning must be finite, got {detuning}")
-    blocks = _coupling_blocks(system, rabis, polarizations)
-    ng = system.jg.sublevel_count
-    h = np.zeros((count, system.dim, system.dim), dtype=complex)
-    h[:, ng:, ng:] = -detuning * np.eye(system.je.sublevel_count)
-    h[:, ng:, :ng] = blocks
-    h[:, :ng, ng:] = blocks.conj().transpose(0, 2, 1)
-    return h
+    return coupling_stack(system, [drive.rabi], eps)[0]
 
 
 def assemble_hamiltonian(interaction: np.ndarray, detuning: float) -> HermitianMatrix:
@@ -234,7 +225,7 @@ def assemble_hamiltonian(interaction: np.ndarray, detuning: float) -> HermitianM
 def hamiltonian_array(interaction: np.ndarray, detuning: float) -> np.ndarray:
     """The rotating-frame matrix as a plain array, skipping the Hermitian check.
 
-    Hermitian by construction; hamiltonian_stack fills its matrices the same way.
+    Hermitian by construction.
     """
     block = np.asarray(interaction, dtype=complex)
     if block.ndim != 2 or 0 in block.shape:

@@ -17,9 +17,14 @@ Sweeps are array-native and deterministic.  plane_angles maps the grid onto
 one pass.  The cell factors come from cellfield.path_averages: one profile
 per distinct incidence angle, so one per mirror set of XY angles, all from
 one batched transfer-matrix walk.
-The eigen readout builds one stacked Hamiltonian per sweep
-(hamiltonian_stack), takes its eigenvalues in one batched call and reads
-every splitting in one pass (splittings_from_eigen).  The spectrum readout
+The eigen readout builds one coupling stack V per sweep (coupling_stack)
+and never the dressed Hamiltonian H = [[0, V^dag], [V, -detuning]]: an
+eigenvalue of H off -detuning solves lambda (lambda + detuning) = s for an
+eigenvalue s of the ground-space Gram matrix V^dag V, and the two dark
+states of J -> J + 1 sit at -detuning.  The splitting, max - min of the
+dressed spectrum less that pair, is therefore sqrt(detuning^2 + 4 s_max),
+from one batched eigvalsh of (n, ground, ground) Gram matrices.  Every angle
+is still diagonalized on its own.  The spectrum readout
 scans once per distinct cell factor, since the ladder does not depend on
 the orientation.  Each batched stage gives the bits of its one-angle form
 (plane_to_orientation, decompose_polarization, transfer_matrix_field).
@@ -38,8 +43,8 @@ import numpy as np
 
 from .angular import Orientation, decompose_polarizations
 from .cellfield import CellGeometry, incidence_in_domain, path_averages
-from .hamiltonian import RfDrive, TransitionSystem, hamiltonian_stack
-from .metrology import GainSample, isotropic_deviation, normalized_gain, splittings_from_eigen
+from .hamiltonian import RfDrive, TransitionSystem, coupling_stack
+from .metrology import GainSample, isotropic_deviation, normalized_gain
 from .spectra import (
     MAX_SCAN_POINTS,
     LadderConfig,
@@ -61,7 +66,15 @@ DIPOLE_FLOOR_RATIO = 1e-3
 # at this cap: no normal draw gets there.
 MAX_NOISE_SIGMA_DB = 100.0
 
+# Largest lower momentum, as 2 J_g, of a sweep: J_g = 9/2 -> 11/2 is the
+# largest transition whose Clebsch-Gordan coefficients the tests verify.
+MAX_TWO_JG = 9
+
 TWO_PI = 2.0 * math.pi
+
+# Largest gap between a pattern file's deviation_db and the spread of its
+# gain_db values that GainPattern.from_dict accepts.
+DEVIATION_MATCH_DB = 1e-9
 
 # Widest gap between XY incidences that incidence_angles merges: 64 ulp of
 # pi/2, about 1.4e-14 rad.  theta, theta + pi, pi - theta and 2 pi - theta
@@ -73,9 +86,10 @@ MIRROR_MERGE_RAD = 64 * math.ulp(math.pi / 2)
 class SweepPlan:
     """One pattern measurement: plane, angle grid, readout and its knobs.
 
-    system must be a J -> J + 1 transition (two_je = two_jg + 2): for any
-    other pair the eigen readout cannot identify its degenerate pair and the
-    orientation-blind spectrum readout would report a flat pattern.
+    system must be a J -> J + 1 transition (two_je = two_jg + 2) with
+    two_jg <= MAX_TWO_JG: the eigen readout's splitting rule rests on the
+    two dark states only that family has, and the orientation-blind
+    spectrum readout would report a flat pattern for any other pair.
     The injected field amplitude is drive.rabi / system.mu and is held
     fixed over the sweep; the cell (when present, with cell_frequency in
     Hz) rescales the field each angle, and no angle may fold onto grazing
@@ -119,6 +133,8 @@ class SweepPlan:
                 "system must be a J -> J + 1 transition (two_je = two_jg + 2), "
                 f"got two_jg = {two_jg}, two_je = {two_je}"
             )
+        if two_jg > MAX_TWO_JG:
+            raise ValueError(f"system: two_jg = {two_jg} exceeds MAX_TWO_JG = {MAX_TWO_JG} (J_g = {MAX_TWO_JG}/2)")
         if self.cell is not None:
             if self.cell_frequency is None or self.cell_frequency <= 0:
                 raise ValueError("cell modulation requires cell_frequency > 0 (Hz)")
@@ -173,24 +189,61 @@ class GainPattern:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GainPattern":
+        """Read a to_dict document back, refusing what to_dict cannot write.
+
+        Refused with ValueError: a document that is not an object, an empty
+        samples list, any number that is not finite, and a deviation_db
+        more than DEVIATION_MATCH_DB from the spread of its own gain_db.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"a gain_pattern document is a JSON object, got {type(payload).__name__}")
         if payload.get("kind") != "gain_pattern":
             raise ValueError("not a gain_pattern document")
         if payload.get("schema_version") != 1:
             raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
+        if not payload["samples"]:
+            raise ValueError("samples is empty")
         samples = tuple(
-            GainSample(math.radians(s["angle_deg"]), s["raw_ratio"], s["gain_db"])
+            GainSample(
+                math.radians(finite_number(s["angle_deg"], "angle_deg")),
+                finite_number(s["raw_ratio"], "raw_ratio"),
+                finite_number(s["gain_db"], "gain_db"),
+            )
             for s in payload["samples"]
         )
+        deviation = finite_number(payload["deviation_db"], "deviation_db")
+        spread = isotropic_deviation(samples)
+        if abs(deviation - spread) > DEVIATION_MATCH_DB:
+            raise ValueError(f"deviation_db {deviation!r} is not the spread {spread!r} of the gain_db values")
         return cls(
             plane=payload["plane"],
             samples=samples,
-            deviation_db=payload["deviation_db"],
+            deviation_db=deviation,
             readout=payload["readout"],
             seed=payload.get("seed"),
             cell_enabled=payload.get("cell_enabled", False),
-            noise_sigma_db=payload.get("noise_sigma_db", 0.0),
-            gap_angles=tuple(math.radians(a) for a in payload.get("gap_angles_deg", [])),
+            noise_sigma_db=finite_number(payload.get("noise_sigma_db", 0.0), "noise_sigma_db"),
+            gap_angles=tuple(
+                math.radians(finite_number(a, "gap_angles_deg")) for a in payload.get("gap_angles_deg", [])
+            ),
         )
+
+
+def finite_number(value, where: str) -> float:
+    """A finite JSON number (an int or float, not a bool) as a float.
+
+    Anything else raises ValueError naming where; the config's numbers go
+    through it too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be finite, got {number!r}")
+    return number
 
 
 def plane_angles(plane: str, angles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,9 +294,9 @@ def _cell_factors(plan: SweepPlan) -> list[float]:
 
 def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
     polarizations = decompose_polarizations(*plane_angles(plan.plane, plan.angles))
-    rabis = plan.drive.rabi * np.asarray(factors, dtype=float)
-    stack = hamiltonian_stack(plan.system, rabis, polarizations, plan.drive.detuning)
-    return splittings_from_eigen(np.linalg.eigvalsh(stack), plan.drive.detuning).tolist()
+    blocks = coupling_stack(plan.system, plan.drive.rabi * np.asarray(factors, dtype=float), polarizations)
+    gram_top = np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)[:, -1]
+    return np.sqrt(plan.drive.detuning**2 + 4.0 * gram_top).tolist()
 
 
 def _spectrum_delta_at(plan: SweepPlan, omega_eff: float) -> float | None:

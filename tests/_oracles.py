@@ -18,9 +18,14 @@ wrap and the cmath polarization decomposition, a coupling block filled
 entry by entry from clebsch_gordan, one splitting per eigenvalue row
 (np.delete of the degenerate pair), and one scalar transfer-matrix walk and
 interior profile per incidence angle.  The batched code must match them
-exactly.  folded_incidence folds one XY angle alone, without merging the
-mirror twins that patterns.incidence_angles merges; patterns built on it
-are the unmerged reference.
+exactly, apart from the eigen readout: the sweep takes its splitting from
+the ground-space Gram matrix of each coupling block, the oracle from the
+full dressed Hamiltonian, and the two agree to rounding.
+hamiltonian_stack is that full-matrix route for a whole sweep, and
+closed_form_delta_at the splitting of a linearly polarized drive from
+sympy's Clebsch-Gordan coefficients.  folded_incidence folds one XY angle
+alone, without merging the mirror twins that patterns.incidence_angles
+merges; patterns built on it are the unmerged reference.
 """
 
 import cmath
@@ -28,10 +33,12 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from sympy import Rational
+from sympy.physics.quantum.cg import CG
 
 from rydant.angular import AngularMomentum, clebsch_gordan, decompose_polarizations
 from rydant.cellfield import SPEED_OF_LIGHT, sweep_samples
-from rydant.hamiltonian import RfDrive, hamiltonian_array
+from rydant.hamiltonian import RfDrive, coupling_stack, hamiltonian_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,7 +145,7 @@ def folded_incidence(plane, angle):
 
 
 def polarizations(orientations):
-    """hamiltonian_stack's spherical-component arrays for a list of Orientation objects."""
+    """coupling_stack's spherical-component arrays for a list of Orientation objects."""
     return decompose_polarizations(*(np.array([getattr(o, k) for o in orientations]) for k in Angles._fields))
 
 
@@ -356,6 +363,31 @@ def eigen_delta_ats(plan, factors):
         drive = RfDrive(plan.drive.rabi * factors[i], plan.drive.detuning)
         stack[i] = hamiltonian_array(interaction_block(plan.system, drive, orientation), plan.drive.detuning)
     return [splitting(row, plan.drive.detuning) for row in np.linalg.eigvalsh(stack)]
+
+
+def hamiltonian_stack(system, rabis, polarizations, detuning):
+    """Full rotating-frame matrices [[0, V^dag], [V, -detuning]] for a sweep, shape (n, dim, dim)."""
+    blocks = coupling_stack(system, rabis, polarizations)
+    ng = system.jg.sublevel_count
+    h = np.zeros((len(blocks), system.dim, system.dim), dtype=complex)
+    h[:, ng:, ng:] = -detuning * np.eye(system.je.sublevel_count)
+    h[:, ng:, :ng] = blocks
+    h[:, :ng, ng:] = blocks.conj().transpose(0, 2, 1)
+    return h
+
+
+def closed_form_delta_at(two_jg, rabi, detuning):
+    """Splitting of a linearly polarized drive on J -> J + 1: sqrt(detuning^2 + 4 c_max^2).
+
+    Along the polarization the block is diagonal, c_m = sqrt(6)/4 * rabi *
+    <J m; 1 0 | J+1 m>, so the largest Gram eigenvalue is c_max^2; every
+    other linear polarization is a rotation of it.  Coefficients from sympy.
+    """
+    cg_max_sq = max(
+        CG(Rational(two_jg, 2), Rational(tm, 2), 1, 0, Rational(two_jg + 2, 2), Rational(tm, 2)).doit() ** 2
+        for tm in range(-two_jg, two_jg + 1, 2)
+    )
+    return math.sqrt(detuning**2 + 1.5 * float(cg_max_sq) * rabi**2)
 
 
 def path_averages(geometry, frequency, angles, polarization="TE"):

@@ -70,10 +70,44 @@ class TestEigenCommand:
         assert lines[0] == "index,closed_form_mhz,numeric_mhz"
         assert len(lines) == 7
 
-    def test_invalid_drive_is_a_runtime_error(self, capsys):
+    def test_invalid_drive_is_refused_naming_the_flag(self, capsys):
         code = main(["eigen", "--rabi-mhz", "-1"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --rabi-mhz must be >= 0")
+
+    @pytest.mark.parametrize("command", [["eigen"], ["spectrum", "--preset", "thz-33s"]])
+    @pytest.mark.parametrize(
+        "flag,value,rule",
+        [
+            ("--rabi-mhz", "1e300", "MAGNITUDE_RANGE"),
+            ("--rabi-mhz", "1e-12", "MAGNITUDE_RANGE"),
+            ("--rabi-mhz", "nan", "finite"),
+            ("--rabi-mhz", "-inf", "finite"),
+            ("--detuning-mhz", "-1e300", "MAGNITUDE_RANGE"),
+            ("--detuning-mhz", "inf", "finite"),
+        ],
+    )
+    def test_drive_flags_follow_the_config_rules(self, tmp_path, capsys, command, flag, value, rule):
+        args = [*command, "--out-dir", str(tmp_path)] if command[0] == "spectrum" else command
+        if flag != "--rabi-mhz":
+            args = [*args, "--rabi-mhz", "10"]
+        assert main([*args, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag} must") and rule in err
+        assert not list(tmp_path.iterdir())
+
+    def test_spectrum_checks_the_flags_a_drive_section_overrides(self, tmp_path, capsys):
+        config = write_config(tmp_path, drive={"rabi_mhz": 12.0})
+        assert main(["spectrum", "--config", config, "--out-dir", str(tmp_path), "--detuning-mhz", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --detuning-mhz must be finite")
+        assert main(["spectrum", "--config", config, "--out-dir", str(tmp_path), "--rabi-mhz", "30"]) == 0
+        summary = json.loads((tmp_path / "rydant_spectrum.json").read_text())
+        assert summary["rf_rabi_mhz"] == pytest.approx(12.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rabi,detuning", [("0", "0"), ("1e-9", "-1e9"), ("1e9", "1e-9")])
+    def test_drive_flags_at_the_config_limits_run(self, capsys, rabi, detuning):
+        assert main(["eigen", f"--rabi-mhz={rabi}", f"--detuning-mhz={detuning}"]) == 0
+        assert "delta_at_mhz" in capsys.readouterr().out
 
 
 class TestUsageErrors:
@@ -227,7 +261,15 @@ class TestRefusedInput:
         assert "MAX_STACK_NEPERS" in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("two_jg,two_je", [(0, 2), (1, 3), (2, 4), (3, 5), (5, 7)])
+    @pytest.mark.parametrize("two_jg", [11, 10001])
+    def test_momenta_past_the_verified_range(self, tmp_path, capsys, two_jg):
+        system = {"two_jg": two_jg, "two_je": two_jg + 2, "mu_mhz_per_v_per_m": 1.0}
+        config = sweep_config(tmp_path, system=system, sweep={"plane": "XZ", "angles_deg": "0:1:360"})
+        assert main(["sweep", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: system.two_jg") and "MAX_TWO_JG" in err
+
+    @pytest.mark.parametrize("two_jg,two_je", [(0, 2), (1, 3), (2, 4), (3, 5), (5, 7), (9, 11)])
     def test_supported_transitions_resolve_an_eigen_sweep(self, tmp_path, capsys, two_jg, two_je):
         system = {"two_jg": two_jg, "two_je": two_je, "mu_mhz_per_v_per_m": 1.0}
         config = sweep_config(tmp_path, system=system, sweep={"plane": "XZ", "angles_deg": "0:15:180"})
@@ -520,6 +562,36 @@ class TestCompareCommand:
         iso, _ = self.make_patterns(tmp_path)
         assert main(["compare", str(bad), iso]) == 2
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,reason",
+        [
+            (lambda doc: [doc], "JSON object"),
+            (lambda doc: dict(doc, deviation_db="x"), "deviation_db must be a number"),
+            (lambda doc: dict(doc, deviation_db=math.nan), "deviation_db must be finite"),
+            (lambda doc: dict(doc, samples=[]), "samples is empty"),
+            (lambda doc: dict(doc, samples=doc["samples"][:1], deviation_db=5.0), "not the spread"),
+            (lambda doc: dict(doc, deviation_db=doc["deviation_db"] + 2e-9), "not the spread"),
+            (lambda doc: dict(doc, samples=[dict(doc["samples"][0], raw_ratio=math.inf)]), "raw_ratio"),
+            (lambda doc: dict(doc, samples=[dict(doc["samples"][0], angle_deg=True)]), "angle_deg"),
+            (lambda doc: dict(doc, gap_angles_deg=[10**400]), "gap_angles_deg must be finite"),
+        ],
+    )
+    def test_pattern_files_the_program_cannot_have_written(self, tmp_path, capsys, edit, reason):
+        _, dip = self.make_patterns(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads((tmp_path / "dip.json").read_text()))))
+        result = tmp_path / "cmp.json"
+        assert main(["compare", dip, str(bad), "--json", str(result)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: pattern {bad} is malformed") and reason in err
+        assert not result.exists()
+
+    def test_sweep_and_benchmark_style_files_are_accepted(self, tmp_path, capsys):
+        config = sweep_config(tmp_path, sweep={"plane": "XY", "angles_deg": "0:5:360", "noise_sigma_db": 0.7})
+        assert main(["sweep", "--config", config]) == 0
+        _, dip = self.make_patterns(tmp_path)
+        assert main(["compare", str(tmp_path / "out" / "case_pattern.json"), dip]) == 0
 
 
 @pytest.mark.filterwarnings("ignore:probe Rabi frequency")

@@ -17,7 +17,7 @@ from rydant.config import (
     parse_angles_deg,
     parse_config,
 )
-from rydant.patterns import MAX_NOISE_SIGMA_DB
+from rydant.patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG
 from rydant.spectra import MAX_SCAN_POINTS
 
 FULL_CONFIG = {
@@ -416,6 +416,17 @@ class TestTransitions:
     def test_other_transitions_are_refused(self, two_jg, two_je):
         payload = make_config(system={"two_jg": two_jg, "two_je": two_je, "mu_mhz_per_v_per_m": 1.0})
         with pytest.raises(ConfigError, match="system.two_je"):
+            parse_config(payload)
+
+    def test_largest_verified_momentum_is_accepted(self):
+        assert MAX_TWO_JG == 9
+        payload = make_config(system={"two_jg": 9, "two_je": 11, "mu_mhz_per_v_per_m": 1.0})
+        assert parse_config(payload).system.jg.two_j == 9
+
+    @pytest.mark.parametrize("two_jg", [10, 11, 10001])
+    def test_larger_momenta_are_refused(self, two_jg):
+        payload = make_config(system={"two_jg": two_jg, "two_je": two_jg + 2, "mu_mhz_per_v_per_m": 1.0})
+        with pytest.raises(ConfigError, match=r"^system\.two_jg: .* exceeds MAX_TWO_JG = 9"):
             parse_config(payload)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import interaction_block, polarizations
+from _oracles import hamiltonian_stack, interaction_block, polarizations
 from rydant import hamiltonian
 from rydant.angular import AngularMomentum, Orientation
 from rydant.hamiltonian import (
@@ -14,10 +14,10 @@ from rydant.hamiltonian import (
     assemble_hamiltonian,
     build_interaction_general,
     build_interaction_paper,
+    coupling_stack,
     eigen_closed_form,
     eigen_hermitian,
     hamiltonian_array,
-    hamiltonian_stack,
 )
 
 HALF = AngularMomentum(1)
@@ -191,7 +191,7 @@ class TestEigensolutions:
 
 
 class TestStackedBuilder:
-    """hamiltonian_stack against blocks filled entry by entry, byte for byte."""
+    """coupling_stack against blocks filled entry by entry, byte for byte."""
 
     @pytest.mark.parametrize("two_jg", range(8))  # J -> J + 1 up to je = 9/2
     @pytest.mark.parametrize("detuning", [0.0, 3.7, -2.9])
@@ -203,15 +203,13 @@ class TestStackedBuilder:
         assert all(o.phi != 0.0 for o in orientations[:40])
         rabis = rng.uniform(0.0, 20.0, len(orientations))
         rabis[0] = 0.0
-        stack = hamiltonian_stack(system, rabis, polarizations(orientations), detuning)
-        expected = np.stack(
-            [
-                hamiltonian_array(interaction_block(system, RfDrive(r, detuning), o), detuning)
-                for r, o in zip(rabis, orientations)
-            ]
-        )
-        assert stack.shape == (len(orientations), system.dim, system.dim)
-        assert stack.tobytes() == expected.tobytes()
+        blocks = [interaction_block(system, RfDrive(r, detuning), o) for r, o in zip(rabis, orientations)]
+        stack = coupling_stack(system, rabis, polarizations(orientations))
+        assert stack.shape == (len(orientations), system.je.sublevel_count, system.jg.sublevel_count)
+        assert stack.tobytes() == np.stack(blocks).tobytes()
+        # The full-matrix oracle of the eigen readout embeds the same blocks.
+        full = hamiltonian_stack(system, rabis, polarizations(orientations), detuning)
+        assert full.tobytes() == np.stack([hamiltonian_array(b, detuning) for b in blocks]).tobytes()
 
     @pytest.mark.parametrize("two_jg,two_je", [(1, 1), (2, 2), (3, 1), (4, 2), (9, 7)])
     def test_general_block_matches_the_oracle_off_the_sweep_family(self, two_jg, two_je):
@@ -230,10 +228,10 @@ class TestStackedBuilder:
         hamiltonian._coupling_table.cache_clear()
         system = TransitionSystem(AngularMomentum(3), AngularMomentum(5), mu=1.0)
         orientations = [Orientation(0.3 * k, 0.2 * k, 0.1) for k in range(30)]
-        hamiltonian_stack(system, np.ones(30), polarizations(orientations), 0.5)
+        coupling_stack(system, np.ones(30), polarizations(orientations))
         # every entry with m_e - m_g in {-1, 0, +1}: 4 ground x 3 = 12
         assert len(calls) == 12
-        hamiltonian_stack(system, np.ones(30), polarizations(orientations), -0.5)
+        coupling_stack(system, 2.0 * np.ones(30), polarizations(orientations))
         build_interaction_general(system, RfDrive(1.0), orientations[0])
         assert len(calls) == 12
         info = hamiltonian._coupling_table.cache_info()
@@ -242,11 +240,9 @@ class TestStackedBuilder:
     def test_stack_validation(self):
         orientations = polarizations([Orientation(0.1, 0.2)] * 3)
         with pytest.raises(ValueError, match="one Rabi frequency per orientation"):
-            hamiltonian_stack(SYSTEM, np.ones(2), orientations, 0.0)
+            coupling_stack(SYSTEM, np.ones(2), orientations)
         with pytest.raises(ValueError, match="finite and >= 0"):
-            hamiltonian_stack(SYSTEM, [1.0, -1.0, 1.0], orientations, 0.0)
+            coupling_stack(SYSTEM, [1.0, -1.0, 1.0], orientations)
         with pytest.raises(ValueError, match="finite and >= 0"):
-            hamiltonian_stack(SYSTEM, [1.0, math.nan, 1.0], orientations, 0.0)
-        with pytest.raises(ValueError, match="detuning must be finite"):
-            hamiltonian_stack(SYSTEM, np.ones(3), orientations, math.inf)
-        assert hamiltonian_stack(SYSTEM, [], polarizations([]), 0.0).shape == (0, 6, 6)
+            coupling_stack(SYSTEM, [1.0, math.nan, 1.0], orientations)
+        assert coupling_stack(SYSTEM, [], polarizations([])).shape == (0, 4, 2)

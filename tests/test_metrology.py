@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import polarizations, splitting
+from _oracles import hamiltonian_stack, polarizations, splitting
 from rydant.angular import AngularMomentum, Orientation
 from rydant.hamiltonian import (
     EigenSpectrum,
@@ -12,7 +12,6 @@ from rydant.hamiltonian import (
     assemble_hamiltonian,
     build_interaction_paper,
     eigen_hermitian,
-    hamiltonian_stack,
 )
 from rydant.metrology import (
     SOURCE_EIGEN,

@@ -13,6 +13,8 @@ from rydant.metrology import isotropic_deviation
 from rydant import patterns
 from rydant.patterns import (
     MAX_NOISE_SIGMA_DB,
+    MAX_TWO_JG,
+    PLANES,
     GainPattern,
     SweepPlan,
     compare_patterns,
@@ -413,6 +415,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             GainPattern.from_dict({"kind": "gain_pattern", "schema_version": 2, "samples": []})
 
+    def test_from_dict_refuses_what_to_dict_cannot_write(self):
+        doc = run_sweep(make_plan(noise_sigma_db=0.5, seed=3)).to_dict()
+        assert GainPattern.from_dict(doc).deviation_db == doc["deviation_db"]
+        bad_docs = {
+            "JSON object": [doc],
+            "samples is empty": dict(doc, samples=[]),
+            "deviation_db must be a number": dict(doc, deviation_db="x"),
+            "deviation_db must be finite": dict(doc, deviation_db=math.nan),
+            "gain_db must be finite": dict(doc, samples=[dict(doc["samples"][0], gain_db=-math.inf)]),
+            "noise_sigma_db must be finite": dict(doc, noise_sigma_db=math.inf),
+            "not the spread": dict(doc, deviation_db=doc["deviation_db"] + 1.1 * patterns.DEVIATION_MATCH_DB),
+        }
+        for reason, bad in bad_docs.items():
+            with pytest.raises(ValueError, match=reason):
+                GainPattern.from_dict(bad)
+        near = dict(doc, deviation_db=doc["deviation_db"] + 0.9 * patterns.DEVIATION_MATCH_DB)
+        assert GainPattern.from_dict(near).deviation_db == near["deviation_db"]
+
     def test_csv_writers(self):
         pattern = run_sweep(make_plan(angles=np.radians([0.0, 90.0])))
         lines = pattern_csv(pattern).splitlines()
@@ -467,27 +487,69 @@ class TestPlanValidation:
             make_plan(readout="spectrum", scan_points=MAX_SCAN_POINTS + 1)
 
 
+def assert_close_to_oracle(pattern: dict, oracle: dict):
+    """Two pattern documents that agree to rounding: the Gram and full-matrix readouts."""
+    rest = {k: v for k, v in pattern.items() if k not in ("samples", "deviation_db")}
+    assert rest == {k: v for k, v in oracle.items() if k not in ("samples", "deviation_db")}
+    assert abs(pattern["deviation_db"] - oracle["deviation_db"]) <= 1e-13
+    assert len(pattern["samples"]) == len(oracle["samples"])
+    for ours, theirs in zip(pattern["samples"], oracle["samples"]):
+        assert ours["angle_deg"] == theirs["angle_deg"]
+        assert abs(ours["raw_ratio"] - theirs["raw_ratio"]) <= 1e-14 * theirs["raw_ratio"]
+        assert abs(ours["gain_db"] - theirs["gain_db"]) <= 1e-13
+
+
+def eigen_plan(plane, two_jg, detuning_mhz, cell, noise):
+    return make_plan(
+        plane=plane,
+        angles=np.radians(np.arange(1.5, 360.0, 4.0)),
+        drive=RfDrive(rabi=7.3 * MHZ, detuning=detuning_mhz * MHZ),
+        system=TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=MHZ),
+        cell=THZ_CELL if cell else None,
+        cell_frequency=THZ_FREQ if cell else None,
+        noise_sigma_db=noise,
+        seed=19,
+    )
+
+
 class TestBatchedEigenSweep:
-    """run_sweep against the per-angle eigen readout and cell sweep, exactly."""
+    """run_sweep's Gram readout against the per-angle full-matrix readout and cell sweep.
+
+    The sweep takes sqrt(detuning^2 + 4 s_max) from the ground-space Gram
+    matrix, the oracle max - min of the full dressed spectrum less its
+    -detuning pair: a change of solver, so they agree to rounding
+    (1e-14 relative in raw_ratio, 1e-13 dB in gain_db and deviation_db).
+    """
 
     @pytest.mark.parametrize("plane", ["XY", "XZ", "YZ"])
     @pytest.mark.parametrize("two_jg", [1, 3])
     @pytest.mark.parametrize("cell,noise", [(False, 0.0), (True, 0.0), (True, 0.7), (False, 0.4)])
     def test_patterns_equal_the_per_angle_oracle(self, monkeypatch, plane, two_jg, cell, noise):
-        plan = make_plan(
-            plane=plane,
-            angles=np.radians(np.arange(1.5, 360.0, 4.0)),
-            drive=RfDrive(rabi=7.3 * MHZ, detuning=-2.2 * MHZ),
-            system=TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=MHZ),
-            cell=THZ_CELL if cell else None,
-            cell_frequency=THZ_FREQ if cell else None,
-            noise_sigma_db=noise,
-            seed=19,
-        )
+        plan = eigen_plan(plane, two_jg, -2.2, cell, noise)
         batched = run_sweep(plan).to_dict()
         monkeypatch.setattr(patterns, "_eigen_delta_ats", _oracles.eigen_delta_ats)
         monkeypatch.setattr(patterns, "path_averages", _oracles.path_averages)
-        assert batched == run_sweep(plan).to_dict()
+        assert_close_to_oracle(batched, run_sweep(plan).to_dict())
+
+    @pytest.mark.parametrize("two_jg", [5, 7, 9])
+    @pytest.mark.parametrize("detuning_mhz", [-2.2, 0.0, 3.0])
+    @pytest.mark.parametrize("cell,noise", [(False, 0.0), (True, 0.7)])
+    def test_larger_momenta_and_detunings_match_the_oracle(self, monkeypatch, two_jg, detuning_mhz, cell, noise):
+        for plane in PLANES:
+            plan = eigen_plan(plane, two_jg, detuning_mhz, cell, noise)
+            batched = run_sweep(plan).to_dict()
+            with monkeypatch.context() as m:
+                m.setattr(patterns, "_eigen_delta_ats", _oracles.eigen_delta_ats)
+                assert_close_to_oracle(batched, run_sweep(plan).to_dict())
+
+    @pytest.mark.parametrize("two_jg", [1, 3, 5, 7, 9])
+    @pytest.mark.parametrize("detuning_mhz", [-2.2, 0.0, 3.0])
+    def test_splittings_equal_the_closed_form(self, two_jg, detuning_mhz):
+        for plane in PLANES:
+            plan = eigen_plan(plane, two_jg, detuning_mhz, False, 0.0)
+            expected = _oracles.closed_form_delta_at(two_jg, plan.drive.rabi, plan.drive.detuning)
+            delta_ats = np.array(patterns._eigen_delta_ats(plan, [1.0] * len(plan.angles)))
+            assert np.abs(delta_ats - expected).max() <= 1e-14 * expected
 
 
 class TestPlanRefusals:
@@ -497,6 +559,14 @@ class TestPlanRefusals:
         system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_je), mu=MHZ)
         with pytest.raises(ValueError, match="system must be a J -> J \\+ 1 transition"):
             make_plan(system=system, readout=readout)
+
+    def test_momenta_past_the_verified_range(self):
+        for two_jg in (MAX_TWO_JG + 1, MAX_TWO_JG + 2, 10001):
+            system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=MHZ)
+            with pytest.raises(ValueError, match=r"^system: two_jg = .* exceeds MAX_TWO_JG"):
+                make_plan(system=system)
+        system = TransitionSystem(AngularMomentum(MAX_TWO_JG), AngularMomentum(MAX_TWO_JG + 2), mu=MHZ)
+        assert make_plan(system=system).system is system
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
