@@ -129,6 +129,11 @@ CASES = [
              "[0, 30, 30, 60, 0, 89, 60]"),
     cli_case("cellfield-tm-sweep", "cellfield", "--preset", "thz-33s", "--angles", "0.25:0.5:90",
              "--polarization", "TM"),
+    # lossy vapor: the backward wave grows across the cell
+    cli_case("cellfield-lossy-vapor-te", "cellfield", "--config", "run.json", "--angle-deg", "40",
+             files={"run.json": config("lv", cell=LOSSY_VAPOR_CELL)}),
+    cli_case("cellfield-lossy-vapor-tm-sweep", "cellfield", "--config", "run.json", "--angles", "0.5:7:85",
+             "--polarization", "TM", files={"run.json": config("lv", cell=LOSSY_VAPOR_CELL)}),
     # comparisons of two sweep patterns
     ("compare-eigen", {"xy.json": config("xy", system=SYSTEM_J12, drive={"rabi_mhz": 10.0}, cell=THZ_CELL,
                                          sweep=XY_CELL_NOISE),
@@ -151,6 +156,8 @@ CASES = [
     cli_case("refuse-eigen-negative-rabi", "eigen", "--rabi-mhz=-1"),
     cli_case("refuse-eigen-inf-detuning", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "inf"),
     cli_case("refuse-spectrum-huge-rabi", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "1e300"),
+    cli_case("refuse-spectrum-flag-beside-drive", "spectrum", "--config", "run.json", "--rabi-mhz", "30",
+             files={"run.json": config("spec", drive={"rabi_mhz": 12.0})}),
     ("refuse-compare-malformed",
      {"ok.json": PATTERN, "list.json": [PATTERN], "text.json": dict(PATTERN, deviation_db="x"),
       "nan.json": dict(PATTERN, deviation_db=float("nan")), "empty.json": dict(PATTERN, samples=[]),

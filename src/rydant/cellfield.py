@@ -208,16 +208,16 @@ def _check_incidence(angle: float, polarization: str) -> None:
 
 
 def _interior_amplitudes(
-    geometry: CellGeometry, frequency: float, angles: list[float], polarization: str, x: np.ndarray, rows: int
+    geometry: CellGeometry, frequency: float, angles: list[float], polarization: str, samples: int, rows: int
 ):
-    """Yield |E| relative to the incident wave at interior positions x, rows angles at a time.
+    """Yield |E| relative to the incident wave on linspace(0, inner_length, samples), rows angles at a time.
 
-    One batched walk serves every angle; each yielded (rows, x) array
-    follows the TE/TM rule of the module header, and each of its rows
-    equals the one-angle computation bit for bit.  Each sample takes one
-    complex exponential: the backward factor exp(-i kx x) is
-    conj(exp(i kx x)) * exp(2 Im(kx) x), which is exact for a real kx and
-    within the last bits for a lossy vapor.
+    One batched walk serves every angle; each yielded (rows, samples) array
+    follows the TE/TM rule of the module header, and each row depends on its
+    angle alone.  With x_j = j h, j = i B + q and B about sqrt(samples), a
+    row's u = a exp(i kx x) + b exp(-i kx x) is the product of the tables
+    [a exp(i kx x_iB), b exp(-i kx x_iB)] and [exp(i kx x_q); exp(-i kx x_q)]:
+    2 (M + B) exponentials per row.  TM appends i kx [a .., -b ..] for u'.
     """
     k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
     betas = [k0 * math.sin(angle) for angle in angles]
@@ -226,27 +226,24 @@ def _interior_amplitudes(
     kxs, amps = _walk(ns, ds, k0, betas, polarization)
     beta_sq = np.array([beta**2 for beta in betas])[:, None]
     n2 = abs(geometry.inner_index) ** 2
+    block = math.isqrt(samples - 1) + 1
+    step = geometry.inner_length / (samples - 1)
+    coarse, fine = np.arange(0, samples, block) * step, np.arange(block) * step
 
     for start in range(0, len(angles), rows):
         chunk = slice(start, start + rows)
         a, b = (amp[chunk, None] for amp in amps[2])
-        kx = kxs[2][chunk, None]
-        phase = np.exp(1j * kx * x)
-        forward = a * phase
-        backward = b * (phase.conj() * np.exp(2.0 * kx.imag * x))
-        u = forward + backward
+        ikx = 1j * kxs[2][chunk, None]
+        left = np.stack([a * np.exp(ikx * coarse), b * np.exp(-ikx * coarse)], axis=-1)
+        if polarization == "TM":
+            left = np.concatenate([left, ikx[..., None] * left * [1.0, -1.0]], axis=1)
+        right = np.stack([np.exp(ikx * fine), np.exp(-ikx * fine)], axis=1)
+        fields = np.matmul(left, right).reshape(len(a), -1, coarse.size * block)[..., :samples]
         if polarization == "TE":
-            yield np.abs(u)
+            yield np.abs(fields[:, 0])
         else:
-            du = 1j * kx * (forward - backward)
+            u, du = fields[:, 0], fields[:, 1]
             yield np.sqrt(beta_sq[chunk] * np.abs(u) ** 2 + np.abs(du) ** 2) / (k0 * n2)
-
-
-def _interior_amplitude(
-    geometry: CellGeometry, frequency: float, angle: float, polarization: str, x: np.ndarray
-) -> np.ndarray:
-    """|E| at interior positions x for one angle: the one-row call of _interior_amplitudes."""
-    return next(_interior_amplitudes(geometry, frequency, [angle], polarization, x, 1))[0]
 
 
 def transfer_matrix_field(
@@ -264,14 +261,17 @@ def transfer_matrix_field(
     frequency : carrier frequency in Hz, > 0.
     angle : incidence angle in radians, 0 <= angle < pi/2.
     polarization : "TE" or "TM".
-    samples : number of interior sample points, >= 2.
+    samples : number of interior sample points, 2 .. MAX_SWEEP_SAMPLES.
     """
     check_stack(geometry, frequency)
     _check_incidence(angle, polarization)
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    if samples > MAX_SWEEP_SAMPLES:
+        raise ValueError(f"samples must be <= MAX_SWEEP_SAMPLES = {MAX_SWEEP_SAMPLES}, got {samples}")
     x = np.linspace(0.0, geometry.inner_length, samples)
-    return FieldProfile(x, _interior_amplitude(geometry, frequency, angle, polarization, x), angle, frequency)
+    amplitude = next(_interior_amplitudes(geometry, frequency, [angle], polarization, samples, 1))[0]
+    return FieldProfile(x, amplitude, angle, frequency)
 
 
 def path_average(profile: FieldProfile) -> float:
@@ -304,11 +304,11 @@ def path_averages(
     """Path-averaged field (relative to the incident wave) at each incidence angle.
 
     Equal to path_average(transfer_matrix_field(..., sweep_samples(...))) per
-    angle, bit for bit.  One profile is computed per distinct angle, that is
-    per distinct float (dict.fromkeys), all on one shared sample grid by one
-    batched walk, WALK_SAMPLES samples at a time, and no FieldProfile is
-    built.  Angles that should share a profile must be passed as equal
-    floats; patterns.incidence_angles does so for mirror angles of a sweep.
+    angle, bit for bit: a row of _interior_amplitudes does not depend on its
+    chunk.  One profile per distinct angle (dict.fromkeys), all on the
+    sweep_samples grid by one batched walk, WALK_SAMPLES samples at a time;
+    no FieldProfile is built.  Angles that should share a profile must be
+    equal floats, as patterns.incidence_angles makes mirror angles.
     """
     samples = sweep_samples(geometry, frequency)
     check_stack(geometry, frequency)
@@ -320,7 +320,7 @@ def path_averages(
         _check_incidence(a, polarization)
     averages = []
     for amplitude in _interior_amplitudes(
-        geometry, frequency, distinct, polarization, x, max(1, WALK_SAMPLES // samples)
+        geometry, frequency, distinct, polarization, samples, max(1, WALK_SAMPLES // samples)
     ):
         averages += (np.trapezoid(amplitude, x, axis=-1) / span).tolist()
     by_angle = dict(zip(distinct, averages))

@@ -148,17 +148,17 @@ def _mhz(value_rad_s: float) -> float:
     return value_rad_s / MHZ
 
 
-def _flag_drive(args) -> RfDrive:
+def _flag_drive(rabi_mhz: float, detuning_mhz: float) -> RfDrive:
     """The drive of --rabi-mhz and --detuning-mhz, under the config's drive rules."""
-    rabi = _magnitude(_finite(args.rabi_mhz, "--rabi-mhz"), "--rabi-mhz", zero_ok=True)
+    rabi = _magnitude(_finite(rabi_mhz, "--rabi-mhz"), "--rabi-mhz", zero_ok=True)
     if rabi < 0:
         raise ConfigError(f"--rabi-mhz must be >= 0, got {rabi!r}")
-    detuning = _magnitude(_finite(args.detuning_mhz, "--detuning-mhz"), "--detuning-mhz", zero_ok=True)
+    detuning = _magnitude(_finite(detuning_mhz, "--detuning-mhz"), "--detuning-mhz", zero_ok=True)
     return RfDrive(rabi * MHZ, detuning * MHZ)
 
 
 def cmd_eigen(args) -> int:
-    drive = _flag_drive(args)
+    drive = _flag_drive(args.rabi_mhz, args.detuning_mhz)
     orientation = Orientation(args.chi, args.theta, args.phi)
     closed = eigen_closed_form(drive, orientation)
     numeric = eigen_hermitian(
@@ -246,8 +246,14 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("spectrum needs --config and/or --preset")
     seed = _seed(args, config)
 
-    flag_drive = _flag_drive(args)
-    drive = config.drive if config and config.drive else flag_drive
+    drive = _flag_drive(
+        10.0 if args.rabi_mhz is None else args.rabi_mhz, 0.0 if args.detuning_mhz is None else args.detuning_mhz
+    )
+    if config and config.drive:
+        for flag, value in (("--rabi-mhz", args.rabi_mhz), ("--detuning-mhz", args.detuning_mhz)):
+            if value is not None:
+                raise ConfigError(f"{flag} cannot be given beside the config's drive section")
+        drive = config.drive
     ladder = config.ladder if config and config.ladder else default_ladder(drive.rabi, drive.detuning)
     ladder = replace(ladder, omega_rf=drive.rabi, delta_rf=drive.detuning)
 
@@ -438,10 +444,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON run configuration")
     p.add_argument("--preset", choices=sorted(PRESETS), default=None,
                    help="level-scheme preset supplying metadata and defaults")
-    p.add_argument("--rabi-mhz", type=float, default=10.0,
-                   help="RF Rabi frequency (MHz) when no drive section is given")
-    p.add_argument("--detuning-mhz", type=float, default=0.0,
-                   help="RF detuning (MHz) when no drive section is given")
+    p.add_argument("--rabi-mhz", type=float, default=None,
+                   help="RF Rabi frequency (MHz, default 10); refused beside a config drive section")
+    p.add_argument("--detuning-mhz", type=float, default=None,
+                   help="RF detuning (MHz, default 0); refused beside a config drive section")
     _add_output_flags(p)
     p.set_defaults(func=cmd_spectrum)
 

@@ -18,9 +18,12 @@ wrap and the cmath polarization decomposition, a coupling block filled
 entry by entry from clebsch_gordan, one splitting per eigenvalue row
 (np.delete of the degenerate pair), and one scalar transfer-matrix walk and
 interior profile per incidence angle.  The batched code must match them
-exactly, apart from the eigen readout: the sweep takes its splitting from
-the ground-space Gram matrix of each coupling block, the oracle from the
-full dressed Hamiltonian, and the two agree to rounding.
+exactly, apart from two changes of method that agree to rounding: the
+sweep takes its splitting from the ground-space Gram matrix of each
+coupling block, the oracle from the full dressed Hamiltonian; and the
+production profile builds exp(+-i kx x) from short phase tables, the
+oracle takes two plain exponentials per sample.  mpmath_interior_amplitudes
+evaluates a profile from the walk's own amplitudes at 30 digits.
 hamiltonian_stack is that full-matrix route for a whole sweep, and
 closed_form_delta_at the splitting of a linearly polarized drive from
 sympy's Clebsch-Gordan coefficients.  folded_incidence folds one XY angle
@@ -32,12 +35,13 @@ import cmath
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
 from rydant.angular import AngularMomentum, clebsch_gordan, decompose_polarizations
-from rydant.cellfield import SPEED_OF_LIGHT, sweep_samples
+from rydant.cellfield import SPEED_OF_LIGHT, _walk, sweep_samples
 from rydant.hamiltonian import RfDrive, coupling_stack, hamiltonian_array
 
 TWO_PI = 2.0 * math.pi
@@ -99,17 +103,47 @@ def interior_amplitude(geometry, frequency, angle, polarization, x):
 
     a, b = amps[2]
     k = kx(geometry.inner_index, k0, beta)
-    phase = np.exp(1j * k * x)
-    forward = a * phase
-    # exp(-i k x) as conj(exp(i k x)) * exp(2 Im(k) x): one complex
-    # exponential per sample, as in the production profile.
-    backward = b * (np.conj(phase) * np.exp(2.0 * k.imag * x))
+    forward = a * np.exp(1j * k * x)
+    backward = b * np.exp(-1j * k * x)
     u = forward + backward
     if polarization == "TE":
         return np.abs(u)
     du = 1j * k * (forward - backward)
     n2 = abs(geometry.inner_index) ** 2
     return np.sqrt(beta**2 * np.abs(u) ** 2 + np.abs(du) ** 2) / (k0 * n2)
+
+
+def mpmath_interior_amplitudes(geometry, frequency, angle, positions):
+    """TE and TM |E| at positions, evaluated at 30 digits from the production walk's own amplitudes.
+
+    Takes the vapor layer's kx and, per polarization, its (a, b) from
+    rydant.cellfield._walk, then evaluates u = a exp(i kx x) + b exp(-i kx x)
+    and the reporting rule in mpmath; each phase exp(i kx x) serves both
+    polarizations.  Returns {"TE": array, "TM": array}.
+    """
+    k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
+    beta = k0 * math.sin(angle)
+    ns = [1.0 + 0j, geometry.wall_index, geometry.inner_index, geometry.wall_index, 1.0 + 0j]
+    ds = [0.0, geometry.wall_thickness, geometry.inner_length, geometry.wall_thickness, 0.0]
+    out = {}
+    with mpmath.workdps(30):
+        kx = mpmath.mpc(complex(_walk(ns, ds, k0, [beta], "TE")[0][2][0]))
+        phases = [mpmath.exp(1j * kx * x) for x in positions.tolist()]
+        n2 = abs(mpmath.mpc(geometry.inner_index)) ** 2
+        for polarization in ("TE", "TM"):
+            a, b = (mpmath.mpc(complex(v[0])) for v in _walk(ns, ds, k0, [beta], polarization)[1][2])
+            fields = [(a * phase, b / phase) for phase in phases]
+            if polarization == "TE":
+                values = [abs(forward + backward) for forward, backward in fields]
+            else:
+                beta_sq = mpmath.mpf(beta) ** 2
+                values = [
+                    mpmath.sqrt(beta_sq * abs(forward + backward) ** 2 + abs(kx * (forward - backward)) ** 2)
+                    / (k0 * n2)
+                    for forward, backward in fields
+                ]
+            out[polarization] = np.array([float(v) for v in values])
+    return out
 
 
 class Angles(NamedTuple):

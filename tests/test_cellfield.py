@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import interior_amplitude, kx, random_cell_case, rk4_field_profile, stack_amplitudes
+from _oracles import (
+    interior_amplitude,
+    kx,
+    mpmath_interior_amplitudes,
+    random_cell_case,
+    rk4_field_profile,
+    stack_amplitudes,
+)
 from _oracles import path_averages as per_angle_path_averages
 from rydant.cellfield import (
     MAX_STACK_NEPERS,
+    MAX_SWEEP_SAMPLES,
     SPEED_OF_LIGHT,
     WALK_SAMPLES,
     CellGeometry,
@@ -50,6 +58,21 @@ class TestAgainstDirectIntegration:
         profile = transfer_matrix_field(geometry, THZ_FREQ, 0.0, "TE", samples=2001)
         assert np.ptp(profile.amplitude) < 1e-8
         assert path_average(profile) == pytest.approx(1.0, abs=1e-8)
+
+
+class TestProfilePrecision:
+    def test_random_cells_match_a_30_digit_evaluation(self):
+        # the walk's own (a, b, kx), evaluated on the profile's positions in mpmath;
+        # the worst measured over these cells was 5.0e-15 of the maximum
+        rng = np.random.default_rng(909)
+        for i in range(30):
+            geometry, frequency, angle, _ = random_cell_case(rng, lossy_vapor=i % 2 == 1)
+            assert angle <= 1.4
+            samples = sweep_samples(geometry, frequency)
+            positions = np.linspace(0.0, geometry.inner_length, samples)
+            for pol, exact in mpmath_interior_amplitudes(geometry, frequency, angle, positions).items():
+                profile = transfer_matrix_field(geometry, frequency, angle, pol, samples)
+                assert np.abs(profile.amplitude - exact).max() <= 2e-14 * exact.max(), (i, pol)
 
 
 class TestStandingWaveStructure:
@@ -170,6 +193,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, samples=1)
 
+    def test_samples_are_capped(self):
+        transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, samples=MAX_SWEEP_SAMPLES)
+        for samples in (MAX_SWEEP_SAMPLES + 1, 10**9):
+            with pytest.raises(ValueError, match="samples must be <= MAX_SWEEP_SAMPLES"):
+                transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, samples=samples)
+
     def test_polarization_name(self):
         with pytest.raises(ValueError):
             transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, polarization="TEM")
@@ -207,7 +236,22 @@ class TestCsvWriters:
 
 
 class TestBatchedPathAverages:
-    """path_averages against one validated profile per angle, exactly."""
+    """path_averages against one plain-exponential profile per angle, and against the profile builder.
+
+    The production profile takes exp(+-i kx x) from short phase tables, the
+    oracle two plain exponentials per sample: the two agree to rounding.
+    The worst differences measured over these draws were 4.8e-16 relative
+    in a path average and 5.7e-15 of a profile's maximum; the tolerances
+    are under 10x those.  path_averages and the profile builder share one
+    computation, and agree bit for bit.
+    """
+
+    AVERAGE_TOL = 4e-15
+    PROFILE_TOL = 5e-14
+
+    @classmethod
+    def assert_averages_close(cls, got, expected):
+        assert np.all(np.abs(np.array(got) - expected) <= cls.AVERAGE_TOL * np.abs(expected))
 
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
     def test_matches_one_profile_per_angle(self, polarization):
@@ -217,7 +261,7 @@ class TestBatchedPathAverages:
         cells += [random_cell_case(rng)[:2] for _ in range(6)]
         for geometry, frequency in cells:
             got = path_averages(geometry, frequency, angles, polarization)
-            assert got == per_angle_path_averages(geometry, frequency, angles, polarization)
+            self.assert_averages_close(got, per_angle_path_averages(geometry, frequency, angles, polarization))
             assert got[0] == got[4] == got[5] and got[1] == got[2] == got[7]
 
     def test_one_profile_per_distinct_angle(self, monkeypatch):
@@ -237,24 +281,27 @@ class TestBatchedPathAverages:
             geometry, frequency, angle, _ = random_cell_case(rng, lossy_vapor=True)
             assert geometry.inner_index.imag > 0 and geometry.wall_index.imag > 0
             got = path_averages(geometry, frequency, angles + [angle], polarization)
-            assert got == per_angle_path_averages(geometry, frequency, angles + [angle], polarization)
+            expected = per_angle_path_averages(geometry, frequency, angles + [angle], polarization)
+            self.assert_averages_close(got, expected)
             for a in (0.0, -0.0, math.pi / 2 - 1e-7, angle):
                 profile = transfer_matrix_field(geometry, frequency, a, polarization, samples=257)
                 expected = interior_amplitude(geometry, frequency, a, polarization, profile.positions)
-                assert profile.amplitude.tobytes() == expected.tobytes()
+                assert np.abs(profile.amplitude - expected).max() <= self.PROFILE_TOL * expected.max()
 
-    def test_backward_factor_takes_one_exponential(self):
-        # the profile's exp(-i kx x) is conj(exp(i kx x)) * exp(2 Im(kx) x)
-        rng = np.random.default_rng(77)
-        x = np.concatenate([np.zeros(8), rng.uniform(0.0, 0.1, 50_000)])
-
-        def factors(kx):
-            return np.conj(np.exp(1j * kx * x)) * np.exp(2.0 * kx.imag * x), np.exp(-1j * kx * x)
-
-        got, expected = factors(rng.uniform(0.0, 1e4, x.size) + 0j)
-        assert got.tobytes() == expected.tobytes()
-        got, expected = factors(rng.uniform(0.0, 1e4, x.size) + 1j * rng.uniform(0.0, 60.0, x.size))
-        assert np.all(np.abs(got - expected) <= 4 * np.finfo(float).eps * np.abs(expected))
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    def test_equals_the_profile_builder_across_chunks(self, polarization):
+        # 70 angles span several chunks of the batched walk
+        angles = list(np.linspace(0.0, 1.5, 70))
+        cells = [(DEFAULT_GEOMETRY, THZ_FREQ)]
+        rng = np.random.default_rng(808)
+        cells += [random_cell_case(rng, lossy_vapor=lossy)[:2] for lossy in (False, True, True)]
+        for geometry, frequency in cells:
+            samples = sweep_samples(geometry, frequency)
+            assert max(1, WALK_SAMPLES // samples) < len(angles)
+            expected = [
+                path_average(transfer_matrix_field(geometry, frequency, a, polarization, samples)) for a in angles
+            ]
+            assert path_averages(geometry, frequency, angles, polarization) == expected
 
     def test_chunks_stay_within_walk_samples(self, monkeypatch):
         from rydant import cellfield
@@ -273,7 +320,7 @@ class TestBatchedPathAverages:
         samples = sweep_samples(DEFAULT_GEOMETRY, THZ_FREQ)
         assert sum(rows for rows, _ in chunks) == 70 and len(chunks) > 1
         assert all(rows * width <= WALK_SAMPLES and width == samples for rows, width in chunks)
-        assert got == per_angle_path_averages(DEFAULT_GEOMETRY, THZ_FREQ, angles, "TM")
+        self.assert_averages_close(got, per_angle_path_averages(DEFAULT_GEOMETRY, THZ_FREQ, angles, "TM"))
         chunks.clear()
         # a profile longer than WALK_SAMPLES goes one angle at a time
         long_cell = CellGeometry(wall_thickness=2e-3, inner_length=0.2)

@@ -98,11 +98,31 @@ class TestEigenCommand:
 
     def test_spectrum_checks_the_flags_a_drive_section_overrides(self, tmp_path, capsys):
         config = write_config(tmp_path, drive={"rabi_mhz": 12.0})
-        assert main(["spectrum", "--config", config, "--out-dir", str(tmp_path), "--detuning-mhz", "nan"]) == 2
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", config, "--out-dir", str(out), "--detuning-mhz", "nan"]) == 2
         assert capsys.readouterr().err.startswith("config error: --detuning-mhz must be finite")
-        assert main(["spectrum", "--config", config, "--out-dir", str(tmp_path), "--rabi-mhz", "30"]) == 0
+        assert main(["spectrum", "--config", config, "--out-dir", str(out), "--rabi-mhz", "30"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --rabi-mhz cannot be given beside")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0"])
+    def test_spectrum_refuses_a_detuning_flag_beside_a_drive_section(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, drive={"rabi_mhz": 12.0})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", config, "--out-dir", str(out), f"--detuning-mhz={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --detuning-mhz cannot be given beside the config's drive section\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,rabi,detuning",
+        [([], 10.0, 0.0), (["--rabi-mhz", "30"], 30.0, 0.0), (["--detuning-mhz", "4", "--rabi-mhz", "6"], 6.0, 4.0)],
+    )
+    def test_spectrum_takes_the_flags_without_a_drive_section(self, tmp_path, capsys, flags, rabi, detuning):
+        config = write_config(tmp_path, scan={"min_mhz": -25.0, "max_mhz": 25.0, "points": 601})
+        assert main(["spectrum", "--config", config, "--out-dir", str(tmp_path), *flags]) == 0
         summary = json.loads((tmp_path / "rydant_spectrum.json").read_text())
-        assert summary["rf_rabi_mhz"] == pytest.approx(12.0, rel=1e-12)
+        assert (summary["rf_rabi_mhz"], summary["rf_detuning_mhz"]) == pytest.approx((rabi, detuning), rel=1e-12)
 
     @pytest.mark.parametrize("rabi,detuning", [("0", "0"), ("1e-9", "-1e9"), ("1e9", "1e-9")])
     def test_drive_flags_at_the_config_limits_run(self, capsys, rabi, detuning):
