@@ -67,6 +67,9 @@ CASES = [
              "--csv", "eigen0.csv"),
     cli_case("eigen-elliptical", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "5", "--chi", "0.8",
              "--theta", "0.3", "--phi", "0.4", "--csv", "eigen1.csv"),
+    # on resonance the numeric -detuning pair is rounding noise around 0
+    cli_case("eigen-resonant", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "0", "--chi", "0.8", "--theta", "0.3",
+             "--csv", "eigen2.csv"),
     # sweeps
     sweep_case("sweep-xy-eigen-cell-noise", XY_CELL_NOISE, cell=THZ_CELL),
     sweep_case("sweep-xz-spectrum", XZ_SPECTRUM, ladder=LADDER, scan=SCAN_401),
@@ -155,6 +158,7 @@ CASES = [
     cli_case("refuse-eigen-nan-rabi", "eigen", "--rabi-mhz", "nan"),
     cli_case("refuse-eigen-negative-rabi", "eigen", "--rabi-mhz=-1"),
     cli_case("refuse-eigen-inf-detuning", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "inf"),
+    cli_case("refuse-eigen-nan-chi", "eigen", "--rabi-mhz", "10", "--chi", "nan"),
     cli_case("refuse-spectrum-huge-rabi", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "1e300"),
     cli_case("refuse-spectrum-flag-beside-drive", "spectrum", "--config", "run.json", "--rabi-mhz", "30",
              files={"run.json": config("spec", drive={"rabi_mhz": 12.0})}),

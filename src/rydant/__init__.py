@@ -17,25 +17,20 @@ from .cellfield import (
     transfer_matrix_field,
 )
 from .hamiltonian import (
-    EigenSpectrum,
-    HermitianMatrix,
     RfDrive,
     TransitionSystem,
-    assemble_hamiltonian,
+    branch_splittings,
     build_interaction_general,
-    build_interaction_paper,
     eigen_closed_form,
-    eigen_hermitian,
 )
 from .metrology import (
     FieldEstimate,
     GainSample,
     SplittingResult,
-    branch_splittings,
     field_from_splitting,
+    gram_splittings,
     isotropic_deviation,
     normalized_gain,
-    splitting_from_eigen,
 )
 from .patterns import (
     GainPattern,
@@ -62,12 +57,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularMomentum",
     "CellGeometry",
-    "EigenSpectrum",
     "FieldEstimate",
     "FieldProfile",
     "GainPattern",
     "GainSample",
-    "HermitianMatrix",
     "LadderConfig",
     "Orientation",
     "PatternComparison",
@@ -80,26 +73,23 @@ __all__ = [
     "TransitionSystem",
     "UnresolvedSplittingError",
     "angle_sweep_deviation",
-    "assemble_hamiltonian",
     "branch_splittings",
     "build_interaction_general",
-    "build_interaction_paper",
     "clebsch_gordan",
     "compare_patterns",
     "decompose_polarization",
     "decompose_polarizations",
     "dipole_reference",
     "eigen_closed_form",
-    "eigen_hermitian",
     "extract_splitting",
     "field_from_splitting",
+    "gram_splittings",
     "isotropic_deviation",
     "normalized_gain",
     "path_average",
     "plane_to_orientation",
     "run_sweep",
     "scan_spectrum",
-    "splitting_from_eigen",
     "steady_state",
     "steady_state_rho",
     "transfer_matrix_field",

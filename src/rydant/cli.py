@@ -18,7 +18,9 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from .angular import Orientation
+import numpy as np
+
+from .angular import AngularMomentum, Orientation
 from .cellfield import (
     CellGeometry,
     incidence_in_domain,
@@ -32,18 +34,13 @@ from .cellfield import (
 from .config import MHZ, ConfigError, RunConfig, _finite, _magnitude, load_config, parse_angles_deg
 from .hamiltonian import (
     RfDrive,
-    assemble_hamiltonian,
-    build_interaction_paper,
-    eigen_closed_form,
-    eigen_hermitian,
-)
-from .metrology import (
+    TransitionSystem,
     branch_splittings,
-    field_from_splitting,
-    isotropic_deviation,
-    normalized_gain,
-    splitting_from_eigen,
+    build_interaction_general,
+    eigen_closed_form,
+    hamiltonian_array,
 )
+from .metrology import field_from_splitting, gram_splittings, isotropic_deviation, normalized_gain
 from .patterns import (
     GainPattern,
     SweepPlan,
@@ -64,6 +61,8 @@ from .spectra import (
 )
 
 PLACEHOLDER_MU_MHZ = 1.0  # MHz per V/m; non-physical stand-in for the coupling strength
+# The paper's J = 1/2 -> 3/2 transition, the one `rydant eigen` tabulates; mu plays no part.
+PAPER_SYSTEM = TransitionSystem(AngularMomentum(1), AngularMomentum(3), PLACEHOLDER_MU_MHZ * MHZ)
 
 
 @dataclass(frozen=True)
@@ -159,19 +158,18 @@ def _flag_drive(rabi_mhz: float, detuning_mhz: float) -> RfDrive:
 
 def cmd_eigen(args) -> int:
     drive = _flag_drive(args.rabi_mhz, args.detuning_mhz)
-    orientation = Orientation(args.chi, args.theta, args.phi)
+    orientation = Orientation(_finite(args.chi, "--chi"), _finite(args.theta, "--theta"), _finite(args.phi, "--phi"))
     closed = eigen_closed_form(drive, orientation)
-    numeric = eigen_hermitian(
-        assemble_hamiltonian(build_interaction_paper(drive, orientation), drive.detuning)
-    )
+    block = build_interaction_general(PAPER_SYSTEM, drive, orientation)
+    numeric = np.linalg.eigvalsh(hamiltonian_array(block, drive.detuning))
 
     print("index  closed_form_mhz  numeric_mhz")
-    for i, (cv, nv) in enumerate(zip(closed.values, numeric.values)):
+    for i, (cv, nv) in enumerate(zip(closed, numeric)):
         print(f"{i:<5d}  {_mhz(cv):<15.9g}  {_mhz(nv):<15.9g}")
 
     plus, minus = branch_splittings(drive, orientation)
     if abs(plus - minus) <= 1e-12 * max(plus, minus, 1.0):
-        delta_at = splitting_from_eigen(numeric, drive.detuning).delta_at
+        delta_at = gram_splittings(block[None], drive.detuning)[0]
         print(f"delta_at_mhz = {_mhz(delta_at):.9g}")
     else:
         print("elliptical drive (phi != 0): two branch splittings")
@@ -180,7 +178,7 @@ def cmd_eigen(args) -> int:
 
     if args.csv:
         lines = ["index,closed_form_mhz,numeric_mhz"]
-        for i, (cv, nv) in enumerate(zip(closed.values, numeric.values)):
+        for i, (cv, nv) in enumerate(zip(closed, numeric)):
             lines.append(f"{i},{_mhz(cv):.9g},{_mhz(nv):.9g}")
         with atomic_outputs() as stage:
             stage(args.csv, "\n".join(lines) + "\n")

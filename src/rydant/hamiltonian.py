@@ -19,8 +19,9 @@ usual contraction of the field with the dipole operator); the overall
 scale is fixed so the reduced Rabi frequency is sqrt(6) * rabi.
 
 coupling_stack fills the blocks M_I of a whole sweep from one
-Clebsch-Gordan table per transition; a sweep reads its splittings from their
-Gram matrices M_I^dag M_I (see patterns) and never assembles H.
+Clebsch-Gordan table per transition; every splitting is read from their Gram
+matrices M_I^dag M_I (metrology.gram_splittings), so only `rydant eigen`
+assembles H (hamiltonian_array), for its table of dressed levels.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .angular import (
     clebsch_gordan,
     decompose_polarization,
 )
-
-# Relative tolerance for declaring a matrix Hermitian.
-HERMITICITY_TOL = 1e-14
 
 _PHOTON = AngularMomentum(2)  # rank-1 coupling
 
@@ -82,74 +80,6 @@ class TransitionSystem:
     @property
     def dim(self) -> int:
         return self.jg.sublevel_count + self.je.sublevel_count
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Dense complex square matrix, validated Hermitian at construction."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        scale = max(1.0, float(np.abs(arr).max()) if arr.size else 1.0)
-        residual = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-        if residual > HERMITICITY_TOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: residual {residual:.3e} "
-                f"exceeds {HERMITICITY_TOL:.0e} * {scale:.3e}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Real eigenvalues in ascending order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("values must be a non-empty 1-D real array")
-        if np.any(np.diff(arr) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def build_interaction_paper(drive: RfDrive, orientation: Orientation) -> np.ndarray:
-    """Literal 4x2 coupling block for the jg = 1/2 -> je = 3/2 transition.
-
-    Rows are excited sublevels m = (-3/2, -1/2, +1/2, +3/2); columns are
-    ground sublevels m = (-1/2, +1/2).  Serves as the hand-written reference
-    the general builder reproduces to within rounding: the two differ in the
-    last bits of nearly every entry.
-    """
-    s = math.sin(orientation.chi)
-    c = math.cos(orientation.chi)
-    e_plus = np.exp(1j * (orientation.theta + orientation.phi))
-    e_minus = np.exp(-1j * (orientation.theta - orientation.phi))
-    root3 = math.sqrt(3.0)
-    return (drive.rabi / 4.0) * np.array(
-        [
-            [-root3 * e_plus * s, 0.0],
-            [2.0 * c, -e_plus * s],
-            [e_minus * s, 2.0 * c],
-            [0.0, root3 * e_minus * s],
-        ],
-        dtype=complex,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -208,25 +138,16 @@ def build_interaction_general(
 
     Entry (m_e row, m_g col) is sqrt(6)/4 * rabi * eps_{-q} * <jg m_g; 1 q | je m_e>
     with q = m_e - m_g; the opposite-handed spherical component carries each
-    sigma amplitude.  Normalization reproduces build_interaction_paper for
-    jg = 1/2 -> je = 3/2 to within rounding.  The one-orientation call of
-    coupling_stack.
+    sigma amplitude.  For jg = 1/2 -> je = 3/2 this is the paper's hand-written
+    block to within rounding.  The one-orientation call of coupling_stack.
     """
     pol = decompose_polarization(orientation)
     eps = tuple(np.array([e]) for e in (pol.eps_minus, pol.eps_zero, pol.eps_plus))
     return coupling_stack(system, [drive.rabi], eps)[0]
 
 
-def assemble_hamiltonian(interaction: np.ndarray, detuning: float) -> HermitianMatrix:
-    """Embed a coupling block into the full rotating-frame matrix."""
-    return HermitianMatrix(hamiltonian_array(interaction, detuning))
-
-
 def hamiltonian_array(interaction: np.ndarray, detuning: float) -> np.ndarray:
-    """The rotating-frame matrix as a plain array, skipping the Hermitian check.
-
-    Hermitian by construction.
-    """
+    """Embed a coupling block into the full rotating-frame matrix, Hermitian by construction."""
     block = np.asarray(interaction, dtype=complex)
     if block.ndim != 2 or 0 in block.shape:
         raise ValueError(f"interaction block must be a non-empty 2-D array, got shape {block.shape}")
@@ -241,24 +162,31 @@ def hamiltonian_array(interaction: np.ndarray, detuning: float) -> np.ndarray:
     return h
 
 
-def eigen_hermitian(matrix: HermitianMatrix) -> EigenSpectrum:
-    """All eigenvalues of a Hermitian matrix, ascending (LAPACK behind the contract)."""
-    return EigenSpectrum(np.linalg.eigvalsh(matrix.data))
+def branch_splittings(drive: RfDrive, orientation: Orientation) -> tuple[float, float]:
+    """The two branch splittings of the 1/2 -> 3/2 system, (plus-branch, minus-branch).
+
+    sqrt(detuning^2 + rabi^2 * (1 +/- sin(chi)*cos(chi)*sin(phi))); both
+    reduce to sqrt(detuning^2 + rabi^2) at phi = 0, where the Gram readout
+    applies, so this is the documented readout for the elliptical regime.
+    """
+    a = math.sin(orientation.chi) * math.cos(orientation.chi) * math.sin(orientation.phi)
+    d, w = drive.detuning, drive.rabi
+    return (
+        math.sqrt(d * d + w * w * (1.0 + a)),
+        math.sqrt(d * d + w * w * (1.0 - a)),
+    )
 
 
-def eigen_closed_form(drive: RfDrive, orientation: Orientation) -> EigenSpectrum:
+def eigen_closed_form(drive: RfDrive, orientation: Orientation) -> np.ndarray:
     """The six closed-form eigenvalues of the 1/2 -> 3/2 system, ascending.
 
-    Two eigenvalues sit at -detuning; the remaining four split into two
-    branches governed by 1 +/- sin(chi)*cos(chi)*sin(phi).  Independent of
-    theta.  Returned as a sorted multiset.
+    Two eigenvalues sit at -detuning; the remaining four are
+    -(detuning +/- root) / 2 for the two branch splittings.  Independent of
+    theta.
     """
     d = drive.detuning
-    w = drive.rabi
-    a = math.sin(orientation.chi) * math.cos(orientation.chi) * math.sin(orientation.phi)
     values = [-d, -d]
-    for branch in (1.0 + a, 1.0 - a):
-        root = math.sqrt(d * d + w * w * branch)
+    for root in branch_splittings(drive, orientation):
         values.append(-0.5 * (d + root))
         values.append(-0.5 * (d - root))
-    return EigenSpectrum(np.sort(values))
+    return np.sort(values)

@@ -1,7 +1,8 @@
 """Autler-Townes splitting extraction and field metrology.
 
-The measurement chain: a spectrum (from eigenvalues or from peak fitting)
-yields the splitting delta_at; the field amplitude follows from
+The measurement chain: the coupling blocks (through their ground-space
+Gram matrices) or a scanned spectrum (through its peaks) yield the
+splitting delta_at; the field amplitude follows from
 E = sqrt(delta_at^2 - detuning^2) / mu; angle-resolved ratios normalize
 into a gain pattern in dB.
 """
@@ -14,28 +15,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hamiltonian import EigenSpectrum, RfDrive
-from .angular import Orientation
-
-# Relative tolerance for identifying the degenerate -detuning pair.
-DEGENERACY_TOL = 1e-8
-
-SOURCE_EIGEN = "eigen"
-SOURCE_SPECTRUM = "spectrum-peaks"
-
 
 @dataclass(frozen=True)
 class SplittingResult:
-    """Extracted splitting (rad/s) and where it came from."""
+    """A splitting (rad/s) extracted from a scanned spectrum."""
 
     delta_at: float
-    source: str
 
     def __post_init__(self):
         if not math.isfinite(self.delta_at) or self.delta_at < 0:
             raise ValueError(f"delta_at must be finite and >= 0, got {self.delta_at}")
-        if self.source not in (SOURCE_EIGEN, SOURCE_SPECTRUM):
-            raise ValueError(f"unknown source {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -71,62 +60,18 @@ class GainSample:
             raise ValueError(f"gain_db must be <= 0, got {self.gain_db}")
 
 
-def splitting_from_eigen(spectrum: EigenSpectrum, detuning: float) -> SplittingResult:
-    """Splitting from a dressed-level spectrum.
+def gram_splittings(blocks: np.ndarray, detuning: float) -> np.ndarray:
+    """Splittings of a stack of coupling blocks, (n, excited, ground) -> delta_at[n].
 
-    Removes the two eigenvalues forming the degenerate pair at -detuning
-    (identified within DEGENERACY_TOL * max|eigenvalue|) and returns
-    max - min of the remaining branch values.  For the 1/2 -> 3/2 system
-    with phi = 0 this equals sqrt(detuning^2 + rabi^2).  The one-row call
-    of splittings_from_eigen.
+    Away from -detuning an eigenvalue lam of the dressed Hamiltonian solves
+    lam * (lam + detuning) = s, with s an eigenvalue of the ground-space Gram
+    matrix V^dag V.  For J -> J + 1, whose two dark states sit at -detuning,
+    the splitting (max - min of the dressed spectrum less that pair) is
+    therefore sqrt(detuning^2 + 4 s_max); for 1/2 -> 3/2 with phi = 0 it
+    equals sqrt(detuning^2 + rabi^2).
     """
-    delta_at = splittings_from_eigen(spectrum.values[None, :], detuning)[0]
-    return SplittingResult(float(delta_at), SOURCE_EIGEN)
-
-
-def splittings_from_eigen(values: np.ndarray, detuning: float) -> np.ndarray:
-    """Splittings of a stack of spectra, values[n, dim] -> delta_at[n].
-
-    Row by row the rule of splitting_from_eigen: the per-row tolerance is
-    DEGENERACY_TOL * max|eigenvalue| of that row, the pair is the first two
-    of a stable argsort of |value + detuning|, and the splitting is max - min
-    of the rest.  A row without an identifiable pair raises ValueError
-    quoting that row's residuals; the first such row is reported.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"values must be 2-D, one spectrum per row, got shape {values.shape}")
-    if values.shape[1] < 4:
-        raise ValueError(f"need at least 4 eigenvalues, got {values.shape[1]}")
-    tol = DEGENERACY_TOL * np.abs(values).max(axis=1)
-    distance = np.abs(values + detuning)
-    pair = np.argsort(distance, axis=1, kind="stable")[:, :2]
-    bad = np.any(np.take_along_axis(distance, pair, axis=1) > tol[:, None], axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            "degenerate pair at -detuning not identifiable "
-            f"(closest residuals {np.sort(distance[i])[:2]}, tolerance {tol[i]:.3e})"
-        )
-    keep = np.ones(values.shape, dtype=bool)
-    np.put_along_axis(keep, pair, False, axis=1)
-    rest = values[keep].reshape(len(values), values.shape[1] - 2)
-    return rest.max(axis=1) - rest.min(axis=1)
-
-
-def branch_splittings(drive: RfDrive, orientation: Orientation) -> tuple[float, float]:
-    """The two branch splittings for phi != 0, (plus-branch, minus-branch).
-
-    Both reduce to sqrt(detuning^2 + rabi^2) at phi = 0; splitting_from_eigen
-    is only defined there, so this is the documented readout for the
-    elliptical regime.
-    """
-    a = math.sin(orientation.chi) * math.cos(orientation.chi) * math.sin(orientation.phi)
-    d, w = drive.detuning, drive.rabi
-    return (
-        math.sqrt(d * d + w * w * (1.0 + a)),
-        math.sqrt(d * d + w * w * (1.0 - a)),
-    )
+    gram_top = np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)[:, -1]
+    return np.sqrt(detuning**2 + 4.0 * gram_top)
 
 
 def field_from_splitting(delta_at: float, detuning: float, mu: float) -> FieldEstimate:

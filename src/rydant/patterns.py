@@ -23,7 +23,8 @@ eigenvalue of H off -detuning solves lambda (lambda + detuning) = s for an
 eigenvalue s of the ground-space Gram matrix V^dag V, and the two dark
 states of J -> J + 1 sit at -detuning.  The splitting, max - min of the
 dressed spectrum less that pair, is therefore sqrt(detuning^2 + 4 s_max),
-from one batched eigvalsh of (n, ground, ground) Gram matrices.  Every angle
+from one batched eigvalsh of (n, ground, ground) Gram matrices
+(metrology.gram_splittings, which `rydant eigen` shares).  Every angle
 is still diagonalized on its own.  The spectrum readout
 scans once per distinct cell factor, since the ladder does not depend on
 the orientation.  Each batched stage gives the bits of its one-angle form
@@ -44,7 +45,7 @@ import numpy as np
 from .angular import Orientation, decompose_polarizations
 from .cellfield import CellGeometry, incidence_in_domain, path_averages
 from .hamiltonian import RfDrive, TransitionSystem, coupling_stack
-from .metrology import GainSample, isotropic_deviation, normalized_gain
+from .metrology import GainSample, gram_splittings, isotropic_deviation, normalized_gain
 from .spectra import (
     MAX_SCAN_POINTS,
     LadderConfig,
@@ -295,8 +296,7 @@ def _cell_factors(plan: SweepPlan) -> list[float]:
 def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
     polarizations = decompose_polarizations(*plane_angles(plan.plane, plan.angles))
     blocks = coupling_stack(plan.system, plan.drive.rabi * np.asarray(factors, dtype=float), polarizations)
-    gram_top = np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)[:, -1]
-    return np.sqrt(plan.drive.detuning**2 + 4.0 * gram_top).tolist()
+    return gram_splittings(blocks, plan.drive.detuning).tolist()
 
 
 def _spectrum_delta_at(plan: SweepPlan, omega_eff: float) -> float | None:

@@ -367,7 +367,7 @@ def extract_splitting(trace: SpectrumTrace, prominence: float = PROMINENCE_DEFAU
     Raises UnresolvedSplittingError when fewer than two peaks clear the
     prominence threshold (fraction of the full transmission scale).
     """
-    from .metrology import SOURCE_SPECTRUM, SplittingResult
+    from .metrology import SplittingResult
 
     if not 0.0 < prominence < 1.0:
         raise ValueError(f"prominence must be in (0, 1), got {prominence}")
@@ -377,7 +377,7 @@ def extract_splitting(trace: SpectrumTrace, prominence: float = PROMINENCE_DEFAU
             f"found {len(positions)} peak(s) above prominence {prominence}; need 2"
         )
     top_two = positions[np.argsort(proms)[-2:]]
-    return SplittingResult(float(abs(top_two[1] - top_two[0])), SOURCE_SPECTRUM)
+    return SplittingResult(float(abs(top_two[1] - top_two[0])))
 
 
 def trace_csv(trace: SpectrumTrace) -> str:

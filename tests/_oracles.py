@@ -26,9 +26,11 @@ oracle takes two plain exponentials per sample.  mpmath_interior_amplitudes
 evaluates a profile from the walk's own amplitudes at 30 digits.
 hamiltonian_stack is that full-matrix route for a whole sweep, and
 closed_form_delta_at the splitting of a linearly polarized drive from
-sympy's Clebsch-Gordan coefficients.  folded_incidence folds one XY angle
-alone, without merging the mirror twins that patterns.incidence_angles
-merges; patterns built on it are the unmerged reference.
+sympy's Clebsch-Gordan coefficients.  build_interaction_paper is the
+paper's hand-written 1/2 -> 3/2 block, the reference of acceptance
+criterion 1.  folded_incidence folds one XY angle alone, without merging
+the mirror twins that patterns.incidence_angles merges; patterns built on
+it are the unmerged reference.
 """
 
 import cmath
@@ -347,6 +349,30 @@ def doppler_absorption(cfg, low, high, points, sigma, max_grid_step, span_sigmas
     return np.correlate(absorption, weights, mode="valid")[::per_step]
 
 
+def build_interaction_paper(drive, orientation):
+    """Literal 4x2 coupling block for the jg = 1/2 -> je = 3/2 transition.
+
+    Rows are excited sublevels m = (-3/2, -1/2, +1/2, +3/2); columns are
+    ground sublevels m = (-1/2, +1/2).  The hand-written reference that
+    hamiltonian.build_interaction_general reproduces to within rounding: the
+    two differ in the last bits of nearly every entry.
+    """
+    s = math.sin(orientation.chi)
+    c = math.cos(orientation.chi)
+    e_plus = np.exp(1j * (orientation.theta + orientation.phi))
+    e_minus = np.exp(-1j * (orientation.theta - orientation.phi))
+    root3 = math.sqrt(3.0)
+    return (drive.rabi / 4.0) * np.array(
+        [
+            [-root3 * e_plus * s, 0.0],
+            [2.0 * c, -e_plus * s],
+            [e_minus * s, 2.0 * c],
+            [0.0, root3 * e_minus * s],
+        ],
+        dtype=complex,
+    )
+
+
 def interaction_block(system, drive, orientation):
     """Coupling block filled entry by entry, one clebsch_gordan call per entry.
 
@@ -373,7 +399,8 @@ def interaction_block(system, drive, orientation):
 def splitting(values, detuning, tolerance=1e-8):
     """max - min of one spectrum after deleting the two values nearest -detuning.
 
-    Raises ValueError with the message of metrology.splitting_from_eigen when
+    The degenerate-pair rule on the full dressed spectrum, which
+    metrology.gram_splittings replaces in the program.  Raises ValueError when
     that pair is farther than tolerance * max|value| from -detuning.
     """
     tol = tolerance * float(np.abs(values).max())

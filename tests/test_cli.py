@@ -9,7 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracles import build_interaction_paper, closed_form_delta_at
+from rydant.angular import Orientation
 from rydant.cli import main
+from rydant.config import MHZ
+from rydant.hamiltonian import RfDrive, hamiltonian_array
 from rydant.patterns import PLANES, dipole_reference, json_text
 from test_config import ANGLE_SPECS, CONFIG_VALUES, MUTABLE_KEYS, make_config, mutate
 
@@ -46,6 +50,36 @@ class TestEigenCommand:
         assert len([l for l in lines if l and l[0].isdigit()]) == 6
         delta_line = next(l for l in lines if l.startswith("delta_at_mhz"))
         assert float(delta_line.split("=")[1]) == pytest.approx(5.0, rel=1e-9)
+
+    def test_random_drives_match_the_reference_block(self, capsys):
+        # Printed at 9 significant digits, so each value is held to acceptance
+        # criterion 2's 1e-10 of the spectrum scale plus half a unit in its
+        # ninth digit.
+        def close(printed, expected, scale):
+            return abs(printed - expected) <= 1e-10 * scale + 5e-9 * abs(expected)
+
+        rng = np.random.default_rng(1207)
+        for k in range(40):
+            rabi = float(rng.uniform(0.5, 50.0))
+            detuning = [0.0, rabi / 2, -rabi / 2, float(rng.uniform(-30.0, 30.0))][k % 4]
+            chi, theta = float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
+            phi = 0.0 if k % 8 < 5 else float(rng.uniform(0, 2 * math.pi))
+            argv = ["eigen", "--rabi-mhz", repr(rabi), "--detuning-mhz", repr(detuning),
+                    "--chi", repr(chi), "--theta", repr(theta), "--phi", repr(phi)]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            drive = RfDrive(rabi * MHZ, detuning * MHZ)
+            block = build_interaction_paper(drive, Orientation(chi, theta, phi))
+            expected = np.linalg.eigvalsh(hamiltonian_array(block, drive.detuning)) / MHZ
+            numeric = [float(line.split()[2]) for line in lines[1:7]]
+            scale = max(1.0, float(np.abs(expected).max()))
+            assert all(close(got, want, scale) for got, want in zip(numeric, expected)), (argv, numeric)
+            delta_lines = [line for line in lines if line.startswith("delta_at_mhz = ")]
+            if phi == 0.0:
+                want = closed_form_delta_at(1, rabi, detuning)
+                assert close(float(delta_lines[0].split("=")[1]), want, want), argv
+            else:
+                assert not delta_lines and "elliptical drive (phi != 0): two branch splittings" in lines
 
     def test_elliptical_drive_reports_both_branches(self, capsys):
         code = main(
@@ -95,6 +129,11 @@ class TestEigenCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flag} must") and rule in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,value", [("--chi", "nan"), ("--theta", "inf"), ("--phi", "nan"), ("--chi", "-inf")])
+    def test_orientation_flags_are_refused_naming_the_flag(self, capsys, flag, value):
+        assert main(["eigen", "--rabi-mhz", "10", f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"config error: {flag} must be finite, got {value}\n"
 
     def test_spectrum_checks_the_flags_a_drive_section_overrides(self, tmp_path, capsys):
         config = write_config(tmp_path, drive={"rabi_mhz": 12.0})

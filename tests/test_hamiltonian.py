@@ -3,20 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import hamiltonian_stack, interaction_block, polarizations
+from _oracles import build_interaction_paper, hamiltonian_stack, interaction_block, polarizations
 from rydant import hamiltonian
 from rydant.angular import AngularMomentum, Orientation
 from rydant.hamiltonian import (
-    EigenSpectrum,
-    HermitianMatrix,
     RfDrive,
     TransitionSystem,
-    assemble_hamiltonian,
+    branch_splittings,
     build_interaction_general,
-    build_interaction_paper,
     coupling_stack,
     eigen_closed_form,
-    eigen_hermitian,
     hamiltonian_array,
 )
 
@@ -24,6 +20,11 @@ HALF = AngularMomentum(1)
 THREE_HALF = AngularMomentum(3)
 
 SYSTEM = TransitionSystem(jg=HALF, je=THREE_HALF, mu=1.0)
+
+
+def dressed_levels(drive, orientation):
+    """The numeric column of `rydant eigen`: general block, embedded, eigvalsh."""
+    return np.linalg.eigvalsh(hamiltonian_array(build_interaction_general(SYSTEM, drive, orientation), drive.detuning))
 
 
 def random_orientation(rng):
@@ -104,7 +105,7 @@ class TestGeneralBlock:
 class TestAssembly:
     def test_embeds_block_and_detuning(self):
         block = build_interaction_paper(RfDrive(rabi=4.0), Orientation(math.pi / 2, 0.0, 0.0))
-        h = assemble_hamiltonian(block, detuning=3.0).data
+        h = hamiltonian_array(block, detuning=3.0)
         assert h.shape == (6, 6)
         np.testing.assert_allclose(h[:2, :2], 0.0)
         np.testing.assert_allclose(h[2:, 2:], -3.0 * np.eye(4))
@@ -117,48 +118,47 @@ class TestAssembly:
             block = build_interaction_general(
                 SYSTEM, RfDrive(rabi=rng.uniform(0, 5)), random_orientation(rng)
             )
-            h = assemble_hamiltonian(block, detuning=rng.uniform(-5, 5)).data
+            h = hamiltonian_array(block, detuning=rng.uniform(-5, 5))
             assert np.abs(h - h.conj().T).max() == 0.0
 
     def test_rejects_non_2d_block(self):
         with pytest.raises(ValueError):
-            assemble_hamiltonian(np.zeros(4), detuning=0.0)
-
-    def test_hermitian_matrix_rejects_asymmetry(self):
-        with pytest.raises(ValueError):
-            HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_eigen_spectrum_requires_sorted_values(self):
-        with pytest.raises(ValueError):
-            EigenSpectrum(np.array([1.0, 0.0]))
+            hamiltonian_array(np.zeros(4), detuning=0.0)
 
 
 class TestEigensolutions:
-    def test_two_by_two_reference(self):
-        spec = eigen_hermitian(HermitianMatrix(np.array([[0.0, 2.0], [2.0, -3.0]])))
-        np.testing.assert_allclose(spec.values, [-4.0, 1.0], atol=1e-14)
-
     def test_closed_form_frozen_symmetric_case(self):
         # chi = pi/2, Delta = 3, Omega = 4: both branches collapse to a 3-4-5 triple
         spec = eigen_closed_form(RfDrive(rabi=4.0, detuning=3.0), Orientation(math.pi / 2, 0.0, 0.0))
-        np.testing.assert_allclose(spec.values, [-4, -4, -3, -3, 1, 1], atol=1e-14)
+        np.testing.assert_allclose(spec, [-4, -4, -3, -3, 1, 1], atol=1e-14)
 
     def test_closed_form_frozen_split_branches(self):
         # phi = pi/2, chi = pi/4 gives branch weights 1 +/- 1/2
         spec = eigen_closed_form(RfDrive(rabi=4.0), Orientation(math.pi / 4, 0.0, math.pi / 2))
         expected = [-math.sqrt(6), -math.sqrt(2), 0.0, 0.0, math.sqrt(2), math.sqrt(6)]
-        np.testing.assert_allclose(spec.values, expected, atol=1e-14)
+        np.testing.assert_allclose(spec, expected, atol=1e-14)
+
+    def test_closed_form_is_built_on_the_branch_splittings(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            drive = RfDrive(rabi=rng.uniform(0, 8), detuning=rng.uniform(-5, 5))
+            o = random_orientation(rng)
+            spec = eigen_closed_form(drive, o)
+            assert isinstance(spec, np.ndarray) and spec.dtype == float and np.all(np.diff(spec) >= 0)
+            d = drive.detuning
+            roots = branch_splittings(drive, o)
+            expected = sorted([-d, -d] + [v for r in roots for v in (-0.5 * (d + r), -0.5 * (d - r))])
+            assert spec.tolist() == expected
 
     def test_closed_form_matches_numerics(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
             drive = RfDrive(rabi=rng.uniform(0, 8), detuning=rng.uniform(-5, 5))
             o = random_orientation(rng)
-            block = build_interaction_paper(drive, o)
-            numeric = eigen_hermitian(assemble_hamiltonian(block, drive.detuning))
+            numeric = dressed_levels(drive, o)
             closed = eigen_closed_form(drive, o)
-            scale = max(1.0, np.abs(numeric.values).max())
-            assert np.abs(numeric.values - closed.values).max() <= 1e-10 * scale
+            scale = max(1.0, np.abs(numeric).max())
+            assert np.abs(numeric - closed).max() <= 1e-10 * scale
 
     def test_spectrum_is_independent_of_theta(self):
         rng = np.random.default_rng(31)
@@ -166,19 +166,18 @@ class TestEigensolutions:
         base = None
         for theta in rng.uniform(0, 2 * math.pi, size=20):
             o = Orientation(chi=0.8, theta=float(theta), phi=2.1)
-            block = build_interaction_paper(drive, o)
-            spec = eigen_hermitian(assemble_hamiltonian(block, drive.detuning))
+            spec = dressed_levels(drive, o)
             if base is None:
-                base = spec.values
+                base = spec
             else:
-                np.testing.assert_allclose(spec.values, base, atol=1e-12)
+                np.testing.assert_allclose(spec, base, atol=1e-12)
 
     def test_detuning_pair_always_present(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             drive = RfDrive(rabi=rng.uniform(0, 8), detuning=rng.uniform(-5, 5))
             spec = eigen_closed_form(drive, random_orientation(rng))
-            hits = np.sum(np.abs(spec.values + drive.detuning) < 1e-12)
+            hits = np.sum(np.abs(spec + drive.detuning) < 1e-12)
             assert hits >= 2
 
     def test_drive_validation(self):

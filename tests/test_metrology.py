@@ -3,64 +3,87 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import hamiltonian_stack, polarizations, splitting
+from _oracles import closed_form_delta_at, hamiltonian_stack, polarizations, splitting
 from rydant.angular import AngularMomentum, Orientation
 from rydant.hamiltonian import (
-    EigenSpectrum,
     RfDrive,
     TransitionSystem,
-    assemble_hamiltonian,
-    build_interaction_paper,
-    eigen_hermitian,
+    branch_splittings,
+    build_interaction_general,
+    coupling_stack,
+    hamiltonian_array,
 )
 from rydant.metrology import (
-    SOURCE_EIGEN,
     FieldEstimate,
     GainSample,
     SplittingResult,
-    branch_splittings,
     field_from_splitting,
+    gram_splittings,
     isotropic_deviation,
     normalized_gain,
-    splitting_from_eigen,
-    splittings_from_eigen,
 )
 
-
-def spectrum_for(rabi, detuning, chi=math.pi / 2, theta=0.0, phi=0.0):
-    drive = RfDrive(rabi=rabi, detuning=detuning)
-    block = build_interaction_paper(drive, Orientation(chi, theta, phi))
-    return eigen_hermitian(assemble_hamiltonian(block, detuning))
+SYSTEM = TransitionSystem(AngularMomentum(1), AngularMomentum(3), mu=1.0)
 
 
-class TestSplittingFromEigen:
+def block_for(rabi, detuning, chi=math.pi / 2, theta=0.0, phi=0.0):
+    return build_interaction_general(SYSTEM, RfDrive(rabi=rabi, detuning=detuning), Orientation(chi, theta, phi))
+
+
+def gram_splitting(rabi, detuning, **orientation):
+    return float(gram_splittings(block_for(rabi, detuning, **orientation)[None], detuning)[0])
+
+
+def spectrum_for(rabi, detuning, **orientation):
+    return np.linalg.eigvalsh(hamiltonian_array(block_for(rabi, detuning, **orientation), detuning))
+
+
+class TestGramSplittings:
     def test_three_four_five(self):
-        result = splitting_from_eigen(spectrum_for(4.0, 3.0), detuning=3.0)
-        assert result.delta_at == pytest.approx(5.0, rel=1e-12)
-        assert result.source == SOURCE_EIGEN
+        assert gram_splitting(4.0, 3.0) == pytest.approx(5.0, rel=1e-12)
 
     def test_resonant_drive(self):
-        result = splitting_from_eigen(spectrum_for(2.0, 0.0), detuning=0.0)
-        assert result.delta_at == pytest.approx(2.0, rel=1e-12)
+        assert gram_splitting(2.0, 0.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_zero_field_gives_bare_detuning(self):
-        result = splitting_from_eigen(spectrum_for(0.0, 5.0), detuning=5.0)
-        assert result.delta_at == pytest.approx(5.0, rel=1e-12)
-
-    def test_requires_identifiable_pair(self):
-        # No eigenvalue anywhere near -10, so the pair cannot be found.
-        with pytest.raises(ValueError, match="degenerate pair"):
-            splitting_from_eigen(spectrum_for(4.0, 3.0), detuning=10.0)
-
-    def test_requires_enough_eigenvalues(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            splitting_from_eigen(EigenSpectrum(np.array([-1.0, 0.0, 1.0])), detuning=0.0)
+        assert gram_splitting(0.0, 5.0) == pytest.approx(5.0, rel=1e-12)
 
     def test_matches_quadrature_formula_on_grid(self):
         for rabi in (0.5, 1.0, 4.0, 9.0):
             for detuning in (-3.0, -0.5, 0.0, 2.0):
-                got = splitting_from_eigen(spectrum_for(rabi, detuning), detuning).delta_at
-                assert got == pytest.approx(math.hypot(rabi, detuning), rel=1e-12)
+                assert gram_splitting(rabi, detuning) == pytest.approx(math.hypot(rabi, detuning), rel=1e-12)
+
+    @pytest.mark.parametrize("two_jg", [0, 1, 3, 6])
+    @pytest.mark.parametrize("detuning", [0.0, 2.5, -4.0])
+    def test_equals_the_degenerate_pair_rule_and_the_closed_form(self, two_jg, detuning):
+        # Linear drives on J -> J + 1: the Gram rule against max - min of the
+        # full dressed spectrum less its -detuning pair, and against sympy.
+        rng = np.random.default_rng(7 * two_jg + 1)
+        system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
+        orientations = [Orientation(*rng.uniform(0.0, 2 * math.pi, 2)) for _ in range(60)]
+        rabis = rng.uniform(0.0, 10.0, 60)
+        got = gram_splittings(coupling_stack(system, rabis, polarizations(orientations)), detuning)
+        assert got.shape == (60,)
+        values = np.linalg.eigvalsh(hamiltonian_stack(system, rabis, polarizations(orientations), detuning))
+        full = np.array([splitting(row, detuning) for row in values])
+        closed = np.array([closed_form_delta_at(two_jg, rabi, detuning) for rabi in rabis])
+        assert np.abs(got - full).max() <= 1e-14 * max(1.0, full.max())
+        assert np.abs(got - closed).max() <= 1e-14 * max(1.0, closed.max())
+
+    def test_empty_stack(self):
+        assert gram_splittings(np.zeros((0, 4, 2), dtype=complex), 1.0).shape == (0,)
+
+
+class TestDegeneratePairOracle:
+    """The rule gram_splittings replaced, kept in _oracles for acceptance criterion 4."""
+
+    def test_requires_identifiable_pair(self):
+        # No eigenvalue anywhere near -10, so the pair cannot be found.
+        with pytest.raises(ValueError, match="degenerate pair"):
+            splitting(spectrum_for(4.0, 3.0), detuning=10.0)
+
+    def test_three_four_five(self):
+        assert splitting(spectrum_for(4.0, 3.0), 3.0) == pytest.approx(5.0, rel=1e-12)
 
 
 class TestBranchSplittings:
@@ -72,10 +95,8 @@ class TestBranchSplittings:
 
     def test_elliptical_case_matches_numerics(self):
         drive = RfDrive(rabi=4.0, detuning=1.0)
-        o = Orientation(math.pi / 4, 0.3, math.pi / 2)
-        plus, minus = branch_splittings(drive, o)
-        block = build_interaction_paper(drive, o)
-        values = eigen_hermitian(assemble_hamiltonian(block, drive.detuning)).values
+        plus, minus = branch_splittings(drive, Orientation(math.pi / 4, 0.3, math.pi / 2))
+        values = spectrum_for(4.0, 1.0, chi=math.pi / 4, theta=0.3, phi=math.pi / 2)
         # strip the -detuning pair, then the outer gap is the plus branch
         rest = np.delete(values, np.argsort(np.abs(values + drive.detuning))[:2])
         assert rest.max() - rest.min() == pytest.approx(plus, rel=1e-12)
@@ -97,8 +118,7 @@ class TestFieldEstimate:
         for field in (0.25, 1.0, 4.0):
             for detuning in (0.0, 1.5, -2.0):
                 rabi = mu * field
-                got = splitting_from_eigen(spectrum_for(rabi, detuning), detuning)
-                est = field_from_splitting(got.delta_at, detuning, mu)
+                est = field_from_splitting(gram_splitting(rabi, detuning), detuning, mu)
                 assert est.amplitude == pytest.approx(field, rel=1e-10)
 
     def test_rejects_splitting_below_detuning(self):
@@ -175,45 +195,12 @@ class TestIsotropicDeviation:
 class TestValueObjects:
     def test_splitting_result_validation(self):
         with pytest.raises(ValueError):
-            SplittingResult(delta_at=-1.0, source=SOURCE_EIGEN)
+            SplittingResult(delta_at=-1.0)
         with pytest.raises(ValueError):
-            SplittingResult(delta_at=1.0, source="guesswork")
+            SplittingResult(delta_at=math.nan)
 
     def test_gain_sample_validation(self):
         with pytest.raises(ValueError):
             GainSample(angle=0.0, raw_ratio=1.0, gain_db=0.5)
         with pytest.raises(ValueError):
             GainSample(angle=0.0, raw_ratio=-1.0, gain_db=-1.0)
-
-
-class TestBatchedSplittings:
-    @pytest.mark.parametrize("two_jg", [0, 1, 3, 6])
-    @pytest.mark.parametrize("detuning", [0.0, 2.5, -4.0])
-    def test_rows_match_the_one_row_call_and_the_oracle(self, two_jg, detuning):
-        rng = np.random.default_rng(7 * two_jg + 1)
-        system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
-        orientations = [Orientation(*rng.uniform(0.0, 2 * math.pi, 2)) for _ in range(60)]
-        values = np.linalg.eigvalsh(hamiltonian_stack(system, rng.uniform(0.0, 10.0, 60), polarizations(orientations), detuning))
-        batched = splittings_from_eigen(values, detuning)
-        assert batched.tolist() == [splitting_from_eigen(EigenSpectrum(row), detuning).delta_at for row in values]
-        assert batched.tolist() == [splitting(row, detuning) for row in values]
-
-    def test_refusal_reports_the_first_bad_row(self):
-        good = spectrum_for(4.0, 3.0).values
-        bad_a = spectrum_for(4.0, 3.0).values + 0.5  # pair moved off -detuning
-        bad_b = spectrum_for(4.0, 3.0).values + 2.0
-        with pytest.raises(ValueError) as one_row:
-            splitting_from_eigen(EigenSpectrum(bad_a), 3.0)
-        with pytest.raises(ValueError) as oracle:
-            splitting(bad_a, 3.0)
-        with pytest.raises(ValueError) as batch:
-            splittings_from_eigen(np.stack([good, bad_a, good, bad_b]), 3.0)
-        assert str(batch.value) == str(one_row.value) == str(oracle.value)
-        assert "degenerate pair at -detuning not identifiable" in str(batch.value)
-
-    def test_shape_checks(self):
-        with pytest.raises(ValueError, match="2-D"):
-            splittings_from_eigen(np.zeros(6), 0.0)
-        with pytest.raises(ValueError, match="at least 4"):
-            splittings_from_eigen(np.zeros((2, 3)), 0.0)
-        assert splittings_from_eigen(np.zeros((0, 6)), 0.0).shape == (0,)

