@@ -4,9 +4,7 @@ Rydberg-atom RF antenna with polarization-independent response."""
 from .angular import (
     AngularMomentum,
     Orientation,
-    SphericalPolarization,
     clebsch_gordan,
-    decompose_polarization,
     decompose_polarizations,
 )
 from .cellfield import (
@@ -38,7 +36,6 @@ from .patterns import (
     SweepPlan,
     compare_patterns,
     dipole_reference,
-    plane_to_orientation,
     run_sweep,
 )
 from .spectra import (
@@ -48,8 +45,6 @@ from .spectra import (
     UnresolvedSplittingError,
     extract_splitting,
     scan_spectrum,
-    steady_state,
-    steady_state_rho,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +61,6 @@ __all__ = [
     "PatternComparison",
     "RfDrive",
     "SpectrumTrace",
-    "SphericalPolarization",
     "SplittingResult",
     "SteadyStateError",
     "SweepPlan",
@@ -77,7 +71,6 @@ __all__ = [
     "build_interaction_general",
     "clebsch_gordan",
     "compare_patterns",
-    "decompose_polarization",
     "decompose_polarizations",
     "dipole_reference",
     "eigen_closed_form",
@@ -87,10 +80,7 @@ __all__ = [
     "isotropic_deviation",
     "normalized_gain",
     "path_average",
-    "plane_to_orientation",
     "run_sweep",
     "scan_spectrum",
-    "steady_state",
-    "steady_state_rho",
     "transfer_matrix_field",
 ]

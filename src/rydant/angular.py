@@ -19,8 +19,8 @@ resolves in the spherical basis as::
     eps_minus = +sin(chi) * exp(-i*(theta - phi)) / sqrt(2)
 
 decompose_polarizations refuses, wraps and resolves whole arrays of angles
-at once; Orientation (the refusal and the wrap) and decompose_polarization
-(the components) are its one-row forms and give the same bits.
+at once; Orientation applies the same refusal and wrap to one orientation,
+and a wrapped orientation passes through decompose_polarizations unchanged.
 """
 
 from __future__ import annotations
@@ -91,28 +91,6 @@ class Orientation:
         object.__setattr__(self, "phi", float(phi))
 
 
-@dataclass(frozen=True)
-class SphericalPolarization:
-    """Spherical components (eps_minus, eps_zero, eps_plus) of a unit vector."""
-
-    eps_minus: complex
-    eps_zero: complex
-    eps_plus: complex
-
-    def __post_init__(self):
-        _check_unit_norm(self.eps_minus, self.eps_zero, self.eps_plus)
-
-    def component(self, q: int) -> complex:
-        """Spherical component for q in (-1, 0, +1)."""
-        if q == -1:
-            return self.eps_minus
-        if q == 0:
-            return self.eps_zero
-        if q == +1:
-            return self.eps_plus
-        raise ValueError(f"q must be -1, 0 or +1, got {q}")
-
-
 def _wrapped(chi, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orientation's rule over arrays: refuse non-finite angles, fold chi, wrap."""
     arrays = [np.asarray(v, dtype=float) for v in (chi, theta, phi)]
@@ -135,39 +113,22 @@ def _check_unit_norm(eps_minus, eps_zero, eps_plus) -> None:
         )
 
 
-def _components(chi, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = np.sin(chi)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return (
-        +s * inv_sqrt2 * np.exp(1j * (phi - theta)),
-        np.cos(chi).astype(complex),
-        -s * inv_sqrt2 * np.exp(1j * (phi + theta)),
-    )
-
-
 def decompose_polarizations(chi, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spherical components (eps_minus, eps_zero, eps_plus) of many orientations.
 
     chi, theta and phi are equal-length arrays of angles in radians, refused
     and wrapped exactly as Orientation refuses and wraps one orientation.
-    Each row equals decompose_polarization of that Orientation, bit for bit.
     """
-    eps = _components(*_wrapped(chi, theta, phi))
+    chi, theta, phi = _wrapped(chi, theta, phi)
+    s = np.sin(chi)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    eps = (
+        +s * inv_sqrt2 * np.exp(1j * (phi - theta)),
+        np.cos(chi).astype(complex),
+        -s * inv_sqrt2 * np.exp(1j * (phi + theta)),
+    )
     _check_unit_norm(*eps)
     return eps
-
-
-def decompose_polarization(orientation: Orientation) -> SphericalPolarization:
-    """Resolve an orientation into spherical components (see module header).
-
-    The one-row form of decompose_polarizations: the same components, from
-    angles that Orientation has already wrapped and that are not wrapped
-    twice.
-    """
-    (eps_minus,), (eps_zero,), (eps_plus,) = _components(
-        np.array([orientation.chi]), np.array([orientation.theta]), np.array([orientation.phi])
-    )
-    return SphericalPolarization(complex(eps_minus), complex(eps_zero), complex(eps_plus))
 
 
 def _half(two_x: int) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from .angular import AngularMomentum
 from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, check_stack, incidence_in_domain, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
-from .patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG, TWO_PI, finite_number, incidence_angles
+from .patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG, PLANES, READOUTS, TWO_PI, finite_number, incidence_angles
 from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, MAX_SCAN_POINTS, LadderConfig
 
 SCHEMA_VERSION = 1
@@ -304,10 +304,10 @@ def _parse_sweep(section: dict) -> SweepSection:
     allowed = {"plane", "angles_deg", "readout", "use_cell", "noise_sigma_db"}
     _check_keys(section, allowed, {"plane", "angles_deg"}, where)
     plane = section["plane"]
-    if plane not in ("XY", "XZ", "YZ"):
+    if plane not in PLANES:
         raise ConfigError(f"{where}.plane must be XY, XZ or YZ, got {plane!r}")
     readout = section.get("readout", "eigen")
-    if readout not in ("eigen", "spectrum"):
+    if readout not in READOUTS:
         raise ConfigError(f"{where}.readout must be 'eigen' or 'spectrum', got {readout!r}")
     use_cell = section.get("use_cell", False)
     if not isinstance(use_cell, bool):

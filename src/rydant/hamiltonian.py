@@ -32,12 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import (
-    AngularMomentum,
-    Orientation,
-    clebsch_gordan,
-    decompose_polarization,
-)
+from .angular import AngularMomentum, Orientation, clebsch_gordan, decompose_polarizations
 
 _PHOTON = AngularMomentum(2)  # rank-1 coupling
 
@@ -141,8 +136,7 @@ def build_interaction_general(
     sigma amplitude.  For jg = 1/2 -> je = 3/2 this is the paper's hand-written
     block to within rounding.  The one-orientation call of coupling_stack.
     """
-    pol = decompose_polarization(orientation)
-    eps = tuple(np.array([e]) for e in (pol.eps_minus, pol.eps_zero, pol.eps_plus))
+    eps = decompose_polarizations([orientation.chi], [orientation.theta], [orientation.phi])
     return coupling_stack(system, [drive.rabi], eps)[0]
 
 

@@ -27,8 +27,8 @@ from one batched eigvalsh of (n, ground, ground) Gram matrices
 (metrology.gram_splittings, which `rydant eigen` shares).  Every angle
 is still diagonalized on its own.  The spectrum readout
 scans once per distinct cell factor, since the ladder does not depend on
-the orientation.  Each batched stage gives the bits of its one-angle form
-(plane_to_orientation, decompose_polarization, transfer_matrix_field).
+the orientation.  The cell stage gives the bits of its one-angle form,
+transfer_matrix_field.
 The readout noise is one normal stream per sweep.  What still runs per
 angle is the conversion to dB.
 """
@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import Orientation, decompose_polarizations
+from .angular import decompose_polarizations
 from .cellfield import CellGeometry, incidence_in_domain, path_averages
 from .hamiltonian import RfDrive, TransitionSystem, coupling_stack
 from .metrology import GainSample, gram_splittings, isotropic_deviation, normalized_gain
@@ -96,7 +96,10 @@ class SweepPlan:
     Hz) rescales the field each angle, and no angle may fold onto grazing
     incidence on it.  noise_sigma_db adds multiplicative Gaussian jitter to
     each extracted splitting: angle i takes draw i of one normal stream
-    seeded by seed, so a gap angle shifts no other angle's draw.
+    seeded by seed, so a gap angle shifts no other angle's draw.  The
+    spectrum readout takes scan_points samples over scan_window of each
+    cell factor's ladder; a config's scan.min_mhz and scan.max_mhz never
+    reach a sweep.
     """
 
     plane: str
@@ -192,9 +195,10 @@ class GainPattern:
     def from_dict(cls, payload: dict) -> "GainPattern":
         """Read a to_dict document back, refusing what to_dict cannot write.
 
-        Refused with ValueError: a document that is not an object, an empty
-        samples list, any number that is not finite, and a deviation_db
-        more than DEVIATION_MATCH_DB from the spread of its own gain_db.
+        Refused with ValueError: a document that is not an object, a plane
+        or readout that is not a non-empty string, an empty samples list,
+        any number that is not finite, and a deviation_db more than
+        DEVIATION_MATCH_DB from the spread of its own gain_db.
         """
         if not isinstance(payload, dict):
             raise ValueError(f"a gain_pattern document is a JSON object, got {type(payload).__name__}")
@@ -202,6 +206,9 @@ class GainPattern:
             raise ValueError("not a gain_pattern document")
         if payload.get("schema_version") != 1:
             raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
+        for key in ("plane", "readout"):
+            if not isinstance(payload[key], str) or not payload[key]:
+                raise ValueError(f"{key} must be a non-empty string, got {payload[key]!r}")
         if not payload["samples"]:
             raise ValueError("samples is empty")
         samples = tuple(
@@ -258,12 +265,6 @@ def plane_angles(plane: str, angles) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if plane == "YZ":
         return angles, np.full_like(angles, math.pi / 2), zeros
     raise ValueError(f"plane must be one of {PLANES}, got {plane!r}")
-
-
-def plane_to_orientation(plane: str, angle: float) -> Orientation:
-    """One sweep angle as an Orientation: the one-row call of plane_angles."""
-    (chi,), (theta,), (phi,) = plane_angles(plane, [angle])
-    return Orientation(float(chi), float(theta), float(phi))
 
 
 def incidence_angles(plane: str, angles) -> np.ndarray:

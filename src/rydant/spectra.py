@@ -81,8 +81,7 @@ class LadderConfig:
     doppler_sigma > 0 makes scan_spectrum average each point over a
     Gaussian shift of the scanned detuning with this standard deviation
     (velocity classes); the average is exact, one Faddeeva function per
-    pole.  Zero keeps the single stationary class.  The single-detuning
-    steady_state and steady_state_rho always give the stationary class.
+    pole.  Zero keeps the single stationary class.
     """
 
     omega_p: float
@@ -261,18 +260,6 @@ def _doppler_pole_average(eps: np.ndarray, lam: np.ndarray, sigma: float) -> np.
     mean_inverse = -1j * side * math.sqrt(math.pi / 2.0) / sigma * wofz(side * a / (sigma * math.sqrt(2.0)))
     average[:, poles] = 1.0 + mean_inverse / lam[poles]
     return average
-
-
-def steady_state_rho(cfg: LadderConfig, delta_c: float) -> np.ndarray:
-    """Full steady-state density matrix at one scanned detuning."""
-    if not math.isfinite(delta_c):
-        raise ValueError(f"delta_c must be finite, got {delta_c}")
-    return _steady_states(cfg, np.array([float(delta_c)]))[0].reshape((_DIM, _DIM), order="F")
-
-
-def steady_state(cfg: LadderConfig, delta_c: float) -> float:
-    """Imaginary part of the g-e coherence (positive means absorption)."""
-    return float(steady_state_rho(cfg, delta_c)[0, 1].imag)
 
 
 def normalize_trace(values: np.ndarray) -> np.ndarray:

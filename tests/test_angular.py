@@ -9,9 +9,8 @@ from _oracles import plane_orientation, spherical_components, wrap_orientation
 from rydant.angular import (
     AngularMomentum,
     Orientation,
-    SphericalPolarization,
+    _check_unit_norm,
     clebsch_gordan,
-    decompose_polarization,
     decompose_polarizations,
 )
 from rydant.patterns import plane_angles
@@ -148,11 +147,9 @@ class TestOrientation:
         assert o.chi == pytest.approx(math.pi / 2)
         assert o.theta == pytest.approx(0.3 + math.pi)
         # the polarization vector is unchanged by the fold
-        a = decompose_polarization(Orientation(chi=-0.7, theta=1.1, phi=0.5))
-        b = decompose_polarization(Orientation(chi=0.7, theta=1.1 + math.pi, phi=0.5))
-        assert a.eps_plus == pytest.approx(b.eps_plus, abs=1e-15)
-        assert a.eps_minus == pytest.approx(b.eps_minus, abs=1e-15)
-        assert a.eps_zero == pytest.approx(b.eps_zero, abs=1e-15)
+        a, b = Orientation(chi=-0.7, theta=1.1, phi=0.5), Orientation(chi=0.7, theta=1.1 + math.pi, phi=0.5)
+        eps_a, eps_b = np.stack(decompose_polarizations([a.chi, b.chi], [a.theta, b.theta], [a.phi, b.phi]), axis=1)
+        assert eps_a == pytest.approx(eps_b, abs=1e-15)
 
     def test_boundaries_stay_in_range(self):
         assert Orientation(math.pi, 0.0, 0.0).chi == pytest.approx(math.pi)
@@ -165,55 +162,43 @@ class TestOrientation:
 
 class TestDecomposePolarization:
     def test_pure_axial_is_pi_polarized(self):
-        pol = decompose_polarization(Orientation(chi=0.0, theta=0.0, phi=0.0))
-        assert pol.eps_minus == pytest.approx(0.0, abs=1e-15)
-        assert pol.eps_zero == pytest.approx(1.0, abs=1e-15)
-        assert pol.eps_plus == pytest.approx(0.0, abs=1e-15)
+        (eps_minus,), (eps_zero,), (eps_plus,) = decompose_polarizations([0.0], [0.0], [0.0])
+        assert eps_minus == pytest.approx(0.0, abs=1e-15)
+        assert eps_zero == pytest.approx(1.0, abs=1e-15)
+        assert eps_plus == pytest.approx(0.0, abs=1e-15)
 
     def test_transverse_splits_evenly(self):
-        pol = decompose_polarization(Orientation(chi=math.pi / 2, theta=0.0, phi=0.0))
-        assert pol.eps_minus == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert pol.eps_zero == pytest.approx(0.0, abs=1e-15)
-        assert pol.eps_plus == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
+        (eps_minus,), (eps_zero,), (eps_plus,) = decompose_polarizations([math.pi / 2], [0.0], [0.0])
+        assert eps_minus == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert eps_zero == pytest.approx(0.0, abs=1e-15)
+        assert eps_plus == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
 
     def test_oblique_reference_values(self):
-        pol = decompose_polarization(Orientation(chi=math.pi / 4, theta=0.0, phi=0.0))
-        assert pol.eps_minus == pytest.approx(0.5, abs=1e-15)
-        assert pol.eps_zero == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert pol.eps_plus == pytest.approx(-0.5, abs=1e-15)
+        (eps_minus,), (eps_zero,), (eps_plus,) = decompose_polarizations([math.pi / 4], [0.0], [0.0])
+        assert eps_minus == pytest.approx(0.5, abs=1e-15)
+        assert eps_zero == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert eps_plus == pytest.approx(-0.5, abs=1e-15)
 
     def test_unit_norm_and_balanced_sigma_components(self):
         rng = np.random.default_rng(20240817)
-        for _ in range(1000):
-            o = Orientation(
+        orientations = [
+            Orientation(
                 chi=rng.uniform(0, math.pi),
                 theta=rng.uniform(0, TWO_PI),
                 phi=rng.uniform(0, TWO_PI),
             )
-            pol = decompose_polarization(o)
-            norm_sq = abs(pol.eps_minus) ** 2 + abs(pol.eps_zero) ** 2 + abs(pol.eps_plus) ** 2
-            assert abs(norm_sq - 1.0) < 1e-12
-            assert abs(pol.eps_plus) == pytest.approx(abs(pol.eps_minus), abs=1e-15)
-
-    def test_rejects_non_unit_norm(self):
-        with pytest.raises(ValueError):
-            SphericalPolarization(0.5, 0.0, 0.0)
-
-    def test_component_lookup(self):
-        pol = decompose_polarization(Orientation(chi=0.3, theta=0.4, phi=0.5))
-        assert pol.component(-1) == pol.eps_minus
-        assert pol.component(0) == pol.eps_zero
-        assert pol.component(1) == pol.eps_plus
-        with pytest.raises(ValueError):
-            pol.component(2)
+            for _ in range(1000)
+        ]
+        eps_minus, eps_zero, eps_plus = decompose_polarizations(
+            *([getattr(o, name) for o in orientations] for name in ("chi", "theta", "phi"))
+        )
+        norm_sq = np.abs(eps_minus) ** 2 + np.abs(eps_zero) ** 2 + np.abs(eps_plus) ** 2
+        assert np.abs(norm_sq - 1.0).max() < 1e-12
+        assert np.abs(eps_plus) == pytest.approx(np.abs(eps_minus), abs=1e-15)
 
 
 def component_bytes(components):
     return np.array(components, dtype=complex).tobytes()
-
-
-def astuple(pol):
-    return (pol.eps_minus, pol.eps_zero, pol.eps_plus)
 
 
 class TestBatchedDecomposition:
@@ -241,7 +226,9 @@ class TestBatchedDecomposition:
         for w, row in zip(wrapped, zip(chi.tolist(), theta.tolist(), phi.tolist())):
             o = Orientation(*row)
             assert (o.chi, o.theta, o.phi) == tuple(w)
-            assert component_bytes([astuple(decompose_polarization(o))]) == component_bytes([spherical_components(w)])
+            # a wrapped orientation passes through unchanged, as build_interaction_general passes it
+            once = np.stack(decompose_polarizations([o.chi], [o.theta], [o.phi]), axis=1)
+            assert once.tobytes() == component_bytes([spherical_components(w)])
 
     def test_non_finite_angles_name_the_angle(self):
         good = np.zeros(3)
@@ -257,4 +244,4 @@ class TestBatchedDecomposition:
         norm_sq = np.abs(eps_minus) ** 2 + np.abs(eps_zero) ** 2 + np.abs(eps_plus) ** 2
         assert np.abs(norm_sq - 1.0).max() < 1e-12
         with pytest.raises(ValueError, match="unit norm, got .*0.5"):
-            SphericalPolarization(0.5, 0.5, 0.0)
+            _check_unit_norm(0.5, 0.5, 0.0)

@@ -362,6 +362,27 @@ class TestImports:
         assert self.scipy_loaded(tmp_path, ["spectrum", "--config", config])
 
 
+class TestPublicApi:
+    """rydant.__all__ is sorted, unique and resolvable, and the retired one-row forms stay out."""
+
+    REMOVED = (
+        "SphericalPolarization",
+        "decompose_polarization",
+        "plane_to_orientation",
+        "steady_state",
+        "steady_state_rho",
+    )
+
+    def test_exports_are_sorted_unique_and_resolve(self):
+        import rydant
+
+        assert rydant.__all__ == sorted(set(rydant.__all__))
+        for name in rydant.__all__:
+            assert getattr(rydant, name, None) is not None, name
+        for name in self.REMOVED:
+            assert name not in rydant.__all__ and not hasattr(rydant, name), name
+
+
 class TestSweepCommand:
     def test_ideal_sweep_outputs(self, tmp_path, capsys):
         config = sweep_config(tmp_path)
@@ -634,6 +655,8 @@ class TestCompareCommand:
             (lambda doc: dict(doc, samples=[dict(doc["samples"][0], raw_ratio=math.inf)]), "raw_ratio"),
             (lambda doc: dict(doc, samples=[dict(doc["samples"][0], angle_deg=True)]), "angle_deg"),
             (lambda doc: dict(doc, gap_angles_deg=[10**400]), "gap_angles_deg must be finite"),
+            (lambda doc: dict(doc, plane=["XY"]), "plane must be a non-empty string"),
+            (lambda doc: dict(doc, readout=None), "readout must be a non-empty string"),
         ],
     )
     def test_pattern_files_the_program_cannot_have_written(self, tmp_path, capsys, edit, reason):

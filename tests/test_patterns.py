@@ -22,7 +22,7 @@ from rydant.patterns import (
     incidence_angles,
     json_text,
     pattern_csv,
-    plane_to_orientation,
+    plane_angles,
     polar_csv,
     run_sweep,
 )
@@ -48,21 +48,22 @@ def make_plan(**kwargs):
 
 class TestPlaneConventions:
     def test_xy_rotates_theta(self):
-        o = plane_to_orientation("XY", 0.7)
-        assert o.chi == pytest.approx(math.pi / 2)
-        assert o.theta == pytest.approx(0.7)
-        assert o.phi == 0.0
+        (chi,), (theta,), (phi,) = plane_angles("XY", [0.7])
+        assert chi == pytest.approx(math.pi / 2)
+        assert theta == pytest.approx(0.7)
+        assert phi == 0.0
 
     def test_xz_and_yz_rotate_chi(self):
-        assert plane_to_orientation("XZ", 0.7).chi == pytest.approx(0.7)
-        assert plane_to_orientation("XZ", 0.7).theta == 0.0
-        yz = plane_to_orientation("YZ", 0.7)
-        assert yz.chi == pytest.approx(0.7)
-        assert yz.theta == pytest.approx(math.pi / 2)
+        (chi,), (theta,), _ = plane_angles("XZ", [0.7])
+        assert chi == pytest.approx(0.7)
+        assert theta == 0.0
+        (chi,), (theta,), _ = plane_angles("YZ", [0.7])
+        assert chi == pytest.approx(0.7)
+        assert theta == pytest.approx(math.pi / 2)
 
     def test_unknown_plane_rejected(self):
         with pytest.raises(ValueError):
-            plane_to_orientation("XW", 0.0)
+            plane_angles("XW", [0.0])
 
     def test_incidence_folds_only_in_xy(self):
         xy = incidence_angles("XY", [0.0, 0.3, 2.0, 4.0])

@@ -17,11 +17,10 @@ from rydant.spectra import (
     normalize_trace,
     scan_spectrum,
     scan_window,
-    steady_state,
-    steady_state_rho,
     trace_csv,
 )
 from rydant.spectra import (
+    _GE,
     _SCAN_SLOPE,
     _collapse_ops,
     _hamiltonian,
@@ -48,12 +47,13 @@ class TestSteadyState:
                 omega_p=omega, omega_c=0.0, omega_rf=0.0,
                 delta_p=delta, gamma_e=gamma, gamma_r=0.3,
             )
-            got = steady_state(cfg, delta_c=0.123)
+            got = _steady_states(cfg, np.array([0.123]))[0, _GE].imag
             assert got == pytest.approx(two_level_coherence(omega, delta, gamma), abs=1e-15)
 
     def test_two_level_result_ignores_scan_detuning(self):
         cfg = LadderConfig(omega_p=0.03, omega_c=0.0, omega_rf=0.0, gamma_e=1.0, gamma_r=0.2)
-        assert steady_state(cfg, 0.0) == pytest.approx(steady_state(cfg, 10.0), abs=1e-15)
+        at_zero = _steady_states(cfg, np.array([0.0]))[0, _GE].imag
+        assert at_zero == pytest.approx(_steady_states(cfg, np.array([10.0]))[0, _GE].imag, abs=1e-15)
 
     def test_density_matrix_is_physical(self):
         rng = np.random.default_rng(5)
@@ -67,7 +67,7 @@ class TestSteadyState:
                 gamma_e=1.0,
                 gamma_r=0.1,
             )
-            rho = steady_state_rho(cfg, float(rng.uniform(-2.0, 2.0)))
+            rho = _steady_states(cfg, np.array([rng.uniform(-2.0, 2.0)]))[0].reshape((4, 4), order="F")
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
             assert abs(np.trace(rho).imag) < 1e-12
             assert np.abs(rho - rho.conj().T).max() < 1e-10
@@ -75,23 +75,18 @@ class TestSteadyState:
 
     def test_absorption_positive_on_resonance(self):
         cfg = LadderConfig(omega_p=0.02, omega_c=0.0, omega_rf=0.0, gamma_e=1.0, gamma_r=0.1)
-        assert steady_state(cfg, 0.0) > 0.0
+        assert _steady_states(cfg, np.array([0.0]))[0, _GE].imag > 0.0
 
     def test_undamped_system_has_no_steady_state(self):
         cfg = LadderConfig(omega_p=0.1, omega_c=1.0, omega_rf=1.0, gamma_e=0.0, gamma_r=0.0)
         with pytest.raises(SteadyStateError):
-            steady_state_rho(cfg, 0.0)
+            _steady_states(cfg, np.array([0.0]))
 
     def test_unrelaxed_rydberg_levels_are_rejected(self):
         # without Rydberg relaxation the populations up there never drain
         cfg = LadderConfig(omega_p=0.1, omega_c=1.0, omega_rf=0.0, gamma_e=1.0, gamma_r=0.0)
         with pytest.raises(SteadyStateError):
-            steady_state_rho(cfg, 0.0)
-
-    def test_rejects_non_finite_detuning(self):
-        cfg = default_ladder(0.0, 0.0)
-        with pytest.raises(ValueError):
-            steady_state(cfg, math.inf)
+            _steady_states(cfg, np.array([0.0]))
 
     def test_strong_probe_warns(self):
         with pytest.warns(UserWarning, match="weak-probe"):
@@ -227,8 +222,7 @@ class TestPoleExpansion:
         detunings = np.linspace(-20 * MHZ, 30 * MHZ, 101)
         scan = _steady_states(cfg, detunings)
         for i in (0, 37, 50, 100):
-            rho = steady_state_rho(cfg, float(detunings[i]))
-            np.testing.assert_allclose(rho.reshape(-1, order="F"), scan[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(_steady_states(cfg, detunings[i : i + 1])[0], scan[i], rtol=0, atol=1e-12)
 
 
 class TestPeakFinder:
