@@ -98,6 +98,11 @@ CASES = [
     sweep_case("sweep-xz-j92-eigen", {"plane": "XZ", "angles_deg": "0:2.5:360"},
                system={"two_jg": 9, "two_je": 11, "mu_mhz_per_v_per_m": 1.0},
                drive={"rabi_mhz": 12.0, "detuning_mhz": -3.5}),
+    # six distinct cell factors at 801 points, the shape of the heaviest benchmark sweep
+    sweep_case("sweep-xy-spectrum-cell-801",
+               {"plane": "XY", "angles_deg": [5, 17, 29, 41, 53, 127, 200], "readout": "spectrum", "use_cell": True},
+               drive={"rabi_mhz": 25.0, "detuning_mhz": -6.0}, ladder=LADDER, cell=THZ_CELL,
+               scan=dict(SCAN_401, points=801)),
     # spectra
     cli_case("spectrum-thz", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"),
     cli_case("spectrum-mw", "spectrum", "--preset", "mw-93s", "--rabi-mhz", "20", "--detuning-mhz", "4"),
@@ -107,6 +112,9 @@ CASES = [
     cli_case("spectrum-config-scan-preset", "spectrum", "--config", "run.json", "--preset", "mw-93s",
              files={"run.json": config("spec", drive={"rabi_mhz": 12.0, "detuning_mhz": 3.0}, ladder=LADDER,
                                        scan={"min_mhz": -25.0, "max_mhz": 25.0, "points": 601})}),
+    cli_case("spectrum-max-points", "spectrum", "--config", "run.json",
+             files={"run.json": config("spec", drive={"rabi_mhz": 12.0, "detuning_mhz": 3.0}, ladder=LADDER,
+                                       scan={"min_mhz": -25.0, "max_mhz": 25.0, "points": 20001})}),
     cli_case("spectrum-config-no-scan", "spectrum", "--config", "run.json",
              files={"run.json": config("spec", drive={"rabi_mhz": 8.0}, ladder=LADDER)}),
     cli_case("spectrum-doppler-1mhz", "spectrum", "--config", "run.json",

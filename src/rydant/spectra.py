@@ -25,11 +25,16 @@ Solver
 The scanned detuning enters the trace-constrained Liouvillian linearly,
 through a diagonal slope.  One eigendecomposition at the scan centre
 therefore turns a whole scan into a sum of poles in the detuning, and a
-single-detuning steady state is the one-point scan.  Doppler averaging
-shifts only the scanned detuning by a Gaussian velocity term; the average
-of each pole over that Gaussian is exact through the Faddeeva function
-(scipy.special.wofz, the only scipy import, made inside the Doppler path).
-Peaks are local maxima filtered by topographic prominence.
+single-detuning steady state is the one-point scan.  The slope is zero on
+the populations and on the g-e and r1-r2 coherences, which the scan does
+not detune, so eight of the sixteen eigenvalues are exactly zero and only
+the eight coherences between {g, e} and {r1, r2} carry live poles.  The
+per-point stage runs component-major, on (16, points) arrays, so each
+reduction over the components is a fast elementwise pass.  Doppler
+averaging shifts only the scanned detuning by a Gaussian velocity term;
+the average of each pole over that Gaussian is exact through the Faddeeva
+function (scipy.special.wofz, the only scipy import, made inside the
+Doppler path).  Peaks are local maxima filtered by topographic prominence.
 
 Defaults gamma_e = 2*pi*5.2e6 rad/s and gamma_r = 2*pi*0.1e6 rad/s are
 plausible vapor-cell numbers, not measured values; override per setup.
@@ -201,8 +206,13 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray, doppler_sigma: floa
     delta0 and S is the diagonal scan slope.  One eigendecomposition
     A0^-1 S = V diag(lam) V^-1, with x0 = A0^-1 b and c = V^-1 x0, gives
     every point as x(delta) = x0 - V [eps lam / (1 + eps lam) * c] with
-    eps = delta - delta0; a one-point scan returns x0 itself.  Each point's
-    residual |L(delta) x(delta)| is checked against RESIDUAL_TOL.
+    eps = delta - delta0; a one-point scan returns x0 itself.  S is zero on
+    the populations and the g-e and r1-r2 coherences, so A0^-1 S has 8 zero
+    columns and eig returns 8 eigenvalues of exactly 0, whose terms vanish;
+    only the 8 live poles are kept.  The per-point stage works on
+    (16, points) arrays and returns the transposed view.  Each point's
+    residual |L(delta) x(delta)| is checked against RESIDUAL_TOL *
+    max|L(delta)| * max|x(delta)|, the slope entering only the sloped rows.
 
     doppler_sigma > 0 returns instead the average over a Gaussian shift of
     the scanned detuning, taken pole by pole in closed form.
@@ -221,15 +231,21 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray, doppler_sigma: floa
     except np.linalg.LinAlgError as exc:
         raise SteadyStateError(f"singular Liouvillian: {exc}") from exc
 
-    eps = (detunings - center)[:, None]
+    live = lam != 0.0
+    lam, v, c = lam[live, None], v[:, live], c[live, None]
+    eps = detunings - center
+    sloped = _SCAN_SLOPE != 0.0
+    slope, diagonal = _SCAN_SLOPE[sloped, None], np.diag(lv)
     with np.errstate(all="ignore"):
-        eps_lam = eps * lam
-        states = x0 - (eps_lam / (1.0 + eps_lam) * c) @ v.T
-        # L(delta) x = L0 x + eps S x; the slope moves only the diagonal of L.
-        residual = np.abs(states @ lv.T + eps * _SCAN_SLOPE * states).max(axis=1)
-        off_diagonal = np.abs(lv - np.diag(np.diag(lv))).max()
-        lv_max = np.maximum(np.abs(np.diag(lv) + eps * _SCAN_SLOPE).max(axis=1), off_diagonal)
-        scale = np.maximum(lv_max * np.abs(states).max(axis=1), 1e-300)
+        eps_lam = lam * eps
+        states = x0[:, None] - v @ (eps_lam / (1.0 + eps_lam) * c)
+        # L(delta) x = L0 x + eps S x; the slope moves only the sloped diagonal entries.
+        lx = lv @ states
+        lx[sloped] += eps * slope * states[sloped]
+        residual = np.abs(lx).max(axis=0)
+        unscanned_max = max(np.abs(lv - np.diag(diagonal)).max(), np.abs(diagonal[~sloped]).max())
+        lv_max = np.maximum(np.abs(diagonal[sloped, None] + eps * slope).max(axis=0), unscanned_max)
+        scale = np.maximum(lv_max * np.abs(states).max(axis=0), 1e-300)
     failed = ~np.isfinite(residual) | (residual > RESIDUAL_TOL * scale)
     if failed.any():
         i = int(np.argmax(failed))
@@ -238,28 +254,25 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray, doppler_sigma: floa
             f"residual {residual[i]:.3e} vs scale {scale[i]:.3e}"
         )
     if doppler_sigma > 0.0:
-        return x0 - (_doppler_pole_average(eps, lam, doppler_sigma) * c) @ v.T
-    return states
+        states = x0[:, None] - v @ (_doppler_pole_average(eps, lam, doppler_sigma) * c)
+    return states.T
 
 
 def _doppler_pole_average(eps: np.ndarray, lam: np.ndarray, sigma: float) -> np.ndarray:
-    """<e lam / (1 + e lam)> over e = eps + u, u ~ N(0, sigma^2), for each pole.
+    """<e lam / (1 + e lam)> over e = eps + u, u ~ N(0, sigma^2), one row per pole.
 
-    For lam != 0 the term is 1 + (1 / lam) / (z - e) with the pole
-    z = -1 / lam.  For Im(a) > 0, <1 / (a - u)> = -i sqrt(pi/2) / sigma *
-    w(a / (sigma sqrt 2)), with w the Faddeeva function; below the real
-    axis conj(w(conj(zeta))) = w(-zeta) gives the mirrored form.  lam = 0
-    terms are zero at every detuning and stay zero.
+    lam is a column of nonzero poles, eps a row of detunings.  Each term is
+    1 + (1 / lam) / (z - e) with the pole z = -1 / lam.  For Im(a) > 0,
+    <1 / (a - u)> = -i sqrt(pi/2) / sigma * w(a / (sigma sqrt 2)), with w
+    the Faddeeva function; below the real axis conj(w(conj(zeta))) =
+    w(-zeta) gives the mirrored form.
     """
     from scipy.special import wofz
 
-    average = np.zeros((eps.shape[0], lam.size), dtype=complex)
-    poles = lam != 0.0
-    a = -1.0 / lam[poles] - eps
+    a = -1.0 / lam - eps
     side = np.where(a.imag > 0.0, 1.0, -1.0)
     mean_inverse = -1j * side * math.sqrt(math.pi / 2.0) / sigma * wofz(side * a / (sigma * math.sqrt(2.0)))
-    average[:, poles] = 1.0 + mean_inverse / lam[poles]
-    return average
+    return 1.0 + mean_inverse / lam
 
 
 def normalize_trace(values: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -210,12 +211,35 @@ class TestPoleExpansion:
         cfg = LadderConfig(**{**drive, **DEGENERATE_LADDERS[name]})
         self.assert_matches_direct_solve(cfg, np.linspace(-40 * MHZ, 40 * MHZ, 401))
 
-    @pytest.mark.parametrize("gamma_e,omega_rf", [(0.0, 1.0), (1.0, 0.0)])
-    def test_scans_without_a_unique_steady_state_are_refused(self, gamma_e, omega_rf):
-        # undamped, or the RF-free Rydberg pair left without relaxation
-        cfg = LadderConfig(omega_p=0.1, omega_c=1.0, omega_rf=omega_rf, gamma_e=gamma_e, gamma_r=0.0)
-        with pytest.raises(SteadyStateError):
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+    @pytest.mark.parametrize(
+        "gamma_e,gamma_r,omega_rf,match",
+        [
+            # undamped, or the RF-free Rydberg pair left without relaxation: the solve fails
+            (0.0, 0.0, 1.0, "singular"),
+            (1.0, 0.0, 0.0, "singular"),
+            # near-undamped: the solve succeeds and only the residual check refuses it
+            (1e-300, 1e-300, 1.0, "at detuning -5.000000e\\+00: residual"),
+        ],
+        ids=["undamped", "rf-free-unrelaxed", "near-undamped"],
+    )
+    def test_scans_without_a_unique_steady_state_are_refused(self, gamma_e, gamma_r, omega_rf, match):
+        cfg = LadderConfig(omega_p=0.1, omega_c=1.0, omega_rf=omega_rf, gamma_e=gamma_e, gamma_r=gamma_r)
+        with pytest.raises(SteadyStateError, match=match):
             scan_spectrum(cfg, (-5.0, 5.0), 101)
+
+    @pytest.mark.parametrize("sigma", [0.0, 5.0 * MHZ], ids=["stationary", "doppler-5mhz"])
+    def test_the_largest_scan_stays_within_its_memory_budget(self, sigma):
+        cfg = replace(default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ), doppler_sigma=sigma)
+        scan_spectrum(cfg, scan_window(cfg), 101)  # imports scipy outside the measurement
+        tracemalloc.start()
+        try:
+            scan_spectrum(cfg, scan_window(cfg), MAX_SCAN_POINTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # six (16 x points) complex arrays
+        assert peak <= 6 * MAX_SCAN_POINTS * 16 * 16
 
     def test_single_detuning_matches_the_scan(self):
         cfg = default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ)
