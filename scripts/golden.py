@@ -176,6 +176,18 @@ CASES = [
       "spread.json": dict(PATTERN, samples=PATTERN["samples"][:1], deviation_db=5.0)},
      [["compare", "ok.json", bad, "--json", "cmp.json"]
       for bad in ("list.json", "text.json", "nan.json", "empty.json", "spread.json")]),
+    ("refuse-compare-bad-sample",
+     {"ok.json": PATTERN,
+      "zero.json": dict(PATTERN, samples=[dict(PATTERN["samples"][0]), dict(PATTERN["samples"][1], raw_ratio=0)]),
+      "gain.json": dict(PATTERN, samples=[dict(PATTERN["samples"][0], gain_db=0.5), PATTERN["samples"][1]])},
+     [["compare", "ok.json", bad, "--json", "cmp.json"] for bad in ("zero.json", "gain.json")]),
+    # ladders without a unique steady state: gamma_e = gamma_r = 0, and omega_p = gamma_e = 0
+    ("refuse-spectrum-undamped-ladder",
+     {"undamped.json": config("spec", drive={"rabi_mhz": 10.0}, ladder=dict(LADDER, gamma_e_mhz=0, gamma_r_mhz=0),
+                              scan=SCAN_401),
+      "dark.json": config("spec", drive={"rabi_mhz": 10.0}, ladder=dict(LADDER, probe_rabi_mhz=0, gamma_e_mhz=0),
+                          scan=SCAN_401)},
+     [["spectrum", "--config", "undamped.json"], ["spectrum", "--config", "dark.json"]]),
 ]
 
 

@@ -8,7 +8,7 @@ frequencies (rad/s) on load.
 
 Refused at this boundary, so that they never reach the physics: NaN and
 +-inf in any number (Python's json reads the NaN and Infinity literals),
-angle grids longer than MAX_ANGLES, drives and couplings outside
+angle grids longer than MAX_ANGLES, drives, couplings and decay rates outside
 MAGNITUDE_RANGE, scans longer than spectra.MAX_SCAN_POINTS, cells whose
 standing-wave profile would need more than cellfield.MAX_SWEEP_SAMPLES
 samples or that cellfield.check_stack refuses, XY angles that fold onto
@@ -40,11 +40,11 @@ MHZ = 2.0 * math.pi * 1e6  # MHz -> rad/s
 # Longest accepted angle grid: a 0.01-degree step over a full turn.
 MAX_ANGLES = 36_000
 
-# Accepted magnitudes of system.mu_mhz_per_v_per_m, and of drive.rabi_mhz
-# and drive.detuning_mhz unless 0: nine decades either side of 1.  Inside
-# them a sweep's raw ratios delta_at * mu / rabi stay within about 1e-64 to
-# 1e77, even through a cell at cellfield.MAX_STACK_NEPERS, so no sweep
-# quantity leaves the float range.
+# Accepted magnitudes of system.mu_mhz_per_v_per_m, ladder.gamma_e_mhz and
+# ladder.gamma_r_mhz, and of drive.rabi_mhz and drive.detuning_mhz unless 0:
+# nine decades either side of 1.  Inside them a sweep's raw ratios
+# delta_at * mu / rabi stay within about 1e-64 to 1e77, even through a cell
+# at cellfield.MAX_STACK_NEPERS, so no sweep quantity leaves the float range.
 MAGNITUDE_RANGE = (1e-9, 1e9)
 
 
@@ -218,6 +218,9 @@ def _parse_ladder(section: dict, drive: RfDrive | None) -> LadderConfig:
     _check_keys(section, allowed, {"probe_rabi_mhz", "coupling_rabi_mhz"}, where)
     if drive is None:
         raise ConfigError("ladder section requires a drive section (RF Rabi/detuning)")
+    for key in ("gamma_e_mhz", "gamma_r_mhz"):  # zero leaves no unique steady state
+        if key in section:
+            _magnitude(_number(section, key, where), f"{where}.{key}", zero_ok=False)
     try:
         return LadderConfig(
             omega_p=_number(section, "probe_rabi_mhz", where) * MHZ,

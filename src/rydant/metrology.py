@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,19 +45,12 @@ class FieldEstimate:
             )
 
 
-@dataclass(frozen=True)
-class GainSample:
-    """One angle of a normalized pattern; gain_db <= 0 by construction."""
+class GainSample(NamedTuple):
+    """One angle of a normalized pattern, a plain record: raw_ratio > 0, gain_db <= 0."""
 
     angle: float
     raw_ratio: float
     gain_db: float
-
-    def __post_init__(self):
-        if self.raw_ratio <= 0:
-            raise ValueError(f"raw_ratio must be > 0, got {self.raw_ratio}")
-        if self.gain_db > 1e-12:
-            raise ValueError(f"gain_db must be <= 0, got {self.gain_db}")
 
 
 def gram_splittings(blocks: np.ndarray, detuning: float) -> np.ndarray:
@@ -104,11 +97,7 @@ def normalized_gain(samples: Iterable[tuple[float, float]]) -> list[GainSample]:
     if min(ratios) <= 0:
         raise ValueError("all raw ratios must be > 0")
     top = max(ratios)
-    out = []
-    for angle, ratio in pairs:
-        gain = 20.0 * math.log10(ratio / top)
-        out.append(GainSample(angle, ratio, min(gain, 0.0)))
-    return out
+    return [GainSample(angle, ratio, min(20.0 * math.log10(ratio / top), 0.0)) for angle, ratio in pairs]
 
 
 def isotropic_deviation(pattern: Sequence[GainSample]) -> float:

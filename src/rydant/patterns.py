@@ -30,7 +30,7 @@ scans once per distinct cell factor, since the ladder does not depend on
 the orientation.  The cell stage gives the bits of its one-angle form,
 transfer_matrix_field.
 The readout noise is one normal stream per sweep.  What still runs per
-angle is the conversion to dB.
+angle is one math.log10 into a plain GainSample record.
 """
 
 from __future__ import annotations
@@ -197,8 +197,9 @@ class GainPattern:
 
         Refused with ValueError: a document that is not an object, a plane
         or readout that is not a non-empty string, an empty samples list,
-        any number that is not finite, and a deviation_db more than
-        DEVIATION_MATCH_DB from the spread of its own gain_db.
+        any number that is not finite, a raw_ratio <= 0 or gain_db > 0, and a
+        deviation_db more than DEVIATION_MATCH_DB from the spread of its own
+        gain_db.
         """
         if not isinstance(payload, dict):
             raise ValueError(f"a gain_pattern document is a JSON object, got {type(payload).__name__}")
@@ -211,14 +212,7 @@ class GainPattern:
                 raise ValueError(f"{key} must be a non-empty string, got {payload[key]!r}")
         if not payload["samples"]:
             raise ValueError("samples is empty")
-        samples = tuple(
-            GainSample(
-                math.radians(finite_number(s["angle_deg"], "angle_deg")),
-                finite_number(s["raw_ratio"], "raw_ratio"),
-                finite_number(s["gain_db"], "gain_db"),
-            )
-            for s in payload["samples"]
-        )
+        samples = tuple(_read_sample(s) for s in payload["samples"])
         deviation = finite_number(payload["deviation_db"], "deviation_db")
         spread = isotropic_deviation(samples)
         if abs(deviation - spread) > DEVIATION_MATCH_DB:
@@ -235,6 +229,16 @@ class GainPattern:
                 math.radians(finite_number(a, "gap_angles_deg")) for a in payload.get("gap_angles_deg", [])
             ),
         )
+
+
+def _read_sample(entry: dict) -> GainSample:
+    """A document's sample, refused unless normalized_gain could have written it."""
+    angle, ratio, gain = (finite_number(entry[key], key) for key in ("angle_deg", "raw_ratio", "gain_db"))
+    if ratio <= 0:
+        raise ValueError(f"raw_ratio must be > 0, got {ratio}")
+    if gain > 1e-12:
+        raise ValueError(f"gain_db must be <= 0, got {gain}")
+    return GainSample(math.radians(angle), ratio, gain)
 
 
 def finite_number(value, where: str) -> float:

@@ -34,7 +34,8 @@ reduction over the components is a fast elementwise pass.  Doppler
 averaging shifts only the scanned detuning by a Gaussian velocity term;
 the average of each pole over that Gaussian is exact through the Faddeeva
 function (scipy.special.wofz, the only scipy import, made inside the
-Doppler path).  Peaks are local maxima filtered by topographic prominence.
+Doppler path).  A trace finds its peaks once, when it is built: local maxima
+filtered by topographic prominence, which extract_splitting then reads.
 
 Defaults gamma_e = 2*pi*5.2e6 rad/s and gamma_r = 2*pi*0.1e6 rad/s are
 plausible vapor-cell numbers, not measured values; override per setup.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -117,29 +118,33 @@ class LadderConfig:
 
 @dataclass(frozen=True)
 class SpectrumTrace:
-    """A scanned transmission trace with extracted peak positions."""
+    """A scanned transmission trace and the peaks it holds, all read-only.
+
+    Building a trace finds its peaks (_peak_positions at PROMINENCE_DEFAULT):
+    peaks holds their positions in increasing order, prominences their
+    topographic prominences in the same order.
+    """
 
     detunings: np.ndarray
     transmission: np.ndarray
-    peaks: np.ndarray
+    peaks: np.ndarray = field(init=False)
+    prominences: np.ndarray = field(init=False)
 
     def __post_init__(self):
         det = np.array(self.detunings, dtype=float)
         trans = np.array(self.transmission, dtype=float)
-        pk = np.array(self.peaks, dtype=float)
         if det.ndim != 1 or det.size < 2:
             raise ValueError("detunings must be a 1-D array with >= 2 points")
         if np.any(np.diff(det) <= 0):
             raise ValueError("detunings must be strictly increasing")
         if trans.shape != det.shape:
             raise ValueError("transmission and detunings must have equal length")
-        if trans.size and (trans.min() < -1e-9 or trans.max() > 1.0 + 1e-9):
+        if trans.min() < -1e-9 or trans.max() > 1.0 + 1e-9:
             raise ValueError("transmission must lie within [0, 1]")
-        for arr in (det, trans, pk):
+        peaks, proms = _peak_positions(det, trans, PROMINENCE_DEFAULT)
+        for name, arr in (("detunings", det), ("transmission", trans), ("peaks", peaks), ("prominences", proms)):
             arr.flags.writeable = False
-        object.__setattr__(self, "detunings", det)
-        object.__setattr__(self, "transmission", trans)
-        object.__setattr__(self, "peaks", pk)
+            object.__setattr__(self, name, arr)
 
 
 def _hamiltonian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
@@ -198,7 +203,7 @@ def _scan_slope() -> np.ndarray:
 _SCAN_SLOPE = _scan_slope()
 
 
-def _steady_states(cfg: LadderConfig, detunings: np.ndarray, doppler_sigma: float = 0.0) -> np.ndarray:
+def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
     """Column-stacked steady states, one row per scanned detuning.
 
     With the trace row in place of row 0, the Liouvillian is
@@ -214,8 +219,8 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray, doppler_sigma: floa
     residual |L(delta) x(delta)| is checked against RESIDUAL_TOL *
     max|L(delta)| * max|x(delta)|, the slope entering only the sloped rows.
 
-    doppler_sigma > 0 returns instead the average over a Gaussian shift of
-    the scanned detuning, taken pole by pole in closed form.
+    cfg.doppler_sigma > 0 returns instead the average over a Gaussian shift
+    of the scanned detuning, taken pole by pole in closed form.
     """
     center = 0.5 * (detunings[0] + detunings[-1])
     lv = _liouvillian(_hamiltonian(cfg, center), _collapse_ops(cfg))
@@ -253,8 +258,8 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray, doppler_sigma: floa
             f"no unique steady state at detuning {detunings[i]:.6e}: "
             f"residual {residual[i]:.3e} vs scale {scale[i]:.3e}"
         )
-    if doppler_sigma > 0.0:
-        states = x0[:, None] - v @ (_doppler_pole_average(eps, lam, doppler_sigma) * c)
+    if cfg.doppler_sigma > 0.0:
+        states = x0[:, None] - v @ (_doppler_pole_average(eps, lam, cfg.doppler_sigma) * c)
     return states.T
 
 
@@ -301,10 +306,8 @@ def scan_spectrum(cfg: LadderConfig, scan: tuple[float, float], points: int) -> 
         raise ValueError(f"points must be in [3, {MAX_SCAN_POINTS}], got {points}")
 
     detunings = np.linspace(low, high, points)
-    absorption = _steady_states(cfg, detunings, cfg.doppler_sigma)[:, _GE].imag
-    transmission = normalize_trace(-absorption)
-    positions, _ = _peak_positions(detunings, transmission, PROMINENCE_DEFAULT)
-    return SpectrumTrace(detunings, transmission, np.sort(positions))
+    absorption = _steady_states(cfg, detunings)[:, _GE].imag
+    return SpectrumTrace(detunings, normalize_trace(-absorption))
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
@@ -344,8 +347,10 @@ def _peak_positions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local maxima above a prominence threshold, sub-sample refined.
 
-    Returns (positions, prominences), unsorted.  Positions are refined with
-    a parabola through the maximum and its two neighbours.
+    Returns (positions, prominences), positions refined with a parabola
+    through the maximum and its two neighbours.  Maxima lie two or more
+    samples apart and refinement moves each by at most half a step, so
+    index order is increasing order.
     """
     span = float(y.max() - y.min())
     if span <= 0.0:
@@ -361,22 +366,18 @@ def _peak_positions(
     return x[i] + offset * step, proms
 
 
-def extract_splitting(trace: SpectrumTrace, prominence: float = PROMINENCE_DEFAULT):
-    """Distance between the two most prominent peaks of a trace.
+def extract_splitting(trace: SpectrumTrace):
+    """Distance between the two most prominent of the peaks a trace holds.
 
-    Raises UnresolvedSplittingError when fewer than two peaks clear the
-    prominence threshold (fraction of the full transmission scale).
+    Raises UnresolvedSplittingError when the trace holds fewer than two.
     """
     from .metrology import SplittingResult
 
-    if not 0.0 < prominence < 1.0:
-        raise ValueError(f"prominence must be in (0, 1), got {prominence}")
-    positions, proms = _peak_positions(trace.detunings, trace.transmission, prominence)
-    if len(positions) < 2:
+    if trace.peaks.size < 2:
         raise UnresolvedSplittingError(
-            f"found {len(positions)} peak(s) above prominence {prominence}; need 2"
+            f"found {trace.peaks.size} peak(s) above prominence {PROMINENCE_DEFAULT}; need 2"
         )
-    top_two = positions[np.argsort(proms)[-2:]]
+    top_two = trace.peaks[np.argsort(trace.prominences)[-2:]]
     return SplittingResult(float(abs(top_two[1] - top_two[0])))
 
 

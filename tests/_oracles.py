@@ -24,6 +24,9 @@ coupling block, the oracle from the full dressed Hamiltonian; and the
 production profile builds exp(+-i kx x) from short phase tables, the
 oracle takes two plain exponentials per sample.  mpmath_interior_amplitudes
 evaluates a profile from the walk's own amplitudes at 30 digits.
+peak_positions is the peak search rebuilt on scipy.signal.find_peaks, with
+a scalar parabola per peak, and splitting_from_peaks the splitting rule
+on it.
 hamiltonian_stack is that full-matrix route for a whole sweep, and
 closed_form_delta_at the splitting of a linearly polarized drive from
 sympy's Clebsch-Gordan coefficients.  build_interaction_paper is the
@@ -39,6 +42,7 @@ from typing import NamedTuple
 
 import mpmath
 import numpy as np
+from scipy.signal import find_peaks
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
@@ -287,6 +291,39 @@ def random_cell_case(rng, lossy_vapor=False):
         inner_index = complex(rng.uniform(1.0, 1.5), rng.uniform(0.0, 0.05))
         geometry = CellGeometry(geometry.wall_thickness, geometry.inner_length, geometry.wall_index, inner_index)
     return geometry, frequency, angle, polarization
+
+
+def peak_positions(x, y, prominence):
+    """scipy.signal.find_peaks above prominence * span, each peak refined alone.
+
+    Returns (positions, prominences) in index order.  A position is the
+    vertex of the parabola through the maximum and its two neighbours,
+    scaled by the grid step on the side it leans to; a parabola that does
+    not open downwards leaves the sample where it is.
+    """
+    span = float(np.max(y) - np.min(y))
+    if span <= 0.0:
+        return np.array([]), np.array([])
+    indices, props = find_peaks(y, prominence=prominence * span)
+    positions = []
+    for i in indices.tolist():
+        left, mid, right = float(y[i - 1]), float(y[i]), float(y[i + 1])
+        denom = left - 2.0 * mid + right
+        offset = 0.5 * (left - right) / denom if denom < 0.0 else 0.0
+        step = float(x[i + 1] - x[i]) if offset >= 0 else float(x[i] - x[i - 1])
+        positions.append(float(x[i]) + offset * step)
+    return np.array(positions), props["prominences"]
+
+
+def splitting_from_peaks(x, y, prominence):
+    """The splitting rule on peak_positions: the distance between the two
+    peaks that argsort ranks most prominent, over positions in index order;
+    None with fewer than two peaks."""
+    positions, prominences = peak_positions(x, y, prominence)
+    if positions.size < 2:
+        return None
+    top_two = positions[np.argsort(prominences)[-2:]]
+    return float(abs(top_two[1] - top_two[0]))
 
 
 def _ladder_liouvillians(cfg, detunings):

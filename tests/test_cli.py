@@ -512,6 +512,26 @@ class TestSpectrumCommand:
         doc = json.loads((tmp_path / "out" / "flat_spectrum.json").read_text())
         assert "delta_at_mhz" not in doc
 
+    @pytest.mark.parametrize(
+        "ladder,key",
+        [
+            ({"gamma_e_mhz": 0.0, "gamma_r_mhz": 0.0}, "ladder.gamma_e_mhz"),
+            ({"gamma_r_mhz": 0.0}, "ladder.gamma_r_mhz"),
+            ({"probe_rabi_mhz": 0.0, "gamma_e_mhz": 0.0}, "ladder.gamma_e_mhz"),
+        ],
+    )
+    def test_ladders_without_a_unique_steady_state_are_refused(self, tmp_path, capsys, ladder, key):
+        config = write_config(
+            tmp_path,
+            drive={"rabi_mhz": 10.0},
+            ladder={"probe_rabi_mhz": 0.1, "coupling_rabi_mhz": 1.0, **ladder},
+            output={"directory": str(tmp_path / "out"), "basename": "sp"},
+        )
+        assert main(["spectrum", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be within") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_needs_config_or_preset(self, capsys):
         assert main(["spectrum"]) == 2
 
@@ -654,6 +674,9 @@ class TestCompareCommand:
             (lambda doc: dict(doc, deviation_db=doc["deviation_db"] + 2e-9), "not the spread"),
             (lambda doc: dict(doc, samples=[dict(doc["samples"][0], raw_ratio=math.inf)]), "raw_ratio"),
             (lambda doc: dict(doc, samples=[dict(doc["samples"][0], angle_deg=True)]), "angle_deg"),
+            (lambda doc: dict(doc, samples=[dict(doc["samples"][0], raw_ratio=0)]), "raw_ratio must be > 0, got 0.0"),
+            (lambda doc: dict(doc, samples=[dict(doc["samples"][0], raw_ratio=-1)]), "raw_ratio must be > 0, got -1.0"),
+            (lambda doc: dict(doc, samples=[dict(doc["samples"][0], gain_db=0.5)]), "gain_db must be <= 0, got 0.5"),
             (lambda doc: dict(doc, gap_angles_deg=[10**400]), "gap_angles_deg must be finite"),
             (lambda doc: dict(doc, plane=["XY"]), "plane must be a non-empty string"),
             (lambda doc: dict(doc, readout=None), "readout must be a non-empty string"),

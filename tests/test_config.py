@@ -348,6 +348,10 @@ class TestMagnitudes:
             ("drive", "rabi_mhz", 1e10),
             ("drive", "detuning_mhz", -1e300),
             ("drive", "detuning_mhz", 1e-320),
+            ("ladder", "gamma_e_mhz", 0.0),
+            ("ladder", "gamma_r_mhz", 0.0),
+            ("ladder", "gamma_r_mhz", 1e-12),
+            ("ladder", "gamma_e_mhz", 2e9),
         ],
     )
     def test_out_of_range_magnitudes_are_refused(self, section, key, value):

@@ -158,6 +158,12 @@ class TestNormalizedGain:
         g2 = [s.gain_db for s in normalized_gain(scaled)]
         np.testing.assert_allclose(g1, g2, atol=1e-12)
 
+    def test_samples_are_plain_records(self):
+        pattern = normalized_gain([(0.0, 2.0), (1.0, 4.0)])
+        assert [type(s) for s in pattern] == [GainSample, GainSample]
+        assert pattern[0] == GainSample(0.0, 2.0, 20.0 * math.log10(0.5))
+        assert tuple(pattern[1]) == (1.0, 4.0, 0.0)
+
     def test_order_preserved(self):
         pattern = normalized_gain([(5.0, 1.0), (1.0, 2.0), (3.0, 1.5)])
         assert [s.angle for s in pattern] == [5.0, 1.0, 3.0]
@@ -198,9 +204,3 @@ class TestValueObjects:
             SplittingResult(delta_at=-1.0)
         with pytest.raises(ValueError):
             SplittingResult(delta_at=math.nan)
-
-    def test_gain_sample_validation(self):
-        with pytest.raises(ValueError):
-            GainSample(angle=0.0, raw_ratio=1.0, gain_db=0.5)
-        with pytest.raises(ValueError):
-            GainSample(angle=0.0, raw_ratio=-1.0, gain_db=-1.0)

@@ -426,6 +426,9 @@ class TestSerialization:
             "deviation_db must be finite": dict(doc, deviation_db=math.nan),
             "gain_db must be finite": dict(doc, samples=[dict(doc["samples"][0], gain_db=-math.inf)]),
             "noise_sigma_db must be finite": dict(doc, noise_sigma_db=math.inf),
+            "raw_ratio must be > 0, got 0.0": dict(doc, samples=[dict(doc["samples"][0], raw_ratio=0)]),
+            "raw_ratio must be > 0, got -1.0": dict(doc, samples=[dict(doc["samples"][0], raw_ratio=-1)]),
+            "gain_db must be <= 0, got 0.5": dict(doc, samples=[dict(doc["samples"][0], gain_db=0.5)]),
             "not the spread": dict(doc, deviation_db=doc["deviation_db"] + 1.1 * patterns.DEVIATION_MATCH_DB),
         }
         for reason, bad in bad_docs.items():

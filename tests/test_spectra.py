@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from _oracles import doppler_absorption, ladder_states
+from _oracles import doppler_absorption, ladder_states, peak_positions, splitting_from_peaks
+from rydant import spectra
 from rydant.spectra import (
     MAX_SCAN_POINTS,
+    PROMINENCE_DEFAULT,
     LadderConfig,
     SpectrumTrace,
     SteadyStateError,
@@ -261,6 +263,37 @@ class TestPeakFinder:
                 y = y + rng.normal(scale=1e-3, size=n) * (rng.random(n) < 0.3)
             yield y
 
+    def grids(self, rng, size):
+        yield np.arange(size, dtype=float)
+        yield np.cumsum(rng.uniform(0.05, 3.0, size=size))
+
+    def test_traces_hold_the_find_peaks_positions(self):
+        rng = np.random.default_rng(8)
+        for y in self.random_traces(rng, 1000):
+            y = normalize_trace(y)
+            for x in self.grids(rng, y.size):
+                trace = SpectrumTrace(x, y)
+                positions, proms = peak_positions(x, y, PROMINENCE_DEFAULT)
+                order = np.argsort(positions, kind="stable")
+                np.testing.assert_array_equal(trace.peaks, positions[order])
+                np.testing.assert_array_equal(trace.prominences, proms[order])
+                assert not (trace.peaks.flags.writeable or trace.prominences.flags.writeable)
+
+    def test_splitting_is_the_index_order_rule(self):
+        rng = np.random.default_rng(10)
+        resolved = 0
+        for y in self.random_traces(rng, 1000):
+            y = normalize_trace(y)
+            for x in self.grids(rng, y.size):
+                trace, expected = SpectrumTrace(x, y), splitting_from_peaks(x, y, PROMINENCE_DEFAULT)
+                if expected is None:
+                    with pytest.raises(UnresolvedSplittingError):
+                        extract_splitting(trace)
+                else:
+                    assert extract_splitting(trace).delta_at == expected
+                    resolved += 1
+        assert resolved > 500
+
     def test_maxima_and_prominences_match(self):
         rng = np.random.default_rng(4)
         for y in self.random_traces(rng, 3000):
@@ -295,7 +328,7 @@ class TestExtractSplitting:
     def synthetic_trace(self, centers, width=0.8, points=2001):
         x = np.linspace(-10.0, 10.0, points)
         y = sum(1.0 / (1.0 + ((x - c) / width) ** 2) for c in centers)
-        return SpectrumTrace(x, normalize_trace(y), np.array([]))
+        return SpectrumTrace(x, normalize_trace(y))
 
     def test_recovers_known_separation(self):
         trace = self.synthetic_trace([-2.5, 2.5])
@@ -314,21 +347,31 @@ class TestExtractSplitting:
 
     def test_flat_trace_is_rejected(self):
         x = np.linspace(-1.0, 1.0, 101)
-        trace = SpectrumTrace(x, np.zeros_like(x), np.array([]))
+        trace = SpectrumTrace(x, np.zeros_like(x))
         with pytest.raises(UnresolvedSplittingError):
             extract_splitting(trace)
+
+    def test_a_scan_and_its_splitting_search_the_peaks_once(self, monkeypatch):
+        calls = []
+        search = spectra._peak_positions
+
+        def spy(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(spectra, "_peak_positions", spy)
+        cfg = default_ladder(omega_rf=10.0 * MHZ, delta_rf=0.0)
+        trace = scan_spectrum(cfg, scan_window(cfg), 801)
+        assert extract_splitting(trace).delta_at == pytest.approx(10.0 * MHZ, rel=0.01)
+        assert len(calls) == 1
 
     def test_minor_bumps_are_ignored(self):
         x = np.linspace(-10.0, 10.0, 2001)
         y = 1.0 / (1.0 + ((x - 3.0) / 0.8) ** 2)
         y += 1.0 / (1.0 + ((x + 3.0) / 0.8) ** 2)
         y += 0.01 / (1.0 + ((x - 7.0) / 0.3) ** 2)  # below the prominence bar
-        trace = SpectrumTrace(x, normalize_trace(y), np.array([]))
+        trace = SpectrumTrace(x, normalize_trace(y))
         assert extract_splitting(trace).delta_at == pytest.approx(6.0, abs=0.02)
-
-    def test_prominence_validation(self):
-        with pytest.raises(ValueError):
-            extract_splitting(self.synthetic_trace([-2.0, 2.0]), prominence=1.5)
 
 
 class TestTraceUtilities:
@@ -347,13 +390,13 @@ class TestTraceUtilities:
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
-            SpectrumTrace(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.array([]))
+            SpectrumTrace(np.array([0.0, 0.0, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
-            SpectrumTrace(np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([]))
+            SpectrumTrace(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
 
     def test_csv_round_trip(self):
         x = np.array([0.0, 2.0 * math.pi * 1e6, 2.0 * math.pi * 2e6])
-        trace = SpectrumTrace(x, np.array([0.0, 1.0, 0.5]), np.array([]))
+        trace = SpectrumTrace(x, np.array([0.0, 1.0, 0.5]))
         lines = trace_csv(trace).splitlines()
         assert lines[0] == "detuning_hz,transmission"
         assert lines[1] == "0,0"
