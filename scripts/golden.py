@@ -13,8 +13,9 @@ are written there first and all paths are relative, so both trees see the
 same arguments.  The check then compares, command by command, the exit
 code, standard output and standard error, and, file by file, everything
 the case left in its directory.  Every difference is printed; for a CSV or
-JSON artifact whose numbers line up on both sides, so is the largest
-absolute difference per column or key.
+JSON artifact whose numbers line up on both sides, so are the largest
+absolute and the largest relative difference per column or key.  A
+relative difference is |parent - change| / max(|parent|, |change|).
 
 Exit status: 0 when both trees agree byte for byte, 1 when anything
 differs, 2 on a usage error.  Standard library only.
@@ -257,7 +258,7 @@ def numbers(path: str, data: bytes) -> list[tuple[str, float]] | None:
 
 
 def largest_differences(path: str, a: bytes, b: bytes) -> str:
-    """The largest absolute difference per column or key between two CSV or JSON artifacts."""
+    """The largest absolute and relative difference per column or key between two CSV or JSON artifacts."""
     old, new = numbers(path, a), numbers(path, b)
     if old is None or new is None:
         return ""
@@ -265,8 +266,12 @@ def largest_differences(path: str, a: bytes, b: bytes) -> str:
         return "; numbers not comparable"
     largest = {}
     for (label, x), (_, y) in zip(old, new):
-        largest[label] = max(largest.get(label, 0.0), abs(x - y))
-    moved = [f"{label or 'value'} {gap:.2g}" for label, gap in sorted(largest.items()) if gap]
+        gap = abs(x - y)
+        relative = gap / max(abs(x), abs(y)) if gap else 0.0
+        previous = largest.get(label, (0.0, 0.0))
+        largest[label] = (max(previous[0], gap), max(previous[1], relative))
+    moved = [f"{label or 'value'} {gap:.2g} (relative {rel:.2g})"
+             for label, (gap, rel) in sorted(largest.items()) if gap]
     return f"; largest numeric differences: {', '.join(moved) or 'none'}"
 
 

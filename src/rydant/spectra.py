@@ -22,19 +22,19 @@ transmission proxy is -Im(rho_ge) offset and scaled to span [0, 1].
 
 Solver
 ------
-The scanned detuning enters the trace-constrained Liouvillian linearly,
-through a diagonal slope.  One eigendecomposition at the scan centre
-therefore turns a whole scan into a sum of poles in the detuning, and a
-single-detuning steady state is the one-point scan.  The slope is zero on
-the populations and on the g-e and r1-r2 coherences, which the scan does
-not detune, so eight of the sixteen eigenvalues are exactly zero and only
-the eight coherences between {g, e} and {r1, r2} carry live poles.  The
-per-point stage runs component-major, on (16, points) arrays, so each
-reduction over the components is a fast elementwise pass.  Doppler
-averaging shifts only the scanned detuning by a Gaussian velocity term;
-the average of each pole over that Gaussian is exact through the Faddeeva
-function (scipy.special.wofz, the only scipy import, made inside the
-Doppler path).  A trace finds its peaks once, when it is built: local maxima
+The Liouvillian is linear in the eight ladder parameters: one matmul with
+a fixed table builds it.  The scanned detuning enters it through a diagonal
+slope, nonzero only on the eight coherences between {g, e} and {r1, r2}.
+One solve at the scan centre and one eigendecomposition of that 8 x 8
+sloped block turn a whole scan into a sum of eight poles in the detuning; a
+single-detuning steady state is the one-point scan.  The per-point stage
+runs component-major, on (16, points) arrays, so each reduction over the
+components is a fast elementwise pass.  Doppler averaging shifts only the
+scanned detuning by a Gaussian velocity term; the average of each pole over
+it is exact through the Faddeeva function (scipy.special.wofz, the only
+scipy import, made inside the Doppler path), and rho being Hermitian, the
+conjugate of a pole takes the conjugate average.  A trace finds its peaks
+once, when it is built: local maxima
 filtered by topographic prominence, which extract_splitting then reads.
 
 Defaults gamma_e = 2*pi*5.2e6 rad/s and gamma_r = 2*pi*0.1e6 rad/s are
@@ -58,6 +58,10 @@ WEAK_PROBE_RATIO = 0.1
 
 # Relative residual above which a steady-state solve is rejected.
 RESIDUAL_TOL = 1e-8
+
+# Relative gap within which a pole is the conjugate of another: true pairs
+# miss by up to ~2e-14, poles left unpaired by rounding by 5e-10 and more.
+_CONJUGATE_TOL = 1e-12
 
 # Peak prominence threshold as a fraction of the full transmission scale.
 PROMINENCE_DEFAULT = 0.05
@@ -135,10 +139,14 @@ class SpectrumTrace:
         trans = np.array(self.transmission, dtype=float)
         if det.ndim != 1 or det.size < 2:
             raise ValueError("detunings must be a 1-D array with >= 2 points")
-        if np.any(np.diff(det) <= 0):
-            raise ValueError("detunings must be strictly increasing")
         if trans.shape != det.shape:
             raise ValueError("transmission and detunings must have equal length")
+        for name, arr in (("detunings", det), ("transmission", trans)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {arr[bad[0]]} at index {bad[0]}")
+        if np.any(np.diff(det) <= 0):
+            raise ValueError("detunings must be strictly increasing")
         if trans.min() < -1e-9 or trans.max() > 1.0 + 1e-9:
             raise ValueError("transmission must lie within [0, 1]")
         peaks, proms = _peak_positions(det, trans, PROMINENCE_DEFAULT)
@@ -191,65 +199,85 @@ def _liouvillian(h: np.ndarray, c_ops: Sequence[np.ndarray]) -> np.ndarray:
     return lv
 
 
-def _scan_slope() -> np.ndarray:
-    # Diagonal of d(Liouvillian)/d(delta_c): the scan enters H only on the
-    # r1/r2 diagonal.  Its entry for rho_gg (the trace row) is zero.
-    slope = np.zeros((_DIM, _DIM), dtype=complex)
-    slope[2, 2] = -1.0
-    slope[3, 3] = -1.0
-    return np.diag(-1j * (_kron(_IDENTITY, slope) - _kron(slope.T, _IDENTITY))).copy()
+# Ladder parameters in the row order of _LIOUVILLIAN_TABLE.
+_PARAMETERS = ("delta_p", "delta_c", "delta_rf", "omega_p", "omega_c", "omega_rf", "gamma_e", "gamma_r")
 
 
-_SCAN_SLOPE = _scan_slope()
+def _unit_liouvillian(name: str) -> np.ndarray:
+    # The flattened Liouvillian at a unit value of one parameter, zero for
+    # the rest.  It is linear in each (a decay rate enters through c^dag c).
+    unit = dict.fromkeys(_PARAMETERS, 0.0) | {name: 1.0}
+    delta_c = unit.pop("delta_c")
+    cfg = LadderConfig(**unit)
+    return _liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg)).ravel()
+
+
+_LIOUVILLIAN_TABLE = np.array([_unit_liouvillian(name) for name in _PARAMETERS])
+
+
+def _ladder_liouvillian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
+    """_liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg)) as one matmul."""
+    params = np.array([delta_c if name == "delta_c" else getattr(cfg, name) for name in _PARAMETERS])
+    return (params @ _LIOUVILLIAN_TABLE).reshape(_DIM * _DIM, _DIM * _DIM)
+
+
+# Diagonal of d(Liouvillian)/d(delta_c): the scan enters H only on the
+# r1/r2 diagonal.  It is nonzero on the eight {g, e}-{r1, r2} coherences
+# alone, so its entry for rho_gg (the trace row) is zero.
+_SCAN_SLOPE = np.diag(_liouvillian(np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex), [])).copy()
+_SLOPED = np.flatnonzero(_SCAN_SLOPE)
+# Right-hand side of the one setup solve: the trace condition b, then the
+# sloped columns of S = diag(_SCAN_SLOPE).
+_SETUP_RHS = np.column_stack((np.eye(_DIM * _DIM)[:, 0], np.diag(_SCAN_SLOPE)[:, _SLOPED]))
 
 
 def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
     """Column-stacked steady states, one row per scanned detuning.
 
     With the trace row in place of row 0, the Liouvillian is
-    A(delta) = A0 + (delta - delta0) S, where A0 is taken at the scan centre
-    delta0 and S is the diagonal scan slope.  One eigendecomposition
-    A0^-1 S = V diag(lam) V^-1, with x0 = A0^-1 b and c = V^-1 x0, gives
-    every point as x(delta) = x0 - V [eps lam / (1 + eps lam) * c] with
-    eps = delta - delta0; a one-point scan returns x0 itself.  S is zero on
-    the populations and the g-e and r1-r2 coherences, so A0^-1 S has 8 zero
-    columns and eig returns 8 eigenvalues of exactly 0, whose terms vanish;
-    only the 8 live poles are kept.  The per-point stage works on
-    (16, points) arrays and returns the transposed view.  Each point's
-    residual |L(delta) x(delta)| is checked against RESIDUAL_TOL *
-    max|L(delta)| * max|x(delta)|, the slope entering only the sloped rows.
+    A(delta) = A0 + eps S, with A0 at the scan centre delta0,
+    eps = delta - delta0 and S the diagonal scan slope, nonzero on the eight
+    sloped components s.  One solve of A0 against [b, S[:, s]] gives
+    x0 = A0^-1 b and M = (A0^-1 S)[:, s].  As x(eps) = x0 - eps M x(eps)[s],
+    the poles lam are the eigenvalues of the 8 x 8 block K = M[s]; with
+    K = U diag(lam) U^-1 and c = U^-1 x0[s], every point is
+    x(eps) = x0 - W [eps / (1 + lam eps)], W = M U diag(c), and a one-point
+    scan returns x0 itself.  The per-point stage works on (16, points)
+    arrays and returns the transposed view.  Each point's residual
+    |L(delta) x(delta)| is checked against RESIDUAL_TOL * max|L(delta)| *
+    max|x(delta)|, the slope entering only the sloped rows.
 
     cfg.doppler_sigma > 0 returns instead the average over a Gaussian shift
-    of the scanned detuning, taken pole by pole in closed form.
+    of the scanned detuning: each term becomes its closed-form average.
     """
     center = 0.5 * (detunings[0] + detunings[-1])
-    lv = _liouvillian(_hamiltonian(cfg, center), _collapse_ops(cfg))
+    lv = _ladder_liouvillian(cfg, center)
     a = lv.copy()
     a[0, :] = 0.0
     a[0, _TRACE_IDX] = 1.0
-    b = np.zeros(_DIM * _DIM, dtype=complex)
-    b[0] = 1.0
     try:
-        x0 = np.linalg.solve(a, b)
-        lam, v = np.linalg.eig(np.linalg.solve(a, np.diag(_SCAN_SLOPE)))
-        c = np.linalg.solve(v, x0)
+        solved = np.linalg.solve(a, _SETUP_RHS)
+        x0, m = solved[:, 0], solved[:, 1:]
+        lam, u = np.linalg.eig(m[_SLOPED])
+        c = np.linalg.solve(u, x0[_SLOPED])
     except np.linalg.LinAlgError as exc:
         raise SteadyStateError(f"singular Liouvillian: {exc}") from exc
 
-    live = lam != 0.0
-    lam, v, c = lam[live, None], v[:, live], c[live, None]
     eps = detunings - center
-    sloped = _SCAN_SLOPE != 0.0
-    slope, diagonal = _SCAN_SLOPE[sloped, None], np.diag(lv)
+    slope, diagonal = _SCAN_SLOPE[_SLOPED, None], np.diag(lv)
+    # states is formed in place: a fresh (16, points) array is a large,
+    # page-faulting allocation that can cost more than the subtraction.
     with np.errstate(all="ignore"):
-        eps_lam = lam * eps
-        states = x0[:, None] - v @ (eps_lam / (1.0 + eps_lam) * c)
+        w = m @ (u * c)
+        states = w @ (eps / (1.0 + lam[:, None] * eps))
+        np.subtract(x0[:, None], states, out=states)
         # L(delta) x = L0 x + eps S x; the slope moves only the sloped diagonal entries.
         lx = lv @ states
-        lx[sloped] += eps * slope * states[sloped]
+        eps_slope = eps * slope
+        lx[_SLOPED] += eps_slope * states[_SLOPED]
         residual = np.abs(lx).max(axis=0)
-        unscanned_max = max(np.abs(lv - np.diag(diagonal)).max(), np.abs(diagonal[~sloped]).max())
-        lv_max = np.maximum(np.abs(diagonal[sloped, None] + eps * slope).max(axis=0), unscanned_max)
+        unscanned_max = max(np.abs(lv - np.diag(diagonal)).max(), np.abs(diagonal[_SCAN_SLOPE == 0.0]).max())
+        lv_max = np.maximum(np.abs(diagonal[_SLOPED, None] + eps_slope).max(axis=0), unscanned_max)
         scale = np.maximum(lv_max * np.abs(states).max(axis=0), 1e-300)
     failed = ~np.isfinite(residual) | (residual > RESIDUAL_TOL * scale)
     if failed.any():
@@ -259,25 +287,38 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
             f"residual {residual[i]:.3e} vs scale {scale[i]:.3e}"
         )
     if cfg.doppler_sigma > 0.0:
-        states = x0[:, None] - v @ (_doppler_pole_average(eps, lam, cfg.doppler_sigma) * c)
+        states = w @ _doppler_pole_average(eps, lam, cfg.doppler_sigma)
+        np.subtract(x0[:, None], states, out=states)
     return states.T
 
 
 def _doppler_pole_average(eps: np.ndarray, lam: np.ndarray, sigma: float) -> np.ndarray:
-    """<e lam / (1 + e lam)> over e = eps + u, u ~ N(0, sigma^2), one row per pole.
+    """<e / (1 + lam e)> over e = eps + u, u ~ N(0, sigma^2), one row per pole.
 
-    lam is a column of nonzero poles, eps a row of detunings.  Each term is
-    1 + (1 / lam) / (z - e) with the pole z = -1 / lam.  For Im(a) > 0,
+    lam holds the poles, eps a row of detunings.  Each term is
+    (1 + (1 / lam) / (z - e)) / lam with z = -1 / lam, and for Im(a) > 0,
     <1 / (a - u)> = -i sqrt(pi/2) / sigma * w(a / (sigma sqrt 2)), with w
     the Faddeeva function; below the real axis conj(w(conj(zeta))) =
-    w(-zeta) gives the mirrored form.
+    w(-zeta) gives the mirrored form.  rho is Hermitian, so the poles come
+    in conjugate pairs whose averages are conjugate: a pole below the real
+    axis within _CONJUGATE_TOL (relative) of a conjugated pole above it
+    takes that pole's average, conjugated, and every other pole calls wofz,
+    four of the eight on a well-conditioned ladder.
     """
     from scipy.special import wofz
 
-    a = -1.0 / lam - eps
+    gap = np.abs(lam[:, None] - lam.conj())
+    gap[:, lam.imag < 0.0] = np.inf
+    partner = gap.argmin(axis=1)
+    mirrored = (lam.imag < 0.0) & (gap[np.arange(lam.size), partner] <= _CONJUGATE_TOL * np.abs(lam))
+    own = lam[~mirrored, None]
+    a = -1.0 / own - eps
     side = np.where(a.imag > 0.0, 1.0, -1.0)
     mean_inverse = -1j * side * math.sqrt(math.pi / 2.0) / sigma * wofz(side * a / (sigma * math.sqrt(2.0)))
-    return 1.0 + mean_inverse / lam
+    average = np.empty((lam.size, eps.size), dtype=complex)
+    average[~mirrored] = (1.0 + mean_inverse / own) / own
+    average[mirrored] = average[partner[mirrored]].conj()
+    return average
 
 
 def normalize_trace(values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,11 @@ stated in the spectra module docstring, row-stacked (the production solver
 column-stacks), and solve it directly with one batched np.linalg.solve per
 chunk of detunings.  The Doppler oracle integrates that stationary
 absorption against the Gaussian velocity distribution on a fine uniform
-grid, with no pole expansion.
+grid, with no pole expansion.  full_pole_states is the scan's pole
+expansion over the whole 16 x 16 A0^-1 S, eight zero eigenvalues filtered
+out and all eight live poles Doppler-averaged one by one, which the
+production solver cuts down to the 8 x 8 sloped block and four
+conjugate-pair averages.
 
 The per-angle oracles are the eigen sweep and the cell sweep as they were
 before batching, one angle at a time in Python scalars: the orientation
@@ -363,6 +367,46 @@ def ladder_states(cfg, detunings, chunk=2048):
         x = np.linalg.solve(a, np.broadcast_to(rhs, (a.shape[0], 16))[..., None])[..., 0]
         out[start:start + chunk] = x.reshape(-1, 4, 4)
     return out
+
+
+def full_pole_states(cfg, detunings):
+    """The scan as a pole expansion of the full 16 x 16 A0^-1 S: (states, poles).
+
+    The scan solver as it stood before it was cut down to its sloped block:
+    the Liouvillian from spectra._liouvillian at the scan centre, with the
+    trace row in place of row 0; one eig of A0^-1 S = V diag(lam) V^-1;
+    c = V^-1 x0; every point x0 - V [eps lam / (1 + eps lam) * c], keeping
+    the eigenvalues that are not exactly zero.  With cfg.doppler_sigma > 0
+    each of those poles is averaged over the Gaussian on its own, through
+    the Faddeeva function, with no conjugate pairing.  states is
+    column-stacked, one row per detuning; poles holds the kept eigenvalues.
+    No residual check.
+    """
+    from scipy.special import wofz
+
+    from rydant.spectra import _SCAN_SLOPE, _collapse_ops, _hamiltonian, _liouvillian
+
+    center = 0.5 * (detunings[0] + detunings[-1])
+    a = _liouvillian(_hamiltonian(cfg, center), _collapse_ops(cfg))
+    a[0, :] = 0.0
+    a[0, [0, 5, 10, 15]] = 1.0
+    b = np.zeros(16, dtype=complex)
+    b[0] = 1.0
+    x0 = np.linalg.solve(a, b)
+    lam, v = np.linalg.eig(np.linalg.solve(a, np.diag(_SCAN_SLOPE)))
+    c = np.linalg.solve(v, x0)
+    live = lam != 0.0
+    lam, v, c = lam[live, None], v[:, live], c[live, None]
+    eps = detunings - center
+    if cfg.doppler_sigma > 0.0:
+        sigma = cfg.doppler_sigma
+        offset = -1.0 / lam - eps
+        side = np.where(offset.imag > 0.0, 1.0, -1.0)
+        mean_inverse = -1j * side * math.sqrt(math.pi / 2.0) / sigma * wofz(side * offset / (sigma * math.sqrt(2.0)))
+        terms = 1.0 + mean_inverse / lam
+    else:
+        terms = eps * lam / (1.0 + eps * lam)
+    return (x0[:, None] - v @ (terms * c)).T, lam[:, 0]
 
 
 def doppler_absorption(cfg, low, high, points, sigma, max_grid_step, span_sigmas=10.0):

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.signal import find_peaks
 
-from _oracles import doppler_absorption, ladder_states, peak_positions, splitting_from_peaks
+from _oracles import doppler_absorption, full_pole_states, ladder_states, peak_positions, splitting_from_peaks
 from rydant import spectra
 from rydant.spectra import (
     MAX_SCAN_POINTS,
@@ -27,12 +28,16 @@ from rydant.spectra import (
     _SCAN_SLOPE,
     _collapse_ops,
     _hamiltonian,
+    _ladder_liouvillian,
     _liouvillian,
     _local_maxima,
     _peak_positions,
     _prominences,
     _steady_states,
 )
+
+# A scan that overflows or divides by zero outside np.errstate fails here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -193,25 +198,75 @@ DEGENERATE_LADDERS = {
 
 
 class TestPoleExpansion:
-    """The one-eigendecomposition scan against a direct solve at every point."""
+    """The one-eigendecomposition scan against a direct solve at every point,
+    and its 8 x 8 block poles against the full 16 x 16 pole expansion."""
+
+    @pytest.fixture
+    def eig_inputs(self, monkeypatch):
+        """Every matrix handed to np.linalg.eig while the test runs."""
+        seen, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: seen.append(m.copy()) or eig(m))
+        return seen
 
     def assert_matches_direct_solve(self, cfg, detunings):
         poles = _steady_states(cfg, detunings).reshape(-1, 4, 4).transpose(0, 2, 1)
         direct = ladder_states(cfg, detunings)
         assert np.abs(poles - direct).max() < 1e-10 * np.abs(direct).max()
 
+    def assert_block_poles_are_the_live_poles(self, cfg, detunings, eig_inputs):
+        eig_inputs.clear()
+        _steady_states(cfg, detunings)
+        (block,) = eig_inputs
+        assert block.shape == (8, 8)
+        got, right = np.linalg.eig(block)
+        want = full_pole_states(cfg, detunings)[1]
+        assert want.size == 8
+        # 1e-12 of the largest pole, plus eig's first-order error eps |K| kappa, which
+        # dominates only for the near-zero poles of the decay-starved ladders
+        kappa = np.linalg.norm(np.linalg.inv(right), axis=1) * np.linalg.norm(right, axis=0)
+        bound = 1e-12 * np.abs(want).max() + 16 * np.finfo(float).eps * np.linalg.norm(block, 2) * kappa
+        rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+        assert np.all(np.abs(got[rows] - want[cols]) <= bound[rows])
+
     @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
-    def test_random_ladders(self):
+    def test_random_ladders(self, eig_inputs):
         rng = np.random.default_rng(1)
         for _ in range(100):
             cfg = random_ladder(rng)
-            self.assert_matches_direct_solve(cfg, np.linspace(*scan_window(cfg), 201))
+            detunings = np.linspace(*scan_window(cfg), 201)
+            self.assert_matches_direct_solve(cfg, detunings)
+            self.assert_block_poles_are_the_live_poles(cfg, detunings, eig_inputs)
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE_LADDERS))
-    def test_degenerate_ladders(self, name):
+    def test_degenerate_ladders(self, name, eig_inputs):
         drive = dict(omega_p=0.1 * MHZ, omega_c=1.0 * MHZ, omega_rf=10.0 * MHZ)
         cfg = LadderConfig(**{**drive, **DEGENERATE_LADDERS[name]})
-        self.assert_matches_direct_solve(cfg, np.linspace(-40 * MHZ, 40 * MHZ, 401))
+        detunings = np.linspace(-40 * MHZ, 40 * MHZ, 401)
+        self.assert_matches_direct_solve(cfg, detunings)
+        self.assert_block_poles_are_the_live_poles(cfg, detunings, eig_inputs)
+
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+    def test_doppler_mirror_pairs_match_all_eight_poles(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        drive = dict(omega_p=0.1 * MHZ, omega_c=1.0 * MHZ, omega_rf=10.0 * MHZ)
+        ladders = [replace(random_ladder(rng), doppler_sigma=rng.uniform(0.1, 10.0) * MHZ) for _ in range(50)]
+        ladders += [LadderConfig(**{**drive, **kw}, doppler_sigma=2.0 * MHZ) for kw in DEGENERATE_LADDERS.values()]
+        # RF off with the slowest accepted Rydberg decay: eig leaves near-zero poles unpaired
+        corners = [
+            LadderConfig(omega_p=p * MHZ, omega_c=c * MHZ, omega_rf=0.0, gamma_e=e * MHZ, gamma_r=1e-9 * MHZ,
+                         doppler_sigma=1.0 * MHZ)
+            for p, c, e in ((0.1, 1.0, 5.2), (0.1, 10.0, 1.0), (0.01, 1.0, 1e-3))
+        ]
+        for cfg in ladders + corners:
+            detunings = np.linspace(*scan_window(cfg), 201)
+            got = _steady_states(cfg, detunings)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectra, "_CONJUGATE_TOL", -1.0)  # every pole calls wofz
+                each = _steady_states(cfg, detunings)
+            assert np.abs(got - each).max() <= 1e-12 * np.abs(each).max()
+            if cfg not in corners:
+                want = full_pole_states(cfg, detunings)[0]
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
     @pytest.mark.parametrize(
@@ -394,6 +449,20 @@ class TestTraceUtilities:
         with pytest.raises(ValueError):
             SpectrumTrace(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "detunings,transmission,match",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, math.nan, 1.0, 0.2, 0.5],
+             "transmission must be finite, got nan at index 1"),
+            ([0.0, 1.0, math.nan, 3.0, 4.0], [0.0, 0.3, 1.0, 0.2, 0.5], "detunings must be finite, got nan at index 2"),
+            ([0.0, 1.0, 2.0, 3.0, math.inf], [0.0, 0.3, 1.0, 0.2, 0.5], "detunings must be finite, got inf at index 4"),
+        ],
+        ids=["nan-transmission", "nan-detuning", "inf-detuning"],
+    )
+    def test_non_finite_samples_are_refused(self, detunings, transmission, match):
+        with pytest.raises(ValueError, match=match):
+            SpectrumTrace(np.array(detunings), np.array(transmission))
+
     def test_csv_round_trip(self):
         x = np.array([0.0, 2.0 * math.pi * 1e6, 2.0 * math.pi * 2e6])
         trace = SpectrumTrace(x, np.array([0.0, 1.0, 0.5]))
@@ -436,6 +505,16 @@ class TestLiouvillianAssembly:
             h = _hamiltonian(cfg, rng.uniform(-30.0, 30.0) * MHZ)
             c_ops = _collapse_ops(cfg)
             assert _liouvillian(h, c_ops).tobytes() == self.kron_liouvillian(h, c_ops).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+    def test_parameter_table_matches_the_assembled_liouvillian(self):
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            cfg = replace(random_ladder(rng), omega_p=rng.uniform(0.0, 0.5) * MHZ)
+            delta_c = rng.uniform(-30.0, 30.0) * MHZ
+            want = _liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg))
+            got = _ladder_liouvillian(cfg, delta_c)
+            assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
 
     def test_scan_slope_equals_kron_form(self):
         slope = np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex)
