@@ -24,18 +24,18 @@ Solver
 ------
 The Liouvillian is linear in the eight ladder parameters: one matmul with
 a fixed table builds it.  The scanned detuning enters it through a diagonal
-slope, nonzero only on the eight coherences between {g, e} and {r1, r2}.
-One solve at the scan centre and one eigendecomposition of that 8 x 8
-sloped block turn a whole scan into a sum of eight poles in the detuning; a
-single-detuning steady state is the one-point scan.  The per-point stage
-runs component-major, on (16, points) arrays, so each reduction over the
-components is a fast elementwise pass.  Doppler averaging shifts only the
-scanned detuning by a Gaussian velocity term; the average of each pole over
-it is exact through the Faddeeva function (scipy.special.wofz, the only
-scipy import, made inside the Doppler path), and rho being Hermitian, the
-conjugate of a pole takes the conjugate average.  A trace finds its peaks
-once, when it is built: local maxima
-filtered by topographic prominence, which extract_splitting then reads.
+slope that is nonzero only on the eight coherences between {g, e} and
+{r1, r2}.  One solve at the scan centre and one eigendecomposition of that
+8 x 8 sloped block turn a whole scan into a sum of eight poles in the
+detuning; a single-detuning steady state is the one-point scan.  The
+per-point stage runs component-major, on (16, points) arrays, so each
+reduction over the components is a fast elementwise pass.  Doppler
+averaging shifts only the scanned detuning by a Gaussian velocity term; the
+average of each pole over that Gaussian is exact through the Faddeeva
+function (scipy.special.wofz, the only scipy import, made inside the
+Doppler path).  A trace finds its peaks once, when it is built: local
+maxima filtered by topographic prominence, which extract_splitting then
+reads.
 
 Defaults gamma_e = 2*pi*5.2e6 rad/s and gamma_r = 2*pi*0.1e6 rad/s are
 plausible vapor-cell numbers, not measured values; override per setup.
@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,10 +59,6 @@ WEAK_PROBE_RATIO = 0.1
 
 # Relative residual above which a steady-state solve is rejected.
 RESIDUAL_TOL = 1e-8
-
-# Relative gap within which a pole is the conjugate of another: true pairs
-# miss by up to ~2e-14, poles left unpaired by rounding by 5e-10 and more.
-_CONJUGATE_TOL = 1e-12
 
 # Peak prominence threshold as a fraction of the full transmission scale.
 PROMINENCE_DEFAULT = 0.05
@@ -199,26 +196,32 @@ def _liouvillian(h: np.ndarray, c_ops: Sequence[np.ndarray]) -> np.ndarray:
     return lv
 
 
-# Ladder parameters in the row order of _LIOUVILLIAN_TABLE.
+# Ladder parameters in the row order of _liouvillian_table().
 _PARAMETERS = ("delta_p", "delta_c", "delta_rf", "omega_p", "omega_c", "omega_rf", "gamma_e", "gamma_r")
 
 
-def _unit_liouvillian(name: str) -> np.ndarray:
-    # The flattened Liouvillian at a unit value of one parameter, zero for
-    # the rest.  It is linear in each (a decay rate enters through c^dag c).
-    unit = dict.fromkeys(_PARAMETERS, 0.0) | {name: 1.0}
-    delta_c = unit.pop("delta_c")
-    cfg = LadderConfig(**unit)
-    return _liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg)).ravel()
+@lru_cache(maxsize=None)
+def _liouvillian_table() -> np.ndarray:
+    """Row i: the flattened Liouvillian at a unit value of _PARAMETERS[i], zero for the rest.
 
-
-_LIOUVILLIAN_TABLE = np.array([_unit_liouvillian(name) for name in _PARAMETERS])
+    The Liouvillian is linear in each (a decay rate enters through c^dag c).
+    Built on first use, so a process that runs no scan never pays for it.
+    """
+    rows = []
+    for name in _PARAMETERS:
+        unit = dict.fromkeys(_PARAMETERS, 0.0) | {name: 1.0}
+        delta_c = unit.pop("delta_c")
+        cfg = LadderConfig(**unit)
+        rows.append(_liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg)).ravel())
+    table = np.array(rows)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def _ladder_liouvillian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
     """_liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg)) as one matmul."""
     params = np.array([delta_c if name == "delta_c" else getattr(cfg, name) for name in _PARAMETERS])
-    return (params @ _LIOUVILLIAN_TABLE).reshape(_DIM * _DIM, _DIM * _DIM)
+    return (params @ _liouvillian_table()).reshape(_DIM * _DIM, _DIM * _DIM)
 
 
 # Diagonal of d(Liouvillian)/d(delta_c): the scan enters H only on the
@@ -231,6 +234,22 @@ _SLOPED = np.flatnonzero(_SCAN_SLOPE)
 _SETUP_RHS = np.column_stack((np.eye(_DIM * _DIM)[:, 0], np.diag(_SCAN_SLOPE)[:, _SLOPED]))
 
 
+def _block_order(k: np.ndarray) -> np.ndarray:
+    """Permutation that makes the uncoupled diagonal blocks of k contiguous.
+
+    A drive left at zero decouples blocks of the sloped coherences (the r2
+    ones when Omega_rf = 0).  eig keeps contiguous blocks apart, so each
+    block's poles round at their own scale; interleaved, a pole near the
+    scan centre (|lam| ~ 1 / gamma_r) swamps the small poles of the others.
+    Three squarings of the coupling pattern join every linked pair of the
+    eight components; each takes the first it reaches as its block label.
+    """
+    linked = (k != 0.0) | (k.T != 0.0) | np.eye(k.shape[0], dtype=bool)
+    for _ in range(3):
+        linked = linked @ linked
+    return np.argsort(linked.argmax(axis=1), kind="stable")
+
+
 def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
     """Column-stacked steady states, one row per scanned detuning.
 
@@ -239,7 +258,8 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
     eps = delta - delta0 and S the diagonal scan slope, nonzero on the eight
     sloped components s.  One solve of A0 against [b, S[:, s]] gives
     x0 = A0^-1 b and M = (A0^-1 S)[:, s].  As x(eps) = x0 - eps M x(eps)[s],
-    the poles lam are the eigenvalues of the 8 x 8 block K = M[s]; with
+    the poles lam are the eigenvalues of the 8 x 8 block K = M[s], its
+    uncoupled diagonal blocks made contiguous first (see _block_order); with
     K = U diag(lam) U^-1 and c = U^-1 x0[s], every point is
     x(eps) = x0 - W [eps / (1 + lam eps)], W = M U diag(c), and a one-point
     scan returns x0 itself.  The per-point stage works on (16, points)
@@ -258,8 +278,10 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
     try:
         solved = np.linalg.solve(a, _SETUP_RHS)
         x0, m = solved[:, 0], solved[:, 1:]
-        lam, u = np.linalg.eig(m[_SLOPED])
-        c = np.linalg.solve(u, x0[_SLOPED])
+        order = _block_order(m[_SLOPED])
+        sloped, m = _SLOPED[order], m[:, order]
+        lam, u = np.linalg.eig(m[sloped])
+        c = np.linalg.solve(u, x0[sloped])
     except np.linalg.LinAlgError as exc:
         raise SteadyStateError(f"singular Liouvillian: {exc}") from exc
 
@@ -299,26 +321,17 @@ def _doppler_pole_average(eps: np.ndarray, lam: np.ndarray, sigma: float) -> np.
     (1 + (1 / lam) / (z - e)) / lam with z = -1 / lam, and for Im(a) > 0,
     <1 / (a - u)> = -i sqrt(pi/2) / sigma * w(a / (sigma sqrt 2)), with w
     the Faddeeva function; below the real axis conj(w(conj(zeta))) =
-    w(-zeta) gives the mirrored form.  rho is Hermitian, so the poles come
-    in conjugate pairs whose averages are conjugate: a pole below the real
-    axis within _CONJUGATE_TOL (relative) of a conjugated pole above it
-    takes that pole's average, conjugated, and every other pole calls wofz,
-    four of the eight on a well-conditioned ladder.
+    w(-zeta) gives the mirrored form.  A pole of exactly zero (a drive
+    left at zero can decouple one) is a term linear in e, averaging to eps.
     """
     from scipy.special import wofz
 
-    gap = np.abs(lam[:, None] - lam.conj())
-    gap[:, lam.imag < 0.0] = np.inf
-    partner = gap.argmin(axis=1)
-    mirrored = (lam.imag < 0.0) & (gap[np.arange(lam.size), partner] <= _CONJUGATE_TOL * np.abs(lam))
-    own = lam[~mirrored, None]
-    a = -1.0 / own - eps
+    live = lam[:, None] != 0.0
+    lam = np.where(live, lam[:, None], 1.0)
+    a = -1.0 / lam - eps
     side = np.where(a.imag > 0.0, 1.0, -1.0)
     mean_inverse = -1j * side * math.sqrt(math.pi / 2.0) / sigma * wofz(side * a / (sigma * math.sqrt(2.0)))
-    average = np.empty((lam.size, eps.size), dtype=complex)
-    average[~mirrored] = (1.0 + mean_inverse / own) / own
-    average[mirrored] = average[partner[mirrored]].conj()
-    return average
+    return np.where(live, (1.0 + mean_inverse / lam) / lam, eps)
 
 
 def normalize_trace(values: np.ndarray) -> np.ndarray:

@@ -13,8 +13,7 @@ absorption against the Gaussian velocity distribution on a fine uniform
 grid, with no pole expansion.  full_pole_states is the scan's pole
 expansion over the whole 16 x 16 A0^-1 S, eight zero eigenvalues filtered
 out and all eight live poles Doppler-averaged one by one, which the
-production solver cuts down to the 8 x 8 sloped block and four
-conjugate-pair averages.
+production solver cuts down to the 8 x 8 sloped block.
 
 The per-angle oracles are the eigen sweep and the cell sweep as they were
 before batching, one angle at a time in Python scalars: the orientation
@@ -377,10 +376,9 @@ def full_pole_states(cfg, detunings):
     trace row in place of row 0; one eig of A0^-1 S = V diag(lam) V^-1;
     c = V^-1 x0; every point x0 - V [eps lam / (1 + eps lam) * c], keeping
     the eigenvalues that are not exactly zero.  With cfg.doppler_sigma > 0
-    each of those poles is averaged over the Gaussian on its own, through
-    the Faddeeva function, with no conjugate pairing.  states is
-    column-stacked, one row per detuning; poles holds the kept eigenvalues.
-    No residual check.
+    each of those poles is averaged over the Gaussian through the Faddeeva
+    function.  states is column-stacked, one row per detuning; poles holds
+    the kept eigenvalues.  No residual check.
     """
     from scipy.special import wofz
 

@@ -213,7 +213,7 @@ class TestPoleExpansion:
         direct = ladder_states(cfg, detunings)
         assert np.abs(poles - direct).max() < 1e-10 * np.abs(direct).max()
 
-    def assert_block_poles_are_the_live_poles(self, cfg, detunings, eig_inputs):
+    def assert_block_poles_are_the_live_poles(self, cfg, detunings, eig_inputs, all_resolved):
         eig_inputs.clear()
         _steady_states(cfg, detunings)
         (block,) = eig_inputs
@@ -221,12 +221,16 @@ class TestPoleExpansion:
         got, right = np.linalg.eig(block)
         want = full_pole_states(cfg, detunings)[1]
         assert want.size == 8
-        # 1e-12 of the largest pole, plus eig's first-order error eps |K| kappa, which
-        # dominates only for the near-zero poles of the decay-starved ladders
-        kappa = np.linalg.norm(np.linalg.inv(right), axis=1) * np.linalg.norm(right, axis=0)
-        bound = 1e-12 * np.abs(want).max() + 16 * np.finfo(float).eps * np.linalg.norm(block, 2) * kappa
         rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
-        assert np.all(np.abs(got[rows] - want[cols]) <= bound[rows])
+        got, want, right = got[rows], want[cols], right[:, rows]
+        # A pole is resolved when eig's first-order error eps |K| kappa lies within
+        # 1e-12 of its size.  The near-zero poles of decay-starved ladders are not:
+        # no double-precision eig fixes them, and the Doppler oracle test below
+        # checks the states they build instead.
+        kappa = np.linalg.norm(np.linalg.inv(right), axis=1) * np.linalg.norm(right, axis=0)
+        resolved = 16 * np.finfo(float).eps * np.linalg.norm(block, 2) * kappa <= 1e-12 * np.abs(got)
+        assert resolved.all() or not all_resolved
+        assert np.all(np.abs(got - want)[resolved] <= 1e-12 * np.abs(want)[resolved])
 
     @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
     def test_random_ladders(self, eig_inputs):
@@ -235,7 +239,7 @@ class TestPoleExpansion:
             cfg = random_ladder(rng)
             detunings = np.linspace(*scan_window(cfg), 201)
             self.assert_matches_direct_solve(cfg, detunings)
-            self.assert_block_poles_are_the_live_poles(cfg, detunings, eig_inputs)
+            self.assert_block_poles_are_the_live_poles(cfg, detunings, eig_inputs, all_resolved=True)
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE_LADDERS))
     def test_degenerate_ladders(self, name, eig_inputs):
@@ -243,30 +247,41 @@ class TestPoleExpansion:
         cfg = LadderConfig(**{**drive, **DEGENERATE_LADDERS[name]})
         detunings = np.linspace(-40 * MHZ, 40 * MHZ, 401)
         self.assert_matches_direct_solve(cfg, detunings)
-        self.assert_block_poles_are_the_live_poles(cfg, detunings, eig_inputs)
+        self.assert_block_poles_are_the_live_poles(cfg, detunings, eig_inputs, all_resolved=False)
 
     @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
-    def test_doppler_mirror_pairs_match_all_eight_poles(self, monkeypatch):
+    def test_doppler_scans_match_the_full_pole_expansion(self):
         rng = np.random.default_rng(7)
         drive = dict(omega_p=0.1 * MHZ, omega_c=1.0 * MHZ, omega_rf=10.0 * MHZ)
         ladders = [replace(random_ladder(rng), doppler_sigma=rng.uniform(0.1, 10.0) * MHZ) for _ in range(50)]
         ladders += [LadderConfig(**{**drive, **kw}, doppler_sigma=2.0 * MHZ) for kw in DEGENERATE_LADDERS.values()]
-        # RF off with the slowest accepted Rydberg decay: eig leaves near-zero poles unpaired
-        corners = [
-            LadderConfig(omega_p=p * MHZ, omega_c=c * MHZ, omega_rf=0.0, gamma_e=e * MHZ, gamma_r=1e-9 * MHZ,
-                         doppler_sigma=1.0 * MHZ)
-            for p, c, e in ((0.1, 1.0, 5.2), (0.1, 10.0, 1.0), (0.01, 1.0, 1e-3))
-        ]
-        for cfg in ladders + corners:
+        for cfg in ladders:
             detunings = np.linspace(*scan_window(cfg), 201)
             got = _steady_states(cfg, detunings)
-            with monkeypatch.context() as patch:
-                patch.setattr(spectra, "_CONJUGATE_TOL", -1.0)  # every pole calls wofz
-                each = _steady_states(cfg, detunings)
-            assert np.abs(got - each).max() <= 1e-12 * np.abs(each).max()
-            if cfg not in corners:
-                want = full_pole_states(cfg, detunings)[0]
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            want = full_pole_states(cfg, detunings)[0]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("omega_c,gamma_e", [(1.0, 5.2), (10.0, 5.2), (10.0, 1.0), (10.0, 1e3)])
+    def test_doppler_scans_with_a_decoupled_pole_at_the_centre(self, omega_c, gamma_e):
+        # RF off with the slowest accepted Rydberg decay: the r2 coherences hold poles
+        # 1e-9 MHz from the scan centre, 1e17 times the size of the live near-zero ones.
+        cfg = LadderConfig(omega_p=0.1 * MHZ, omega_c=omega_c * MHZ, omega_rf=0.0, gamma_e=gamma_e * MHZ,
+                           gamma_r=1e-9 * MHZ, doppler_sigma=1.0 * MHZ)
+        low, high = -10.0 * MHZ, 10.0 * MHZ
+        got = _steady_states(cfg, np.linspace(low, high, 41))[:, _GE].imag
+        want = doppler_absorption(cfg, low, high, 41, cfg.doppler_sigma, 0.002 * MHZ)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_doppler_scans_with_a_zero_pole(self, eig_inputs):
+        # Probe off, RF off, coupling and decay at the top of their accepted range:
+        # two poles of the block are exactly zero, and the state stays |g><g|.
+        cfg = LadderConfig(omega_p=0.0, omega_c=1e9 * MHZ, omega_rf=0.0, gamma_e=1e9 * MHZ, gamma_r=1e-9 * MHZ,
+                           doppler_sigma=1.0 * MHZ)
+        states = _steady_states(cfg, np.linspace(*scan_window(cfg), 101))
+        assert np.count_nonzero(np.linalg.eigvals(eig_inputs[0]) == 0.0) == 2
+        ground = np.zeros(16)
+        ground[0] = 1.0
+        assert np.abs(states - ground).max() <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
     @pytest.mark.parametrize(
