@@ -4,6 +4,7 @@ compare every byte they leave behind.
 
 Usage:
     python3 scripts/golden.py --parent SRC --change SRC [--work DIR]
+    python3 scripts/golden.py --manifest PATH --source SRC [--work DIR]
 
 Each SRC is a checkout: the directory that holds src/rydant.  Every case
 runs its commands as `python -m rydant.cli ...` with PYTHONPATH=SRC/src,
@@ -18,12 +19,23 @@ absolute and the largest relative difference per column or key.  A
 relative difference is |parent - change| / max(|parent|, |change|).
 
 Exit status: 0 when both trees agree byte for byte, 1 when anything
-differs, 2 on a usage error.  Standard library only.
+differs, 2 on a usage error.
+
+The --manifest mode runs every case once, from the SRC checkout, and
+writes what it left behind to PATH as JSON lines (tests/golden_manifest.jsonl
+is the one tests/test_golden.py reads).  The first line holds the numpy
+version and the BLAS, the two things last-bit identity depends on; then
+each case has a line saying whether it scans a ladder spectrum, one line
+per command with its exit code, standard output and standard error, and
+one line per file with its sha256 and, for a CSV or JSON artifact the case
+wrote, its parsed content.  Standard library only, apart from the host
+line, which imports numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -192,11 +204,16 @@ CASES = [
 ]
 
 
-def run_case(src: str, case_dir: str, files: dict, commands: list) -> list[tuple[int, bytes, bytes]]:
+def write_inputs(case_dir: str, files: dict) -> None:
+    """Make the case's directory and write its config files there."""
     os.makedirs(case_dir)
     for name, payload in files.items():
         with open(os.path.join(case_dir, name), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
+
+
+def run_case(src: str, case_dir: str, files: dict, commands: list) -> list[tuple[int, bytes, bytes]]:
+    write_inputs(case_dir, files)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(src), "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     results = []
@@ -225,36 +242,51 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"{len(lines_a)} lines in parent, {len(lines_b)} in change"
 
 
-def numbers(path: str, data: bytes) -> list[tuple[str, float]] | None:
-    """Every number of a CSV or JSON artifact with its column or key, in order; None for other files."""
+def parsed(path: str, data: bytes):
+    """A JSON artifact as its document; a CSV one as its header and columns, numbers as floats; else None."""
     text = data.decode(errors="replace")
-    found = []
     if path.endswith(".json"):
-        def walk(node, key):
-            if isinstance(node, dict):
-                for k in sorted(node):
-                    walk(node[k], k)
-            elif isinstance(node, list):
-                for item in node:
-                    walk(item, key)
-            elif isinstance(node, (int, float)) and not isinstance(node, bool):
-                found.append((key, float(node)))
-
         try:
-            walk(json.loads(text), "")
+            return json.loads(text)
         except ValueError:
             return None
-        return found
     if path.endswith(".csv"):
+        def cell(value):
+            try:
+                return float(value)
+            except ValueError:
+                return value
+
         header, *rows = text.splitlines() or [""]
-        for row in rows:
-            for column, cell in zip(header.split(","), row.split(",")):
-                try:
-                    found.append((column, float(cell)))
-                except ValueError:
-                    pass
-        return found
+        cells = [row.split(",") for row in rows]
+        names = header.split(",")
+        if any(len(row) != len(names) for row in cells):
+            return None
+        return {"header": names, "columns": [[cell(row[i]) for row in cells] for i in range(len(names))]}
     return None
+
+
+def numbers(path: str, data: bytes) -> list[tuple[str, float]] | None:
+    """Every number of a CSV or JSON artifact with its column or key, in order; None for other files."""
+    content = parsed(path, data)
+    if content is None:
+        return None
+    if path.endswith(".csv"):
+        content = dict(zip(content["header"], content["columns"]))
+    found = []
+
+    def walk(node, key):
+        if isinstance(node, dict):
+            for k in sorted(node):
+                walk(node[k], k)
+        elif isinstance(node, list):
+            for item in node:
+                walk(item, key)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            found.append((key, float(node)))
+
+    walk(content, "")
+    return found
 
 
 def largest_differences(path: str, a: bytes, b: bytes) -> str:
@@ -273,6 +305,66 @@ def largest_differences(path: str, a: bytes, b: bytes) -> str:
     moved = [f"{label or 'value'} {gap:.2g} (relative {rel:.2g})"
              for label, (gap, rel) in sorted(largest.items()) if gap]
     return f"; largest numeric differences: {', '.join(moved) or 'none'}"
+
+
+def scans_spectrum(files: dict, commands: list) -> bool:
+    """Whether a case scans a ladder spectrum: a `spectrum` command, or a sweep config with the spectrum readout."""
+    return any(argv[0] == "spectrum" for argv in commands) or any(
+        isinstance(payload, dict) and payload.get("sweep", {}).get("readout") == "spectrum"
+        for payload in files.values())
+
+
+def host() -> dict:
+    """The numpy version and the BLAS it was built against."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {"numpy": numpy.__version__, "blas": blas}
+
+
+def case_records(name: str, files: dict, commands: list, results: list, case_dir: str) -> list[dict]:
+    """What one case left behind, as manifest lines: the case, then one line per command and per file."""
+    records = [{"case": name, "spectrum": scans_spectrum(files, commands)}]
+    for argv, (code, out, err) in zip(commands, results):
+        records.append({"case": name, "command": argv, "exit": code, "stdout": out.decode(), "stderr": err.decode()})
+    for path, data in sorted(artifacts(case_dir).items()):
+        entry = {"case": name, "file": path, "sha256": hashlib.sha256(data).hexdigest()}
+        content = None if path in files else parsed(path, data)
+        if content is not None:
+            entry["parsed"] = content
+        records.append(entry)
+    return records
+
+
+def write_manifest(path: str, src: str, work: str) -> None:
+    lines = [host()]
+    for name, files, commands in CASES:
+        case_dir = os.path.join(work, name)
+        lines += case_records(name, files, commands, run_case(src, case_dir, files, commands), case_dir)
+        print(f"{name}: recorded", flush=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+    print(f"\n{len(CASES)} cases written to {path}")
+
+
+def read_manifest(path: str) -> tuple[dict, dict]:
+    """A manifest as (host, {case: {"spectrum", "commands": [...], "files": {path: entry}}})."""
+    with open(path, encoding="utf-8") as fh:
+        host_line, *lines = (json.loads(line) for line in fh)
+    cases = {}
+    for line in lines:
+        case = cases.setdefault(line.pop("case"), {"commands": [], "files": {}})
+        if "command" in line:
+            case["commands"].append(line)
+        elif "file" in line:
+            case["files"][line.pop("file")] = line
+        else:
+            case.update(line)
+    return host_line, cases
 
 
 def compare(name: str, commands: list, parent_dir: str, change_dir: str, results: tuple) -> list[str]:
@@ -298,16 +390,26 @@ def compare(name: str, commands: list, parent_dir: str, change_dir: str, results
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="checkout to compare against")
-    parser.add_argument("--change", required=True, help="checkout under test")
+    parser.add_argument("--parent", help="checkout to compare against")
+    parser.add_argument("--change", help="checkout under test")
+    parser.add_argument("--manifest", help="write the manifest of the --source checkout to this path")
+    parser.add_argument("--source", help="checkout whose runs --manifest records")
     parser.add_argument("--work", default=None, help="empty or new directory for the runs (default: a temporary one)")
     args = parser.parse_args(argv)
-    for src in (args.parent, args.change):
+    trees = (args.source,) if args.manifest else (args.parent, args.change)
+    if args.manifest and (args.parent or args.change):
+        parser.error("--manifest takes --source, not --parent or --change")
+    for src in trees:
+        if src is None:
+            parser.error("give --parent and --change, or --manifest and --source")
         if not os.path.isfile(os.path.join(src, "src", "rydant", "cli.py")):
             parser.error(f"{src} holds no src/rydant/cli.py")
     work = args.work or tempfile.mkdtemp(prefix="rydant-golden-")
     if os.path.exists(work) and os.listdir(work):
         parser.error(f"--work {work} is not empty")
+    if args.manifest:
+        write_manifest(args.manifest, args.source, work)
+        return 0
 
     problems, commands_run, artifact_count = [], 0, 0
     for name, files, commands in CASES:

@@ -1,12 +1,7 @@
 """rydant: dressed-level, spectrum, cell and pattern tools for a
 Rydberg-atom RF antenna with polarization-independent response."""
 
-from .angular import (
-    AngularMomentum,
-    Orientation,
-    clebsch_gordan,
-    decompose_polarizations,
-)
+from .angular import AngularMomentum, clebsch_gordan, decompose_polarizations
 from .cellfield import (
     CellGeometry,
     FieldProfile,
@@ -14,13 +9,7 @@ from .cellfield import (
     path_average,
     transfer_matrix_field,
 )
-from .hamiltonian import (
-    RfDrive,
-    TransitionSystem,
-    branch_splittings,
-    build_interaction_general,
-    eigen_closed_form,
-)
+from .hamiltonian import RfDrive, TransitionSystem
 from .metrology import (
     FieldEstimate,
     GainSample,
@@ -57,7 +46,6 @@ __all__ = [
     "GainPattern",
     "GainSample",
     "LadderConfig",
-    "Orientation",
     "PatternComparison",
     "RfDrive",
     "SpectrumTrace",
@@ -67,13 +55,10 @@ __all__ = [
     "TransitionSystem",
     "UnresolvedSplittingError",
     "angle_sweep_deviation",
-    "branch_splittings",
-    "build_interaction_general",
     "clebsch_gordan",
     "compare_patterns",
     "decompose_polarizations",
     "dipole_reference",
-    "eigen_closed_form",
     "extract_splitting",
     "field_from_splitting",
     "gram_splittings",

@@ -18,9 +18,10 @@ resolves in the spherical basis as::
     eps_plus  = -sin(chi) * exp(+i*(theta + phi)) / sqrt(2)
     eps_minus = +sin(chi) * exp(-i*(theta - phi)) / sqrt(2)
 
-decompose_polarizations refuses, wraps and resolves whole arrays of angles
-at once; Orientation applies the same refusal and wrap to one orientation,
-and a wrapped orientation passes through decompose_polarizations unchanged.
+decompose_polarizations refuses non-finite angles, folds chi into [0, pi]
+by (chi, theta) -> (2*pi - chi, theta + pi), which leaves the vector
+unchanged, wraps theta and phi into [0, 2*pi), and resolves whole arrays of
+angles at once; wrapped angles pass through it unchanged.
 """
 
 from __future__ import annotations
@@ -70,29 +71,8 @@ class AngularMomentum:
         return list(range(-self.two_j, self.two_j + 1, 2))
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Field polarization orientation (chi, theta, phi), all in radians.
-
-    chi is clamped to [0, pi] and theta, phi are wrapped to [0, 2*pi) at
-    construction.  chi outside [0, pi] is folded back using the spherical
-    identity (chi, theta) -> (2*pi - chi, theta + pi), which leaves the
-    polarization vector unchanged.
-    """
-
-    chi: float
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        (chi,), (theta,), (phi,) = _wrapped([self.chi], [self.theta], [self.phi])
-        object.__setattr__(self, "chi", float(chi))
-        object.__setattr__(self, "theta", float(theta))
-        object.__setattr__(self, "phi", float(phi))
-
-
 def _wrapped(chi, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orientation's rule over arrays: refuse non-finite angles, fold chi, wrap."""
+    """The angle rule over arrays: refuse non-finite angles, fold chi, wrap."""
     arrays = [np.asarray(v, dtype=float) for v in (chi, theta, phi)]
     for name, v in zip(("chi", "theta", "phi"), arrays):
         finite = np.isfinite(v)
@@ -116,8 +96,8 @@ def _check_unit_norm(eps_minus, eps_zero, eps_plus) -> None:
 def decompose_polarizations(chi, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spherical components (eps_minus, eps_zero, eps_plus) of many orientations.
 
-    chi, theta and phi are equal-length arrays of angles in radians, refused
-    and wrapped exactly as Orientation refuses and wraps one orientation.
+    chi, theta and phi are equal-length arrays of angles in radians, refused,
+    folded and wrapped as the module docstring states.
     """
     chi, theta, phi = _wrapped(chi, theta, phi)
     s = np.sin(chi)

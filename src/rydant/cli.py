@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .angular import AngularMomentum, Orientation
+from .angular import AngularMomentum, decompose_polarizations
 from .cellfield import (
     CellGeometry,
     incidence_in_domain,
@@ -32,14 +32,7 @@ from .cellfield import (
     transfer_matrix_field,
 )
 from .config import MHZ, ConfigError, RunConfig, _finite, _magnitude, load_config, parse_angles_deg
-from .hamiltonian import (
-    RfDrive,
-    TransitionSystem,
-    branch_splittings,
-    build_interaction_general,
-    eigen_closed_form,
-    hamiltonian_array,
-)
+from .hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
 from .metrology import field_from_splitting, gram_splittings, isotropic_deviation, normalized_gain
 from .patterns import (
     GainPattern,
@@ -156,21 +149,31 @@ def _flag_drive(rabi_mhz: float, detuning_mhz: float) -> RfDrive:
     return RfDrive(rabi * MHZ, detuning * MHZ)
 
 
+def _dressed_levels(drive: RfDrive, chi: float, theta: float, phi: float):
+    """`rydant eigen`'s numbers at full precision: (closed form, numeric, mode splittings), each ascending.
+
+    The Gram modes s_k of the paper's block give the closed form
+    {-detuning, -detuning, -(detuning +/- sqrt(detuning^2 + 4 s_k)) / 2}; the
+    numeric column diagonalizes the full dressed matrix.
+    """
+    block = coupling_stack(PAPER_SYSTEM, [drive.rabi], decompose_polarizations([chi], [theta], [phi]))
+    modes = gram_splittings(block, drive.detuning)[0]
+    d = drive.detuning
+    closed = np.sort(np.concatenate(([-d, -d], -0.5 * (d + modes), -0.5 * (d - modes))))
+    return closed, np.linalg.eigvalsh(hamiltonian_array(block[0], d)), modes
+
+
 def cmd_eigen(args) -> int:
     drive = _flag_drive(args.rabi_mhz, args.detuning_mhz)
-    orientation = Orientation(_finite(args.chi, "--chi"), _finite(args.theta, "--theta"), _finite(args.phi, "--phi"))
-    closed = eigen_closed_form(drive, orientation)
-    block = build_interaction_general(PAPER_SYSTEM, drive, orientation)
-    numeric = np.linalg.eigvalsh(hamiltonian_array(block, drive.detuning))
+    angles = (_finite(args.chi, "--chi"), _finite(args.theta, "--theta"), _finite(args.phi, "--phi"))
+    closed, numeric, (minus, plus) = _dressed_levels(drive, *angles)
 
     print("index  closed_form_mhz  numeric_mhz")
     for i, (cv, nv) in enumerate(zip(closed, numeric)):
         print(f"{i:<5d}  {_mhz(cv):<15.9g}  {_mhz(nv):<15.9g}")
 
-    plus, minus = branch_splittings(drive, orientation)
     if abs(plus - minus) <= 1e-12 * max(plus, minus, 1.0):
-        delta_at = gram_splittings(block[None], drive.detuning)[0]
-        print(f"delta_at_mhz = {_mhz(delta_at):.9g}")
+        print(f"delta_at_mhz = {_mhz(plus):.9g}")
     else:
         print("elliptical drive (phi != 0): two branch splittings")
         print(f"branch_plus_mhz = {_mhz(plus):.9g}")

@@ -18,10 +18,11 @@ sigma-plus spherical component drives Delta-m = -1 and vice versa (the
 usual contraction of the field with the dipole operator); the overall
 scale is fixed so the reduced Rabi frequency is sqrt(6) * rabi.
 
-coupling_stack fills the blocks M_I of a whole sweep from one
-Clebsch-Gordan table per transition; every splitting is read from their Gram
-matrices M_I^dag M_I (metrology.gram_splittings), so only `rydant eigen`
-assembles H (hamiltonian_array), for its table of dressed levels.
+coupling_stack fills the blocks M_I of a whole sweep, or of one
+orientation, from one Clebsch-Gordan table per transition; every splitting
+is read from their Gram matrices M_I^dag M_I (metrology.gram_splittings),
+so only `rydant eigen` assembles H (hamiltonian_array), for the numeric
+column of its table of dressed levels.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import AngularMomentum, Orientation, clebsch_gordan, decompose_polarizations
+from .angular import AngularMomentum, clebsch_gordan
 
 _PHOTON = AngularMomentum(2)  # rank-1 coupling
 
@@ -107,8 +108,10 @@ def coupling_stack(system: TransitionSystem, rabis, polarizations) -> np.ndarray
     polarizations is (eps_minus, eps_zero, eps_plus), three arrays of n
     spherical components as angular.decompose_polarizations returns them;
     rabis holds one Rabi frequency per polarization.  The Clebsch-Gordan
-    table is built once per transition; build_interaction_general is the
-    one-orientation call.
+    table is built once per transition.  Entry (m_e row, m_g col) is
+    sqrt(6)/4 * rabi * eps_{-q} * <jg m_g; 1 q | je m_e> with q = m_e - m_g;
+    for jg = 1/2 -> je = 3/2 that is the paper's hand-written block to within
+    rounding.
     """
     eps_minus, eps_zero, eps_plus = polarizations
     rabis = np.asarray(rabis, dtype=float)
@@ -126,20 +129,6 @@ def coupling_stack(system: TransitionSystem, rabis, polarizations) -> np.ndarray
     return blocks
 
 
-def build_interaction_general(
-    system: TransitionSystem, drive: RfDrive, orientation: Orientation
-) -> np.ndarray:
-    """Coupling block for any jg -> je allowed by the selection rule.
-
-    Entry (m_e row, m_g col) is sqrt(6)/4 * rabi * eps_{-q} * <jg m_g; 1 q | je m_e>
-    with q = m_e - m_g; the opposite-handed spherical component carries each
-    sigma amplitude.  For jg = 1/2 -> je = 3/2 this is the paper's hand-written
-    block to within rounding.  The one-orientation call of coupling_stack.
-    """
-    eps = decompose_polarizations([orientation.chi], [orientation.theta], [orientation.phi])
-    return coupling_stack(system, [drive.rabi], eps)[0]
-
-
 def hamiltonian_array(interaction: np.ndarray, detuning: float) -> np.ndarray:
     """Embed a coupling block into the full rotating-frame matrix, Hermitian by construction."""
     block = np.asarray(interaction, dtype=complex)
@@ -154,33 +143,3 @@ def hamiltonian_array(interaction: np.ndarray, detuning: float) -> np.ndarray:
     h[ng:, :ng] = block
     h[:ng, ng:] = block.conj().T
     return h
-
-
-def branch_splittings(drive: RfDrive, orientation: Orientation) -> tuple[float, float]:
-    """The two branch splittings of the 1/2 -> 3/2 system, (plus-branch, minus-branch).
-
-    sqrt(detuning^2 + rabi^2 * (1 +/- sin(chi)*cos(chi)*sin(phi))); both
-    reduce to sqrt(detuning^2 + rabi^2) at phi = 0, where the Gram readout
-    applies, so this is the documented readout for the elliptical regime.
-    """
-    a = math.sin(orientation.chi) * math.cos(orientation.chi) * math.sin(orientation.phi)
-    d, w = drive.detuning, drive.rabi
-    return (
-        math.sqrt(d * d + w * w * (1.0 + a)),
-        math.sqrt(d * d + w * w * (1.0 - a)),
-    )
-
-
-def eigen_closed_form(drive: RfDrive, orientation: Orientation) -> np.ndarray:
-    """The six closed-form eigenvalues of the 1/2 -> 3/2 system, ascending.
-
-    Two eigenvalues sit at -detuning; the remaining four are
-    -(detuning +/- root) / 2 for the two branch splittings.  Independent of
-    theta.
-    """
-    d = drive.detuning
-    values = [-d, -d]
-    for root in branch_splittings(drive, orientation):
-        values.append(-0.5 * (d + root))
-        values.append(-0.5 * (d - root))
-    return np.sort(values)

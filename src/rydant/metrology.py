@@ -54,17 +54,18 @@ class GainSample(NamedTuple):
 
 
 def gram_splittings(blocks: np.ndarray, detuning: float) -> np.ndarray:
-    """Splittings of a stack of coupling blocks, (n, excited, ground) -> delta_at[n].
+    """Mode splittings of a stack of coupling blocks, (n, excited, ground) -> (n, ground), ascending.
 
     Away from -detuning an eigenvalue lam of the dressed Hamiltonian solves
     lam * (lam + detuning) = s, with s an eigenvalue of the ground-space Gram
-    matrix V^dag V.  For J -> J + 1, whose two dark states sit at -detuning,
-    the splitting (max - min of the dressed spectrum less that pair) is
-    therefore sqrt(detuning^2 + 4 s_max); for 1/2 -> 3/2 with phi = 0 it
-    equals sqrt(detuning^2 + rabi^2).
+    matrix V^dag V, so each Gram mode s_k is a bright pair split by
+    sqrt(detuning^2 + 4 s_k).  For J -> J + 1, whose two dark states sit at
+    -detuning, the splitting (max - min of the dressed spectrum less that
+    pair) is the top mode, column -1; for 1/2 -> 3/2 with phi = 0 both modes
+    equal sqrt(detuning^2 + rabi^2).
     """
-    gram_top = np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)[:, -1]
-    return np.sqrt(detuning**2 + 4.0 * gram_top)
+    gram = np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)
+    return np.sqrt(detuning**2 + 4.0 * gram)
 
 
 def field_from_splitting(delta_at: float, detuning: float, mu: float) -> FieldEstimate:

@@ -23,9 +23,9 @@ eigenvalue of H off -detuning solves lambda (lambda + detuning) = s for an
 eigenvalue s of the ground-space Gram matrix V^dag V, and the two dark
 states of J -> J + 1 sit at -detuning.  The splitting, max - min of the
 dressed spectrum less that pair, is therefore sqrt(detuning^2 + 4 s_max),
-from one batched eigvalsh of (n, ground, ground) Gram matrices
-(metrology.gram_splittings, which `rydant eigen` shares).  Every angle
-is still diagonalized on its own.  The spectrum readout
+from one batched eigvalsh of (n, ground, ground) Gram matrices (the top
+mode of metrology.gram_splittings, which `rydant eigen` reads in full).
+Every angle is still diagonalized on its own.  The spectrum readout
 scans once per distinct cell factor, since the ladder does not depend on
 the orientation.  The cell stage gives the bits of its one-angle form,
 transfer_matrix_field.
@@ -301,7 +301,7 @@ def _cell_factors(plan: SweepPlan) -> list[float]:
 def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
     polarizations = decompose_polarizations(*plane_angles(plan.plane, plan.angles))
     blocks = coupling_stack(plan.system, plan.drive.rabi * np.asarray(factors, dtype=float), polarizations)
-    return gram_splittings(blocks, plan.drive.detuning).tolist()
+    return gram_splittings(blocks, plan.drive.detuning)[:, -1].tolist()
 
 
 def _spectrum_delta_at(plan: SweepPlan, omega_eff: float) -> float | None:

@@ -34,7 +34,9 @@ hamiltonian_stack is that full-matrix route for a whole sweep, and
 closed_form_delta_at the splitting of a linearly polarized drive from
 sympy's Clebsch-Gordan coefficients.  build_interaction_paper is the
 paper's hand-written 1/2 -> 3/2 block, the reference of acceptance
-criterion 1.  folded_incidence folds one XY angle alone, without merging
+criterion 1; branch_splittings and eigen_closed_form are the hand-derived
+1/2 -> 3/2 closed forms, the reference of criterion 2, which `rydant
+eigen` reads from the Gram modes instead.  folded_incidence folds one XY angle alone, without merging
 the mirror twins that patterns.incidence_angles merges; patterns built on
 it are the unmerged reference.
 """
@@ -161,8 +163,8 @@ class Angles(NamedTuple):
     phi: float
 
 
-def wrap_orientation(chi, theta, phi):
-    """Orientation's rule on Python floats: chi folded into [0, pi], theta and phi wrapped."""
+def wrap_orientation(chi, theta, phi=0.0):
+    """decompose_polarizations' angle rule on Python floats: chi folded into [0, pi], theta and phi wrapped."""
     for name, v in (("chi", chi), ("theta", theta), ("phi", phi)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
@@ -188,7 +190,7 @@ def folded_incidence(plane, angle):
 
 
 def polarizations(orientations):
-    """coupling_stack's spherical-component arrays for a list of Orientation objects."""
+    """coupling_stack's spherical-component arrays for a list of (chi, theta, phi) records."""
     return decompose_polarizations(*(np.array([getattr(o, k) for o in orientations]) for k in Angles._fields))
 
 
@@ -433,8 +435,8 @@ def build_interaction_paper(drive, orientation):
 
     Rows are excited sublevels m = (-3/2, -1/2, +1/2, +3/2); columns are
     ground sublevels m = (-1/2, +1/2).  The hand-written reference that
-    hamiltonian.build_interaction_general reproduces to within rounding: the
-    two differ in the last bits of nearly every entry.
+    hamiltonian.coupling_stack reproduces to within rounding: the two differ
+    in the last bits of nearly every entry.
     """
     s = math.sin(orientation.chi)
     c = math.cos(orientation.chi)
@@ -450,6 +452,36 @@ def build_interaction_paper(drive, orientation):
         ],
         dtype=complex,
     )
+
+
+def branch_splittings(drive, orientation):
+    """The two branch splittings of the 1/2 -> 3/2 system, (plus-branch, minus-branch).
+
+    sqrt(detuning^2 + rabi^2 * (1 +/- sin(chi)*cos(chi)*sin(phi))), derived by
+    hand; the sign of the product depends on the parameterization, so which
+    branch is the larger one does too.
+    """
+    a = math.sin(orientation.chi) * math.cos(orientation.chi) * math.sin(orientation.phi)
+    d, w = drive.detuning, drive.rabi
+    return (
+        math.sqrt(d * d + w * w * (1.0 + a)),
+        math.sqrt(d * d + w * w * (1.0 - a)),
+    )
+
+
+def eigen_closed_form(drive, orientation):
+    """The six closed-form eigenvalues of the 1/2 -> 3/2 system, ascending.
+
+    Two eigenvalues sit at -detuning; the remaining four are
+    -(detuning +/- root) / 2 for the two branch splittings.  Independent of
+    theta.
+    """
+    d = drive.detuning
+    values = [-d, -d]
+    for root in branch_splittings(drive, orientation):
+        values.append(-0.5 * (d + root))
+        values.append(-0.5 * (d - root))
+    return np.sort(values)
 
 
 def interaction_block(system, drive, orientation):

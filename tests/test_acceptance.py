@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import build_interaction_paper, random_cell_case, rk4_field_profile, splitting
-from rydant.angular import AngularMomentum, Orientation
+from _oracles import build_interaction_paper, eigen_closed_form, random_cell_case, rk4_field_profile, wrap_orientation
+from rydant.angular import AngularMomentum, decompose_polarizations
 from rydant.cellfield import (
     SPEED_OF_LIGHT,
     CellGeometry,
@@ -22,14 +22,8 @@ from rydant.cellfield import (
     path_average,
     transfer_matrix_field,
 )
-from rydant.cli import main
-from rydant.hamiltonian import (
-    RfDrive,
-    TransitionSystem,
-    build_interaction_general,
-    eigen_closed_form,
-    hamiltonian_array,
-)
+from rydant.cli import _dressed_levels, main
+from rydant.hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
 from rydant.metrology import (
     field_from_splitting,
     gram_splittings,
@@ -57,25 +51,29 @@ def report(number, detail):
 def test_1_block_construction_matches_reference():
     start = time.perf_counter()
     rng = np.random.default_rng(20240814)
-    worst = 0.0
+    rabis, orientations = [], []
     for _ in range(1000):
-        drive = RfDrive(rabi=float(rng.uniform(0.01, 50.0)))
-        orientation = Orientation(
+        rabis.append(float(rng.uniform(0.01, 50.0)))
+        orientations.append(wrap_orientation(
             chi=float(rng.uniform(0, math.pi)),
             theta=float(rng.uniform(0, 2 * math.pi)),
             phi=float(rng.uniform(0, 2 * math.pi)),
-        )
-        general = build_interaction_general(SYSTEM, drive, orientation)
-        reference = build_interaction_paper(drive, orientation)
-        worst = max(worst, float(np.abs(general - reference).max()) / max(1.0, drive.rabi))
+        ))
+    blocks = coupling_stack(SYSTEM, rabis, decompose_polarizations(*np.array(orientations).T))
+    worst = 0.0
+    for rabi, orientation, block in zip(rabis, orientations, blocks):
+        reference = build_interaction_paper(RfDrive(rabi), orientation)
+        worst = max(worst, float(np.abs(block - reference).max()) / max(1.0, rabi))
     elapsed = time.perf_counter() - start
     assert worst < 1e-14, f"worst scaled entry error {worst:.3e}"
     assert elapsed < 1.0, f"took {elapsed:.2f}s (budget 1s)"
-    report(1, f"general coupling block == reference block, worst {worst:.2e} "
+    report(1, f"coupling_stack block == reference block, worst {worst:.2e} "
               f"(tol 1e-14, 1000 draws, {elapsed:.2f}s)")
 
 
 def test_2_closed_form_eigenvalues_match_numerics():
+    # The program's closed form reads the Gram modes; the references are the
+    # numeric spectrum of the paper's block and the hand-derived closed form.
     start = time.perf_counter()
     rng = np.random.default_rng(20240815)
     count = 1000
@@ -84,7 +82,7 @@ def test_2_closed_form_eigenvalues_match_numerics():
     orientations = []
     for i in range(count):
         drive = RfDrive(rabi=float(rng.uniform(0, 20.0)), detuning=float(rng.uniform(-10, 10)))
-        orientation = Orientation(
+        orientation = wrap_orientation(
             chi=float(rng.uniform(0, math.pi)),
             theta=float(rng.uniform(0, 2 * math.pi)),
             phi=float(rng.uniform(0, 2 * math.pi)),
@@ -94,32 +92,31 @@ def test_2_closed_form_eigenvalues_match_numerics():
         stack[i] = hamiltonian_array(build_interaction_paper(drive, orientation), drive.detuning)
     numeric = np.linalg.eigvalsh(stack)
 
-    worst = 0.0
+    worst = worst_hand = 0.0
     for i in range(count):
-        closed = eigen_closed_form(drives[i], orientations[i])
+        closed = _dressed_levels(drives[i], *orientations[i])[0]
         scale = max(1.0, float(np.abs(numeric[i]).max()))
         worst = max(worst, float(np.abs(numeric[i] - closed).max()) / scale)
+        worst_hand = max(worst_hand, float(np.abs(eigen_closed_form(drives[i], orientations[i]) - closed).max()) / scale)
         pair_hits = int(np.sum(np.abs(numeric[i] + drives[i].detuning) <= 1e-8 * scale))
         assert pair_hits >= 2, f"case {i}: -detuning multiplicity {pair_hits} < 2"
     elapsed = time.perf_counter() - start
     assert worst < 1e-10, f"worst scaled eigenvalue error {worst:.3e}"
+    assert worst_hand < 1e-12, f"worst scaled distance from the hand-derived closed form {worst_hand:.3e}"
     assert elapsed < 5.0, f"took {elapsed:.2f}s (budget 5s)"
     report(2, f"closed-form spectrum == numeric spectrum, worst {worst:.2e} "
-              f"(tol 1e-10) and the -detuning pair is always present "
-              f"(1000 draws, {elapsed:.2f}s)")
+              f"(tol 1e-10), == hand-derived closed form, worst {worst_hand:.2e} (tol 1e-12), "
+              f"and the -detuning pair is always present (1000 draws, {elapsed:.2f}s)")
 
 
 def test_3_orientation_grid_is_isotropic():
     start = time.perf_counter()
     drive = RfDrive(rabi=7.0 * MHZ, detuning=2.0 * MHZ)
-    chis = np.linspace(0.0, math.pi, 37)
-    thetas = np.linspace(0.0, 2 * math.pi, 37, endpoint=False)
-    blocks = np.stack([
-        build_interaction_general(SYSTEM, drive, Orientation(chi=float(chi), theta=float(theta), phi=0.0))
-        for chi in chis
-        for theta in thetas
-    ])
-    delta_ats = gram_splittings(blocks, drive.detuning)
+    chis, thetas = np.meshgrid(np.linspace(0.0, math.pi, 37), np.linspace(0.0, 2 * math.pi, 37, endpoint=False),
+                               indexing="ij")
+    polarizations = decompose_polarizations(chis.ravel(), thetas.ravel(), np.zeros(chis.size))
+    blocks = coupling_stack(SYSTEM, np.full(chis.size, drive.rabi), polarizations)
+    delta_ats = gram_splittings(blocks, drive.detuning)[:, -1]
     field = drive.rabi / SYSTEM.mu
     pairs = [(float(i), float(delta_at) / field) for i, delta_at in enumerate(delta_ats)]
     deviation = isotropic_deviation(normalized_gain(pairs))
@@ -132,18 +129,16 @@ def test_3_orientation_grid_is_isotropic():
 
 def test_4_field_round_trip_accuracy():
     # The inversion sqrt(delta_at^2 - detuning^2) amplifies any error in
-    # delta_at by (delta_at/rabi)^2, up to 2.5e5 on this grid; the
-    # closed-form spectrum keeps the branch gap exact to representation
-    # precision, which an O(eps * ||H||) eigensolver cannot.
+    # delta_at by (delta_at/rabi)^2, up to 2.5e5 on this grid; the Gram
+    # mode keeps the branch gap exact to representation precision, which an
+    # O(eps * ||H||) eigensolver of the full dressed matrix cannot.
     start = time.perf_counter()
     mu = 2.5 * MHZ
-    orientation = Orientation(chi=math.pi / 2, theta=0.3, phi=0.0)
     worst = 0.0
     for rabi_mhz in np.geomspace(0.1, 100.0, 16):
         for detuning_mhz in np.linspace(-50.0, 50.0, 11):
             drive = RfDrive(rabi=float(rabi_mhz) * MHZ, detuning=float(detuning_mhz) * MHZ)
-            spectrum = eigen_closed_form(drive, orientation)
-            delta_at = splitting(spectrum, drive.detuning)
+            delta_at = _dressed_levels(drive, math.pi / 2, 0.3, 0.0)[2][-1]
             estimate = field_from_splitting(delta_at, drive.detuning, mu)
             expected = drive.rabi / mu
             worst = max(worst, abs(estimate.amplitude - expected) / expected)

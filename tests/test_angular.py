@@ -8,8 +8,8 @@ from sympy.physics.quantum.cg import CG as SymCG
 from _oracles import plane_orientation, spherical_components, wrap_orientation
 from rydant.angular import (
     AngularMomentum,
-    Orientation,
     _check_unit_norm,
+    _wrapped,
     clebsch_gordan,
     decompose_polarizations,
 )
@@ -135,29 +135,34 @@ class TestClebschGordan:
                 assert total == pytest.approx(expected, abs=1e-12)
 
 
-class TestOrientation:
+class TestAngleRule:
+    """decompose_polarizations folds chi, wraps theta and phi, and refuses non-finite angles."""
+
+    @staticmethod
+    def components(chi, theta, phi):
+        return np.stack(decompose_polarizations([chi], [theta], [phi]), axis=1)[0]
+
     def test_wraps_angles(self):
-        o = Orientation(chi=0.4, theta=TWO_PI + 0.1, phi=-0.2)
-        assert o.chi == pytest.approx(0.4)
-        assert o.theta == pytest.approx(0.1)
-        assert o.phi == pytest.approx(TWO_PI - 0.2)
+        (chi,), (theta,), (phi,) = _wrapped([0.4], [TWO_PI + 0.1], [-0.2])
+        assert (chi, theta, phi) == pytest.approx((0.4, 0.1, TWO_PI - 0.2))
+        assert self.components(0.4, TWO_PI + 0.1, -0.2) == pytest.approx(self.components(0.4, 0.1, -0.2), abs=1e-15)
 
     def test_chi_folds_preserving_direction(self):
-        o = Orientation(chi=3 * math.pi / 2, theta=0.3, phi=0.0)
-        assert o.chi == pytest.approx(math.pi / 2)
-        assert o.theta == pytest.approx(0.3 + math.pi)
+        (chi,), (theta,), _ = _wrapped([3 * math.pi / 2], [0.3], [0.0])
+        assert chi == pytest.approx(math.pi / 2)
+        assert theta == pytest.approx(0.3 + math.pi)
         # the polarization vector is unchanged by the fold
-        a, b = Orientation(chi=-0.7, theta=1.1, phi=0.5), Orientation(chi=0.7, theta=1.1 + math.pi, phi=0.5)
-        eps_a, eps_b = np.stack(decompose_polarizations([a.chi, b.chi], [a.theta, b.theta], [a.phi, b.phi]), axis=1)
-        assert eps_a == pytest.approx(eps_b, abs=1e-15)
+        assert self.components(-0.7, 1.1, 0.5) == pytest.approx(self.components(0.7, 1.1 + math.pi, 0.5), abs=1e-15)
 
     def test_boundaries_stay_in_range(self):
-        assert Orientation(math.pi, 0.0, 0.0).chi == pytest.approx(math.pi)
-        assert Orientation(0.0, TWO_PI, TWO_PI).theta == 0.0
+        (chi,), _, _ = _wrapped([math.pi], [0.0], [0.0])
+        assert chi == pytest.approx(math.pi)
+        _, (theta,), (phi,) = _wrapped([0.0], [TWO_PI], [TWO_PI])
+        assert theta == 0.0 and phi == 0.0
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Orientation(math.nan, 0.0, 0.0)
+        with pytest.raises(ValueError, match="chi must be finite, got nan"):
+            decompose_polarizations([math.nan], [0.0], [0.0])
 
 
 class TestDecomposePolarization:
@@ -181,17 +186,8 @@ class TestDecomposePolarization:
 
     def test_unit_norm_and_balanced_sigma_components(self):
         rng = np.random.default_rng(20240817)
-        orientations = [
-            Orientation(
-                chi=rng.uniform(0, math.pi),
-                theta=rng.uniform(0, TWO_PI),
-                phi=rng.uniform(0, TWO_PI),
-            )
-            for _ in range(1000)
-        ]
-        eps_minus, eps_zero, eps_plus = decompose_polarizations(
-            *([getattr(o, name) for o in orientations] for name in ("chi", "theta", "phi"))
-        )
+        chi, theta, phi = rng.uniform(0, math.pi, 1000), rng.uniform(0, TWO_PI, 1000), rng.uniform(0, TWO_PI, 1000)
+        eps_minus, eps_zero, eps_plus = decompose_polarizations(chi, theta, phi)
         norm_sq = np.abs(eps_minus) ** 2 + np.abs(eps_zero) ** 2 + np.abs(eps_plus) ** 2
         assert np.abs(norm_sq - 1.0).max() < 1e-12
         assert np.abs(eps_plus) == pytest.approx(np.abs(eps_minus), abs=1e-15)
@@ -215,7 +211,7 @@ class TestBatchedDecomposition:
         expected = [spherical_components(plane_orientation(plane, float(a))) for a in angles]
         assert got.tobytes() == component_bytes(expected)
 
-    def test_raw_angles_are_wrapped_as_orientation_wraps_them(self):
+    def test_raw_angles_are_wrapped_as_the_scalar_rule_wraps_them(self):
         rng = np.random.default_rng(32)
         chi, theta, phi = rng.uniform(-20.0, 20.0, (3, 500))
         chi[:4] = [0.0, -0.0, math.pi, 3 * math.pi / 2]
@@ -223,12 +219,10 @@ class TestBatchedDecomposition:
         got = np.stack(decompose_polarizations(chi, theta, phi), axis=1)
         wrapped = [wrap_orientation(*row) for row in zip(chi.tolist(), theta.tolist(), phi.tolist())]
         assert got.tobytes() == component_bytes([spherical_components(w) for w in wrapped])
-        for w, row in zip(wrapped, zip(chi.tolist(), theta.tolist(), phi.tolist())):
-            o = Orientation(*row)
-            assert (o.chi, o.theta, o.phi) == tuple(w)
-            # a wrapped orientation passes through unchanged, as build_interaction_general passes it
-            once = np.stack(decompose_polarizations([o.chi], [o.theta], [o.phi]), axis=1)
-            assert once.tobytes() == component_bytes([spherical_components(w)])
+        assert np.stack(_wrapped(chi, theta, phi), axis=1).tolist() == [list(w) for w in wrapped]
+        # wrapped angles pass through unchanged: wrapping twice is wrapping once
+        again = np.stack(decompose_polarizations(*np.array(wrapped).T), axis=1)
+        assert again.tobytes() == got.tobytes()
 
     def test_non_finite_angles_name_the_angle(self):
         good = np.zeros(3)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,9 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import build_interaction_paper, closed_form_delta_at
-from rydant.angular import Orientation
-from rydant.cli import main
+from _oracles import (
+    branch_splittings,
+    build_interaction_paper,
+    closed_form_delta_at,
+    eigen_closed_form,
+    wrap_orientation,
+)
+from rydant.cli import _dressed_levels, cmd_eigen, main
 from rydant.config import MHZ
 from rydant.hamiltonian import RfDrive, hamiltonian_array
 from rydant.patterns import PLANES, dipole_reference, json_text
@@ -69,7 +77,7 @@ class TestEigenCommand:
             assert main(argv) == 0
             lines = capsys.readouterr().out.splitlines()
             drive = RfDrive(rabi * MHZ, detuning * MHZ)
-            block = build_interaction_paper(drive, Orientation(chi, theta, phi))
+            block = build_interaction_paper(drive, wrap_orientation(chi, theta, phi))
             expected = np.linalg.eigvalsh(hamiltonian_array(block, drive.detuning)) / MHZ
             numeric = [float(line.split()[2]) for line in lines[1:7]]
             scale = max(1.0, float(np.abs(expected).max()))
@@ -95,6 +103,64 @@ class TestEigenCommand:
         minus = next(l for l in out.splitlines() if l.startswith("branch_minus_mhz"))
         assert float(plus.split("=")[1]) == pytest.approx(math.sqrt(24.0), rel=1e-8)
         assert float(minus.split("=")[1]) == pytest.approx(math.sqrt(8.0), rel=1e-8)
+
+    def test_same_field_same_output(self, capsys):
+        # (chi, theta + pi, phi + pi) is the polarization vector of (chi, theta, phi)
+        outputs = []
+        for theta, phi in ((0.3, 0.4), (0.3 + math.pi, 0.4 + math.pi), (3.4416, 3.5416)):
+            argv = ["eigen", "--rabi-mhz", "10", "--detuning-mhz", "5", "--chi", "0.8",
+                    "--theta", repr(theta), "--phi", repr(phi)]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            branch = {k: float(v) for k, v in (l.split(" = ") for l in outputs[-1].splitlines() if " = " in l)}
+            assert branch["branch_plus_mhz"] > branch["branch_minus_mhz"], argv
+        assert outputs[0] == outputs[1]
+
+    def test_printed_columns_match_the_hand_derived_closed_forms(self):
+        """cmd_eigen's columns against the 1/2 -> 3/2 closed forms, over unwrapped angles."""
+
+        def printed_close(printed, want, scale):
+            # want at 9 significant digits, give or take 1e-12 of the scale
+            top = max(abs(printed), abs(want))
+            half_unit = 0.5 * 10.0 ** (math.floor(math.log10(top)) - 8) if top else 0.0
+            return abs(printed - want) <= half_unit + 1e-12 * scale
+
+        rng = np.random.default_rng(1619)
+        linear = 0
+        for k in range(2000):
+            rabi = float(10.0 ** rng.uniform(-2.0, 3.0))
+            detuning = [0.0, rabi / 2, -rabi / 2, float(rng.uniform(-3.0, 3.0)) * rabi][k % 4]
+            chi, theta, phi = (float(v) for v in rng.uniform(-20.0, 20.0, 3))
+            if k % 5 == 0:
+                phi = [0.0, math.pi, -3 * math.pi][k % 3]
+            elif k % 5 == 1:
+                chi = [0.0, math.pi / 2, math.pi][k % 3]
+            drive = RfDrive(rabi * MHZ, detuning * MHZ)
+            orientation = wrap_orientation(chi, theta, phi)
+            hand = eigen_closed_form(drive, orientation) / MHZ
+            pair = sorted(branch_splittings(drive, orientation))
+            scale = float(np.abs(hand).max())
+            closed, _, modes = _dressed_levels(drive, chi, theta, phi)
+            assert np.abs(closed / MHZ - hand).max() <= 1e-12 * scale, k
+            assert np.abs(modes - pair).max() <= 1e-12 * pair[1], k
+
+            out = io.StringIO()
+            args = argparse.Namespace(rabi_mhz=rabi, detuning_mhz=detuning, chi=chi, theta=theta, phi=phi, csv=None)
+            with contextlib.redirect_stdout(out):
+                assert cmd_eigen(args) == 0
+            lines = out.getvalue().splitlines()
+            printed = [float(line.split()[1]) for line in lines[1:7]]
+            assert all(printed_close(p, h, scale) for p, h in zip(printed, hand)), (k, printed, hand)
+            values = {key: float(v) for key, v in (line.split(" = ") for line in lines[7:] if " = " in line)}
+            if abs(pair[1] - pair[0]) <= 1e-12 * max(pair[1], 1.0):
+                linear += 1
+                assert list(values) == ["delta_at_mhz"], k
+                assert printed_close(values["delta_at_mhz"], pair[1] / MHZ, scale), k
+            else:
+                assert list(values) == ["branch_plus_mhz", "branch_minus_mhz"] and "elliptical" in lines[7], k
+                assert printed_close(values["branch_plus_mhz"], pair[1] / MHZ, scale), k
+                assert printed_close(values["branch_minus_mhz"], pair[0] / MHZ, scale), k
+        assert 600 < linear < 1000
 
     def test_csv_export(self, tmp_path, capsys):
         path = tmp_path / "eigen.csv"
@@ -366,8 +432,12 @@ class TestPublicApi:
     """rydant.__all__ is sorted, unique and resolvable, and the retired one-row forms stay out."""
 
     REMOVED = (
+        "Orientation",
         "SphericalPolarization",
+        "branch_splittings",
+        "build_interaction_general",
         "decompose_polarization",
+        "eigen_closed_form",
         "plane_to_orientation",
         "steady_state",
         "steady_state_rho",

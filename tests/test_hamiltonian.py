@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import build_interaction_paper, hamiltonian_stack, interaction_block, polarizations
-from rydant import hamiltonian
-from rydant.angular import AngularMomentum, Orientation
-from rydant.hamiltonian import (
-    RfDrive,
-    TransitionSystem,
+from _oracles import (
     branch_splittings,
-    build_interaction_general,
-    coupling_stack,
+    build_interaction_paper,
     eigen_closed_form,
-    hamiltonian_array,
+    hamiltonian_stack,
+    interaction_block,
+    polarizations,
+    wrap_orientation,
 )
+from rydant import hamiltonian
+from rydant.angular import AngularMomentum
+from rydant.hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
 
 HALF = AngularMomentum(1)
 THREE_HALF = AngularMomentum(3)
@@ -22,13 +22,18 @@ THREE_HALF = AngularMomentum(3)
 SYSTEM = TransitionSystem(jg=HALF, je=THREE_HALF, mu=1.0)
 
 
+def block(system, drive, orientation):
+    """coupling_stack's block for one drive and orientation."""
+    return coupling_stack(system, [drive.rabi], polarizations([orientation]))[0]
+
+
 def dressed_levels(drive, orientation):
-    """The numeric column of `rydant eigen`: general block, embedded, eigvalsh."""
-    return np.linalg.eigvalsh(hamiltonian_array(build_interaction_general(SYSTEM, drive, orientation), drive.detuning))
+    """The numeric column of `rydant eigen`: stacked block, embedded, eigvalsh."""
+    return np.linalg.eigvalsh(hamiltonian_array(block(SYSTEM, drive, orientation), drive.detuning))
 
 
 def random_orientation(rng):
-    return Orientation(
+    return wrap_orientation(
         chi=rng.uniform(0, math.pi),
         theta=rng.uniform(0, 2 * math.pi),
         phi=rng.uniform(0, 2 * math.pi),
@@ -37,12 +42,12 @@ def random_orientation(rng):
 
 class TestReferenceBlock:
     def test_axial_drive_couples_only_pi_transitions(self):
-        block = build_interaction_paper(RfDrive(rabi=4.0), Orientation(0.0, 0.7, 1.1))
+        block = build_interaction_paper(RfDrive(rabi=4.0), wrap_orientation(0.0, 0.7, 1.1))
         expected = np.array([[0, 0], [2, 0], [0, 2], [0, 0]], dtype=complex)
         np.testing.assert_allclose(block, expected, atol=1e-15)
 
     def test_transverse_drive_frozen_entries(self):
-        block = build_interaction_paper(RfDrive(rabi=4.0), Orientation(math.pi / 2, 0.0, 0.0))
+        block = build_interaction_paper(RfDrive(rabi=4.0), wrap_orientation(math.pi / 2, 0.0, 0.0))
         root3 = math.sqrt(3.0)
         expected = np.array(
             [[-root3, 0], [0, -1], [1, 0], [0, root3]], dtype=complex
@@ -51,7 +56,7 @@ class TestReferenceBlock:
 
     def test_oblique_drive_frozen_entries(self):
         # chi = pi/4, theta = pi/2 puts the sigma amplitudes on the imaginary axis
-        block = build_interaction_paper(RfDrive(rabi=4.0), Orientation(math.pi / 4, math.pi / 2, 0.0))
+        block = build_interaction_paper(RfDrive(rabi=4.0), wrap_orientation(math.pi / 4, math.pi / 2, 0.0))
         s = math.sqrt(0.5)
         assert block[0, 0] == pytest.approx(-1j * math.sqrt(3.0) * s, abs=1e-15)
         assert block[0, 1] == 0.0
@@ -63,7 +68,7 @@ class TestReferenceBlock:
         assert block[3, 1] == pytest.approx(-1j * math.sqrt(3.0) * s, abs=1e-15)
 
     def test_scales_linearly_with_rabi(self):
-        o = Orientation(0.9, 1.3, 0.2)
+        o = wrap_orientation(0.9, 1.3, 0.2)
         one = build_interaction_paper(RfDrive(rabi=1.0), o)
         seven = build_interaction_paper(RfDrive(rabi=7.0), o)
         np.testing.assert_allclose(seven, 7.0 * one, rtol=1e-15)
@@ -75,23 +80,22 @@ class TestGeneralBlock:
         for _ in range(500):
             drive = RfDrive(rabi=rng.uniform(0.1, 10.0))
             o = random_orientation(rng)
-            ours = build_interaction_general(SYSTEM, drive, o)
+            ours = block(SYSTEM, drive, o)
             ref = build_interaction_paper(drive, o)
             assert np.abs(ours - ref).max() <= 1e-14 * max(1.0, drive.rabi)
 
     def test_half_to_half_diagonal_ratio(self):
         # jg = je = 1/2 pi couplings carry opposite signs of equal magnitude
         sys_hh = TransitionSystem(jg=HALF, je=HALF, mu=1.0)
-        block = build_interaction_general(sys_hh, RfDrive(rabi=4.0), Orientation(0.0, 0.0, 0.0))
-        assert block[0, 0] == pytest.approx(-math.sqrt(2.0), abs=1e-15)
-        assert block[1, 1] == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert block[0, 1] == block[1, 0] == 0.0
-        assert block[0, 0] / block[1, 1] == pytest.approx(-1.0, abs=1e-15)
+        hh = block(sys_hh, RfDrive(rabi=4.0), wrap_orientation(0.0, 0.0, 0.0))
+        assert hh[0, 0] == pytest.approx(-math.sqrt(2.0), abs=1e-15)
+        assert hh[1, 1] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert hh[0, 1] == hh[1, 0] == 0.0
+        assert hh[0, 0] / hh[1, 1] == pytest.approx(-1.0, abs=1e-15)
 
     def test_block_shape_follows_sublevel_counts(self):
         sys_big = TransitionSystem(jg=AngularMomentum(5), je=AngularMomentum(7), mu=1.0)
-        block = build_interaction_general(sys_big, RfDrive(rabi=1.0), Orientation(0.5, 0.5, 0.5))
-        assert block.shape == (8, 6)
+        assert block(sys_big, RfDrive(rabi=1.0), wrap_orientation(0.5, 0.5, 0.5)).shape == (8, 6)
 
     def test_forbidden_transition_rejected(self):
         with pytest.raises(ValueError):
@@ -104,21 +108,19 @@ class TestGeneralBlock:
 
 class TestAssembly:
     def test_embeds_block_and_detuning(self):
-        block = build_interaction_paper(RfDrive(rabi=4.0), Orientation(math.pi / 2, 0.0, 0.0))
-        h = hamiltonian_array(block, detuning=3.0)
+        paper = build_interaction_paper(RfDrive(rabi=4.0), wrap_orientation(math.pi / 2, 0.0, 0.0))
+        h = hamiltonian_array(paper, detuning=3.0)
         assert h.shape == (6, 6)
         np.testing.assert_allclose(h[:2, :2], 0.0)
         np.testing.assert_allclose(h[2:, 2:], -3.0 * np.eye(4))
-        np.testing.assert_allclose(h[2:, :2], block)
-        np.testing.assert_allclose(h[:2, 2:], block.conj().T)
+        np.testing.assert_allclose(h[2:, :2], paper)
+        np.testing.assert_allclose(h[:2, 2:], paper.conj().T)
 
     def test_result_is_hermitian_for_random_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            block = build_interaction_general(
-                SYSTEM, RfDrive(rabi=rng.uniform(0, 5)), random_orientation(rng)
-            )
-            h = hamiltonian_array(block, detuning=rng.uniform(-5, 5))
+            b = block(SYSTEM, RfDrive(rabi=rng.uniform(0, 5)), random_orientation(rng))
+            h = hamiltonian_array(b, detuning=rng.uniform(-5, 5))
             assert np.abs(h - h.conj().T).max() == 0.0
 
     def test_rejects_non_2d_block(self):
@@ -129,12 +131,12 @@ class TestAssembly:
 class TestEigensolutions:
     def test_closed_form_frozen_symmetric_case(self):
         # chi = pi/2, Delta = 3, Omega = 4: both branches collapse to a 3-4-5 triple
-        spec = eigen_closed_form(RfDrive(rabi=4.0, detuning=3.0), Orientation(math.pi / 2, 0.0, 0.0))
+        spec = eigen_closed_form(RfDrive(rabi=4.0, detuning=3.0), wrap_orientation(math.pi / 2, 0.0, 0.0))
         np.testing.assert_allclose(spec, [-4, -4, -3, -3, 1, 1], atol=1e-14)
 
     def test_closed_form_frozen_split_branches(self):
         # phi = pi/2, chi = pi/4 gives branch weights 1 +/- 1/2
-        spec = eigen_closed_form(RfDrive(rabi=4.0), Orientation(math.pi / 4, 0.0, math.pi / 2))
+        spec = eigen_closed_form(RfDrive(rabi=4.0), wrap_orientation(math.pi / 4, 0.0, math.pi / 2))
         expected = [-math.sqrt(6), -math.sqrt(2), 0.0, 0.0, math.sqrt(2), math.sqrt(6)]
         np.testing.assert_allclose(spec, expected, atol=1e-14)
 
@@ -165,7 +167,7 @@ class TestEigensolutions:
         drive = RfDrive(rabi=3.0, detuning=1.5)
         base = None
         for theta in rng.uniform(0, 2 * math.pi, size=20):
-            o = Orientation(chi=0.8, theta=float(theta), phi=2.1)
+            o = wrap_orientation(chi=0.8, theta=float(theta), phi=2.1)
             spec = dressed_levels(drive, o)
             if base is None:
                 base = spec
@@ -198,7 +200,7 @@ class TestStackedBuilder:
         rng = np.random.default_rng(100 + two_jg)
         system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
         orientations = [random_orientation(rng) for _ in range(40)]
-        orientations += [Orientation(0.0, 0.0), Orientation(math.pi / 2, 1.1), Orientation(math.pi, 0.0, 0.0)]
+        orientations += [wrap_orientation(0.0, 0.0), wrap_orientation(math.pi / 2, 1.1), wrap_orientation(math.pi, 0.0, 0.0)]
         assert all(o.phi != 0.0 for o in orientations[:40])
         rabis = rng.uniform(0.0, 20.0, len(orientations))
         rabis[0] = 0.0
@@ -217,8 +219,7 @@ class TestStackedBuilder:
         for _ in range(20):
             drive = RfDrive(rng.uniform(0.0, 10.0), rng.uniform(-5.0, 5.0))
             orientation = random_orientation(rng)
-            block = build_interaction_general(system, drive, orientation)
-            assert block.tobytes() == interaction_block(system, drive, orientation).tobytes()
+            assert block(system, drive, orientation).tobytes() == interaction_block(system, drive, orientation).tobytes()
 
     def test_coupling_table_is_built_once_per_transition(self, monkeypatch):
         calls = []
@@ -226,18 +227,18 @@ class TestStackedBuilder:
         monkeypatch.setattr(hamiltonian, "clebsch_gordan", lambda *a: calls.append(a) or real(*a))
         hamiltonian._coupling_table.cache_clear()
         system = TransitionSystem(AngularMomentum(3), AngularMomentum(5), mu=1.0)
-        orientations = [Orientation(0.3 * k, 0.2 * k, 0.1) for k in range(30)]
+        orientations = [wrap_orientation(0.3 * k, 0.2 * k, 0.1) for k in range(30)]
         coupling_stack(system, np.ones(30), polarizations(orientations))
         # every entry with m_e - m_g in {-1, 0, +1}: 4 ground x 3 = 12
         assert len(calls) == 12
         coupling_stack(system, 2.0 * np.ones(30), polarizations(orientations))
-        build_interaction_general(system, RfDrive(1.0), orientations[0])
+        block(system, RfDrive(1.0), orientations[0])
         assert len(calls) == 12
         info = hamiltonian._coupling_table.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_stack_validation(self):
-        orientations = polarizations([Orientation(0.1, 0.2)] * 3)
+        orientations = polarizations([wrap_orientation(0.1, 0.2)] * 3)
         with pytest.raises(ValueError, match="one Rabi frequency per orientation"):
             coupling_stack(SYSTEM, np.ones(2), orientations)
         with pytest.raises(ValueError, match="finite and >= 0"):

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import closed_form_delta_at, hamiltonian_stack, polarizations, splitting
-from rydant.angular import AngularMomentum, Orientation
-from rydant.hamiltonian import (
-    RfDrive,
-    TransitionSystem,
+from _oracles import (
     branch_splittings,
-    build_interaction_general,
-    coupling_stack,
-    hamiltonian_array,
+    closed_form_delta_at,
+    hamiltonian_stack,
+    polarizations,
+    splitting,
+    wrap_orientation,
 )
+from rydant.angular import AngularMomentum
+from rydant.hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
 from rydant.metrology import (
     FieldEstimate,
     GainSample,
@@ -27,11 +27,15 @@ SYSTEM = TransitionSystem(AngularMomentum(1), AngularMomentum(3), mu=1.0)
 
 
 def block_for(rabi, detuning, chi=math.pi / 2, theta=0.0, phi=0.0):
-    return build_interaction_general(SYSTEM, RfDrive(rabi=rabi, detuning=detuning), Orientation(chi, theta, phi))
+    return coupling_stack(SYSTEM, [rabi], polarizations([wrap_orientation(chi, theta, phi)]))[0]
+
+
+def gram_modes(rabi, detuning, **orientation):
+    return gram_splittings(block_for(rabi, detuning, **orientation)[None], detuning)[0]
 
 
 def gram_splitting(rabi, detuning, **orientation):
-    return float(gram_splittings(block_for(rabi, detuning, **orientation)[None], detuning)[0])
+    return float(gram_modes(rabi, detuning, **orientation)[-1])
 
 
 def spectrum_for(rabi, detuning, **orientation):
@@ -60,10 +64,11 @@ class TestGramSplittings:
         # full dressed spectrum less its -detuning pair, and against sympy.
         rng = np.random.default_rng(7 * two_jg + 1)
         system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
-        orientations = [Orientation(*rng.uniform(0.0, 2 * math.pi, 2)) for _ in range(60)]
+        orientations = [wrap_orientation(*rng.uniform(0.0, 2 * math.pi, 2)) for _ in range(60)]
         rabis = rng.uniform(0.0, 10.0, 60)
-        got = gram_splittings(coupling_stack(system, rabis, polarizations(orientations)), detuning)
-        assert got.shape == (60,)
+        modes = gram_splittings(coupling_stack(system, rabis, polarizations(orientations)), detuning)
+        assert modes.shape == (60, two_jg + 1) and np.all(np.diff(modes, axis=1) >= 0)
+        got = modes[:, -1]
         values = np.linalg.eigvalsh(hamiltonian_stack(system, rabis, polarizations(orientations), detuning))
         full = np.array([splitting(row, detuning) for row in values])
         closed = np.array([closed_form_delta_at(two_jg, rabi, detuning) for rabi in rabis])
@@ -71,7 +76,7 @@ class TestGramSplittings:
         assert np.abs(got - closed).max() <= 1e-14 * max(1.0, closed.max())
 
     def test_empty_stack(self):
-        assert gram_splittings(np.zeros((0, 4, 2), dtype=complex), 1.0).shape == (0,)
+        assert gram_splittings(np.zeros((0, 4, 2), dtype=complex), 1.0).shape == (0, 2)
 
 
 class TestDegeneratePairOracle:
@@ -86,22 +91,38 @@ class TestDegeneratePairOracle:
         assert splitting(spectrum_for(4.0, 3.0), 3.0) == pytest.approx(5.0, rel=1e-12)
 
 
-class TestBranchSplittings:
+class TestGramModes:
+    """Every Gram mode's splitting, against the hand-derived 1/2 -> 3/2 branches."""
+
     def test_collapse_at_linear_polarization(self):
         drive = RfDrive(rabi=4.0, detuning=3.0)
-        plus, minus = branch_splittings(drive, Orientation(0.7, 1.2, 0.0))
+        plus, minus = branch_splittings(drive, wrap_orientation(0.7, 1.2, 0.0))
         assert plus == pytest.approx(5.0, abs=1e-14)
         assert minus == pytest.approx(5.0, abs=1e-14)
+        assert gram_modes(4.0, 3.0, chi=0.7, theta=1.2) == pytest.approx([5.0, 5.0], abs=1e-14)
 
     def test_elliptical_case_matches_numerics(self):
         drive = RfDrive(rabi=4.0, detuning=1.0)
-        plus, minus = branch_splittings(drive, Orientation(math.pi / 4, 0.3, math.pi / 2))
+        plus, minus = branch_splittings(drive, wrap_orientation(math.pi / 4, 0.3, math.pi / 2))
         values = spectrum_for(4.0, 1.0, chi=math.pi / 4, theta=0.3, phi=math.pi / 2)
         # strip the -detuning pair, then the outer gap is the plus branch
         rest = np.delete(values, np.argsort(np.abs(values + drive.detuning))[:2])
         assert rest.max() - rest.min() == pytest.approx(plus, rel=1e-12)
         assert plus == pytest.approx(math.sqrt(1 + 16 * 1.5), rel=1e-15)
         assert minus == pytest.approx(math.sqrt(1 + 16 * 0.5), rel=1e-15)
+        modes = gram_modes(4.0, 1.0, chi=math.pi / 4, theta=0.3, phi=math.pi / 2)
+        assert modes == pytest.approx([minus, plus], rel=1e-15)
+
+    def test_modes_are_the_branches_as_an_unordered_pair(self):
+        rng = np.random.default_rng(83)
+        chi, theta, phi = rng.uniform(-20.0, 20.0, (3, 300))
+        rabis, detunings = rng.uniform(0.0, 10.0, 300), rng.uniform(-5.0, 5.0, 300)
+        blocks = coupling_stack(SYSTEM, rabis, polarizations([wrap_orientation(*a) for a in zip(chi, theta, phi)]))
+        for row, (b, rabi, detuning) in enumerate(zip(blocks, rabis, detunings)):
+            modes = gram_splittings(b[None], detuning)[0]
+            drive = RfDrive(float(rabi), float(detuning))
+            pair = sorted(branch_splittings(drive, wrap_orientation(chi[row], theta[row], phi[row])))
+            assert modes == pytest.approx(pair, rel=1e-14)
 
 
 class TestFieldEstimate:
