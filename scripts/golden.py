@@ -201,6 +201,12 @@ CASES = [
       "dark.json": config("spec", drive={"rabi_mhz": 10.0}, ladder=dict(LADDER, probe_rabi_mhz=0, gamma_e_mhz=0),
                           scan=SCAN_401)},
      [["spectrum", "--config", "undamped.json"], ["spectrum", "--config", "dark.json"]]),
+    # a ladder the config checks accept that the solver still refuses (exit 1)
+    ("refuse-spectrum-singular-ladder",
+     {"run.json": config("spec", drive={"rabi_mhz": 0.0},
+                         ladder={"probe_rabi_mhz": 0.0, "coupling_rabi_mhz": 1e9, "gamma_e_mhz": 1e-9,
+                                 "gamma_r_mhz": 1e9})},
+     [["spectrum", "--config", "run.json"]]),
 ]
 
 

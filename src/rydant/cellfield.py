@@ -251,7 +251,7 @@ def transfer_matrix_field(
     frequency: float,
     angle: float,
     polarization: str = "TE",
-    samples: int = _MIN_SWEEP_SAMPLES,
+    samples: int | None = None,
 ) -> FieldProfile:
     """Field magnitude across the cell interior for one incidence.
 
@@ -261,10 +261,13 @@ def transfer_matrix_field(
     frequency : carrier frequency in Hz, > 0.
     angle : incidence angle in radians, 0 <= angle < pi/2.
     polarization : "TE" or "TM".
-    samples : number of interior sample points, 2 .. MAX_SWEEP_SAMPLES.
+    samples : number of interior sample points, 2 .. MAX_SWEEP_SAMPLES;
+        by default sweep_samples(geometry, frequency).
     """
     check_stack(geometry, frequency)
     _check_incidence(angle, polarization)
+    if samples is None:
+        samples = sweep_samples(geometry, frequency)
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     if samples > MAX_SWEEP_SAMPLES:

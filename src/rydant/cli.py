@@ -28,10 +28,9 @@ from .cellfield import (
     path_averages,
     profile_csv,
     sweep_csv,
-    sweep_samples,
     transfer_matrix_field,
 )
-from .config import MHZ, ConfigError, RunConfig, _finite, _magnitude, load_config, parse_angles_deg
+from .config import MHZ, ConfigError, RunConfig, _finite, _rf_drive, load_config, parse_angles_deg
 from .hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
 from .metrology import field_from_splitting, gram_splittings, isotropic_deviation, normalized_gain
 from .patterns import (
@@ -93,12 +92,16 @@ PRESETS = {
 
 @contextmanager
 def atomic_outputs():
-    """Stage text files and rename them into place only if everything succeeds.
+    """Stage text files and rename them into place only if the block succeeds.
 
     This is the only place that writes files: stage(path, text) writes the
     text to a temp file beside path, renamed over path when the block exits.
+    A failure in the block renames nothing.  The renames run in staging
+    order, so a rename that fails leaves the files staged before it in
+    place and the rest as they were.  No temp file outlives the block.
     """
     staged: list[tuple[str, str]] = []
+    renamed = 0
 
     def stage(path: str, text: str) -> None:
         directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -111,16 +114,15 @@ def atomic_outputs():
 
     try:
         yield stage
-    except BaseException:
-        for tmp, _ in staged:
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            renamed += 1
+    finally:
+        for tmp, _ in staged[renamed:]:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-        raise
-    else:
-        for tmp, path in staged:
-            os.replace(tmp, path)
 
 
 def _outputs(args, config: RunConfig | None) -> tuple[str, str]:
@@ -140,15 +142,6 @@ def _mhz(value_rad_s: float) -> float:
     return value_rad_s / MHZ
 
 
-def _flag_drive(rabi_mhz: float, detuning_mhz: float) -> RfDrive:
-    """The drive of --rabi-mhz and --detuning-mhz, under the config's drive rules."""
-    rabi = _magnitude(_finite(rabi_mhz, "--rabi-mhz"), "--rabi-mhz", zero_ok=True)
-    if rabi < 0:
-        raise ConfigError(f"--rabi-mhz must be >= 0, got {rabi!r}")
-    detuning = _magnitude(_finite(detuning_mhz, "--detuning-mhz"), "--detuning-mhz", zero_ok=True)
-    return RfDrive(rabi * MHZ, detuning * MHZ)
-
-
 def _dressed_levels(drive: RfDrive, chi: float, theta: float, phi: float):
     """`rydant eigen`'s numbers at full precision: (closed form, numeric, mode splittings), each ascending.
 
@@ -164,7 +157,7 @@ def _dressed_levels(drive: RfDrive, chi: float, theta: float, phi: float):
 
 
 def cmd_eigen(args) -> int:
-    drive = _flag_drive(args.rabi_mhz, args.detuning_mhz)
+    drive = _rf_drive(args.rabi_mhz, args.detuning_mhz, "--rabi-mhz", "--detuning-mhz")
     angles = (_finite(args.chi, "--chi"), _finite(args.theta, "--theta"), _finite(args.phi, "--phi"))
     closed, numeric, (minus, plus) = _dressed_levels(drive, *angles)
 
@@ -247,8 +240,11 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("spectrum needs --config and/or --preset")
     seed = _seed(args, config)
 
-    drive = _flag_drive(
-        10.0 if args.rabi_mhz is None else args.rabi_mhz, 0.0 if args.detuning_mhz is None else args.detuning_mhz
+    drive = _rf_drive(
+        10.0 if args.rabi_mhz is None else args.rabi_mhz,
+        0.0 if args.detuning_mhz is None else args.detuning_mhz,
+        "--rabi-mhz",
+        "--detuning-mhz",
     )
     if config and config.drive:
         for flag, value in (("--rabi-mhz", args.rabi_mhz), ("--detuning-mhz", args.detuning_mhz)):
@@ -256,7 +252,6 @@ def cmd_spectrum(args) -> int:
                 raise ConfigError(f"{flag} cannot be given beside the config's drive section")
         drive = config.drive
     ladder = config.ladder if config and config.ladder else default_ladder(drive.rabi, drive.detuning)
-    ladder = replace(ladder, omega_rf=drive.rabi, delta_rf=drive.detuning)
 
     if config and config.scan:
         low, high, points = config.scan.low, config.scan.high, config.scan.points
@@ -371,9 +366,7 @@ def cmd_cellfield(args) -> int:
     else:
         angle = math.radians(args.angle_deg)
         _incidences([angle], "--angle-deg")
-        profile = transfer_matrix_field(
-            geometry, frequency, angle, args.polarization, sweep_samples(geometry, frequency)
-        )
+        profile = transfer_matrix_field(geometry, frequency, angle, args.polarization)
         summary["incidence_angle_deg"] = args.angle_deg
         summary["path_average_rel"] = path_average(profile)
         result = f"path_average_rel = {summary['path_average_rel']:.9g}"

@@ -194,15 +194,23 @@ def _parse_system(section: dict) -> TransitionSystem:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _rf_drive(rabi_mhz, detuning_mhz, rabi_key: str, detuning_key: str) -> RfDrive:
+    """The RF drive of a Rabi frequency and a detuning in MHz, each refused naming its key.
+
+    The one rule for the drive, for config keys and CLI flags alike: each
+    number finite, then within MAGNITUDE_RANGE or 0, then the Rabi frequency
+    >= 0.
+    """
+    rabi = _magnitude(_finite(rabi_mhz, rabi_key), rabi_key, zero_ok=True)
+    if rabi < 0:
+        raise ConfigError(f"{rabi_key} must be >= 0, got {rabi!r}")
+    detuning = _magnitude(_finite(detuning_mhz, detuning_key), detuning_key, zero_ok=True)
+    return RfDrive(rabi * MHZ, detuning * MHZ)
+
+
 def _parse_drive(section: dict) -> RfDrive:
-    where = "drive"
-    _check_keys(section, {"rabi_mhz", "detuning_mhz"}, {"rabi_mhz"}, where)
-    rabi = _magnitude(_number(section, "rabi_mhz", where), f"{where}.rabi_mhz", zero_ok=True)
-    detuning = _magnitude(_number(section, "detuning_mhz", where, 0.0), f"{where}.detuning_mhz", zero_ok=True)
-    try:
-        return RfDrive(rabi * MHZ, detuning * MHZ)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    _check_keys(section, {"rabi_mhz", "detuning_mhz"}, {"rabi_mhz"}, "drive")
+    return _rf_drive(section["rabi_mhz"], section.get("detuning_mhz", 0.0), "drive.rabi_mhz", "drive.detuning_mhz")
 
 
 def _parse_ladder(section: dict, drive: RfDrive | None) -> LadderConfig:

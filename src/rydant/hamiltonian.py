@@ -73,10 +73,6 @@ class TransitionSystem:
         if not math.isfinite(self.mu) or self.mu <= 0:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
 
-    @property
-    def dim(self) -> int:
-        return self.jg.sublevel_count + self.je.sublevel_count
-
 
 @lru_cache(maxsize=None)
 def _coupling_table(two_jg: int, two_je: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:

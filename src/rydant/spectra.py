@@ -23,7 +23,9 @@ transmission proxy is -Im(rho_ge) offset and scaled to span [0, 1].
 Solver
 ------
 The Liouvillian is linear in the eight ladder parameters: one matmul with
-a fixed table builds it.  The scanned detuning enters it through a diagonal
+a fixed table builds it, whose rows are the Liouvillians of the eight unit
+generators (three detuning diagonals, three half-Rabi couplings, three
+collapses in two rates).  The scanned detuning enters it through a diagonal
 slope that is nonzero only on the eight coherences between {g, e} and
 {r1, r2}.  One solve at the scan centre and one eigendecomposition of that
 8 x 8 sloped block turn a whole scan into a sum of eight poles in the
@@ -152,74 +154,50 @@ class SpectrumTrace:
             object.__setattr__(self, name, arr)
 
 
-def _hamiltonian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
-    h = np.zeros((_DIM, _DIM), dtype=complex)
-    h[1, 1] = -cfg.delta_p
-    h[2, 2] = -(cfg.delta_p + delta_c)
-    h[3, 3] = -(cfg.delta_p + delta_c + cfg.delta_rf)
-    h[0, 1] = h[1, 0] = cfg.omega_p / 2.0
-    h[1, 2] = h[2, 1] = cfg.omega_c / 2.0
-    h[2, 3] = h[3, 2] = cfg.omega_rf / 2.0
-    return h
-
-
-def _collapse_ops(cfg: LadderConfig) -> list[np.ndarray]:
-    ops = []
-    for rate, (low, high) in (
-        (cfg.gamma_e, (0, 1)),
-        (cfg.gamma_r, (1, 2)),
-        (cfg.gamma_r, (2, 3)),
-    ):
-        if rate > 0:
-            c = np.zeros((_DIM, _DIM), dtype=complex)
-            c[low, high] = math.sqrt(rate)
-            ops.append(c)
-    return ops
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron of two n x n matrices, as one broadcast outer product.
-    n = a.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * n, n * n)
-
-
 def _liouvillian(h: np.ndarray, c_ops: Sequence[np.ndarray]) -> np.ndarray:
     # Column-stacking convention: x = rho.reshape(-1, order="F").
-    lv = -1j * (_kron(_IDENTITY, h) - _kron(h.T, _IDENTITY))
+    lv = -1j * (np.kron(_IDENTITY, h) - np.kron(h.T, _IDENTITY))
     for c in c_ops:
         cdc = c.conj().T @ c
-        lv += (
-            _kron(c.conj(), c)
-            - 0.5 * _kron(_IDENTITY, cdc)
-            - 0.5 * _kron(cdc.T, _IDENTITY)
-        )
+        lv += np.kron(c.conj(), c) - 0.5 * np.kron(_IDENTITY, cdc) - 0.5 * np.kron(cdc.T, _IDENTITY)
     return lv
 
 
-# Ladder parameters in the row order of _liouvillian_table().
-_PARAMETERS = ("delta_p", "delta_c", "delta_rf", "omega_p", "omega_c", "omega_rf", "gamma_e", "gamma_r")
+# The ladder's steps down |g><e|, |e><r1|, |r1><r2|, and no drive at all.
+_DOWN = [np.diag(unit, 1) for unit in np.eye(_DIM - 1, dtype=complex)]
+_ZERO = np.zeros((_DIM, _DIM), dtype=complex)
+
+# Each ladder parameter's unit generator (h, c_ops), in the row order of
+# _liouvillian_table(): the three detuning diagonals, the three half-Rabi
+# couplings, the e -> g collapse and the two Rydberg collapses.
+_GENERATORS = {
+    "delta_p": (np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex), ()),
+    "delta_c": (np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex), ()),
+    "delta_rf": (np.diag([0.0, 0.0, 0.0, -1.0]).astype(complex), ()),
+    "omega_p": (0.5 * (_DOWN[0] + _DOWN[0].T), ()),
+    "omega_c": (0.5 * (_DOWN[1] + _DOWN[1].T), ()),
+    "omega_rf": (0.5 * (_DOWN[2] + _DOWN[2].T), ()),
+    "gamma_e": (_ZERO, _DOWN[:1]),
+    "gamma_r": (_ZERO, _DOWN[1:]),
+}
+_PARAMETERS = tuple(_GENERATORS)
 
 
 @lru_cache(maxsize=None)
 def _liouvillian_table() -> np.ndarray:
-    """Row i: the flattened Liouvillian at a unit value of _PARAMETERS[i], zero for the rest.
+    """Row k: the flattened Liouvillian of the unit generator of _PARAMETERS[k].
 
-    The Liouvillian is linear in each (a decay rate enters through c^dag c).
-    Built on first use, so a process that runs no scan never pays for it.
+    The Liouvillian is linear in each parameter (a decay rate enters through
+    c^dag c), so a ladder's is the parameters times this table.  Built on
+    first use, so a process that runs no scan never pays for it.
     """
-    rows = []
-    for name in _PARAMETERS:
-        unit = dict.fromkeys(_PARAMETERS, 0.0) | {name: 1.0}
-        delta_c = unit.pop("delta_c")
-        cfg = LadderConfig(**unit)
-        rows.append(_liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg)).ravel())
-    table = np.array(rows)
+    table = np.array([_liouvillian(h, c_ops).ravel() for h, c_ops in _GENERATORS.values()])
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
 
 def _ladder_liouvillian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
-    """_liouvillian(_hamiltonian(cfg, delta_c), _collapse_ops(cfg)) as one matmul."""
+    """The ladder's Liouvillian at scanned coupling detuning delta_c, as one matmul."""
     params = np.array([delta_c if name == "delta_c" else getattr(cfg, name) for name in _PARAMETERS])
     return (params @ _liouvillian_table()).reshape(_DIM * _DIM, _DIM * _DIM)
 
@@ -227,7 +205,7 @@ def _ladder_liouvillian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
 # Diagonal of d(Liouvillian)/d(delta_c): the scan enters H only on the
 # r1/r2 diagonal.  It is nonzero on the eight {g, e}-{r1, r2} coherences
 # alone, so its entry for rho_gg (the trace row) is zero.
-_SCAN_SLOPE = np.diag(_liouvillian(np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex), [])).copy()
+_SCAN_SLOPE = np.diag(_liouvillian(*_GENERATORS["delta_c"])).copy()
 _SLOPED = np.flatnonzero(_SCAN_SLOPE)
 # Right-hand side of the one setup solve: the trace condition b, then the
 # sloped columns of S = diag(_SCAN_SLOPE).

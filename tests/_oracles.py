@@ -351,6 +351,16 @@ def _ladder_liouvillians(cfg, detunings):
     return lv.reshape(n, 16, 16)
 
 
+def column_stacked_liouvillian(cfg, delta_c):
+    """_ladder_liouvillians at one detuning, restacked by columns as rydant.spectra stacks rho.
+
+    Column-stacked component k is rho[k % 4, k // 4], row-stacked component
+    4 (k % 4) + k // 4.
+    """
+    order = [4 * (k % 4) + k // 4 for k in range(16)]
+    return _ladder_liouvillians(cfg, np.array([delta_c]))[0][np.ix_(order, order)]
+
+
 def ladder_states(cfg, detunings, chunk=2048):
     """Stationary density matrices, shape (n, 4, 4), by a batched direct solve.
 
@@ -374,20 +384,20 @@ def full_pole_states(cfg, detunings):
     """The scan as a pole expansion of the full 16 x 16 A0^-1 S: (states, poles).
 
     The scan solver as it stood before it was cut down to its sloped block:
-    the Liouvillian from spectra._liouvillian at the scan centre, with the
-    trace row in place of row 0; one eig of A0^-1 S = V diag(lam) V^-1;
-    c = V^-1 x0; every point x0 - V [eps lam / (1 + eps lam) * c], keeping
-    the eigenvalues that are not exactly zero.  With cfg.doppler_sigma > 0
+    column_stacked_liouvillian at the scan centre, with the trace row in
+    place of row 0; one eig of A0^-1 S = V diag(lam) V^-1; c = V^-1 x0;
+    every point x0 - V [eps lam / (1 + eps lam) * c], keeping the
+    eigenvalues that are not exactly zero.  With cfg.doppler_sigma > 0
     each of those poles is averaged over the Gaussian through the Faddeeva
     function.  states is column-stacked, one row per detuning; poles holds
     the kept eigenvalues.  No residual check.
     """
     from scipy.special import wofz
 
-    from rydant.spectra import _SCAN_SLOPE, _collapse_ops, _hamiltonian, _liouvillian
+    from rydant.spectra import _SCAN_SLOPE
 
     center = 0.5 * (detunings[0] + detunings[-1])
-    a = _liouvillian(_hamiltonian(cfg, center), _collapse_ops(cfg))
+    a = column_stacked_liouvillian(cfg, center)
     a[0, :] = 0.0
     a[0, [0, 5, 10, 15]] = 1.0
     b = np.zeros(16, dtype=complex)
@@ -528,7 +538,7 @@ def splitting(values, detuning, tolerance=1e-8):
 
 def eigen_delta_ats(plan, factors):
     """Eigen-readout splittings of a sweep, built and read out one angle at a time."""
-    dim = plan.system.dim
+    dim = plan.system.jg.sublevel_count + plan.system.je.sublevel_count
     stack = np.empty((len(plan.angles), dim, dim), dtype=complex)
     for i, angle in enumerate(plan.angles):
         orientation = plane_orientation(plan.plane, float(angle))
@@ -541,7 +551,8 @@ def hamiltonian_stack(system, rabis, polarizations, detuning):
     """Full rotating-frame matrices [[0, V^dag], [V, -detuning]] for a sweep, shape (n, dim, dim)."""
     blocks = coupling_stack(system, rabis, polarizations)
     ng = system.jg.sublevel_count
-    h = np.zeros((len(blocks), system.dim, system.dim), dtype=complex)
+    dim = ng + system.je.sublevel_count
+    h = np.zeros((len(blocks), dim, dim), dtype=complex)
     h[:, ng:, ng:] = -detuning * np.eye(system.je.sublevel_count)
     h[:, ng:, :ng] = blocks
     h[:, :ng, ng:] = blocks.conj().transpose(0, 2, 1)

@@ -175,6 +175,15 @@ class TestAngleSweep:
         dense = sweep_samples(DEFAULT_GEOMETRY, 1.0e12)
         assert dense > 2000
 
+    def test_a_bare_profile_takes_the_sweep_grid(self):
+        # 66.7 vapor wavelengths at 1 THz: 32 samples per wavelength, not 513 in all
+        for frequency, samples in ((THZ_FREQ, 513), (1.0e12, 2136)):
+            assert sweep_samples(DEFAULT_GEOMETRY, frequency) == samples
+            bare = transfer_matrix_field(DEFAULT_GEOMETRY, frequency, 0.3)
+            explicit = transfer_matrix_field(DEFAULT_GEOMETRY, frequency, 0.3, "TE", samples)
+            assert bare.positions.size == samples
+            assert bare.amplitude.tobytes() == explicit.amplitude.tobytes()
+
     def test_rejects_empty_angles(self):
         with pytest.raises(ValueError):
             angle_sweep_deviation(DEFAULT_GEOMETRY, THZ_FREQ, [])

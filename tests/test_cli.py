@@ -19,7 +19,7 @@ from _oracles import (
     eigen_closed_form,
     wrap_orientation,
 )
-from rydant.cli import _dressed_levels, cmd_eigen, main
+from rydant.cli import _dressed_levels, atomic_outputs, cmd_eigen, main
 from rydant.config import MHZ
 from rydant.hamiltonian import RfDrive, hamiltonian_array
 from rydant.patterns import PLANES, dipole_reference, json_text
@@ -229,6 +229,18 @@ class TestEigenCommand:
         summary = json.loads((tmp_path / "rydant_spectrum.json").read_text())
         assert (summary["rf_rabi_mhz"], summary["rf_detuning_mhz"]) == pytest.approx((rabi, detuning), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "rabi,detuning", [(-1.0, 0.0), (1e300, 0.0), (1e-12, 0.0), (-1e300, 0.0), (10.0, -1e300), (10.0, 1e-320)]
+    )
+    def test_flags_and_config_keys_share_one_drive_rule(self, tmp_path, capsys, rabi, detuning):
+        assert main(["eigen", f"--rabi-mhz={rabi!r}", f"--detuning-mhz={detuning!r}"]) == 2
+        flag_err = capsys.readouterr().err
+        config = sweep_config(tmp_path, drive={"rabi_mhz": rabi, "detuning_mhz": detuning})
+        assert main(["sweep", "--config", config]) == 2
+        config_err = capsys.readouterr().err
+        renamed = config_err.replace("drive.rabi_mhz", "--rabi-mhz").replace("drive.detuning_mhz", "--detuning-mhz")
+        assert renamed == flag_err
+
     @pytest.mark.parametrize("rabi,detuning", [("0", "0"), ("1e-9", "-1e9"), ("1e9", "1e-9")])
     def test_drive_flags_at_the_config_limits_run(self, capsys, rabi, detuning):
         assert main(["eigen", f"--rabi-mhz={rabi}", f"--detuning-mhz={detuning}"]) == 0
@@ -394,6 +406,26 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: system.two_jg") and "MAX_TWO_JG" in err
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"sweep": {"plane": "XW", "angles_deg": "0:10:90"}}, "sweep.plane must be XY, XZ or YZ, got 'XW'"),
+            (
+                {"sweep": {"plane": "XY", "angles_deg": "0:10:90", "readout": "fast"}},
+                "sweep.readout must be 'eigen' or 'spectrum', got 'fast'",
+            ),
+            ({"sweep": {"plane": "XY", "angles_deg": "0:10:90", "use_cell": 1}}, "sweep.use_cell must be a boolean"),
+            ({"drive": [10.0]}, "drive must be an object"),
+            ({"sweep": "XY"}, "sweep must be an object"),
+            ({"output": {"basename": ""}}, "output.basename must be a non-empty string"),
+        ],
+    )
+    def test_malformed_sweep_sections(self, tmp_path, capsys, overrides, message):
+        config = sweep_config(tmp_path, **overrides)
+        assert main(["sweep", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("two_jg,two_je", [(0, 2), (1, 3), (2, 4), (3, 5), (5, 7), (9, 11)])
     def test_supported_transitions_resolve_an_eigen_sweep(self, tmp_path, capsys, two_jg, two_je):
         system = {"two_jg": two_jg, "two_je": two_je, "mu_mhz_per_v_per_m": 1.0}
@@ -520,6 +552,35 @@ class TestSweepCommand:
         assert code == 0
         dev_line = next(l for l in out.splitlines() if l.startswith("isotropic_deviation_db"))
         assert float(dev_line.split("=")[1]) > 0.1
+
+
+class TestAtomicOutputs:
+    def test_a_failure_in_the_block_renames_nothing(self, tmp_path):
+        kept = tmp_path / "kept.txt"
+        kept.write_text("old")
+        with pytest.raises(RuntimeError, match="late"):
+            with atomic_outputs() as stage:
+                stage(str(kept), "new")
+                stage(str(tmp_path / "fresh.txt"), "new")
+                raise RuntimeError("late")
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"] and kept.read_text() == "old"
+
+    def test_a_failure_in_staging_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with atomic_outputs() as stage:
+                stage(str(tmp_path / "first.txt"), "new")
+                stage(str(tmp_path / "missing" / "second.txt"), "new")
+        assert not list(tmp_path.iterdir())
+
+    def test_a_failed_rename_keeps_the_earlier_files_and_no_temp_file(self, tmp_path, capsys):
+        config = sweep_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "case_polar.csv").mkdir(parents=True)
+        assert main(["sweep", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "case_polar.csv" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["case_pattern.csv", "case_pattern.json", "case_polar.csv"]
+        assert (out / "case_polar.csv").is_dir()
 
 
 class TestSpectrumCommand:
@@ -761,6 +822,15 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: pattern {bad} is malformed") and reason in err
         assert not result.exists()
+
+    def test_unreadable_pattern_files(self, tmp_path, capsys):
+        iso, _ = self.make_patterns(tmp_path)
+        missing, text = tmp_path / "missing.json", tmp_path / "notes.json"
+        text.write_text("not json")
+        for bad, reason in ((missing, f"cannot read pattern {missing}: "), (text, f"pattern {text} is not valid JSON: ")):
+            assert main(["compare", iso, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {reason}") and "Traceback" not in err
 
     def test_sweep_and_benchmark_style_files_are_accepted(self, tmp_path, capsys):
         config = sweep_config(tmp_path, sweep={"plane": "XY", "angles_deg": "0:5:360", "noise_sigma_db": 0.7})

@@ -148,9 +148,10 @@ class TestStrictSections:
 
     def test_domain_errors_are_wrapped(self):
         payload = make_config()
-        payload["drive"]["rabi_mhz"] = -1.0
-        with pytest.raises(ConfigError):
+        payload["drive"]["rabi_mhz"] = -1
+        with pytest.raises(ConfigError) as info:
             parse_config(payload)
+        assert str(info.value) == "drive.rabi_mhz must be >= 0, got -1.0"  # the key, in MHz
         payload = make_config()
         payload["cell"]["wall_index_re"] = 0.5
         with pytest.raises(ConfigError):
