@@ -116,6 +116,10 @@ CASES = [
                {"plane": "XY", "angles_deg": [5, 17, 29, 41, 53, 127, 200], "readout": "spectrum", "use_cell": True},
                drive={"rabi_mhz": 25.0, "detuning_mhz": -6.0}, ladder=LADDER, cell=THZ_CELL,
                scan=dict(SCAN_401, points=801)),
+    # a weak drive whose cell factor at 85 deg leaves one peak: a gap angle, excluded from the pattern
+    sweep_case("sweep-xy-spectrum-gap",
+               {"plane": "XY", "angles_deg": [5, 30, 55, 70, 80, 85], "readout": "spectrum", "use_cell": True},
+               drive={"rabi_mhz": 0.5}, ladder=LADDER, cell=THZ_CELL),
     # spectra
     cli_case("spectrum-thz", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"),
     cli_case("spectrum-mw", "spectrum", "--preset", "mw-93s", "--rabi-mhz", "20", "--detuning-mhz", "4"),

@@ -2,8 +2,10 @@
 
 Subcommands: eigen, sweep, spectrum, cellfield, compare.  Exit codes:
 0 success, 1 runtime contract violation (domain errors), 2 usage or
-configuration schema errors.  All file outputs are written atomically
-(temp file then rename) and are byte-reproducible for a given config and
+configuration schema errors.  Each command prints its results and returns
+its artifacts as an ordered {path: text} dict; `main` writes them all with
+one `write_outputs` call (temp files, then renames) and prints a `wrote`
+line per file.  Artifacts are byte-reproducible for a given config and
 seed.
 """
 
@@ -15,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,30 +91,32 @@ PRESETS = {
 }
 
 
-@contextmanager
-def atomic_outputs():
-    """Stage text files and rename them into place only if the block succeeds.
+def write_outputs(files: dict[str, str]) -> None:
+    """Write each path's text, all or nothing as far as the file system allows.
 
-    This is the only place that writes files: stage(path, text) writes the
-    text to a temp file beside path, renamed over path when the block exits.
-    A failure in the block renames nothing.  The renames run in staging
-    order, so a rename that fails leaves the files staged before it in
-    place and the rest as they were.  No temp file outlives the block.
+    This is the only function that writes files.  A target that is a
+    directory is refused before anything is staged.  Each text then goes to
+    a temp file beside its path (mode 0644, "\n" line ends), so a missing
+    or unwritable directory fails while staging and writes nothing.  Only
+    once every file is staged are the temp files renamed over their paths,
+    in order.  A rename can still fail part-way, say when a target becomes
+    a directory after the check or the rename itself hits an I/O error;
+    then the files renamed before it hold the new text and the rest keep
+    the old.  No temp file outlives the call.
     """
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output {path} is a directory")
     staged: list[tuple[str, str]] = []
     renamed = 0
-
-    def stage(path: str, text: str) -> None:
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        os.close(fd)
-        staged.append((tmp, path))
-        os.chmod(tmp, 0o644)
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
     try:
-        yield stage
+        for path, text in files.items():
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            os.close(fd)
+            staged.append((tmp, path))
+            os.chmod(tmp, 0o644)
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         for tmp, path in staged:
             os.replace(tmp, path)
             renamed += 1
@@ -130,12 +133,6 @@ def _outputs(args, config: RunConfig | None) -> tuple[str, str]:
     basename = args.basename or (config.output.basename if config else "rydant")
     os.makedirs(directory, exist_ok=True)
     return directory, basename
-
-
-def _seed(args, config: RunConfig | None) -> int:
-    if args.seed is not None:
-        return args.seed
-    return config.seed if config else 0
 
 
 def _mhz(value_rad_s: float) -> float:
@@ -156,7 +153,7 @@ def _dressed_levels(drive: RfDrive, chi: float, theta: float, phi: float):
     return closed, np.linalg.eigvalsh(hamiltonian_array(block[0], d)), modes
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args) -> dict[str, str]:
     drive = _rf_drive(args.rabi_mhz, args.detuning_mhz, "--rabi-mhz", "--detuning-mhz")
     angles = (_finite(args.chi, "--chi"), _finite(args.theta, "--theta"), _finite(args.phi, "--phi"))
     closed, numeric, (minus, plus) = _dressed_levels(drive, *angles)
@@ -172,22 +169,20 @@ def cmd_eigen(args) -> int:
         print(f"branch_plus_mhz = {_mhz(plus):.9g}")
         print(f"branch_minus_mhz = {_mhz(minus):.9g}")
 
-    if args.csv:
-        lines = ["index,closed_form_mhz,numeric_mhz"]
-        for i, (cv, nv) in enumerate(zip(closed, numeric)):
-            lines.append(f"{i},{_mhz(cv):.9g},{_mhz(nv):.9g}")
-        with atomic_outputs() as stage:
-            stage(args.csv, "\n".join(lines) + "\n")
-        print(f"wrote {args.csv}")
-    return 0
+    if not args.csv:
+        return {}
+    lines = ["index,closed_form_mhz,numeric_mhz"]
+    for i, (cv, nv) in enumerate(zip(closed, numeric)):
+        lines.append(f"{i},{_mhz(cv):.9g},{_mhz(nv):.9g}")
+    return {args.csv: "\n".join(lines) + "\n"}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict[str, str]:
     config = load_config(args.config)
     system = config.require("system")
     drive = config.require("drive")
     sweep = config.require("sweep")
-    seed = _seed(args, config)
+    seed = config.seed if args.seed is None else args.seed
 
     cell = None
     cell_frequency = None
@@ -215,30 +210,23 @@ def cmd_sweep(args) -> int:
     pattern = run_sweep(plan)
 
     directory, basename = _outputs(args, config)
-    csv_path = os.path.join(directory, f"{basename}_pattern.csv")
-    json_path = os.path.join(directory, f"{basename}_pattern.json")
-    polar_path = os.path.join(directory, f"{basename}_polar.csv")
-    with atomic_outputs() as stage:
-        stage(csv_path, pattern_csv(pattern))
-        stage(json_path, json_text(pattern.to_dict()))
-        stage(polar_path, polar_csv(pattern))
-
     print(f"plane {pattern.plane} ({pattern.readout} readout), seed {seed}")
     print(f"isotropic_deviation_db = {pattern.deviation_db:.9g}")
     if pattern.gap_angles:
         degrees = ", ".join(f"{math.degrees(a):.4g}" for a in pattern.gap_angles)
         print(f"gap angles (unresolved splitting, excluded): {degrees}")
-    for path in (csv_path, json_path, polar_path):
-        print(f"wrote {path}")
-    return 0
+    return {
+        os.path.join(directory, f"{basename}_pattern.csv"): pattern_csv(pattern),
+        os.path.join(directory, f"{basename}_pattern.json"): json_text(pattern.to_dict()),
+        os.path.join(directory, f"{basename}_polar.csv"): polar_csv(pattern),
+    }
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict[str, str]:
     config = load_config(args.config) if args.config else None
     preset = PRESETS[args.preset] if args.preset else None
     if config is None and preset is None:
         raise ConfigError("spectrum needs --config and/or --preset")
-    seed = _seed(args, config)
 
     drive = _rf_drive(
         10.0 if args.rabi_mhz is None else args.rabi_mhz,
@@ -269,7 +257,6 @@ def cmd_spectrum(args) -> int:
     summary = {
         "kind": "spectrum_summary",
         "schema_version": 1,
-        "seed": seed,
         "scan_min_mhz": _mhz(low),
         "scan_max_mhz": _mhz(high),
         "scan_points": points,
@@ -296,14 +283,10 @@ def cmd_spectrum(args) -> int:
         print(f"field_v_per_m = {estimate.amplitude:.9g}{flag}")
 
     directory, basename = _outputs(args, config)
-    trace_path = os.path.join(directory, f"{basename}_trace.csv")
-    summary_path = os.path.join(directory, f"{basename}_spectrum.json")
-    with atomic_outputs() as stage:
-        stage(trace_path, trace_csv(trace))
-        stage(summary_path, json_text(summary))
-    print(f"wrote {trace_path}")
-    print(f"wrote {summary_path}")
-    return 0
+    return {
+        os.path.join(directory, f"{basename}_trace.csv"): trace_csv(trace),
+        os.path.join(directory, f"{basename}_spectrum.json"): json_text(summary),
+    }
 
 
 def _incidences(angles, flag: str) -> None:
@@ -316,7 +299,7 @@ def _incidences(angles, flag: str) -> None:
             )
 
 
-def cmd_cellfield(args) -> int:
+def cmd_cellfield(args) -> dict[str, str]:
     config = load_config(args.config) if args.config else None
     preset = PRESETS[args.preset] if args.preset else None
     if config and config.cell:
@@ -329,12 +312,10 @@ def cmd_cellfield(args) -> int:
         raise ConfigError("cellfield needs a cell section in --config or a --preset")
     if args.no_walls:
         geometry = replace(geometry, wall_index=1.0 + 0.0j)
-    seed = _seed(args, config)
 
     summary = {
         "kind": "cellfield_summary",
         "schema_version": 1,
-        "seed": seed,
         "frequency_ghz": frequency / 1e9,
         "wall_thickness_mm": geometry.wall_thickness * 1e3,
         "inner_length_mm": geometry.inner_length * 1e3,
@@ -344,7 +325,6 @@ def cmd_cellfield(args) -> int:
     if preset:
         summary["metadata"] = preset.metadata()
 
-    directory, basename = _outputs(args, config)
     if args.angles:
         spec = args.angles.strip()
         if spec.startswith("["):
@@ -360,27 +340,22 @@ def cmd_cellfield(args) -> int:
         deviation = isotropic_deviation(samples)
         summary["angles_deg"] = [round(math.degrees(a), 12) for a in angles]
         summary["deviation_db"] = deviation
-        result = f"angle_sweep_deviation_db = {deviation:.9g}"
-        data_path = os.path.join(directory, f"{basename}_cellsweep.csv")
-        data_text = sweep_csv(samples)
+        print(f"angle_sweep_deviation_db = {deviation:.9g}")
+        data_name, data_text = "cellsweep", sweep_csv(samples)
     else:
         angle = math.radians(args.angle_deg)
         _incidences([angle], "--angle-deg")
         profile = transfer_matrix_field(geometry, frequency, angle, args.polarization)
         summary["incidence_angle_deg"] = args.angle_deg
         summary["path_average_rel"] = path_average(profile)
-        result = f"path_average_rel = {summary['path_average_rel']:.9g}"
-        data_path = os.path.join(directory, f"{basename}_profile.csv")
-        data_text = profile_csv(profile)
+        print(f"path_average_rel = {summary['path_average_rel']:.9g}")
+        data_name, data_text = "profile", profile_csv(profile)
 
-    summary_path = os.path.join(directory, f"{basename}_cellfield.json")
-    with atomic_outputs() as stage:
-        stage(data_path, data_text)
-        stage(summary_path, json_text(summary))
-    print(result)
-    print(f"wrote {data_path}")
-    print(f"wrote {summary_path}")
-    return 0
+    directory, basename = _outputs(args, config)
+    return {
+        os.path.join(directory, f"{basename}_{data_name}.csv"): data_text,
+        os.path.join(directory, f"{basename}_cellfield.json"): json_text(summary),
+    }
 
 
 def _load_pattern(path) -> GainPattern:
@@ -397,20 +372,15 @@ def _load_pattern(path) -> GainPattern:
         raise ConfigError(f"pattern {path} is malformed: {exc}") from exc
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> dict[str, str]:
     comparison = compare_patterns(_load_pattern(args.pattern_a), _load_pattern(args.pattern_b))
     print(comparison.format_text())
-    if args.json:
-        with atomic_outputs() as stage:
-            stage(args.json, json_text(comparison.to_dict()))
-        print(f"wrote {args.json}")
-    return 0
+    return {args.json: json_text(comparison.to_dict())} if args.json else {}
 
 
 def _add_output_flags(parser) -> None:
     parser.add_argument("--out-dir", default=None, help="output directory (default: config or '.')")
     parser.add_argument("--basename", default=None, help="output file stem (default: config or 'rydant')")
-    parser.add_argument("--seed", type=int, default=None, help="seed echoed into output metadata")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -431,6 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="angle sweep producing a gain pattern")
     p.add_argument("--config", required=True, help="JSON run configuration")
+    p.add_argument("--seed", type=int, default=None, help="seed of the readout noise (default: the config's seed)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -449,9 +420,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON run configuration")
     p.add_argument("--preset", choices=sorted(PRESETS), default=None,
                    help="level-scheme preset supplying the cell geometry")
-    p.add_argument("--angle-deg", type=float, default=0.0, help="single incidence angle (deg)")
-    p.add_argument("--angles", default=None,
-                   help="incidence sweep, e.g. '0:10:90' (stop-exclusive) or a JSON list")
+    incidence = p.add_mutually_exclusive_group()
+    incidence.add_argument("--angle-deg", type=float, default=0.0, help="single incidence angle (deg)")
+    incidence.add_argument("--angles", default=None,
+                           help="incidence sweep, e.g. '0:10:90' (stop-exclusive) or a JSON list")
     p.add_argument("--polarization", choices=("TE", "TM"), default="TE")
     p.add_argument("--no-walls", action="store_true", help="set the wall index to 1 (transparent)")
     _add_output_flags(p)
@@ -472,13 +444,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        files = args.func(args)
+        write_outputs(files)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, SteadyStateError, UnresolvedSplittingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for path in files:
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from _oracles import (
     eigen_closed_form,
     wrap_orientation,
 )
-from rydant.cli import _dressed_levels, atomic_outputs, cmd_eigen, main
+from rydant.cli import _dressed_levels, cmd_eigen, main, write_outputs
 from rydant.config import MHZ
 from rydant.hamiltonian import RfDrive, hamiltonian_array
 from rydant.patterns import PLANES, dipole_reference, json_text
@@ -147,7 +147,7 @@ class TestEigenCommand:
             out = io.StringIO()
             args = argparse.Namespace(rabi_mhz=rabi, detuning_mhz=detuning, chi=chi, theta=theta, phi=phi, csv=None)
             with contextlib.redirect_stdout(out):
-                assert cmd_eigen(args) == 0
+                assert cmd_eigen(args) == {}
             lines = out.getvalue().splitlines()
             printed = [float(line.split()[1]) for line in lines[1:7]]
             assert all(printed_close(p, h, scale) for p, h in zip(printed, hand)), (k, printed, hand)
@@ -259,6 +259,20 @@ class TestUsageErrors:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["spectrum", "--preset", "thz-33s"], ["cellfield", "--preset", "thz-33s"]])
+    def test_seed_is_a_sweep_flag_only(self, tmp_path, capsys, command):
+        assert main([*command, "--seed", "3", "--out-dir", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_cellfield_angle_and_angles_together(self, tmp_path, capsys):
+        code = main(["cellfield", "--preset", "thz-33s", "--angles", "0:10:90", "--angle-deg", "30",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--angle-deg" in err and "--angles" in err and "not allowed with" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestRefusedInput:
     """Input the program cannot handle ends in exit 2 and a message naming the key."""
@@ -303,7 +317,7 @@ class TestRefusedInput:
         ],
     )
     def test_cellfield_incidence_outside_the_stack_model(self, tmp_path, capsys, flag, value):
-        code = main(["cellfield", "--preset", "thz-33s", flag, value, "--out-dir", str(tmp_path)])
+        code = main(["cellfield", "--preset", "thz-33s", flag, value, "--out-dir", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flag}: incidence") and "grazing" in err and "Traceback" not in err
@@ -554,33 +568,29 @@ class TestSweepCommand:
         assert float(dev_line.split("=")[1]) > 0.1
 
 
-class TestAtomicOutputs:
-    def test_a_failure_in_the_block_renames_nothing(self, tmp_path):
+class TestWriteOutputs:
+    def test_files_land_with_their_bytes_and_mode(self, tmp_path):
+        files = {str(tmp_path / "b.csv"): "x,y\n1,2\n", str(tmp_path / "a.json"): "{}\n"}
+        write_outputs(files)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.csv"]
+        for path, text in files.items():
+            assert open(path, "rb").read() == text.encode()
+            assert os.stat(path).st_mode & 0o777 == 0o644
+
+    def test_a_failure_in_staging_writes_nothing(self, tmp_path):
         kept = tmp_path / "kept.txt"
         kept.write_text("old")
-        with pytest.raises(RuntimeError, match="late"):
-            with atomic_outputs() as stage:
-                stage(str(kept), "new")
-                stage(str(tmp_path / "fresh.txt"), "new")
-                raise RuntimeError("late")
+        with pytest.raises(FileNotFoundError):
+            write_outputs({str(kept): "new", str(tmp_path / "missing" / "second.txt"): "new"})
         assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"] and kept.read_text() == "old"
 
-    def test_a_failure_in_staging_leaves_no_temp_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            with atomic_outputs() as stage:
-                stage(str(tmp_path / "first.txt"), "new")
-                stage(str(tmp_path / "missing" / "second.txt"), "new")
-        assert not list(tmp_path.iterdir())
-
-    def test_a_failed_rename_keeps_the_earlier_files_and_no_temp_file(self, tmp_path, capsys):
+    def test_a_directory_target_writes_nothing(self, tmp_path, capsys):
         config = sweep_config(tmp_path)
         out = tmp_path / "out"
         (out / "case_polar.csv").mkdir(parents=True)
         assert main(["sweep", "--config", config]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "case_polar.csv" in err and "Traceback" not in err
-        assert sorted(p.name for p in out.iterdir()) == ["case_pattern.csv", "case_pattern.json", "case_polar.csv"]
-        assert (out / "case_polar.csv").is_dir()
+        assert capsys.readouterr().err == f"error: output {out / 'case_polar.csv'} is a directory\n"
+        assert [p.name for p in out.iterdir()] == ["case_polar.csv"] and (out / "case_polar.csv").is_dir()
 
 
 class TestSpectrumCommand:
