@@ -184,6 +184,8 @@ CASES = [
     cli_case("refuse-eigen-negative-rabi", "eigen", "--rabi-mhz=-1"),
     cli_case("refuse-eigen-inf-detuning", "eigen", "--rabi-mhz", "10", "--detuning-mhz", "inf"),
     cli_case("refuse-eigen-nan-chi", "eigen", "--rabi-mhz", "10", "--chi", "nan"),
+    # an output in a directory that does not exist: the message names the target
+    cli_case("refuse-eigen-missing-dir", "eigen", "--rabi-mhz", "1", "--csv", "missing/x.csv"),
     cli_case("refuse-spectrum-huge-rabi", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "1e300"),
     cli_case("refuse-spectrum-flag-beside-drive", "spectrum", "--config", "run.json", "--rabi-mhz", "30",
              files={"run.json": config("spec", drive={"rabi_mhz": 12.0})}),

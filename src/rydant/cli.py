@@ -102,7 +102,9 @@ def write_outputs(files: dict[str, str]) -> None:
     in order.  A rename can still fail part-way, say when a target becomes
     a directory after the check or the rename itself hits an I/O error;
     then the files renamed before it hold the new text and the rest keep
-    the old.  No temp file outlives the call.
+    the old.  No temp file outlives the call.  A staging failure is
+    re-raised as the same OSError subclass naming the target path, not
+    its temp file, so the message is the same on every run.
     """
     for path in files:
         if os.path.isdir(path):
@@ -111,12 +113,15 @@ def write_outputs(files: dict[str, str]) -> None:
     renamed = 0
     try:
         for path, text in files.items():
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-            os.close(fd)
-            staged.append((tmp, path))
-            os.chmod(tmp, 0o644)
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+                os.close(fd)
+                staged.append((tmp, path))
+                os.chmod(tmp, 0o644)
+                with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, path) from exc
         for tmp, path in staged:
             os.replace(tmp, path)
             renamed += 1

@@ -12,8 +12,11 @@ chunk of detunings.  The Doppler oracle integrates that stationary
 absorption against the Gaussian velocity distribution on a fine uniform
 grid, with no pole expansion.  full_pole_states is the scan's pole
 expansion over the whole 16 x 16 A0^-1 S, eight zero eigenvalues filtered
-out and all eight live poles Doppler-averaged one by one, which the
-production solver cuts down to the 8 x 8 sloped block.
+out and all eight live poles Doppler-averaged one by one through
+scipy.special.wofz, which the production solver cuts down to the 8 x 8
+sloped block and averages through its own Faddeeva function.
+mpmath_faddeeva is that function's reference, exp(-z^2) erfc(-iz) at 80
+digits.
 
 The per-angle oracles are the eigen sweep and the cell sweep as they were
 before batching, one angle at a time in Python scalars: the orientation
@@ -155,6 +158,13 @@ def mpmath_interior_amplitudes(geometry, frequency, angle, positions):
                 ]
             out[polarization] = np.array([float(v) for v in values])
     return out
+
+
+def mpmath_faddeeva(z):
+    """w(z) = exp(-z^2) erfc(-iz) at 80 digits, rounded to complex, for each z in an array."""
+    with mpmath.workdps(80):
+        values = [mpmath.exp(-mpmath.mpc(v) ** 2) * mpmath.erfc(-1j * mpmath.mpc(v)) for v in np.ravel(z).tolist()]
+        return np.array([complex(v) for v in values]).reshape(np.shape(z))
 
 
 class Angles(NamedTuple):

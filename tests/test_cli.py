@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,29 +451,48 @@ class TestRefusedInput:
 
 
 class TestImports:
-    """Only the Doppler path imports scipy."""
+    """No subcommand loads scipy, and no module under src/rydant imports it."""
 
-    def scipy_loaded(self, tmp_path, argv):
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        doppler = {"probe_rabi_mhz": 0.1, "coupling_rabi_mhz": 1.0, "doppler_sigma_mhz": 1.0}
+        spectrum = write_config(tmp_path, drive={"rabi_mhz": 20.0}, ladder=doppler,
+                                output={"directory": "out", "basename": "sp"})
+        sweep = sweep_config(tmp_path, name="sweep.json", ladder=doppler,
+                             scan={"min_mhz": -30.0, "max_mhz": 30.0, "points": 201},
+                             sweep={"plane": "XZ", "angles_deg": [0, 60], "readout": "spectrum"})
+        runs = [
+            ["eigen", "--rabi-mhz", "10", "--detuning-mhz", "2", "--csv", "eigen.csv"],
+            ["spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"],
+            ["spectrum", "--config", spectrum],
+            ["sweep", "--config", sweep],
+            ["cellfield", "--preset", "thz-33s", "--angles", "0:30:90"],
+            ["compare", "out/case_pattern.json", "out/case_pattern.json"],
+        ]
         code = (
             "import sys; from rydant.cli import main; "
-            f"code = main({argv!r}); print(code, 'scipy' in sys.modules)"
+            f"codes = [main(argv) for argv in {runs!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
         )
-        status, loaded = done.stdout.split()[-2:]
-        assert status == "0", done.stderr
-        return loaded == "True"
+        assert done.stdout.splitlines()[-1] == f"{[0] * len(runs)} []", done.stderr
 
-    def test_eigen_and_plain_spectrum_leave_scipy_unloaded(self, tmp_path):
-        assert not self.scipy_loaded(tmp_path, ["eigen", "--rabi-mhz", "10", "--detuning-mhz", "2"])
-        assert not self.scipy_loaded(tmp_path, ["spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"])
+    def test_no_module_imports_scipy(self):
+        import rydant
 
-    def test_doppler_spectrum_loads_scipy(self, tmp_path):
-        ladder = {"probe_rabi_mhz": 0.1, "coupling_rabi_mhz": 1.0, "doppler_sigma_mhz": 1.0}
-        config = write_config(tmp_path, drive={"rabi_mhz": 20.0}, ladder=ladder)
-        assert self.scipy_loaded(tmp_path, ["spectrum", "--config", config])
+        sources = sorted(Path(rydant.__file__).parent.rglob("*.py"))
+        assert len(sources) >= 9
+        for source in sources:
+            for node in ast.walk(ast.parse(source.read_text(), str(source))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                assert all(name.split(".")[0] != "scipy" for name in names), f"{source.name}:{node.lineno}"
 
 
 class TestPublicApi:
@@ -583,6 +604,15 @@ class TestWriteOutputs:
         with pytest.raises(FileNotFoundError):
             write_outputs({str(kept): "new", str(tmp_path / "missing" / "second.txt"): "new"})
         assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"] and kept.read_text() == "old"
+
+    def test_a_missing_directory_is_reported_against_the_target(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        errors = []
+        for _ in range(2):
+            assert main(["eigen", "--rabi-mhz", "1", "--csv", "missing/x.csv"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: [Errno 2] No such file or directory: 'missing/x.csv'\n"
+        assert not list(tmp_path.iterdir())
 
     def test_a_directory_target_writes_nothing(self, tmp_path, capsys):
         config = sweep_config(tmp_path)

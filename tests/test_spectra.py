@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.signal import find_peaks
+from scipy.special import wofz
 
 from _oracles import (
     column_stacked_liouvillian,
     doppler_absorption,
     full_pole_states,
     ladder_states,
+    mpmath_faddeeva,
     peak_positions,
     splitting_from_peaks,
 )
@@ -33,6 +35,8 @@ from rydant.spectra import (
 from rydant.spectra import (
     _GE,
     _SCAN_SLOPE,
+    _faddeeva,
+    _faddeeva_coefficients,
     _ladder_liouvillian,
     _local_maxima,
     _peak_positions,
@@ -307,7 +311,7 @@ class TestPoleExpansion:
     @pytest.mark.parametrize("sigma", [0.0, 5.0 * MHZ], ids=["stationary", "doppler-5mhz"])
     def test_the_largest_scan_stays_within_its_memory_budget(self, sigma):
         cfg = replace(default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ), doppler_sigma=sigma)
-        scan_spectrum(cfg, scan_window(cfg), 101)  # imports scipy outside the measurement
+        scan_spectrum(cfg, scan_window(cfg), 101)  # builds the Faddeeva coefficients outside the measurement
         tracemalloc.start()
         try:
             scan_spectrum(cfg, scan_window(cfg), MAX_SCAN_POINTS)
@@ -323,6 +327,39 @@ class TestPoleExpansion:
         scan = _steady_states(cfg, detunings)
         for i in (0, 37, 50, 100):
             np.testing.assert_allclose(_steady_states(cfg, detunings[i : i + 1])[0], scan[i], rtol=0, atol=1e-12)
+
+
+def upper_half_plane(magnitudes):
+    """z at each magnitude on thirteen rays over [0, pi], the real axis and Im z = 1e-9 |z| included."""
+    rays = np.exp(1j * np.linspace(0.0, math.pi, 13))
+    z = (magnitudes[:, None] * np.concatenate((rays, [1 + 1e-9j, -1 + 1e-9j]))).ravel()
+    return z.real + 1j * np.abs(z.imag)  # exactly on or above the real axis
+
+
+class TestFaddeeva:
+    """Weideman's rational form (N = 40) of w(z) = exp(-z^2) erfc(-iz), for Im z >= 0."""
+
+    def test_matches_80_digit_mpmath(self):
+        z = upper_half_plane(np.logspace(-8.0, 6.0, 29))
+        want = mpmath_faddeeva(z)
+        assert np.max(np.abs(_faddeeva(z) - want) / np.abs(want)) <= 1e-14
+
+    def test_matches_scipy_wofz_up_to_1e18(self):
+        z = upper_half_plane(np.logspace(0.0, 18.0, 73))
+        want = wofz(z)
+        assert np.max(np.abs(_faddeeva(z) - want) / np.abs(want)) <= 5e-14
+
+    def test_mirror_identity(self):
+        # w(-conj(z)) = conj(w(z)): the approximation keeps the symmetry of w.
+        z = upper_half_plane(np.logspace(-8.0, 18.0, 53))
+        got, mirrored = _faddeeva(z), _faddeeva(-z.conj())
+        assert np.max(np.abs(mirrored - got.conj()) / np.abs(got)) <= 1e-15
+
+    def test_coefficients_are_built_once_and_read_only(self):
+        coeffs = _faddeeva_coefficients()[1]
+        assert _faddeeva_coefficients()[1] is coeffs and coeffs.shape == (40,)
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
 
 
 class TestPeakFinder:
