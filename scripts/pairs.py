@@ -14,6 +14,14 @@ for neither side; the direction comes from the parent's BENCHMARK.json),
 and whether the gap between the medians exceeds the parent's interquartile
 range.  It also prints every run's correct, attempted and failed.
 
+Host drift: the host's speed can move by tens of percent between runs,
+enough to cross a benchmark bound with no change in the code.  Before and
+after each run the script times a fixed pure-Python loop in its own
+process (the best of CALIBRATION_REPEATS), prints both timings on the
+run's line, and finally counts the pairs in which any of their four
+timings differ by more than DRIFT_LIMIT: their comparison may reflect the
+host, not the code.
+
 Exit status: 0 when every run produced a result, 1 when one did not, 2 on a
 usage error.  Standard library only; nothing in either checkout is edited
 (the harness itself writes under perfbench/out/).
@@ -27,6 +35,23 @@ import os
 import statistics
 import subprocess
 import sys
+import time
+
+CALIBRATION_LOOP = 200_000
+CALIBRATION_REPEATS = 3
+DRIFT_LIMIT = 0.10  # largest accepted max / min - 1 of a pair's calibration timings
+
+
+def calibrate() -> float:
+    """Milliseconds for a fixed standard-library loop, the best of CALIBRATION_REPEATS."""
+    best = float("inf")
+    for _ in range(CALIBRATION_REPEATS):
+        start = time.perf_counter()
+        total = 0
+        for i in range(CALIBRATION_LOOP):
+            total += i * i
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
@@ -81,23 +106,30 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent, "change": args.change}
     results = {"parent": [], "change": []}
+    drifted = 0
     for i in range(args.pairs):
         seed = args.seed_base + i
+        timings = []
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            before = calibrate()
             result = run_once(sides[side], args.workload, seed, args.seconds)
+            after = calibrate()
+            timings += [before, after]
             if result is None:
                 print(f"pair {i + 1} seed {seed} {side}: no result")
                 return 1
             results[side].append(result)
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"pair {i + 1} seed {seed} {side}: correct={result['correct']} attempted={result['attempted']} "
-                  f"failed={result['failed']} {values}", flush=True)
+                  f"failed={result['failed']} {values} calibration_ms={before:.3g}->{after:.3g}", flush=True)
+        drifted += max(timings) / min(timings) - 1.0 > DRIFT_LIMIT
 
     print(f"\n{args.workload}: {args.pairs} pair(s) of {args.seconds:g} s, seeds {args.seed_base}-"
           f"{args.seed_base + args.pairs - 1}")
     for side, runs in results.items():
         print(f"{side}: correct {sum(bool(r['correct']) for r in runs)}/{len(runs)}, "
               f"attempted {sum(r['attempted'] for r in runs)}, failed {sum(r['failed'] for r in runs)}")
+    print(f"host drift: the calibration moved by more than {DRIFT_LIMIT:.0%} in {drifted} of {args.pairs} pair(s)")
     for name, better in directions(args.parent).items():
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]

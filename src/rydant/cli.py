@@ -31,12 +31,11 @@ from .cellfield import (
     sweep_csv,
     transfer_matrix_field,
 )
-from .config import MHZ, ConfigError, RunConfig, _finite, _rf_drive, load_config, parse_angles_deg
+from .config import MHZ, ConfigError, RunConfig, _finite, _rf_drive, keyed, load_config, parse_angles_deg
 from .hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
 from .metrology import field_from_splitting, gram_splittings, isotropic_deviation, normalized_gain
 from .patterns import (
     GainPattern,
-    SweepPlan,
     compare_patterns,
     json_text,
     pattern_csv,
@@ -184,38 +183,14 @@ def cmd_eigen(args) -> dict[str, str]:
 
 def cmd_sweep(args) -> dict[str, str]:
     config = load_config(args.config)
-    system = config.require("system")
-    drive = config.require("drive")
-    sweep = config.require("sweep")
-    seed = config.seed if args.seed is None else args.seed
-
-    cell = None
-    cell_frequency = None
-    if sweep.use_cell:
-        cell = config.require("cell")
-        cell_frequency = config.cell_frequency
-
-    try:
-        plan = SweepPlan(
-            plane=sweep.plane,
-            angles=sweep.angles,
-            drive=drive,
-            system=system,
-            readout=sweep.readout,
-            cell=cell,
-            cell_frequency=cell_frequency,
-            noise_sigma_db=sweep.noise_sigma_db,
-            seed=seed,
-            ladder=config.ladder,
-            scan_points=config.scan.points if config.scan else 801,
-        )
-    except ValueError as exc:
-        # Every plan field comes from the config or a flag.
-        raise ConfigError(f"sweep: {exc}") from exc
+    plan = config.require("sweep")
+    if args.seed is not None:
+        with keyed({"seed": "--seed"}):
+            plan = replace(plan, seed=args.seed)
     pattern = run_sweep(plan)
 
     directory, basename = _outputs(args, config)
-    print(f"plane {pattern.plane} ({pattern.readout} readout), seed {seed}")
+    print(f"plane {pattern.plane} ({pattern.readout} readout), seed {plan.seed}")
     print(f"isotropic_deviation_db = {pattern.deviation_db:.9g}")
     if pattern.gap_angles:
         degrees = ", ".join(f"{math.degrees(a):.4g}" for a in pattern.gap_angles)

@@ -6,32 +6,31 @@ keys and type mismatches; all such problems raise ConfigError, which the
 CLI maps to exit code 2.  Frequencies given in MHz/GHz convert to angular
 frequencies (rad/s) on load.
 
-Refused at this boundary, so that they never reach the physics: NaN and
-+-inf in any number (Python's json reads the NaN and Infinity literals),
-angle grids longer than MAX_ANGLES, drives, couplings and decay rates outside
-MAGNITUDE_RANGE, scans longer than spectra.MAX_SCAN_POINTS, cells whose
-standing-wave profile would need more than cellfield.MAX_SWEEP_SAMPLES
-samples or that cellfield.check_stack refuses, XY angles that fold onto
-grazing incidence on a cell, readout noise above
-patterns.MAX_NOISE_SIGMA_DB, transitions other than J -> J + 1, and lower
-momenta above patterns.MAX_TWO_JG.  J -> J + 1 is the only family whose
-two dark states the eigen readout's splitting rule rests on; the spectrum
-readout, blind to orientation, would report a flat pattern for any other.
+This module's own rules: NaN and +-inf in any number (Python's json reads
+the NaN and Infinity literals), angle grids longer than MAX_ANGLES, and
+drives, couplings and decay rates outside MAGNITUDE_RANGE.  The library's
+rules run here too, before any physics, each from its one home: the
+transition (patterns.check_transition), the scan points
+(spectra.check_scan_points), the cell (cellfield.sweep_samples and
+check_stack) and the sweep, which parse_config builds as a
+patterns.SweepPlan from the system, drive, cell, ladder and scan sections.
+An InputError they raise becomes a ConfigError naming the key in KEYS.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .angular import AngularMomentum
-from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, check_stack, incidence_in_domain, sweep_samples
+from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, check_stack, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
-from .patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG, PLANES, READOUTS, TWO_PI, finite_number, incidence_angles
-from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, MAX_SCAN_POINTS, LadderConfig
+from .patterns import SweepPlan, check_transition, finite_number
+from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, InputError, LadderConfig, check_scan_points
 
 SCHEMA_VERSION = 1
 
@@ -47,9 +46,30 @@ MAX_ANGLES = 36_000
 # at cellfield.MAX_STACK_NEPERS, so no sweep quantity leaves the float range.
 MAGNITUDE_RANGE = (1e-9, 1e9)
 
+# The config key of each quantity an InputError names, where the two differ.
+KEYS = {
+    "two_je": "system.two_je",
+    "two_jg": "system.two_jg",
+    "points": "scan.points",
+    "plane": "sweep.plane",
+    "readout": "sweep.readout",
+    "angles": "sweep.angles_deg",
+    "noise_sigma_db": "sweep.noise_sigma_db",
+    "drive.rabi": "drive.rabi_mhz",
+}
+
 
 class ConfigError(Exception):
     """Malformed configuration (schema, key, or type problem)."""
+
+
+@contextmanager
+def keyed(keys: dict[str, str] = KEYS):
+    """Re-raise the library's InputError as a ConfigError naming the input's key in keys."""
+    try:
+        yield
+    except InputError as exc:
+        raise ConfigError(keys.get(exc.quantity, exc.quantity) + exc.detail) from exc
 
 
 @dataclass(frozen=True)
@@ -57,15 +77,6 @@ class ScanSection:
     low: float  # rad/s
     high: float
     points: int
-
-
-@dataclass(frozen=True)
-class SweepSection:
-    plane: str
-    angles: np.ndarray  # radians
-    readout: str
-    use_cell: bool
-    noise_sigma_db: float
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,8 @@ class RunConfig:
     scan: ScanSection | None
     cell: CellGeometry | None
     cell_frequency: float | None  # Hz
-    sweep: SweepSection | None
     output: OutputSection
+    sweep: SweepPlan | None = None
 
     def require(self, name: str):
         value = getattr(self, name)
@@ -180,13 +191,8 @@ def _parse_system(section: dict) -> TransitionSystem:
     )
     two_jg = _integer(section, "two_jg", where)
     two_je = _integer(section, "two_je", where)
-    if two_je != two_jg + 2:
-        raise ConfigError(
-            f"{where}.two_je must equal two_jg + 2 (a J -> J + 1 transition), "
-            f"got two_jg = {two_jg}, two_je = {two_je}"
-        )
-    if two_jg > MAX_TWO_JG:
-        raise ConfigError(f"{where}.two_jg: {two_jg} exceeds MAX_TWO_JG = {MAX_TWO_JG} (J_g = {MAX_TWO_JG}/2)")
+    with keyed():
+        check_transition(two_jg, two_je)
     mu = _magnitude(_number(section, "mu_mhz_per_v_per_m", where), f"{where}.mu_mhz_per_v_per_m", zero_ok=False)
     try:
         return TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_je), mu * MHZ)
@@ -254,10 +260,8 @@ def _parse_scan(section: dict) -> ScanSection:
         raise ConfigError(f"{where}: min_mhz and max_mhz must stay finite in rad/s")
     if high <= low:
         raise ConfigError(f"{where}: max_mhz must exceed min_mhz")
-    if points < 3:
-        raise ConfigError(f"{where}: points must be >= 3, got {points}")
-    if points > MAX_SCAN_POINTS:
-        raise ConfigError(f"{where}.points: {points} exceeds MAX_SCAN_POINTS = {MAX_SCAN_POINTS}")
+    with keyed():
+        check_scan_points(points)
     return ScanSection(low, high, points)
 
 
@@ -310,38 +314,34 @@ def _parse_cell(section: dict) -> tuple[CellGeometry, float]:
     return geometry, frequency
 
 
-def _parse_sweep(section: dict) -> SweepSection:
+def _parse_sweep(section: dict, config: RunConfig) -> SweepPlan:
+    """The sweep plan of a config's other sections; SweepPlan holds every rule on the plan."""
     where = "sweep"
     allowed = {"plane", "angles_deg", "readout", "use_cell", "noise_sigma_db"}
     _check_keys(section, allowed, {"plane", "angles_deg"}, where)
-    plane = section["plane"]
-    if plane not in PLANES:
-        raise ConfigError(f"{where}.plane must be XY, XZ or YZ, got {plane!r}")
-    readout = section.get("readout", "eigen")
-    if readout not in READOUTS:
-        raise ConfigError(f"{where}.readout must be 'eigen' or 'spectrum', got {readout!r}")
+    for name in ("system", "drive"):
+        if getattr(config, name) is None:
+            raise ConfigError(f"sweep section requires a {name} section")
     use_cell = section.get("use_cell", False)
     if not isinstance(use_cell, bool):
         raise ConfigError(f"{where}.use_cell must be a boolean")
-    noise = _number(section, "noise_sigma_db", where, 0.0)
-    if noise < 0:
-        raise ConfigError(f"{where}.noise_sigma_db must be >= 0")
-    if noise > MAX_NOISE_SIGMA_DB:
-        raise ConfigError(f"{where}.noise_sigma_db: {noise} exceeds MAX_NOISE_SIGMA_DB = {MAX_NOISE_SIGMA_DB}")
+    if use_cell and config.cell is None:
+        raise ConfigError(f"{where}.use_cell requires a cell section")
     angles = parse_angles_deg(section["angles_deg"], f"{where}.angles_deg")
-    # The sweep reduces its angles modulo 2 pi, then folds them onto the cell.
-    if use_cell and not all(incidence_in_domain(i) for i in incidence_angles(plane, angles % TWO_PI).tolist()):
-        raise ConfigError(
-            f"{where}.angles_deg: 90 deg + k * 180 deg in XY is grazing incidence on the cell, "
-            "outside the stack model; offset the grid"
+    with keyed():
+        return SweepPlan(
+            plane=section["plane"],
+            angles=angles,
+            drive=config.drive,
+            system=config.system,
+            readout=section.get("readout", "eigen"),
+            cell=config.cell if use_cell else None,
+            cell_frequency=config.cell_frequency if use_cell else None,
+            noise_sigma_db=_number(section, "noise_sigma_db", where, 0.0),
+            seed=config.seed,
+            ladder=config.ladder,
+            scan_points=config.scan.points if config.scan else 801,
         )
-    return SweepSection(
-        plane=plane,
-        angles=angles,
-        readout=readout,
-        use_cell=use_cell,
-        noise_sigma_db=noise,
-    )
 
 
 def _parse_output(section: dict) -> OutputSection:
@@ -367,7 +367,7 @@ def parse_config(payload: dict) -> RunConfig:
     cell, cell_frequency = (None, None)
     if "cell" in payload:
         cell, cell_frequency = _parse_cell(payload["cell"])
-    return RunConfig(
+    config = RunConfig(
         seed=seed,
         system=_parse_system(payload["system"]) if "system" in payload else None,
         drive=drive,
@@ -375,9 +375,11 @@ def parse_config(payload: dict) -> RunConfig:
         scan=_parse_scan(payload["scan"]) if "scan" in payload else None,
         cell=cell,
         cell_frequency=cell_frequency,
-        sweep=_parse_sweep(payload["sweep"]) if "sweep" in payload else None,
         output=_parse_output(payload.get("output", {})),
     )
+    if "sweep" in payload:
+        config = replace(config, sweep=_parse_sweep(payload["sweep"], config))
+    return config
 
 
 def load_config(path) -> RunConfig:

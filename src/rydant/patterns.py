@@ -47,9 +47,10 @@ from .cellfield import CellGeometry, incidence_in_domain, path_averages
 from .hamiltonian import RfDrive, TransitionSystem, coupling_stack
 from .metrology import GainSample, gram_splittings, isotropic_deviation, normalized_gain
 from .spectra import (
-    MAX_SCAN_POINTS,
+    InputError,
     LadderConfig,
     UnresolvedSplittingError,
+    check_scan_points,
     default_ladder,
     extract_splitting,
     scan_spectrum,
@@ -87,10 +88,7 @@ MIRROR_MERGE_RAD = 64 * math.ulp(math.pi / 2)
 class SweepPlan:
     """One pattern measurement: plane, angle grid, readout and its knobs.
 
-    system must be a J -> J + 1 transition (two_je = two_jg + 2) with
-    two_jg <= MAX_TWO_JG: the eigen readout's splitting rule rests on the
-    two dark states only that family has, and the orientation-blind
-    spectrum readout would report a flat pattern for any other pair.
+    A plan that cannot run raises InputError naming the field.
     The injected field amplitude is drive.rabi / system.mu and is held
     fixed over the sweep; the cell (when present, with cell_frequency in
     Hz) rescales the field each angle, and no angle may fold onto grazing
@@ -116,45 +114,53 @@ class SweepPlan:
 
     def __post_init__(self):
         if self.plane not in PLANES:
-            raise ValueError(f"plane must be one of {PLANES}, got {self.plane!r}")
+            raise InputError("plane", f" must be XY, XZ or YZ, got {self.plane!r}")
         if self.readout not in READOUTS:
-            raise ValueError(f"readout must be one of {READOUTS}, got {self.readout!r}")
+            raise InputError("readout", f" must be 'eigen' or 'spectrum', got {self.readout!r}")
         arr = np.array(self.angles, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("angles must be a non-empty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("angles must be finite")
+        if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+            raise InputError("angles", " must be a non-empty 1-D array of finite values")
         arr = arr % TWO_PI
         arr.flags.writeable = False
         object.__setattr__(self, "angles", arr)
         if self.drive.rabi <= 0:
-            raise ValueError(f"sweep drive needs rabi > 0, got {self.drive.rabi}")
+            raise InputError("drive.rabi", f" must be > 0 for a sweep, got {self.drive.rabi}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        two_jg, two_je = self.system.jg.two_j, self.system.je.two_j
-        if two_je != two_jg + 2:
-            raise ValueError(
-                "system must be a J -> J + 1 transition (two_je = two_jg + 2), "
-                f"got two_jg = {two_jg}, two_je = {two_je}"
-            )
-        if two_jg > MAX_TWO_JG:
-            raise ValueError(f"system: two_jg = {two_jg} exceeds MAX_TWO_JG = {MAX_TWO_JG} (J_g = {MAX_TWO_JG}/2)")
+            raise InputError("seed", f" must be >= 0, got {self.seed}")
+        check_transition(self.system.jg.two_j, self.system.je.two_j)
         if self.cell is not None:
             if self.cell_frequency is None or self.cell_frequency <= 0:
-                raise ValueError("cell modulation requires cell_frequency > 0 (Hz)")
+                raise InputError("cell_frequency", f" must be > 0 (Hz) with a cell, got {self.cell_frequency}")
             grazing = [a for a, i in zip(arr.tolist(), incidence_angles(self.plane, arr).tolist())
                        if not incidence_in_domain(i)]
             if grazing:
-                raise ValueError(
-                    f"angles: {len(grazing)} angle(s) fold onto grazing incidence on the cell "
-                    f"(90 deg + k * 180 deg in XY), first {math.degrees(grazing[0]):.9g} deg"
+                raise InputError(
+                    "angles",
+                    f": {len(grazing)} angle(s) fold onto grazing incidence on the cell "
+                    f"(90 deg + k * 180 deg in XY), first {math.degrees(grazing[0]):.9g} deg",
                 )
         if not 0.0 <= self.noise_sigma_db <= MAX_NOISE_SIGMA_DB:
-            raise ValueError(
-                f"noise_sigma_db must be in [0, {MAX_NOISE_SIGMA_DB}], got {self.noise_sigma_db}"
+            raise InputError(
+                "noise_sigma_db",
+                f" must be in [0, MAX_NOISE_SIGMA_DB = {MAX_NOISE_SIGMA_DB}], got {self.noise_sigma_db}",
             )
-        if not 3 <= self.scan_points <= MAX_SCAN_POINTS:
-            raise ValueError(f"scan_points must be in [3, {MAX_SCAN_POINTS}], got {self.scan_points}")
+        check_scan_points(self.scan_points)
+
+
+def check_transition(two_jg: int, two_je: int) -> None:
+    """The one rule for a sweep's system: J -> J + 1 with two_jg <= MAX_TWO_JG, else InputError.
+
+    The eigen readout's splitting rule rests on the two dark states only
+    J -> J + 1 has, and the orientation-blind spectrum readout would report
+    a flat pattern for any other pair.
+    """
+    if two_je != two_jg + 2:
+        raise InputError(
+            "two_je",
+            f" must equal two_jg + 2 (a J -> J + 1 transition), got two_jg = {two_jg}, two_je = {two_je}",
+        )
+    if two_jg > MAX_TWO_JG:
+        raise InputError("two_jg", f": {two_jg} exceeds MAX_TWO_JG = {MAX_TWO_JG} (J_g = {MAX_TWO_JG}/2)")
 
 
 @dataclass(frozen=True)

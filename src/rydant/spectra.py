@@ -84,6 +84,20 @@ class UnresolvedSplittingError(ValueError):
     """Fewer than two sufficiently prominent peaks in a trace."""
 
 
+class InputError(ValueError):
+    """A refused input: str() is quantity + detail, and a caller may put its own key before detail."""
+
+    def __init__(self, quantity: str, detail: str):
+        super().__init__(quantity + detail)
+        self.quantity, self.detail = quantity, detail
+
+
+def check_scan_points(points: int) -> None:
+    """The one scan-point rule: 3 <= points <= MAX_SCAN_POINTS, else InputError("points")."""
+    if not 3 <= points <= MAX_SCAN_POINTS:
+        raise InputError("points", f" must be in [3, MAX_SCAN_POINTS = {MAX_SCAN_POINTS}], got {points}")
+
+
 @dataclass(frozen=True)
 class LadderConfig:
     """Ladder drive and decay parameters, all angular frequencies in rad/s.
@@ -393,8 +407,7 @@ def scan_spectrum(cfg: LadderConfig, scan: tuple[float, float], points: int) -> 
     low, high = float(scan[0]), float(scan[1])
     if not (math.isfinite(low) and math.isfinite(high)) or high <= low:
         raise ValueError(f"scan range must satisfy low < high, got ({low}, {high})")
-    if not 3 <= points <= MAX_SCAN_POINTS:
-        raise ValueError(f"points must be in [3, {MAX_SCAN_POINTS}], got {points}")
+    check_scan_points(points)
 
     detunings = np.linspace(low, high, points)
     absorption = _steady_states(cfg, detunings)[:, _GE].imag

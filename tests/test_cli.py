@@ -388,6 +388,11 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err and "Traceback" not in err
 
+    def test_negative_seed_flag_names_the_flag(self, tmp_path, capsys):
+        assert main(["sweep", "--config", sweep_config(tmp_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "drive,mu",
         [

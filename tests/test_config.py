@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydant.angular import AngularMomentum
 from rydant.cellfield import MAX_SWEEP_SAMPLES, SAMPLES_PER_WAVELENGTH, SPEED_OF_LIGHT, sweep_samples
 from rydant.config import (
     MAGNITUDE_RANGE,
@@ -17,8 +19,9 @@ from rydant.config import (
     parse_angles_deg,
     parse_config,
 )
+from rydant.hamiltonian import TransitionSystem
 from rydant.patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG
-from rydant.spectra import MAX_SCAN_POINTS
+from rydant.spectra import MAX_SCAN_POINTS, InputError
 
 FULL_CONFIG = {
     "schema_version": 1,
@@ -58,7 +61,8 @@ class TestHappyPath:
         assert cfg.cell_frequency == pytest.approx(129.6e9)
         assert cfg.cell.wall_thickness == pytest.approx(2e-3)
         assert cfg.cell.wall_index == pytest.approx(2.1 + 0.02j)
-        assert cfg.sweep.use_cell is True
+        assert cfg.sweep.cell is cfg.cell and cfg.sweep.cell_frequency == cfg.cell_frequency
+        assert (cfg.sweep.seed, cfg.sweep.scan_points) == (11, 801)
         assert cfg.output.directory == "out"
         assert cfg.output.basename == "run1"
 
@@ -365,6 +369,7 @@ class TestMagnitudes:
         low, high = MAGNITUDE_RANGE
         for mu, rabi, detuning in ((low, high, -high), (high, low, 0.0), (1.0, 0.0, low)):
             payload = make_config()
+            del payload["sweep"]
             payload["system"]["mu_mhz_per_v_per_m"] = mu
             payload["drive"].update(rabi_mhz=rabi, detuning_mhz=detuning)
             cfg = parse_config(payload)
@@ -408,6 +413,83 @@ class TestCellDomain:
         payload = make_config()
         payload["sweep"].update(plane=plane, use_cell=use_cell, angles_deg=angles)
         assert len(parse_config(payload).sweep.angles) == len(angles)
+
+
+# One bad input per sweep rule: (quantity, config key, SweepPlan fields, config section, its keys).
+SWEEP_RULES = [
+    ("plane", "sweep.plane", {"plane": "XW"}, "sweep", {"plane": "XW"}),
+    ("readout", "sweep.readout", {"readout": "fast"}, "sweep", {"readout": "fast"}),
+    (
+        "noise_sigma_db",
+        "sweep.noise_sigma_db",
+        {"noise_sigma_db": MAX_NOISE_SIGMA_DB + 1},
+        "sweep",
+        {"noise_sigma_db": MAX_NOISE_SIGMA_DB + 1},
+    ),
+    ("angles", "sweep.angles_deg", {"angles": np.radians([270.0])}, "sweep", {"angles_deg": [270.0]}),
+    (
+        "two_je",
+        "system.two_je",
+        {"system": TransitionSystem(AngularMomentum(3), AngularMomentum(3), MHZ)},
+        "system",
+        {"two_jg": 3, "two_je": 3},
+    ),
+    (
+        "two_jg",
+        "system.two_jg",
+        {"system": TransitionSystem(AngularMomentum(11), AngularMomentum(13), MHZ)},
+        "system",
+        {"two_jg": 11, "two_je": 13},
+    ),
+    ("points", "scan.points", {"scan_points": MAX_SCAN_POINTS + 1}, "scan", {"points": MAX_SCAN_POINTS + 1}),
+]
+
+
+class TestSweepRules:
+    """Each rule lives in the library; the config refuses through it, naming the key."""
+
+    @pytest.mark.parametrize("quantity,key,fields,section,keys", SWEEP_RULES, ids=[r[0] for r in SWEEP_RULES])
+    def test_each_rule_is_refused_at_both_entry_points(self, quantity, key, fields, section, keys):
+        plan = parse_config(make_config()).sweep
+        with pytest.raises(InputError) as info:
+            replace(plan, **fields)
+        assert info.value.quantity == quantity
+        payload = make_config()
+        payload[section].update(keys)
+        with pytest.raises(ConfigError) as info:
+            parse_config(payload)
+        assert str(info.value).startswith(key)
+
+    @pytest.mark.parametrize(
+        "missing,message",
+        [
+            (["system"], "sweep section requires a system section"),
+            (["drive", "ladder"], "sweep section requires a drive section"),
+            (["cell"], "sweep.use_cell requires a cell section"),
+        ],
+    )
+    def test_a_sweep_needs_its_sections(self, missing, message):
+        payload = make_config()
+        for name in missing:
+            del payload[name]
+        with pytest.raises(ConfigError) as info:
+            parse_config(payload)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"drive": {"rabi_mhz": 0.0}}, "drive.rabi_mhz must be > 0 for a sweep, got 0.0"),
+            ({"seed": -3}, "seed must be >= 0, got -3"),
+        ],
+    )
+    def test_zero_drive_and_negative_seed_are_refused_beside_a_sweep(self, overrides, message):
+        payload = make_config(**overrides)
+        with pytest.raises(ConfigError) as info:
+            parse_config(payload)
+        assert str(info.value) == message
+        del payload["sweep"]
+        assert parse_config(payload).sweep is None
 
 
 class TestTransitions:

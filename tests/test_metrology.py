@@ -11,7 +11,7 @@ from _oracles import (
     splitting,
     wrap_orientation,
 )
-from rydant.angular import AngularMomentum
+from rydant.angular import AngularMomentum, decompose_polarizations
 from rydant.hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
 from rydant.metrology import (
     FieldEstimate,
@@ -77,6 +77,60 @@ class TestGramSplittings:
 
     def test_empty_stack(self):
         assert gram_splittings(np.zeros((0, 4, 2), dtype=complex), 1.0).shape == (0, 2)
+
+
+def angular_momentum_matrices(two_j):
+    """(J_x, J_y, J_z) on the sublevels in ascending m, with the Condon-Shortley J_+."""
+    j = two_j / 2
+    m = np.arange(-j, j + 1)
+    raising = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
+    return (raising + raising.T) / 2, (raising - raising.T) / 2j, np.diag(m)
+
+
+class TestGramClosedForm:
+    """V^dag V = a_J I + b_J (n.J)^2 for every linear drive on J -> J + 1.
+
+    a_J = (3/8) rabi^2 (J + 1) / (2J + 1) and b_J = -(3/8) rabi^2 / ((2J + 1)(J + 1)),
+    with n = (-cos(phi) sin(chi) cos(theta), -cos(phi) sin(chi) sin(theta), cos(chi))
+    the field's unit vector.  The basis phases set the sign of (n_x, n_y):
+    from J = 1 on, only this one of the four choices fits.  (n.J)^2 has the
+    eigenvalues m^2 whatever n is, so the Gram eigenvalues
+    s_m = (3/8) rabi^2 ((J + 1)^2 - m^2) / ((2J + 1)(J + 1)) do not depend on
+    the orientation: the eigen readout is flat for every J.
+    """
+
+    @pytest.mark.parametrize("two_jg", range(10))
+    def test_gram_matrix_and_spectrum_are_the_closed_form(self, two_jg):
+        rng = np.random.default_rng(1000 + two_jg)
+        count = 40
+        chi, theta = rng.uniform(0.0, math.pi, count), rng.uniform(0.0, 2 * math.pi, count)
+        phi = rng.choice([0.0, math.pi], count)  # linear drives
+        rabis = rng.uniform(0.1, 10.0, count)
+        system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
+        blocks = coupling_stack(system, rabis, decompose_polarizations(chi, theta, phi))
+        gram = blocks.conj().transpose(0, 2, 1) @ blocks
+        scale = rabis**2
+        j = two_jg / 2
+        a = 3 / 8 * scale * (j + 1) / (2 * j + 1)
+        b = -3 / 8 * scale / ((2 * j + 1) * (j + 1))
+        jx, jy, jz = angular_momentum_matrices(two_jg)
+
+        def misfit(sign_x, sign_y):
+            transverse = -np.cos(phi) * np.sin(chi)
+            n_dot_j = (
+                (sign_x * transverse * np.cos(theta))[:, None, None] * jx
+                + (sign_y * transverse * np.sin(theta))[:, None, None] * jy
+                + np.cos(chi)[:, None, None] * jz
+            )
+            closed = a[:, None, None] * np.eye(two_jg + 1) + b[:, None, None] * (n_dot_j @ n_dot_j)
+            return (np.abs(gram - closed).max(axis=(1, 2)) / scale).max()
+
+        assert misfit(1, 1) <= 1e-14
+        if two_jg >= 2:
+            assert min(misfit(-1, 1), misfit(1, -1), misfit(-1, -1)) > 1e-3
+        m = np.arange(-j, j + 1)
+        s_m = np.sort(3 / 8 * np.outer(scale, (j + 1) ** 2 - m**2) / ((2 * j + 1) * (j + 1)), axis=1)
+        assert (np.abs(np.linalg.eigvalsh(gram) - s_m).max(axis=1) / scale).max() <= 1e-14
 
 
 class TestDegeneratePairOracle:
