@@ -22,9 +22,15 @@ run's line, and finally counts the pairs in which any of their four
 timings differ by more than DRIFT_LIMIT: their comparison may reflect the
 host, not the code.
 
-Exit status: 0 when every run produced a result, 1 when one did not, 2 on a
-usage error.  Standard library only; nothing in either checkout is edited
-(the harness itself writes under perfbench/out/).
+Refusals: a run that reports correct: false, or a change whose failed
+share (failed / attempted over all its runs) exceeds the parent's,
+disqualifies the change whatever its timings.  The script prints each
+side's failed share and a REFUSED line for each such finding.
+
+Exit status: 0 when every run produced a result and nothing was refused, 1
+when a run gave no result or a REFUSED line was printed, 2 on a usage
+error.  Standard library only; nothing in either checkout is edited (the
+harness itself writes under perfbench/out/).
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 CALIBRATION_LOOP = 200_000
 CALIBRATION_REPEATS = 3
@@ -126,15 +133,26 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pair(s) of {args.seconds:g} s, seeds {args.seed_base}-"
           f"{args.seed_base + args.pairs - 1}")
+    refusals, shares = [], {}
     for side, runs in results.items():
-        print(f"{side}: correct {sum(bool(r['correct']) for r in runs)}/{len(runs)}, "
-              f"attempted {sum(r['attempted'] for r in runs)}, failed {sum(r['failed'] for r in runs)}")
+        attempted, failed = sum(r["attempted"] for r in runs), sum(r["failed"] for r in runs)
+        shares[side] = Fraction(failed, attempted) if attempted else Fraction(0)
+        correct = sum(bool(r["correct"]) for r in runs)
+        print(f"{side}: correct {correct}/{len(runs)}, attempted {attempted}, failed {failed}, "
+              f"failed share {float(shares[side]):.4g}")
+        if correct < len(runs):
+            refusals.append(f"{len(runs) - correct} {side} run(s) report correct: false")
+    if shares["change"] > shares["parent"]:
+        refusals.append(f"the change's failed share {float(shares['change']):.4g} exceeds "
+                        f"the parent's {float(shares['parent']):.4g}")
     print(f"host drift: the calibration moved by more than {DRIFT_LIMIT:.0%} in {drifted} of {args.pairs} pair(s)")
     for name, better in directions(args.parent).items():
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
         print(summary(name, better, parent, change))
-    return 0
+    for refusal in refusals:
+        print(f"REFUSED: {refusal}")
+    return 1 if refusals else 0
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ This module's own rules: NaN and +-inf in any number (Python's json reads
 the NaN and Infinity literals), angle grids longer than MAX_ANGLES, and
 drives, couplings and decay rates outside MAGNITUDE_RANGE.  The library's
 rules run here too, before any physics, each from its one home: the
-transition (patterns.check_transition), the scan points
-(spectra.check_scan_points), the cell (cellfield.sweep_samples and
-check_stack) and the sweep, which parse_config builds as a
-patterns.SweepPlan from the system, drive, cell, ladder and scan sections.
+transition (patterns.check_transition), the scan range and points
+(spectra.check_scan_range and check_scan_points), the cell
+(cellfield.sweep_samples and check_stack) and the sweep, which
+parse_config builds as a patterns.SweepPlan from the system, drive, cell,
+ladder and scan sections.
 An InputError they raise becomes a ConfigError naming the key in KEYS.
 """
 
@@ -30,7 +31,14 @@ from .angular import AngularMomentum
 from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, check_stack, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
 from .patterns import SweepPlan, check_transition, finite_number
-from .spectra import GAMMA_E_DEFAULT, GAMMA_R_DEFAULT, InputError, LadderConfig, check_scan_points
+from .spectra import (
+    GAMMA_E_DEFAULT,
+    GAMMA_R_DEFAULT,
+    InputError,
+    LadderConfig,
+    check_scan_points,
+    check_scan_range,
+)
 
 SCHEMA_VERSION = 1
 
@@ -51,6 +59,7 @@ KEYS = {
     "two_je": "system.two_je",
     "two_jg": "system.two_jg",
     "points": "scan.points",
+    "scan range": "scan.min_mhz and scan.max_mhz",
     "plane": "sweep.plane",
     "readout": "sweep.readout",
     "angles": "sweep.angles_deg",
@@ -256,11 +265,8 @@ def _parse_scan(section: dict) -> ScanSection:
     low = _number(section, "min_mhz", where) * MHZ
     high = _number(section, "max_mhz", where) * MHZ
     points = _integer(section, "points", where)
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise ConfigError(f"{where}: min_mhz and max_mhz must stay finite in rad/s")
-    if high <= low:
-        raise ConfigError(f"{where}: max_mhz must exceed min_mhz")
     with keyed():
+        check_scan_range(low, high)
         check_scan_points(points)
     return ScanSection(low, high, points)
 

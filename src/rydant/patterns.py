@@ -29,14 +29,18 @@ Every angle is still diagonalized on its own.  The spectrum readout
 scans once per distinct cell factor, since the ladder does not depend on
 the orientation.  The cell stage gives the bits of its one-angle form,
 transfer_matrix_field.
-The readout noise is one normal stream per sweep.  What still runs per
-angle is one math.log10 into a plain GainSample record.
+The readout noise is one normal stream per sweep, a Box-Muller transform
+of random.Random(seed).random() pairs, so it depends on no numpy version
+and rydant loads no numpy.random.  What still runs per angle is one
+math.log10 into a plain GainSample record.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+import random
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -93,8 +97,11 @@ class SweepPlan:
     fixed over the sweep; the cell (when present, with cell_frequency in
     Hz) rescales the field each angle, and no angle may fold onto grazing
     incidence on it.  noise_sigma_db adds multiplicative Gaussian jitter to
-    each extracted splitting: angle i takes draw i of one normal stream
-    seeded by seed, so a gap angle shifts no other angle's draw.  The
+    each extracted splitting: angle i takes draw i of one normal stream,
+    Box-Muller on random.Random(seed).random() with uniform pair k giving
+    draws 2k and 2k + 1, so a gap angle shifts no other angle's draw and
+    the stream rests on CPython's fixed random() sequence for an int seed,
+    not on a numpy release.  seed is an integer >= 0.  The
     spectrum readout takes scan_points samples over scan_window of each
     cell factor's ladder; a config's scan.min_mhz and scan.max_mhz never
     reach a sweep.
@@ -113,8 +120,7 @@ class SweepPlan:
     scan_points: int = 801
 
     def __post_init__(self):
-        if self.plane not in PLANES:
-            raise InputError("plane", f" must be XY, XZ or YZ, got {self.plane!r}")
+        check_plane(self.plane)
         if self.readout not in READOUTS:
             raise InputError("readout", f" must be 'eigen' or 'spectrum', got {self.readout!r}")
         arr = np.array(self.angles, dtype=float)
@@ -125,6 +131,10 @@ class SweepPlan:
         object.__setattr__(self, "angles", arr)
         if self.drive.rabi <= 0:
             raise InputError("drive.rabi", f" must be > 0 for a sweep, got {self.drive.rabi}")
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise InputError("seed", f" must be an integer, got {self.seed!r}") from None
         if self.seed < 0:
             raise InputError("seed", f" must be >= 0, got {self.seed}")
         check_transition(self.system.jg.two_j, self.system.je.two_j)
@@ -145,6 +155,12 @@ class SweepPlan:
                 f" must be in [0, MAX_NOISE_SIGMA_DB = {MAX_NOISE_SIGMA_DB}], got {self.noise_sigma_db}",
             )
         check_scan_points(self.scan_points)
+
+
+def check_plane(plane: str) -> None:
+    """The one plane rule: plane is one of PLANES, else InputError("plane")."""
+    if plane not in PLANES:
+        raise InputError("plane", f" must be XY, XZ or YZ, got {plane!r}")
 
 
 def check_transition(two_jg: int, two_je: int) -> None:
@@ -266,15 +282,14 @@ def finite_number(value, where: str) -> float:
 
 def plane_angles(plane: str, angles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map sweep angles in a principal plane onto (chi, theta, phi = 0) arrays."""
+    check_plane(plane)
     angles = np.asarray(angles, dtype=float)
     zeros = np.zeros_like(angles)
     if plane == "XY":
         return np.full_like(angles, math.pi / 2), angles, zeros
     if plane == "XZ":
         return angles, zeros, zeros
-    if plane == "YZ":
-        return angles, np.full_like(angles, math.pi / 2), zeros
-    raise ValueError(f"plane must be one of {PLANES}, got {plane!r}")
+    return angles, np.full_like(angles, math.pi / 2), zeros
 
 
 def incidence_angles(plane: str, angles) -> np.ndarray:
@@ -320,6 +335,22 @@ def _spectrum_delta_at(plan: SweepPlan, omega_eff: float) -> float | None:
         return None
 
 
+def _normal_draws(seed: int, sigma: float, count: int) -> np.ndarray:
+    """count normal draws of standard deviation sigma from random.Random(seed).
+
+    A Box-Muller transform: uniform pair k, (u[2k], u[2k + 1]), gives draws
+    2k and 2k + 1 as sigma sqrt(-2 ln(1 - u[2k])) (cos, sin)(2 pi u[2k + 1]).
+    random() lies in [0, 1), so the logarithm stays finite, and CPython
+    keeps its sequence for an int seed across releases.  A shorter stream
+    is a prefix of a longer one.
+    """
+    draw = random.Random(seed).random
+    pairs = np.array([draw() for _ in range(2 * ((count + 1) // 2))]).reshape(-1, 2)
+    radius = sigma * np.sqrt(-2.0 * np.log1p(-pairs[:, 0]))
+    phase = TWO_PI * pairs[:, 1]
+    return (radius[:, None] * np.stack((np.cos(phase), np.sin(phase)), axis=1)).ravel()[:count]
+
+
 def run_sweep(plan: SweepPlan) -> GainPattern:
     """Execute a plane sweep and return the normalized pattern.
 
@@ -339,7 +370,7 @@ def run_sweep(plan: SweepPlan) -> GainPattern:
     scales = [1.0] * len(plan.angles)
     if plan.noise_sigma_db > 0.0:
         # One stream per sweep; angle i takes draw i, gap or not.
-        jitter_db = np.random.default_rng(plan.seed).normal(0.0, plan.noise_sigma_db, len(plan.angles))
+        jitter_db = _normal_draws(plan.seed, plan.noise_sigma_db, len(plan.angles))
         scales = (10.0 ** (jitter_db / 20.0)).tolist()
     pairs: list[tuple[float, float]] = []
     gaps: list[float] = []

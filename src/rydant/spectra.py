@@ -98,6 +98,12 @@ def check_scan_points(points: int) -> None:
         raise InputError("points", f" must be in [3, MAX_SCAN_POINTS = {MAX_SCAN_POINTS}], got {points}")
 
 
+def check_scan_range(low: float, high: float) -> None:
+    """The one scan-range rule: finite bounds in rad/s with low < high, else InputError("scan range")."""
+    if not (math.isfinite(low) and math.isfinite(high)) or high <= low:
+        raise InputError("scan range", f" must be finite in rad/s with low < high, got ({low!r}, {high!r})")
+
+
 @dataclass(frozen=True)
 class LadderConfig:
     """Ladder drive and decay parameters, all angular frequencies in rad/s.
@@ -405,8 +411,7 @@ def scan_spectrum(cfg: LadderConfig, scan: tuple[float, float], points: int) -> 
     points : number of samples, 3 <= points <= MAX_SCAN_POINTS.
     """
     low, high = float(scan[0]), float(scan[1])
-    if not (math.isfinite(low) and math.isfinite(high)) or high <= low:
-        raise ValueError(f"scan range must satisfy low < high, got ({low}, {high})")
+    check_scan_range(low, high)
     check_scan_points(points)
 
     detunings = np.linspace(low, high, points)

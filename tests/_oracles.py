@@ -41,11 +41,14 @@ criterion 1; branch_splittings and eigen_closed_form are the hand-derived
 1/2 -> 3/2 closed forms, the reference of criterion 2, which `rydant
 eigen` reads from the Gram modes instead.  folded_incidence folds one XY angle alone, without merging
 the mirror twins that patterns.incidence_angles merges; patterns built on
-it are the unmerged reference.
+it are the unmerged reference.  normal_draws is the readout-noise stream
+in scalar math: Box-Muller on random.Random(seed).random(), one uniform
+pair per two draws.
 """
 
 import cmath
 import math
+import random
 from typing import NamedTuple
 
 import mpmath
@@ -590,3 +593,14 @@ def path_averages(geometry, frequency, angles, polarization="TE"):
         float(np.trapezoid(interior_amplitude(geometry, frequency, float(a), polarization, x), x) / (x[-1] - x[0]))
         for a in angles
     ]
+
+
+def normal_draws(seed, sigma, count):
+    """count normal draws: pair k of random.Random(seed) gives draws 2k and 2k + 1 by Box-Muller."""
+    source = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        u, v = source.random(), source.random()
+        radius = sigma * math.sqrt(-2.0 * math.log1p(-u))
+        draws += [radius * math.cos(TWO_PI * v), radius * math.sin(TWO_PI * v)]
+    return draws[:count]

@@ -456,7 +456,7 @@ class TestRefusedInput:
 
 
 class TestImports:
-    """No subcommand loads scipy, and no module under src/rydant imports it."""
+    """No subcommand loads scipy or numpy.random, and no module under src/rydant reaches either."""
 
     def test_no_subcommand_loads_scipy(self, tmp_path):
         doppler = {"probe_rabi_mhz": 0.1, "coupling_rabi_mhz": 1.0, "doppler_sigma_mhz": 1.0}
@@ -465,18 +465,22 @@ class TestImports:
         sweep = sweep_config(tmp_path, name="sweep.json", ladder=doppler,
                              scan={"min_mhz": -30.0, "max_mhz": 30.0, "points": 201},
                              sweep={"plane": "XZ", "angles_deg": [0, 60], "readout": "spectrum"})
+        noisy = sweep_config(tmp_path, name="noisy.json", output={"directory": "out", "basename": "noisy"},
+                             sweep={"plane": "XY", "angles_deg": "0:30:360", "noise_sigma_db": 0.5})
         runs = [
             ["eigen", "--rabi-mhz", "10", "--detuning-mhz", "2", "--csv", "eigen.csv"],
             ["spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"],
             ["spectrum", "--config", spectrum],
             ["sweep", "--config", sweep],
+            ["sweep", "--config", noisy, "--seed", "9"],
             ["cellfield", "--preset", "thz-33s", "--angles", "0:30:90"],
             ["compare", "out/case_pattern.json", "out/case_pattern.json"],
         ]
         code = (
             "import sys; from rydant.cli import main; "
             f"codes = [main(argv) for argv in {runs!r}]; "
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.random')))"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         done = subprocess.run(
@@ -484,20 +488,38 @@ class TestImports:
         )
         assert done.stdout.splitlines()[-1] == f"{[0] * len(runs)} []", done.stderr
 
-    def test_no_module_imports_scipy(self):
+    @staticmethod
+    def refused(tree) -> list[int]:
+        """Lines of tree that import scipy or numpy.random, or read np.random / numpy.random."""
+        lines = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{'numpy' if node.value.id == 'np' else node.value.id}.{node.attr}"]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" or n.split(".")[:2] == ["numpy", "random"] for n in names):
+                lines.append(node.lineno)
+        return lines
+
+    def test_no_module_imports_scipy_or_numpy_random(self):
         import rydant
 
         sources = sorted(Path(rydant.__file__).parent.rglob("*.py"))
         assert len(sources) >= 9
         for source in sources:
-            for node in ast.walk(ast.parse(source.read_text(), str(source))):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names = [node.module]
-                else:
-                    continue
-                assert all(name.split(".")[0] != "scipy" for name in names), f"{source.name}:{node.lineno}"
+            assert self.refused(ast.parse(source.read_text(), str(source))) == [], source.name
+
+    @pytest.mark.parametrize(
+        "line",
+        ["import numpy.random", "from numpy import random", "from numpy.random import default_rng",
+         "x = np.random.default_rng(0)", "numpy.random.normal()", "import scipy.stats", "from scipy import signal"],
+    )
+    def test_the_walk_sees_each_spelling(self, line):
+        assert self.refused(ast.parse(line)) == [1]
 
 
 class TestPublicApi:

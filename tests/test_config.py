@@ -21,7 +21,7 @@ from rydant.config import (
 )
 from rydant.hamiltonian import TransitionSystem
 from rydant.patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG
-from rydant.spectra import MAX_SCAN_POINTS, InputError
+from rydant.spectra import MAX_SCAN_POINTS, InputError, check_scan_range
 
 FULL_CONFIG = {
     "schema_version": 1,
@@ -166,6 +166,16 @@ class TestStrictSections:
         payload["scan"]["max_mhz"] = -30.0
         with pytest.raises(ConfigError, match="max_mhz"):
             parse_config(payload)
+
+    @pytest.mark.parametrize("low,high", [(5.0, 5.0), (5.0, -5.0), (-1e303, 0.0), (0.0, 1e303)])
+    def test_scan_range_is_the_library_rule_named_by_its_keys(self, low, high):
+        payload = make_config()
+        payload["scan"].update(min_mhz=low, max_mhz=high)
+        with pytest.raises(ConfigError) as info:
+            parse_config(payload)
+        with pytest.raises(InputError) as rule:
+            check_scan_range(low * MHZ, high * MHZ)
+        assert str(info.value) == "scan.min_mhz and scan.max_mhz" + rule.value.detail
 
 
 class TestAngleRanges:

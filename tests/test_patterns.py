@@ -26,7 +26,7 @@ from rydant.patterns import (
     polar_csv,
     run_sweep,
 )
-from rydant.spectra import MAX_SCAN_POINTS, scan_spectrum
+from rydant.spectra import MAX_SCAN_POINTS, InputError, scan_spectrum
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -62,7 +62,7 @@ class TestPlaneConventions:
         assert theta == pytest.approx(math.pi / 2)
 
     def test_unknown_plane_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^plane must be XY, XZ or YZ, got 'XW'$"):
             plane_angles("XW", [0.0])
 
     def test_incidence_folds_only_in_xy(self):
@@ -251,6 +251,11 @@ class TestMirrorFolding:
         assert merged == run_sweep(plan)
 
 
+def jitter_db(noisy, clean):
+    """Each angle's readout jitter in dB: 20 log10 of the noisy over the clean raw ratio."""
+    return [20.0 * math.log10(n.raw_ratio / c.raw_ratio) for n, c in zip(noisy.samples, clean.samples)]
+
+
 class TestNoiseStream:
     """One normal stream per sweep: angle i takes draw i."""
 
@@ -259,9 +264,9 @@ class TestNoiseStream:
         kwargs = dict(plane=plane, angles=grid(0.5, 3.0), cell=cell, cell_frequency=THZ_FREQ if cell else None)
         clean = run_sweep(make_plan(**kwargs))
         noisy = run_sweep(make_plan(noise_sigma_db=0.8, seed=23, **kwargs))
-        draws = np.random.default_rng(23).normal(0.0, 0.8, 120)
-        jitter = [20.0 * math.log10(n.raw_ratio / c.raw_ratio) for n, c in zip(noisy.samples, clean.samples)]
-        assert jitter == pytest.approx(draws.tolist(), rel=0, abs=1e-12)
+        draws = _oracles.normal_draws(23, 0.8, 120)
+        jitter = jitter_db(noisy, clean)
+        assert jitter == pytest.approx(draws, rel=0, abs=1e-12)
 
     def test_gaps_keep_every_other_angle_jitter(self, monkeypatch):
         angles = np.radians([3.0, 20.0, 37.0, 55.0, 125.0, 160.0])
@@ -271,9 +276,9 @@ class TestNoiseStream:
         )
         full = run_sweep(plan)
         clean = run_sweep(replace(plan, noise_sigma_db=0.0))
-        draws = np.random.default_rng(8).normal(0.0, 0.5, len(angles))
-        jitter = [20.0 * math.log10(n.raw_ratio / c.raw_ratio) for n, c in zip(full.samples, clean.samples)]
-        assert jitter == pytest.approx(draws.tolist(), rel=0, abs=1e-12)
+        draws = _oracles.normal_draws(8, 0.5, len(angles))
+        jitter = jitter_db(full, clean)
+        assert jitter == pytest.approx(draws, rel=0, abs=1e-12)
         real = patterns._spectrum_delta_at
         gap_drive = 40 * MHZ * patterns._cell_factors(plan)[2]
         monkeypatch.setattr(
@@ -283,6 +288,29 @@ class TestNoiseStream:
         assert gapped.gap_angles == (angles[2],)
         kept = [s for i, s in enumerate(full.samples) if i != 2]
         assert [s.raw_ratio for s in gapped.samples] == [s.raw_ratio for s in kept]
+
+    @pytest.mark.parametrize("count", [7, 8])
+    def test_a_short_grid_takes_the_prefix_of_a_long_one(self, count):
+        def jitter(angles):
+            clean = run_sweep(make_plan(angles=angles))
+            noisy = run_sweep(make_plan(angles=angles, noise_sigma_db=0.6, seed=31))
+            return jitter_db(noisy, clean)
+
+        short = jitter(grid(0.0, 3.0)[:count])
+        assert len(short) == count
+        assert short == pytest.approx(jitter(grid(0.0, 3.0))[:count], rel=0, abs=1e-12)
+        assert short == pytest.approx(_oracles.normal_draws(31, 0.6, count), rel=0, abs=1e-12)
+
+    def test_draws_are_normal(self):
+        from scipy.stats import kstest, norm
+
+        sigma, count = 0.7, 200_000
+        draws = patterns._normal_draws(2024, sigma, count)
+        assert draws.shape == (count,) and np.all(np.isfinite(draws))
+        assert kstest(draws, norm(scale=sigma).cdf).pvalue > 1e-6
+        # standard errors: sigma / sqrt(n) of the mean, sigma^2 sqrt(2 / (n - 1)) of the variance
+        assert abs(draws.mean()) < 5.0 * sigma / math.sqrt(count)
+        assert abs(draws.var(ddof=1) - sigma**2) < 5.0 * sigma**2 * math.sqrt(2.0 / (count - 1))
 
 
 class TestSpectrumReadout:
@@ -575,3 +603,10 @@ class TestPlanRefusals:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             make_plan(seed=-1)
+
+    def test_seed_is_an_integer(self):
+        with pytest.raises(InputError, match=r"^seed must be an integer, got 2\.0$"):
+            make_plan(seed=2.0)
+        plan = make_plan(seed=np.int64(5), noise_sigma_db=0.4)
+        assert type(plan.seed) is int
+        assert run_sweep(plan) == run_sweep(make_plan(seed=5, noise_sigma_db=0.4))

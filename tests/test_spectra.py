@@ -21,6 +21,7 @@ from rydant import spectra
 from rydant.spectra import (
     MAX_SCAN_POINTS,
     PROMINENCE_DEFAULT,
+    InputError,
     LadderConfig,
     SpectrumTrace,
     SteadyStateError,
@@ -177,6 +178,10 @@ class TestScanSpectrum:
         cfg = default_ladder(0.0, 0.0)
         with pytest.raises(ValueError):
             scan_spectrum(cfg, (1.0, -1.0), 101)
+        for scan in ((1.0, 1.0), (-math.inf, 1.0), (-1.0, math.nan)):
+            with pytest.raises(InputError, match=r"^scan range must be finite in rad/s with low < high") as info:
+                scan_spectrum(cfg, scan, 101)
+            assert info.value.quantity == "scan range"
         with pytest.raises(ValueError):
             scan_spectrum(cfg, (-1.0, 1.0), 2)
         with pytest.raises(ValueError):
