@@ -4,6 +4,8 @@
 Usage:
     python3 scripts/pairs.py --parent DIR --change DIR --workload W --pairs N \\
         --seconds S --seed-base K
+    python3 scripts/pairs.py --interleave --parent DIR --change DIR \\
+        --workload {eigen-sweep,spectrum-sweep} --pairs N --seed-base K
 
 Pair i runs `python3 perfbench/run.py --workload W --seed K+i --seconds S
 --trace 0` once in each checkout, one run at a time; the parent goes first
@@ -27,6 +29,18 @@ share (failed / attempted over all its runs) exceeds the parent's,
 disqualifies the change whatever its timings.  The script prints each
 side's failed share and a REFUSED line for each such finding.
 
+Interleaved rounds (--interleave, in-process workloads only): one
+long-lived worker per checkout imports that checkout's perfbench/run.py
+(with -B, so no bytecode is written), builds the round of seed K and warms
+it up once; then each of the N pairs runs one round, Rounds.timed(0.0), in
+each worker, the parent first in even pairs and the change in odd ones.
+Paired rounds a few milliseconds apart see the same host speed, so the
+script prints, for the round time and for the round's median operation
+time, each side's median and quartiles, the median and quartiles of the
+per-pair change / parent ratios, and the change's wins.  The workers then
+check their results as the harness does (verify_in_process) and the same
+refusals apply.
+
 Exit status: 0 when every run produced a result and nothing was refused, 1
 when a run gave no result or a REFUSED line was printed, 2 on a usage
 error.  Standard library only; nothing in either checkout is edited (the
@@ -36,6 +50,7 @@ harness itself writes under perfbench/out/).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -47,6 +62,29 @@ from fractions import Fraction
 CALIBRATION_LOOP = 200_000
 CALIBRATION_REPEATS = 3
 DRIFT_LIMIT = 0.10  # largest accepted max / min - 1 of a pair's calibration timings
+IN_PROCESS = ("eigen-sweep", "spectrum-sweep")
+
+# One interleave worker: argv is checkout, workload, seed.  It answers each
+# "round" line on stdin with one JSON line, and "verify" with the checks.
+WORKER = """
+import json, os, statistics, sys
+checkout, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path.insert(0, os.path.join(checkout, "perfbench"))
+import run
+sys.path.insert(0, run.SRC)
+ops = (run.eigen_round if workload == "eigen-sweep" else run.spectrum_round)(seed)
+rounds = run.Rounds(ops, [run.build_call(op.spec) for op in ops])
+rounds.warm_up()
+print("ready", flush=True)
+for line in sys.stdin:
+    if line.strip() == "round":
+        latencies, round_seconds = rounds.timed(0.0)
+        out = {"round_s": round_seconds[0], "op_ms_p50": statistics.median(latencies) * 1e3}
+    else:
+        failed, correct = run.verify_in_process(ops, rounds)
+        out = {"correct": correct, "attempted": rounds.rounds * len(ops), "failed": failed}
+    print(json.dumps(out), flush=True)
+"""
 
 
 def calibrate() -> float:
@@ -96,22 +134,112 @@ def summary(name: str, better: str, parent: list[float], change: list[float]) ->
             f"wins {wins}/{len(parent)}  median gap {verdict} parent IQR {p3 - p1:.3g}")
 
 
+class Worker:
+    """A checkout's round of one seed, built once in its own process and run on command."""
+
+    def __init__(self, checkout: str, workload: str, seed: int):
+        self.checkout = checkout
+        self.proc = subprocess.Popen([sys.executable, "-B", "-c", WORKER, os.path.abspath(checkout), workload,
+                                      str(seed)], cwd=checkout, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     text=True)
+        if self.proc.stdout.readline().strip() != "ready":
+            raise RuntimeError(f"{checkout}: the worker did not start (exit {self.proc.wait()})")
+
+    def ask(self, command: str) -> dict:
+        try:
+            self.proc.stdin.write(command + "\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:  # the worker has ended; readline returns ""
+            pass
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"{self.checkout}: the worker ended (exit {self.proc.wait()})")
+        return json.loads(line)
+
+    def close(self) -> None:
+        with contextlib.suppress(BrokenPipeError):
+            self.proc.stdin.close()
+        self.proc.wait()
+
+
+def paired(name: str, parent: list[float], change: list[float]) -> str:
+    """Lower is better: each side's median and quartiles, the per-pair ratios' and the change's wins."""
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    r1, rm, r3 = quartiles([c / p for p, c in zip(parent, change)])
+    wins = sum(c < p for p, c in zip(parent, change))
+    return (f"{name:9s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
+            f"paired ratio {rm:.3f} [{r1:.3f}, {r3:.3f}]  wins {wins}/{len(parent)}")
+
+
+def refusals_of(results: dict) -> list[str]:
+    """Print each side's correct, attempted and failed; return the refusals they give."""
+    refusals, shares = [], {}
+    for side, runs in results.items():
+        attempted, failed = sum(r["attempted"] for r in runs), sum(r["failed"] for r in runs)
+        shares[side] = Fraction(failed, attempted) if attempted else Fraction(0)
+        correct = sum(bool(r["correct"]) for r in runs)
+        print(f"{side}: correct {correct}/{len(runs)}, attempted {attempted}, failed {failed}, "
+              f"failed share {float(shares[side]):.4g}")
+        if correct < len(runs):
+            refusals.append(f"{len(runs) - correct} {side} run(s) report correct: false")
+    if shares["change"] > shares["parent"]:
+        refusals.append(f"the change's failed share {float(shares['change']):.4g} exceeds "
+                        f"the parent's {float(shares['parent']):.4g}")
+    return refusals
+
+
+def interleave(sides: dict, workload: str, pairs: int, seed: int) -> int:
+    workers = {}
+    try:
+        for side, checkout in sides.items():
+            workers[side] = Worker(checkout, workload, seed)
+        rounds = {side: [] for side in sides}
+        for i in range(pairs):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                rounds[side].append(workers[side].ask("round"))
+        checks = {side: [worker.ask("verify")] for side, worker in workers.items()}
+    except RuntimeError as exc:
+        print(f"no result: {exc}")
+        return 1
+    finally:
+        for worker in workers.values():
+            worker.close()
+    print(f"{workload}: {pairs} interleaved pair(s) of rounds, seed {seed}")
+    refusals = refusals_of(checks)
+    for name in ("round_s", "op_ms_p50"):
+        print(paired(name, [r[name] for r in rounds["parent"]], [r[name] for r in rounds["change"]]))
+    for refusal in refusals:
+        print(f"REFUSED: {refusal}")
+    return 1 if refusals else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout to compare against")
     parser.add_argument("--change", required=True, help="checkout under test")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seconds", type=float, help="length of each run (not with --interleave)")
     parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--interleave", action="store_true",
+                        help="paired single rounds in one long-lived worker per checkout")
     args = parser.parse_args(argv)
     for src in (args.parent, args.change):
         if not os.path.isfile(os.path.join(src, "perfbench", "run.py")):
             parser.error(f"{src} holds no perfbench/run.py")
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
 
     sides = {"parent": args.parent, "change": args.change}
+    if args.interleave:
+        if args.workload not in IN_PROCESS:
+            parser.error(f"--interleave runs {' and '.join(IN_PROCESS)} only, not {args.workload}")
+        if args.seconds is not None:
+            parser.error("--interleave runs single rounds and takes no --seconds")
+        return interleave(sides, args.workload, args.pairs, args.seed_base)
+    if args.seconds is None or args.seconds <= 0:
+        parser.error("--seconds must be given and > 0")
     results = {"parent": [], "change": []}
     drifted = 0
     for i in range(args.pairs):
@@ -133,18 +261,7 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {args.pairs} pair(s) of {args.seconds:g} s, seeds {args.seed_base}-"
           f"{args.seed_base + args.pairs - 1}")
-    refusals, shares = [], {}
-    for side, runs in results.items():
-        attempted, failed = sum(r["attempted"] for r in runs), sum(r["failed"] for r in runs)
-        shares[side] = Fraction(failed, attempted) if attempted else Fraction(0)
-        correct = sum(bool(r["correct"]) for r in runs)
-        print(f"{side}: correct {correct}/{len(runs)}, attempted {attempted}, failed {failed}, "
-              f"failed share {float(shares[side]):.4g}")
-        if correct < len(runs):
-            refusals.append(f"{len(runs) - correct} {side} run(s) report correct: false")
-    if shares["change"] > shares["parent"]:
-        refusals.append(f"the change's failed share {float(shares['change']):.4g} exceeds "
-                        f"the parent's {float(shares['parent']):.4g}")
+    refusals = refusals_of(results)
     print(f"host drift: the calibration moved by more than {DRIFT_LIMIT:.0%} in {drifted} of {args.pairs} pair(s)")
     for name, better in directions(args.parent).items():
         parent = [r["metrics"][name]["value"] for r in results["parent"]]

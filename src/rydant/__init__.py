@@ -13,7 +13,6 @@ from .hamiltonian import RfDrive, TransitionSystem
 from .metrology import (
     FieldEstimate,
     GainSample,
-    SplittingResult,
     field_from_splitting,
     gram_splittings,
     isotropic_deviation,
@@ -30,6 +29,7 @@ from .patterns import (
 from .spectra import (
     LadderConfig,
     SpectrumTrace,
+    SplittingResult,
     SteadyStateError,
     UnresolvedSplittingError,
     extract_splitting,

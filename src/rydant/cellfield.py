@@ -317,7 +317,7 @@ def path_averages(
     check_stack(geometry, frequency)
     x = np.linspace(0.0, geometry.inner_length, samples)
     span = x[-1] - x[0]
-    angle_list = [float(a) for a in angles]
+    angle_list = np.asarray(angles, dtype=float).tolist()
     distinct = list(dict.fromkeys(angle_list))
     for a in distinct:
         _check_incidence(a, polarization)
@@ -345,7 +345,7 @@ def angle_sweep_deviation(
     if not angle_list:
         raise ValueError("angles must be non-empty")
     averages = path_averages(geometry, frequency, angle_list, polarization)
-    return isotropic_deviation(normalized_gain(zip(angle_list, averages)))
+    return isotropic_deviation(normalized_gain(angle_list, averages))
 
 
 def profile_csv(profile: FieldProfile) -> str:
@@ -359,7 +359,7 @@ def profile_csv(profile: FieldProfile) -> str:
 def sweep_csv(samples: Sequence[GainSample]) -> str:
     """Angle sweep rows: angle_deg, path_avg_rel, gain_db (0 dB at the max).
 
-    samples are metrology.normalized_gain output over (angle, path average).
+    samples are metrology.normalized_gain output over angles and their path averages.
     """
     lines = ["angle_deg,path_avg_rel,gain_db"]
     for s in samples:

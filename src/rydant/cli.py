@@ -314,9 +314,7 @@ def cmd_cellfield(args) -> dict[str, str]:
                 raise ConfigError(f"--angles is not a valid JSON list: {exc}") from exc
         angles = parse_angles_deg(spec, "--angles")
         _incidences(angles, "--angles")
-        samples = normalized_gain(
-            zip(angles, path_averages(geometry, frequency, angles, args.polarization))
-        )
+        samples = normalized_gain(angles, path_averages(geometry, frequency, angles, args.polarization))
         deviation = isotropic_deviation(samples)
         summary["angles_deg"] = [round(math.degrees(a), 12) for a in angles]
         summary["deviation_db"] = deviation

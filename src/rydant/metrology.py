@@ -11,20 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SplittingResult:
-    """A splitting (rad/s) extracted from a scanned spectrum."""
-
-    delta_at: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.delta_at) or self.delta_at < 0:
-            raise ValueError(f"delta_at must be finite and >= 0, got {self.delta_at}")
 
 
 @dataclass(frozen=True)
@@ -86,24 +77,38 @@ def field_from_splitting(delta_at: float, detuning: float, mu: float) -> FieldEs
     return FieldEstimate(amplitude, delta_at, detuning, mu)
 
 
-def normalized_gain(samples: Iterable[tuple[float, float]]) -> list[GainSample]:
-    """Turn (angle, raw_ratio) pairs into gain samples, 0 dB at the maximum.
+def normalized_gain(angles, ratios) -> list[GainSample]:
+    """Turn equal-length angle and raw_ratio arrays into gain samples, 0 dB at the maximum.
 
-    gain_db = 20*log10(ratio / max ratio); all ratios must be > 0.
+    gain_db = min(20 * log10(ratio / max ratio), 0), with math.log10 per
+    element so the bits do not depend on numpy's vector log.  Every ratio
+    must be finite and > 0, and no ratio / max ratio may underflow to 0;
+    otherwise ValueError names the ratio and its index.
     """
-    pairs = list(samples)
-    if not pairs:
+    angles = np.asarray(angles, dtype=float)
+    ratios = np.asarray(ratios, dtype=float)
+    if ratios.ndim != 1 or angles.shape != ratios.shape:
+        raise ValueError(f"angles {angles.shape} and ratios {ratios.shape} must be 1-D of equal length")
+    if not ratios.size:
         raise ValueError("no samples to normalize")
-    ratios = [r for _, r in pairs]
-    if min(ratios) <= 0:
-        raise ValueError("all raw ratios must be > 0")
-    top = max(ratios)
-    return [GainSample(angle, ratio, min(20.0 * math.log10(ratio / top), 0.0)) for angle, ratio in pairs]
+    for bad, why in ((~np.isfinite(ratios), "is not finite"), (ratios <= 0, "must be > 0")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"raw ratio {float(ratios[i])!r} at index {i} {why}")
+    relative = ratios / ratios.max()
+    if not relative.all():
+        i = int(np.argmin(relative))
+        raise ValueError(
+            f"raw ratio {float(ratios[i])!r} at index {i} underflows to 0 against the maximum {float(ratios.max())!r}"
+        )
+    gains = np.minimum(20.0 * np.fromiter(map(math.log10, relative.tolist()), float, relative.size), 0.0)
+    # tuple.__new__(GainSample, row) makes each record with no Python-level call.
+    return list(map(tuple.__new__, repeat(GainSample), zip(angles.tolist(), ratios.tolist(), gains.tolist())))
 
 
 def isotropic_deviation(pattern: Sequence[GainSample]) -> float:
     """Spread max(gain_db) - min(gain_db) over a pattern, in dB."""
     if not pattern:
         raise ValueError("pattern is empty")
-    gains = [s.gain_db for s in pattern]
+    gains = list(map(itemgetter(2), pattern))
     return max(gains) - min(gains)

@@ -31,8 +31,10 @@ the orientation.  The cell stage gives the bits of its one-angle form,
 transfer_matrix_field.
 The readout noise is one normal stream per sweep, a Box-Muller transform
 of random.Random(seed).random() pairs, so it depends on no numpy version
-and rydant loads no numpy.random.  What still runs per angle is one
-math.log10 into a plain GainSample record.
+and rydant loads no numpy.random.  From the cell factors to the gain
+record the sweep stays in arrays: one ratio array, masked to the resolved
+angles, goes to metrology.normalized_gain, whose only per-angle step is
+math.log10 (numpy's vector log may differ in the last bit between CPUs).
 """
 
 from __future__ import annotations
@@ -316,13 +318,13 @@ def incidence_angles(plane: str, angles) -> np.ndarray:
 def _cell_factors(plan: SweepPlan) -> list[float]:
     if plan.cell is None:
         return [1.0] * len(plan.angles)
-    return path_averages(plan.cell, plan.cell_frequency, incidence_angles(plan.plane, plan.angles).tolist())
+    return path_averages(plan.cell, plan.cell_frequency, incidence_angles(plan.plane, plan.angles))
 
 
-def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> list[float]:
+def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> np.ndarray:
     polarizations = decompose_polarizations(*plane_angles(plan.plane, plan.angles))
     blocks = coupling_stack(plan.system, plan.drive.rabi * np.asarray(factors, dtype=float), polarizations)
-    return gram_splittings(blocks, plan.drive.detuning)[:, -1].tolist()
+    return gram_splittings(blocks, plan.drive.detuning)[:, -1]
 
 
 def _spectrum_delta_at(plan: SweepPlan, omega_eff: float) -> float | None:
@@ -344,8 +346,9 @@ def _normal_draws(seed: int, sigma: float, count: int) -> np.ndarray:
     keeps its sequence for an int seed across releases.  A shorter stream
     is a prefix of a longer one.
     """
-    draw = random.Random(seed).random
-    pairs = np.array([draw() for _ in range(2 * ((count + 1) // 2))]).reshape(-1, 2)
+    # random() never returns the sentinel None, so fromiter stops at its count.
+    uniforms = np.fromiter(iter(random.Random(seed).random, None), float, 2 * ((count + 1) // 2))
+    pairs = uniforms.reshape(-1, 2)
     radius = sigma * np.sqrt(-2.0 * np.log1p(-pairs[:, 0]))
     phase = TWO_PI * pairs[:, 1]
     return (radius[:, None] * np.stack((np.cos(phase), np.sin(phase)), axis=1)).ravel()[:count]
@@ -360,29 +363,22 @@ def run_sweep(plan: SweepPlan) -> GainPattern:
     """
     factors = _cell_factors(plan)
     if plan.readout == "eigen":
-        delta_ats = _eigen_delta_ats(plan, factors)
+        delta_ats = np.asarray(_eigen_delta_ats(plan, factors), dtype=float)
+        resolved = np.ones(delta_ats.size, dtype=bool)
     else:
         # The ladder never sees the orientation: one scan per distinct drive.
         by_factor = {f: _spectrum_delta_at(plan, plan.drive.rabi * f) for f in dict.fromkeys(factors)}
-        delta_ats = [by_factor[f] for f in factors]
+        found = [by_factor[f] for f in factors]
+        resolved = np.array([d is not None for d in found], dtype=bool)
+        delta_ats = np.array(found, dtype=float)  # a gap's None reads as nan and is masked out
+    if not resolved.any():
+        raise ValueError("sweep produced no resolvable angles (all gaps)")
 
-    field_amplitude = plan.drive.rabi / plan.system.mu
-    scales = [1.0] * len(plan.angles)
+    ratios = delta_ats / (plan.drive.rabi / plan.system.mu)
     if plan.noise_sigma_db > 0.0:
         # One stream per sweep; angle i takes draw i, gap or not.
-        jitter_db = _normal_draws(plan.seed, plan.noise_sigma_db, len(plan.angles))
-        scales = (10.0 ** (jitter_db / 20.0)).tolist()
-    pairs: list[tuple[float, float]] = []
-    gaps: list[float] = []
-    for angle, delta_at, scale in zip(plan.angles.tolist(), delta_ats, scales):
-        if delta_at is None:
-            gaps.append(angle)
-        else:
-            pairs.append((angle, delta_at / field_amplitude * scale))
-
-    if not pairs:
-        raise ValueError("sweep produced no resolvable angles (all gaps)")
-    samples = normalized_gain(pairs)
+        ratios *= 10.0 ** (_normal_draws(plan.seed, plan.noise_sigma_db, len(plan.angles)) / 20.0)
+    samples = normalized_gain(plan.angles[resolved], ratios[resolved])
     return GainPattern(
         plane=plan.plane,
         samples=tuple(samples),
@@ -391,7 +387,7 @@ def run_sweep(plan: SweepPlan) -> GainPattern:
         seed=plan.seed,
         cell_enabled=plan.cell is not None,
         noise_sigma_db=plan.noise_sigma_db,
-        gap_angles=tuple(gaps),
+        gap_angles=tuple(plan.angles[~resolved].tolist()),
     )
 
 
@@ -408,10 +404,10 @@ def dipole_reference(angles, plane: str = "axial") -> GainPattern:
     if not angle_list:
         raise ValueError("angles must be non-empty")
     if plane == "axial":
-        pairs = [(a, max(abs(math.sin(a)), DIPOLE_FLOOR_RATIO)) for a in angle_list]
+        ratios = [max(abs(math.sin(a)), DIPOLE_FLOOR_RATIO) for a in angle_list]
     else:
-        pairs = [(a, 1.0) for a in angle_list]
-    samples = normalized_gain(pairs)
+        ratios = [1.0] * len(angle_list)
+    samples = normalized_gain(angle_list, ratios)
     return GainPattern(
         plane=f"dipole-{plane}",
         samples=tuple(samples),

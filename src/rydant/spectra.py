@@ -475,13 +475,22 @@ def _peak_positions(
     return x[i] + offset * step, proms
 
 
-def extract_splitting(trace: SpectrumTrace):
+@dataclass(frozen=True)
+class SplittingResult:
+    """A splitting (rad/s) extracted from a scanned spectrum."""
+
+    delta_at: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.delta_at) or self.delta_at < 0:
+            raise ValueError(f"delta_at must be finite and >= 0, got {self.delta_at}")
+
+
+def extract_splitting(trace: SpectrumTrace) -> SplittingResult:
     """Distance between the two most prominent of the peaks a trace holds.
 
     Raises UnresolvedSplittingError when the trace holds fewer than two.
     """
-    from .metrology import SplittingResult
-
     if trace.peaks.size < 2:
         raise UnresolvedSplittingError(
             f"found {trace.peaks.size} peak(s) above prominence {PROMINENCE_DEFAULT}; need 2"

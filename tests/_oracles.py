@@ -43,7 +43,11 @@ eigen` reads from the Gram modes instead.  folded_incidence folds one XY angle a
 the mirror twins that patterns.incidence_angles merges; patterns built on
 it are the unmerged reference.  normal_draws is the readout-noise stream
 in scalar math: Box-Muller on random.Random(seed).random(), one uniform
-pair per two draws.
+pair per two draws.  scalar_sweep_tail is the end of run_sweep as it ran
+before the sweep stayed in arrays, one Python step per angle: a gap angle
+for each None splitting, raw ratio delta_at / field * scale otherwise, and
+min(20 log10(ratio / max), 0) per sample; the array form must equal it
+bit for bit.
 """
 
 import cmath
@@ -604,3 +608,17 @@ def normal_draws(seed, sigma, count):
         radius = sigma * math.sqrt(-2.0 * math.log1p(-u))
         draws += [radius * math.cos(TWO_PI * v), radius * math.sin(TWO_PI * v)]
     return draws[:count]
+
+
+def scalar_sweep_tail(angles, delta_ats, field_amplitude, scales):
+    """(samples as (angle, raw_ratio, gain_db) tuples, gap angles, deviation) one angle at a time."""
+    pairs, gaps = [], []
+    for angle, delta_at, scale in zip(angles, delta_ats, scales):
+        if delta_at is None:
+            gaps.append(angle)
+        else:
+            pairs.append((angle, delta_at / field_amplitude * scale))
+    top = max(ratio for _, ratio in pairs)
+    samples = [(angle, ratio, min(20.0 * math.log10(ratio / top), 0.0)) for angle, ratio in pairs]
+    gains = [gain for _, _, gain in samples]
+    return samples, gaps, max(gains) - min(gains)

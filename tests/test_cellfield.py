@@ -234,7 +234,7 @@ class TestCsvWriters:
         assert lines[2] == "0.001,0.5"
 
     def test_sweep_csv_references_zero_db_to_the_max(self):
-        samples = normalized_gain([(0.0, 0.5), (math.radians(10.0), 1.0)])
+        samples = normalized_gain([0.0, math.radians(10.0)], [0.5, 1.0])
         lines = sweep_csv(samples).splitlines()
         assert lines[1].startswith("0,0.5,")
         assert lines[2].startswith("10,1,")

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     branch_splittings,
@@ -16,12 +19,12 @@ from rydant.hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamilt
 from rydant.metrology import (
     FieldEstimate,
     GainSample,
-    SplittingResult,
     field_from_splitting,
     gram_splittings,
     isotropic_deviation,
     normalized_gain,
 )
+from rydant.spectra import SplittingResult
 
 SYSTEM = TransitionSystem(AngularMomentum(1), AngularMomentum(3), mu=1.0)
 
@@ -213,7 +216,7 @@ class TestFieldEstimate:
 
 class TestNormalizedGain:
     def test_frozen_reference_pattern(self):
-        pattern = normalized_gain([(0.0, 2.0), (1.0, 1.0), (2.0, 4.0)])
+        pattern = normalized_gain([0.0, 1.0, 2.0], [2.0, 1.0, 4.0])
         gains = [s.gain_db for s in pattern]
         assert gains[0] == pytest.approx(20 * math.log10(0.5), abs=1e-12)
         assert gains[1] == pytest.approx(20 * math.log10(0.25), abs=1e-12)
@@ -222,50 +225,83 @@ class TestNormalizedGain:
     def test_peak_is_zero_db(self):
         rng = np.random.default_rng(3)
         ratios = rng.uniform(0.1, 10.0, size=200)
-        pattern = normalized_gain(enumerate(ratios))
+        pattern = normalized_gain(np.arange(ratios.size), ratios)
         assert max(s.gain_db for s in pattern) == 0.0
         assert all(s.gain_db <= 0.0 for s in pattern)
 
     def test_gauge_invariance_under_common_scaling(self):
-        ratios = [(0.0, 1.0), (1.0, 3.0), (2.0, 0.5)]
-        scaled = [(a, 17.3 * r) for a, r in ratios]
-        g1 = [s.gain_db for s in normalized_gain(ratios)]
-        g2 = [s.gain_db for s in normalized_gain(scaled)]
+        angles, ratios = [0.0, 1.0, 2.0], np.array([1.0, 3.0, 0.5])
+        g1 = [s.gain_db for s in normalized_gain(angles, ratios)]
+        g2 = [s.gain_db for s in normalized_gain(angles, 17.3 * ratios)]
         np.testing.assert_allclose(g1, g2, atol=1e-12)
 
     def test_samples_are_plain_records(self):
-        pattern = normalized_gain([(0.0, 2.0), (1.0, 4.0)])
+        pattern = normalized_gain([0.0, 1.0], [2.0, 4.0])
         assert [type(s) for s in pattern] == [GainSample, GainSample]
         assert pattern[0] == GainSample(0.0, 2.0, 20.0 * math.log10(0.5))
         assert tuple(pattern[1]) == (1.0, 4.0, 0.0)
 
     def test_order_preserved(self):
-        pattern = normalized_gain([(5.0, 1.0), (1.0, 2.0), (3.0, 1.5)])
+        pattern = normalized_gain([5.0, 1.0, 3.0], [1.0, 2.0, 1.5])
         assert [s.angle for s in pattern] == [5.0, 1.0, 3.0]
 
     def test_rejects_nonpositive_ratio(self):
-        with pytest.raises(ValueError):
-            normalized_gain([(0.0, 1.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match=r"^raw ratio 0\.0 at index 1 must be > 0$"):
+            normalized_gain([0.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match=r"^raw ratio -1\.0 at index 1 must be > 0$"):
+            normalized_gain([0.0, 1.0], [2.0, -1.0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            normalized_gain([])
+            normalized_gain([], [])
+
+    @pytest.mark.parametrize(
+        "ratios,message",
+        [
+            ([math.nan, 1.0], "raw ratio nan at index 0 is not finite"),
+            ([1.0, math.nan], "raw ratio nan at index 1 is not finite"),
+            ([1.0, math.inf], "raw ratio inf at index 1 is not finite"),
+            ([1.0, -math.inf], "raw ratio -inf at index 1 is not finite"),
+            ([1e-320, 1e300], "raw ratio 1e-320 at index 0 underflows to 0 against the maximum 1e+300"),
+        ],
+    )
+    def test_refuses_ratios_without_a_finite_gain(self, ratios, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            normalized_gain(range(len(ratios)), ratios)
+
+    def test_a_subnormal_relative_ratio_keeps_its_gain(self):
+        pattern = normalized_gain([0.0, 1.0], [1e-300, 1e10])
+        assert pattern[0].gain_db == 20.0 * math.log10(1e-300 / 1e10) < -6000.0
+
+    @pytest.mark.parametrize("angles,ratios", [([0.0], [1.0, 2.0]), ([[0.0]], [[1.0]])])
+    def test_refuses_unequal_or_nested_arrays(self, angles, ratios):
+        with pytest.raises(ValueError, match="must be 1-D of equal length"):
+            normalized_gain(angles, ratios)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(1e-150, 1e150)), min_size=1, max_size=40))
+    def test_equals_the_scalar_rule_bit_for_bit(self, pairs):
+        angles, ratios = [a for a, _ in pairs], [r for _, r in pairs]
+        top = max(ratios)
+        pattern = normalized_gain(np.array(angles), np.array(ratios))
+        assert all(type(s) is GainSample for s in pattern)
+        assert pattern == [(a, r, min(20.0 * math.log10(r / top), 0.0)) for a, r in pairs]
 
 
 class TestIsotropicDeviation:
     def test_uniform_pattern_has_zero_spread(self):
-        pattern = normalized_gain([(a, 2.5) for a in range(10)])
+        pattern = normalized_gain(range(10), [2.5] * 10)
         assert isotropic_deviation(pattern) == 0.0
 
     def test_known_spread(self):
-        pattern = normalized_gain([(0.0, 1.0), (1.0, 10.0)])
+        pattern = normalized_gain([0.0, 1.0], [1.0, 10.0])
         assert isotropic_deviation(pattern) == pytest.approx(20.0, abs=1e-12)
 
     def test_monotone_under_added_attenuation(self):
-        base = [(0.0, 1.0), (1.0, 0.9), (2.0, 0.8)]
-        worse = base + [(3.0, 0.4)]
-        assert isotropic_deviation(normalized_gain(worse)) > isotropic_deviation(
-            normalized_gain(base)
+        base = [1.0, 0.9, 0.8]
+        worse = base + [0.4]
+        assert isotropic_deviation(normalized_gain(range(4), worse)) > isotropic_deviation(
+            normalized_gain(range(3), base)
         )
 
     def test_rejects_empty_pattern(self):

@@ -42,3 +42,110 @@ def test_refusals_exit_1_and_say_why(tmp_path, monkeypatch, capsys, change, code
     assert "parent: correct 1/1, attempted 7, failed 2, failed share 0.2857" in out
     refused = [line for line in out.splitlines() if line.startswith("REFUSED: ")]
     assert refused == ([] if refusal is None else [f"REFUSED: {refusal}"])
+
+
+STUB_RUN = """
+import os
+SRC = os.path.dirname(os.path.abspath(__file__))
+NAME, LOG = {name!r}, {log!r}
+
+
+class Op:
+    name, spec = "op", {{}}
+
+
+def eigen_round(seed):
+    return [Op(), Op()]
+
+
+spectrum_round = eigen_round
+
+
+def build_call(spec):
+    return None
+
+
+class Rounds:
+    def __init__(self, ops, calls):
+        self.rounds = 0
+
+    def warm_up(self):
+        pass
+
+    def timed(self, seconds):
+        self.rounds += 1
+        with open(LOG, "a") as fh:
+            fh.write(NAME + "\\n")
+        return [{op_s}, {op_s}], [{round_s}]
+
+
+def verify_in_process(ops, rounds):
+    return {failed}, {correct}
+"""
+
+
+def worker_checkout(root: Path, name: str, round_s: float, op_s: float, failed: int = 0, correct: bool = True) -> str:
+    tree = root / name
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(STUB_RUN.format(
+        name=name, log=str(root / "order.log"), round_s=round_s, op_s=op_s, failed=failed, correct=correct))
+    return str(tree)
+
+
+def interleave_argv(parent: str, change: str, *extra: str) -> list[str]:
+    return ["--interleave", "--parent", parent, "--change", change, "--workload", "eigen-sweep",
+            "--pairs", "4", "--seed-base", "11", *extra]
+
+
+class TestInterleave:
+    def test_paired_rounds_alternate_and_report_ratios_and_wins(self, tmp_path, capsys):
+        parent = worker_checkout(tmp_path, "parent", 0.02, 0.002)
+        change = worker_checkout(tmp_path, "change", 0.01, 0.0015)
+        assert pairs.main(interleave_argv(parent, change)) == 0
+        out = capsys.readouterr().out
+        assert (tmp_path / "order.log").read_text().split() == ["parent", "change", "change", "parent"] * 2
+        assert "eigen-sweep: 4 interleaved pair(s) of rounds, seed 11" in out
+        assert "change: correct 1/1, attempted 8, failed 0, failed share 0" in out
+        assert ("round_s   parent 0.02 [0.02, 0.02]  change 0.01 [0.01, 0.01]  "
+                "paired ratio 0.500 [0.500, 0.500]  wins 4/4") in out
+        assert ("op_ms_p50 parent 2 [2, 2]  change 1.5 [1.5, 1.5]  "
+                "paired ratio 0.750 [0.750, 0.750]  wins 4/4") in out
+        assert not (tmp_path / "parent" / "perfbench" / "__pycache__").exists()
+
+    @pytest.mark.parametrize(
+        "failed,correct,refusal",
+        [
+            (0, False, "1 change run(s) report correct: false"),
+            (1, True, "the change's failed share 0.125 exceeds the parent's 0"),
+        ],
+    )
+    def test_the_checks_still_refuse(self, tmp_path, capsys, failed, correct, refusal):
+        parent = worker_checkout(tmp_path, "parent", 0.02, 0.002)
+        change = worker_checkout(tmp_path, "change", 0.01, 0.001, failed, correct)
+        assert pairs.main(interleave_argv(parent, change)) == 1
+        refused = [line for line in capsys.readouterr().out.splitlines() if line.startswith("REFUSED: ")]
+        assert refused == [f"REFUSED: {refusal}"]
+
+    def test_a_worker_that_cannot_start_gives_no_result(self, tmp_path, capsys):
+        parent = worker_checkout(tmp_path, "parent", 0.02, 0.002)
+        change = worker_checkout(tmp_path, "change", 0.01, 0.001)
+        (Path(change) / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
+        assert pairs.main(interleave_argv(parent, change)) == 1
+        assert "did not start (exit 3)" in capsys.readouterr().out
+
+    def test_a_worker_that_ends_mid_run_gives_no_result(self, tmp_path, capsys):
+        parent = worker_checkout(tmp_path, "parent", 0.02, 0.002)
+        change = worker_checkout(tmp_path, "change", 0.01, 0.001)
+        run_py = Path(change) / "perfbench" / "run.py"
+        ending = "self.rounds += 1\n        if self.rounds == 2:\n            raise SystemExit(4)"
+        run_py.write_text(run_py.read_text().replace("self.rounds += 1", ending))
+        assert pairs.main(interleave_argv(parent, change)) == 1
+        assert "the worker ended (exit 4)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [("--workload", "cli"), ("--seconds", "5")])
+    def test_usage_errors(self, tmp_path, extra):
+        parent = worker_checkout(tmp_path, "parent", 0.02, 0.002)
+        change = worker_checkout(tmp_path, "change", 0.01, 0.001)
+        with pytest.raises(SystemExit) as exc:
+            pairs.main(interleave_argv(parent, change, *extra))
+        assert exc.value.code == 2

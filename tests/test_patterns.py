@@ -9,7 +9,7 @@ import _oracles
 from rydant.angular import AngularMomentum
 from rydant.cellfield import CellGeometry, angle_sweep_deviation
 from rydant.hamiltonian import RfDrive, TransitionSystem
-from rydant.metrology import isotropic_deviation
+from rydant.metrology import GainSample, isotropic_deviation
 from rydant import patterns
 from rydant.patterns import (
     MAX_NOISE_SIGMA_DB,
@@ -582,6 +582,39 @@ class TestBatchedEigenSweep:
             expected = _oracles.closed_form_delta_at(two_jg, plan.drive.rabi, plan.drive.detuning)
             delta_ats = np.array(patterns._eigen_delta_ats(plan, [1.0] * len(plan.angles)))
             assert np.abs(delta_ats - expected).max() <= 1e-14 * expected
+
+
+class TestArrayTail:
+    """run_sweep's ratios, gains, gaps and deviation equal the per-angle loop it replaced, with ==."""
+
+    @pytest.mark.parametrize("readout", ["eigen", "spectrum"])
+    def test_equals_the_scalar_loop(self, monkeypatch, readout):
+        angles = np.radians([3.0, 20.0, 37.0, 55.0, 143.0, 160.0, 200.0])
+        plan = make_plan(
+            angles=angles, drive=RfDrive(rabi=40 * MHZ), readout=readout, scan_points=401,
+            cell=THZ_CELL, cell_frequency=THZ_FREQ, noise_sigma_db=0.5, seed=8,
+        )
+        factors = patterns._cell_factors(plan)
+        if readout == "eigen":
+            delta_ats = patterns._eigen_delta_ats(plan, factors).tolist()
+        else:
+            # the drive of angle 2 stays unresolved, so it and its mirror angle are gaps
+            gap_drive = plan.drive.rabi * factors[2]
+            real = patterns._spectrum_delta_at
+            monkeypatch.setattr(
+                patterns, "_spectrum_delta_at", lambda p, omega: None if omega == gap_drive else real(p, omega)
+            )
+            delta_ats = [patterns._spectrum_delta_at(plan, plan.drive.rabi * f) for f in factors]
+            assert delta_ats.count(None) == 2
+        scales = (10.0 ** (patterns._normal_draws(plan.seed, plan.noise_sigma_db, len(angles)) / 20.0)).tolist()
+        samples, gaps, deviation = _oracles.scalar_sweep_tail(
+            plan.angles.tolist(), delta_ats, plan.drive.rabi / plan.system.mu, scales
+        )
+        pattern = run_sweep(plan)
+        assert all(type(s) is GainSample for s in pattern.samples)
+        assert list(pattern.samples) == samples
+        assert list(pattern.gap_angles) == gaps
+        assert pattern.deviation_db == deviation
 
 
 class TestPlanRefusals:
