@@ -173,7 +173,7 @@ CASES = [
                           "yz.json": config("yz", system=SYSTEM_J12, drive={"rabi_mhz": 10.0}, sweep=YZ_EIGEN)},
      [["sweep", "--config", "xz.json"], ["sweep", "--config", "yz.json"],
       ["compare", "out/yz_pattern.json", "out/xz_pattern.json", "--json", "cmp.json"]]),
-    # refusals, whose messages must not move
+    # refusals: their messages are recorded, so a moved message shows
     cli_case("refuse-range", "cellfield", "--preset", "thz-33s", "--angles", "0:10"),
     cli_case("refuse-list", "cellfield", "--preset", "thz-33s", "--angles", "[0, 1"),
     cli_case("refuse-bare-spectrum", "spectrum"),
@@ -213,6 +213,15 @@ CASES = [
                          ladder={"probe_rabi_mhz": 0.0, "coupling_rabi_mhz": 1e9, "gamma_e_mhz": 1e-9,
                                  "gamma_r_mhz": 1e9})},
      [["spectrum", "--config", "run.json"]]),
+    # cell and ladder rules, refused by the library and named by the config key or flag
+    cli_case("refuse-cell-wall", "cellfield", "--config", "run.json",
+             files={"run.json": config("cf", cell=dict(THZ_CELL, wall_thickness_mm=-2))}),
+    cli_case("refuse-cell-frequency", "cellfield", "--config", "run.json",
+             files={"run.json": config("cf", cell=dict(THZ_CELL, rf_frequency_ghz=0))}),
+    sweep_case("refuse-sweep-grazing", {"plane": "XY", "angles_deg": [0, 90], "use_cell": True}, cell=THZ_CELL),
+    cli_case("refuse-cellfield-grazing", "cellfield", "--preset", "thz-33s", "--angles", "[0, 90]"),
+    cli_case("refuse-ladder-probe", "spectrum", "--config", "run.json",
+             files={"run.json": config("spec", drive={"rabi_mhz": 10.0}, ladder=dict(LADDER, probe_rabi_mhz=-0.1))}),
 ]
 
 

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrology import GainSample, isotropic_deviation, normalized_gain
+from .spectra import InputError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -53,7 +54,7 @@ POLARIZATIONS = ("TE", "TM")
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Wall/interior thicknesses in meters and complex refractive indices."""
+    """Wall and vapor thicknesses in meters (finite, > 0) and complex indices (real part >= 1), else InputError."""
 
     wall_thickness: float
     inner_length: float
@@ -61,14 +62,14 @@ class CellGeometry:
     inner_index: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if not (math.isfinite(self.wall_thickness) and self.wall_thickness > 0):
-            raise ValueError(f"wall_thickness must be > 0, got {self.wall_thickness}")
-        if not (math.isfinite(self.inner_length) and self.inner_length > 0):
-            raise ValueError(f"inner_length must be > 0, got {self.inner_length}")
+        for name in ("wall_thickness", "inner_length"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(name, f" must be finite and > 0, got {value} m")
         for name in ("wall_index", "inner_index"):
             n = complex(getattr(self, name))
             if n.real < 1.0:
-                raise ValueError(f"{name} must have real part >= 1, got {n}")
+                raise InputError(name, f" must have real part >= 1, got {n}")
             object.__setattr__(self, name, n)
 
 
@@ -174,37 +175,53 @@ def stack_nepers(geometry: CellGeometry, frequency: float) -> float:
     return total
 
 
-def check_stack(geometry: CellGeometry, frequency: float) -> None:
-    """Raise ValueError unless the stack can be solved at this frequency (Hz).
+def check_frequency(frequency: float | None) -> None:
+    """The one frequency rule: finite and > 0 Hz, else InputError("frequency"); None is refused too."""
+    if frequency is None or not (math.isfinite(frequency) and frequency > 0):
+        got = "None" if frequency is None else f"{frequency} Hz"
+        raise InputError("frequency", f" must be finite and > 0, got {got}")
 
-    Refuses a frequency that is not finite and > 0, and a stack whose
-    stack_nepers passes MAX_STACK_NEPERS.
-    """
-    if not (math.isfinite(frequency) and frequency > 0):
-        raise ValueError(f"frequency must be > 0, got {frequency}")
+
+def check_stack(geometry: CellGeometry, frequency: float) -> None:
+    """The one stack bound: check_frequency, then stack_nepers <= MAX_STACK_NEPERS, else InputError("stack")."""
+    check_frequency(frequency)
     nepers = stack_nepers(geometry, frequency)
     if not nepers <= MAX_STACK_NEPERS:
-        raise ValueError(
-            f"the field grows or decays by {nepers:.4g} nepers across the cell, "
+        raise InputError(
+            "stack",
+            f": the field grows or decays by {nepers:.4g} nepers across the cell, "
             f"more than MAX_STACK_NEPERS = {MAX_STACK_NEPERS} (inf: k0 |n| outside "
             f"{_WAVENUMBER_RANGE[0]:g} .. {_WAVENUMBER_RANGE[1]:g} rad/m)"
         )
 
 
-def incidence_in_domain(angle: float) -> bool:
-    """True for 0 <= angle < pi/2 short of grazing.
+def incidences_in_domain(angles) -> np.ndarray:
+    """One bool per angle (radians, flattened): 0 <= angle < pi/2, short of grazing, where the sine rounds to 1.
 
-    Within about 1.5e-8 rad of pi/2 the sine of the angle rounds to 1, and
-    no incident wave propagates; such angles are outside the domain too.
+    It can round so only within about 1.5e-8 rad of pi/2; above 1.5 rad math.sin decides, not numpy's sine.
     """
-    return 0.0 <= angle < math.pi / 2 and math.sin(angle) < 1.0
+    angles = np.asarray(angles, dtype=float).ravel()
+    inside = (angles >= 0.0) & (angles < math.pi / 2)
+    near = np.flatnonzero(inside & (angles > 1.5))
+    inside[near] = np.fromiter(map(math.sin, angles[near].tolist()), float, near.size) < 1.0
+    return inside
 
 
-def _check_incidence(angle: float, polarization: str) -> None:
-    if not incidence_in_domain(angle):
-        raise ValueError(f"angle must lie in [0, pi/2) with a sine below 1, got {angle}")
+def check_incidences(angles) -> None:
+    """The one incidence rule: incidences_in_domain throughout, else InputError("angles") naming the first miss."""
+    angles = np.asarray(angles, dtype=float)
+    outside = np.flatnonzero(~incidences_in_domain(angles))
+    if outside.size:
+        first = float(angles.flat[outside[0]])
+        where = f" at index {outside[0]}" if angles.ndim else ""
+        raise InputError("angles", f": incidence {first!r} rad ({math.degrees(first):.12g} deg){where} must lie "
+                         "in [0, pi/2) with a sine below 1, short of grazing incidence")
+
+
+def check_polarization(polarization: str) -> None:
+    """The one polarization rule: one of POLARIZATIONS, else InputError("polarization")."""
     if polarization not in POLARIZATIONS:
-        raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {polarization!r}")
+        raise InputError("polarization", f" must be one of {POLARIZATIONS}, got {polarization!r}")
 
 
 def _interior_amplitudes(
@@ -250,7 +267,7 @@ def transfer_matrix_field(
     geometry: CellGeometry,
     frequency: float,
     angle: float,
-    polarization: str = "TE",
+    polarization: str,
     samples: int | None = None,
 ) -> FieldProfile:
     """Field magnitude across the cell interior for one incidence.
@@ -265,7 +282,8 @@ def transfer_matrix_field(
         by default sweep_samples(geometry, frequency).
     """
     check_stack(geometry, frequency)
-    _check_incidence(angle, polarization)
+    check_incidences(angle)
+    check_polarization(polarization)
     if samples is None:
         samples = sweep_samples(geometry, frequency)
     if samples < 2:
@@ -286,14 +304,17 @@ def path_average(profile: FieldProfile) -> float:
 def sweep_samples(geometry: CellGeometry, frequency: float) -> int:
     """Interior sample count: SAMPLES_PER_WAVELENGTH per in-vapor wavelength, at least 513.
 
-    Raises ValueError when the count would exceed MAX_SWEEP_SAMPLES.
+    The one sample cap: check_frequency, then a count within MAX_SWEEP_SAMPLES,
+    else InputError("frequency x inner_length").
     """
+    check_frequency(frequency)
     wavelengths = geometry.inner_length * frequency * geometry.inner_index.real / SPEED_OF_LIGHT
     needed = SAMPLES_PER_WAVELENGTH * wavelengths
     if not needed + 2 <= MAX_SWEEP_SAMPLES:
-        raise ValueError(
-            f"the vapor spans {wavelengths:.4g} wavelengths, which needs more than "
-            f"MAX_SWEEP_SAMPLES = {MAX_SWEEP_SAMPLES} samples"
+        raise InputError(
+            "frequency x inner_length",
+            f" is too large: the vapor spans {wavelengths:.4g} wavelengths, which needs more than "
+            f"MAX_SWEEP_SAMPLES = {MAX_SWEEP_SAMPLES} samples",
         )
     return max(_MIN_SWEEP_SAMPLES, int(needed) + 2)
 
@@ -302,7 +323,7 @@ def path_averages(
     geometry: CellGeometry,
     frequency: float,
     angles,
-    polarization: str = "TE",
+    polarization: str,
 ) -> list[float]:
     """Path-averaged field (relative to the incident wave) at each incidence angle.
 
@@ -315,12 +336,13 @@ def path_averages(
     """
     samples = sweep_samples(geometry, frequency)
     check_stack(geometry, frequency)
+    angles = np.asarray(angles, dtype=float)
+    check_incidences(angles)
+    check_polarization(polarization)
     x = np.linspace(0.0, geometry.inner_length, samples)
     span = x[-1] - x[0]
-    angle_list = np.asarray(angles, dtype=float).tolist()
+    angle_list = angles.tolist()
     distinct = list(dict.fromkeys(angle_list))
-    for a in distinct:
-        _check_incidence(a, polarization)
     averages = []
     for amplitude in _interior_amplitudes(
         geometry, frequency, distinct, polarization, samples, max(1, WALK_SAMPLES // samples)
@@ -334,18 +356,14 @@ def angle_sweep_deviation(
     geometry: CellGeometry,
     frequency: float,
     angles,
-    polarization: str = "TE",
+    polarization: str,
 ) -> float:
     """Spread (max - min, dB) of the path-averaged field over incidence angles.
 
     The path averages are normalized to 0 dB at the largest one and spread
     exactly as a gain pattern (metrology.normalized_gain, isotropic_deviation).
     """
-    angle_list = [float(a) for a in angles]
-    if not angle_list:
-        raise ValueError("angles must be non-empty")
-    averages = path_averages(geometry, frequency, angle_list, polarization)
-    return isotropic_deviation(normalized_gain(angle_list, averages))
+    return isotropic_deviation(normalized_gain(angles, path_averages(geometry, frequency, angles, polarization)))
 
 
 def profile_csv(profile: FieldProfile) -> str:

@@ -24,7 +24,6 @@ import numpy as np
 from .angular import AngularMomentum, decompose_polarizations
 from .cellfield import (
     CellGeometry,
-    incidence_in_domain,
     path_average,
     path_averages,
     profile_csv,
@@ -269,25 +268,13 @@ def cmd_spectrum(args) -> dict[str, str]:
     }
 
 
-def _incidences(angles, flag: str) -> None:
-    """Refuse incidence angles (radians) outside the cell model, naming the flag."""
-    for angle in angles:
-        if not incidence_in_domain(angle):
-            raise ConfigError(
-                f"{flag}: incidence {math.degrees(angle):.12g} deg must lie in [0, 90) deg, "
-                "short of grazing, where its sine rounds to 1"
-            )
-
-
 def cmd_cellfield(args) -> dict[str, str]:
     config = load_config(args.config) if args.config else None
     preset = PRESETS[args.preset] if args.preset else None
     if config and config.cell:
-        geometry = config.cell
-        frequency = config.cell_frequency
+        geometry, frequency = config.cell, config.cell_frequency
     elif preset:
-        geometry = preset.cell
-        frequency = preset.rf_frequency_hz
+        geometry, frequency = preset.cell, preset.rf_frequency_hz
     else:
         raise ConfigError("cellfield needs a cell section in --config or a --preset")
     if args.no_walls:
@@ -313,17 +300,16 @@ def cmd_cellfield(args) -> dict[str, str]:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--angles is not a valid JSON list: {exc}") from exc
         angles = parse_angles_deg(spec, "--angles")
-        _incidences(angles, "--angles")
-        samples = normalized_gain(angles, path_averages(geometry, frequency, angles, args.polarization))
+        with keyed({"angles": "--angles"}):
+            samples = normalized_gain(angles, path_averages(geometry, frequency, angles, args.polarization))
         deviation = isotropic_deviation(samples)
         summary["angles_deg"] = [round(math.degrees(a), 12) for a in angles]
         summary["deviation_db"] = deviation
         print(f"angle_sweep_deviation_db = {deviation:.9g}")
         data_name, data_text = "cellsweep", sweep_csv(samples)
     else:
-        angle = math.radians(args.angle_deg)
-        _incidences([angle], "--angle-deg")
-        profile = transfer_matrix_field(geometry, frequency, angle, args.polarization)
+        with keyed({"angles": "--angle-deg"}):
+            profile = transfer_matrix_field(geometry, frequency, math.radians(args.angle_deg), args.polarization)
         summary["incidence_angle_deg"] = args.angle_deg
         summary["path_average_rel"] = path_average(profile)
         print(f"path_average_rel = {summary['path_average_rel']:.9g}")

@@ -11,11 +11,15 @@ the NaN and Infinity literals), angle grids longer than MAX_ANGLES, and
 drives, couplings and decay rates outside MAGNITUDE_RANGE.  The library's
 rules run here too, before any physics, each from its one home: the
 transition (patterns.check_transition), the scan range and points
-(spectra.check_scan_range and check_scan_points), the cell
-(cellfield.sweep_samples and check_stack) and the sweep, which
-parse_config builds as a patterns.SweepPlan from the system, drive, cell,
-ladder and scan sections.
-An InputError they raise becomes a ConfigError naming the key in KEYS.
+(spectra.check_scan_range and check_scan_points), the ladder
+(spectra.LadderConfig), the cell (cellfield.CellGeometry, and
+cellfield.sweep_samples and check_stack, which hold the frequency rule
+check_frequency) and the sweep, which parse_config builds as a
+patterns.SweepPlan from the system, drive, cell, ladder and scan sections
+(its angles by patterns.sweep_angles, their incidences on a cell by
+cellfield.check_incidences).  An InputError they raise becomes a
+ConfigError naming the key in KEYS; no rule is checked again here in the
+config's units.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .angular import AngularMomentum
-from .cellfield import MAX_SWEEP_SAMPLES, CellGeometry, check_stack, sweep_samples
+from .cellfield import CellGeometry, check_stack, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
 from .patterns import SweepPlan, check_transition, finite_number
 from .spectra import (
@@ -65,6 +69,20 @@ KEYS = {
     "angles": "sweep.angles_deg",
     "noise_sigma_db": "sweep.noise_sigma_db",
     "drive.rabi": "drive.rabi_mhz",
+    "wall_thickness": "cell.wall_thickness_mm",
+    "inner_length": "cell.inner_length_mm",
+    "wall_index": "cell.wall_index_re",
+    "inner_index": "cell.inner_index_re",
+    "frequency": "cell.rf_frequency_ghz",
+    "frequency x inner_length": "cell.rf_frequency_ghz x cell.inner_length_mm",
+    "stack": "cell: walls (wall_thickness_mm, wall_index_*) and vapor (inner_length_mm, inner_index_*) at "
+    "rf_frequency_ghz",
+    "omega_p": "ladder.probe_rabi_mhz",
+    "omega_c": "ladder.coupling_rabi_mhz",
+    "delta_p": "ladder.probe_detuning_mhz",
+    "gamma_e": "ladder.gamma_e_mhz",
+    "gamma_r": "ladder.gamma_r_mhz",
+    "doppler_sigma": "ladder.doppler_sigma_mhz",
 }
 
 
@@ -244,7 +262,7 @@ def _parse_ladder(section: dict, drive: RfDrive | None) -> LadderConfig:
     for key in ("gamma_e_mhz", "gamma_r_mhz"):  # zero leaves no unique steady state
         if key in section:
             _magnitude(_number(section, key, where), f"{where}.{key}", zero_ok=False)
-    try:
+    with keyed():
         return LadderConfig(
             omega_p=_number(section, "probe_rabi_mhz", where) * MHZ,
             omega_c=_number(section, "coupling_rabi_mhz", where) * MHZ,
@@ -255,8 +273,6 @@ def _parse_ladder(section: dict, drive: RfDrive | None) -> LadderConfig:
             gamma_r=_number(section, "gamma_r_mhz", where, GAMMA_R_DEFAULT / MHZ) * MHZ,
             doppler_sigma=_number(section, "doppler_sigma_mhz", where, 0.0) * MHZ,
         )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_scan(section: dict) -> ScanSection:
@@ -283,7 +299,7 @@ def _parse_cell(section: dict) -> tuple[CellGeometry, float]:
         "rf_frequency_ghz",
     }
     _check_keys(section, allowed, {"wall_thickness_mm", "inner_length_mm", "rf_frequency_ghz"}, where)
-    try:
+    with keyed():
         geometry = CellGeometry(
             wall_thickness=_number(section, "wall_thickness_mm", where) * 1e-3,
             inner_length=_number(section, "inner_length_mm", where) * 1e-3,
@@ -296,27 +312,9 @@ def _parse_cell(section: dict) -> tuple[CellGeometry, float]:
                 _number(section, "inner_index_im", where, 0.0),
             ),
         )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    frequency = _number(section, "rf_frequency_ghz", where) * 1e9
-    if frequency <= 0:
-        raise ConfigError(f"{where}: rf_frequency_ghz must be > 0")
-    if not math.isfinite(frequency):
-        raise ConfigError(f"{where}: rf_frequency_ghz must stay finite in Hz")
-    try:
+        frequency = _number(section, "rf_frequency_ghz", where) * 1e9
         sweep_samples(geometry, frequency)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{where}.rf_frequency_ghz x {where}.inner_length_mm is too large "
-            f"(MAX_SWEEP_SAMPLES = {MAX_SWEEP_SAMPLES}): {exc}"
-        ) from exc
-    try:
         check_stack(geometry, frequency)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{where}: walls (wall_thickness_mm, wall_index_*) and vapor (inner_length_mm, "
-            f"inner_index_*) at rf_frequency_ghz: {exc}"
-        ) from exc
     return geometry, frequency
 
 
@@ -370,9 +368,7 @@ def parse_config(payload: dict) -> RunConfig:
     seed = _integer(payload, "seed", "configuration", 0)
 
     drive = _parse_drive(payload["drive"]) if "drive" in payload else None
-    cell, cell_frequency = (None, None)
-    if "cell" in payload:
-        cell, cell_frequency = _parse_cell(payload["cell"])
+    cell, cell_frequency = _parse_cell(payload["cell"]) if "cell" in payload else (None, None)
     config = RunConfig(
         seed=seed,
         system=_parse_system(payload["system"]) if "system" in payload else None,

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .angular import decompose_polarizations
-from .cellfield import CellGeometry, incidence_in_domain, path_averages
+from .cellfield import CellGeometry, check_frequency, check_incidences, path_averages
 from .hamiltonian import RfDrive, TransitionSystem, coupling_stack
 from .metrology import GainSample, gram_splittings, isotropic_deviation, normalized_gain
 from .spectra import (
@@ -97,16 +97,16 @@ class SweepPlan:
     A plan that cannot run raises InputError naming the field.
     The injected field amplitude is drive.rabi / system.mu and is held
     fixed over the sweep; the cell (when present, with cell_frequency in
-    Hz) rescales the field each angle, and no angle may fold onto grazing
-    incidence on it.  noise_sigma_db adds multiplicative Gaussian jitter to
-    each extracted splitting: angle i takes draw i of one normal stream,
-    Box-Muller on random.Random(seed).random() with uniform pair k giving
-    draws 2k and 2k + 1, so a gap angle shifts no other angle's draw and
-    the stream rests on CPython's fixed random() sequence for an int seed,
-    not on a numpy release.  seed is an integer >= 0.  The
-    spectrum readout takes scan_points samples over scan_window of each
-    cell factor's ladder; a config's scan.min_mhz and scan.max_mhz never
-    reach a sweep.
+    Hz) rescales the field each angle.  The angles follow sweep_angles, and
+    on a cell check_frequency and check_incidences.  noise_sigma_db adds
+    multiplicative Gaussian jitter to each extracted splitting: angle i
+    takes draw i of one normal stream, Box-Muller on
+    random.Random(seed).random() with uniform pair k giving draws 2k and
+    2k + 1, so a gap angle shifts no other angle's draw and the stream
+    rests on CPython's fixed random() sequence for an int seed, not on a
+    numpy release.  seed is an integer >= 0.  The spectrum readout takes
+    scan_points samples over scan_window of each cell factor's ladder; a
+    config's scan.min_mhz and scan.max_mhz never reach a sweep.
     """
 
     plane: str
@@ -125,12 +125,7 @@ class SweepPlan:
         check_plane(self.plane)
         if self.readout not in READOUTS:
             raise InputError("readout", f" must be 'eigen' or 'spectrum', got {self.readout!r}")
-        arr = np.array(self.angles, dtype=float)
-        if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-            raise InputError("angles", " must be a non-empty 1-D array of finite values")
-        arr = arr % TWO_PI
-        arr.flags.writeable = False
-        object.__setattr__(self, "angles", arr)
+        object.__setattr__(self, "angles", sweep_angles(self.angles))
         if self.drive.rabi <= 0:
             raise InputError("drive.rabi", f" must be > 0 for a sweep, got {self.drive.rabi}")
         try:
@@ -141,22 +136,24 @@ class SweepPlan:
             raise InputError("seed", f" must be >= 0, got {self.seed}")
         check_transition(self.system.jg.two_j, self.system.je.two_j)
         if self.cell is not None:
-            if self.cell_frequency is None or self.cell_frequency <= 0:
-                raise InputError("cell_frequency", f" must be > 0 (Hz) with a cell, got {self.cell_frequency}")
-            grazing = [a for a, i in zip(arr.tolist(), incidence_angles(self.plane, arr).tolist())
-                       if not incidence_in_domain(i)]
-            if grazing:
-                raise InputError(
-                    "angles",
-                    f": {len(grazing)} angle(s) fold onto grazing incidence on the cell "
-                    f"(90 deg + k * 180 deg in XY), first {math.degrees(grazing[0]):.9g} deg",
-                )
+            check_frequency(self.cell_frequency)
+            check_incidences(incidence_angles(self.plane, self.angles))
         if not 0.0 <= self.noise_sigma_db <= MAX_NOISE_SIGMA_DB:
             raise InputError(
                 "noise_sigma_db",
                 f" must be in [0, MAX_NOISE_SIGMA_DB = {MAX_NOISE_SIGMA_DB}], got {self.noise_sigma_db}",
             )
         check_scan_points(self.scan_points)
+
+
+def sweep_angles(angles) -> np.ndarray:
+    """The one angle-grid rule: non-empty, 1-D and finite, else InputError("angles"); read-only, in [0, 2 pi)."""
+    arr = np.array(angles, dtype=float)
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise InputError("angles", " must be a non-empty 1-D array of finite values")
+    arr %= TWO_PI
+    arr.flags.writeable = False
+    return arr
 
 
 def check_plane(plane: str) -> None:
@@ -318,7 +315,8 @@ def incidence_angles(plane: str, angles) -> np.ndarray:
 def _cell_factors(plan: SweepPlan) -> list[float]:
     if plan.cell is None:
         return [1.0] * len(plan.angles)
-    return path_averages(plan.cell, plan.cell_frequency, incidence_angles(plan.plane, plan.angles))
+    # TE, although an XY sweep's field lies in the plane of incidence: ROADMAP item 7's open TE/TM finding.
+    return path_averages(plan.cell, plan.cell_frequency, incidence_angles(plan.plane, plan.angles), "TE")
 
 
 def _eigen_delta_ats(plan: SweepPlan, factors: Sequence[float]) -> np.ndarray:
@@ -396,18 +394,17 @@ def dipole_reference(angles, plane: str = "axial") -> GainPattern:
 
     "axial" sweeps a plane containing the dipole axis: the amplitude is
     |sin(angle)| with a -60 dB floor at the nulls.  "equatorial" is the
-    plane normal to the axis: constant response.
+    plane normal to the axis: constant response.  The angles follow
+    sweep_angles.
     """
     if plane not in ("axial", "equatorial"):
         raise ValueError(f"plane must be 'axial' or 'equatorial', got {plane!r}")
-    angle_list = [float(a) % TWO_PI for a in angles]
-    if not angle_list:
-        raise ValueError("angles must be non-empty")
+    angle_array = sweep_angles(angles)
     if plane == "axial":
-        ratios = [max(abs(math.sin(a)), DIPOLE_FLOOR_RATIO) for a in angle_list]
+        ratios = [max(abs(math.sin(a)), DIPOLE_FLOOR_RATIO) for a in angle_array.tolist()]
     else:
-        ratios = [1.0] * len(angle_list)
-    samples = normalized_gain(angle_list, ratios)
+        ratios = [1.0] * angle_array.size
+    samples = normalized_gain(angle_array, ratios)
     return GainPattern(
         plane=f"dipole-{plane}",
         samples=tuple(samples),

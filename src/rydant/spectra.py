@@ -111,7 +111,8 @@ class LadderConfig:
     doppler_sigma > 0 makes scan_spectrum average each point over a
     Gaussian shift of the scanned detuning with this standard deviation
     (velocity classes); the average is exact, one Faddeeva function per
-    pole.  Zero keeps the single stationary class.
+    pole.  Zero keeps the single stationary class.  Rates are finite and >= 0,
+    detunings finite, else InputError naming the field.
     """
 
     omega_p: float
@@ -127,10 +128,11 @@ class LadderConfig:
         for name in ("omega_p", "omega_c", "omega_rf", "gamma_e", "gamma_r", "doppler_sigma"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+                raise InputError(name, f" must be finite and >= 0, got {v} rad/s")
         for name in ("delta_p", "delta_rf"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise InputError(name, f" must be finite, got {v} rad/s")
         if self.gamma_e > 0 and self.omega_p > WEAK_PROBE_RATIO * self.gamma_e:
             warnings.warn(
                 f"probe Rabi frequency {self.omega_p:.3e} exceeds "

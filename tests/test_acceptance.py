@@ -237,7 +237,7 @@ def test_8_cell_modulation_and_noise_statistics():
         cell_frequency=THZ_FREQ,
     )
     pattern = run_sweep(plan)
-    direct = angle_sweep_deviation(THZ_CELL, THZ_FREQ, angles)
+    direct = angle_sweep_deviation(THZ_CELL, THZ_FREQ, angles, "TE")
     gap = abs(pattern.deviation_db - direct)
     assert pattern.deviation_db > 0.0
     assert gap <= 1e-12, f"sweep vs direct stack deviation differ by {gap:.3e} dB"

@@ -21,7 +21,8 @@ from rydant.cellfield import (
     FieldProfile,
     _walk,
     angle_sweep_deviation,
-    incidence_in_domain,
+    check_incidences,
+    incidences_in_domain,
     path_average,
     path_averages,
     stack_nepers,
@@ -31,6 +32,7 @@ from rydant.cellfield import (
     transfer_matrix_field,
 )
 from rydant.metrology import normalized_gain
+from rydant.spectra import InputError
 
 THZ_FREQ = 0.1296e12
 DEFAULT_GEOMETRY = CellGeometry(wall_thickness=2e-3, inner_length=20e-3)
@@ -162,11 +164,11 @@ class TestPathAverage:
 
 class TestAngleSweep:
     def test_single_angle_has_zero_spread(self):
-        assert angle_sweep_deviation(DEFAULT_GEOMETRY, THZ_FREQ, [0.0]) == 0.0
+        assert angle_sweep_deviation(DEFAULT_GEOMETRY, THZ_FREQ, [0.0], "TE") == 0.0
 
     def test_spread_is_nonnegative_and_finite(self):
         angles = np.radians(np.arange(0.0, 90.0, 10.0))
-        dev = angle_sweep_deviation(DEFAULT_GEOMETRY, THZ_FREQ, angles)
+        dev = angle_sweep_deviation(DEFAULT_GEOMETRY, THZ_FREQ, angles, "TE")
         assert dev > 0.0
         assert math.isfinite(dev)
 
@@ -179,34 +181,34 @@ class TestAngleSweep:
         # 66.7 vapor wavelengths at 1 THz: 32 samples per wavelength, not 513 in all
         for frequency, samples in ((THZ_FREQ, 513), (1.0e12, 2136)):
             assert sweep_samples(DEFAULT_GEOMETRY, frequency) == samples
-            bare = transfer_matrix_field(DEFAULT_GEOMETRY, frequency, 0.3)
+            bare = transfer_matrix_field(DEFAULT_GEOMETRY, frequency, 0.3, "TE")
             explicit = transfer_matrix_field(DEFAULT_GEOMETRY, frequency, 0.3, "TE", samples)
             assert bare.positions.size == samples
             assert bare.amplitude.tobytes() == explicit.amplitude.tobytes()
 
     def test_rejects_empty_angles(self):
         with pytest.raises(ValueError):
-            angle_sweep_deviation(DEFAULT_GEOMETRY, THZ_FREQ, [])
+            angle_sweep_deviation(DEFAULT_GEOMETRY, THZ_FREQ, [], "TE")
 
 
 class TestValidation:
     def test_angle_domain(self):
         with pytest.raises(ValueError):
-            transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, math.pi / 2)
+            transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, math.pi / 2, "TE")
         with pytest.raises(ValueError):
-            transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, -0.1)
+            transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, -0.1, "TE")
 
     def test_frequency_and_samples(self):
         with pytest.raises(ValueError):
-            transfer_matrix_field(DEFAULT_GEOMETRY, 0.0, 0.0)
+            transfer_matrix_field(DEFAULT_GEOMETRY, 0.0, 0.0, "TE")
         with pytest.raises(ValueError):
-            transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, samples=1)
+            transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, "TE", samples=1)
 
     def test_samples_are_capped(self):
-        transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, samples=MAX_SWEEP_SAMPLES)
+        transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, "TE", samples=MAX_SWEEP_SAMPLES)
         for samples in (MAX_SWEEP_SAMPLES + 1, 10**9):
             with pytest.raises(ValueError, match="samples must be <= MAX_SWEEP_SAMPLES"):
-                transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, samples=samples)
+                transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, 0.0, "TE", samples=samples)
 
     def test_polarization_name(self):
         with pytest.raises(ValueError):
@@ -279,7 +281,7 @@ class TestBatchedPathAverages:
         rows = []
         real = cellfield._interior_amplitudes
         monkeypatch.setattr(cellfield, "_interior_amplitudes", lambda *a: rows.extend(a[2]) or real(*a))
-        path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.0] * 50 + [0.4, 0.2, 0.4])
+        path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.0] * 50 + [0.4, 0.2, 0.4], "TE")
         assert rows == [0.0, 0.4, 0.2]
 
     @pytest.mark.parametrize("polarization", ["TE", "TM"])
@@ -333,29 +335,88 @@ class TestBatchedPathAverages:
         chunks.clear()
         # a profile longer than WALK_SAMPLES goes one angle at a time
         long_cell = CellGeometry(wall_thickness=2e-3, inner_length=0.2)
-        path_averages(long_cell, 1.0e12, [0.1, 0.2])
+        path_averages(long_cell, 1.0e12, [0.1, 0.2], "TE")
         assert [rows for rows, _ in chunks] == [1, 1] and chunks[0][1] > WALK_SAMPLES
 
     def test_grazing_sines_are_refused(self):
         # the sine of these angles rounds to 1: no incident wave propagates
         for angle in (math.pi / 2 - 1e-9, math.nextafter(math.pi / 2, 0.0)):
             assert math.sin(angle) == 1.0
-            with pytest.raises(ValueError, match="angle must lie"):
-                path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.1, angle])
-            with pytest.raises(ValueError, match="angle must lie"):
-                transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, angle)
-        assert incidence_in_domain(math.pi / 2 - 1e-7)
-        assert not incidence_in_domain(math.pi / 2 - 1e-9)
+            with pytest.raises(InputError, match=r"^angles: incidence .* at index 1 must lie in \[0, pi/2\)"):
+                path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.1, angle], "TE")
+            with pytest.raises(InputError, match=r"^angles: incidence [^ ]+ rad \([^ ]+ deg\) must lie in \[0, pi/2\)"):
+                transfer_matrix_field(DEFAULT_GEOMETRY, THZ_FREQ, angle, "TE")
+        assert incidences_in_domain([math.pi / 2 - 1e-7, math.pi / 2 - 1e-9]).tolist() == [True, False]
 
     def test_refusals_match_the_profile_builder(self):
         for bad in ([0.1, math.pi / 2], [-0.1], [math.nan]):
-            with pytest.raises(ValueError, match="angle must lie"):
-                path_averages(DEFAULT_GEOMETRY, THZ_FREQ, bad)
-        with pytest.raises(ValueError, match="polarization"):
+            with pytest.raises(InputError, match="must lie in"):
+                path_averages(DEFAULT_GEOMETRY, THZ_FREQ, bad, "TE")
+        with pytest.raises(InputError, match="polarization"):
             path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [0.1], "XX")
-        with pytest.raises(ValueError, match="frequency"):
-            path_averages(DEFAULT_GEOMETRY, -1.0, [0.1])
-        assert path_averages(DEFAULT_GEOMETRY, THZ_FREQ, []) == []
+        with pytest.raises(InputError, match="frequency"):
+            path_averages(DEFAULT_GEOMETRY, -1.0, [0.1], "TE")
+        assert path_averages(DEFAULT_GEOMETRY, THZ_FREQ, [], "TE") == []
+
+    def test_names_the_first_bad_incidence_among_many(self):
+        angles = np.linspace(0.0, 1.5, 400)
+        angles[[57, 120, 399]] = [math.pi / 2, -0.25, math.nan]
+        with pytest.raises(InputError) as info:
+            path_averages(DEFAULT_GEOMETRY, THZ_FREQ, angles, "TE")
+        assert info.value.quantity == "angles"
+        assert info.value.detail == (
+            f": incidence {math.pi / 2!r} rad (90 deg) at index 57 must lie in [0, pi/2) "
+            "with a sine below 1, short of grazing incidence"
+        )
+
+
+def grazing_threshold() -> float:
+    """The largest float whose math.sin is below 1, by bisection on the float's bits."""
+    low, high = (np.array(a).view(np.int64).item() for a in (math.pi / 2 - 1e-7, math.pi / 2))
+    while high - low > 1:
+        mid = (low + high) // 2
+        if math.sin(np.array(mid).view(np.float64).item()) < 1.0:
+            low = mid
+        else:
+            high = mid
+    return np.array(low).view(np.float64).item()
+
+
+class TestIncidenceRule:
+    @staticmethod
+    def scalar_rule(angle: float) -> bool:
+        return 0 <= angle < math.pi / 2 and math.sin(angle) < 1
+
+    def boundary_angles(self) -> np.ndarray:
+        """Four float neighbours either side of 0, of the grazing threshold and of pi/2, and the non-finite."""
+        found = [-0.0, math.nan, math.inf, -math.inf]
+        for centre in (0.0, grazing_threshold(), math.pi / 2):
+            for direction in (-math.inf, math.inf):
+                angle = centre
+                for _ in range(4):
+                    angle = float(np.nextafter(angle, direction))
+                    found.append(angle)
+            found.append(centre)
+        return np.array(found)
+
+    def test_agrees_with_the_scalar_rule_at_each_boundary(self):
+        angles = self.boundary_angles()
+        expected = [self.scalar_rule(a) for a in angles.tolist()]
+        assert incidences_in_domain(angles).tolist() == expected
+        threshold = grazing_threshold()
+        assert math.sin(threshold) < 1.0 == math.sin(float(np.nextafter(threshold, 2.0)))
+        assert threshold < math.pi / 2 - 1e-8  # the sine, not the pi/2 bound, decides here
+        for angle, inside in zip(angles.tolist(), expected):
+            if inside:
+                check_incidences(angle)
+            else:
+                with pytest.raises(InputError, match="^angles: incidence"):
+                    check_incidences(angle)
+
+    def test_gives_one_bool_per_angle_of_any_shape(self):
+        assert incidences_in_domain([]).tolist() == []
+        assert incidences_in_domain(0.3).tolist() == [True]
+        assert incidences_in_domain([[0.3, 2.0]]).tolist() == [True, False]
 
 
 class TestStackNepers:
@@ -389,15 +450,15 @@ class TestStackNepers:
     def test_opaque_or_overflowing_stacks_are_refused(self, geometry):
         assert not stack_nepers(geometry, THZ_FREQ) <= MAX_STACK_NEPERS
         with pytest.raises(ValueError, match="MAX_STACK_NEPERS"):
-            transfer_matrix_field(geometry, THZ_FREQ, 0.2)
+            transfer_matrix_field(geometry, THZ_FREQ, 0.2, "TE")
         with pytest.raises(ValueError, match="MAX_STACK_NEPERS"):
-            path_averages(geometry, THZ_FREQ, [0.2])
+            path_averages(geometry, THZ_FREQ, [0.2], "TE")
 
     def test_wavenumbers_out_of_range_are_refused(self):
         for frequency in (1e-160, 1e300):
             assert stack_nepers(DEFAULT_GEOMETRY, frequency) == math.inf
             with pytest.raises(ValueError, match="rad/m"):
-                transfer_matrix_field(DEFAULT_GEOMETRY, frequency, 0.0)
+                transfer_matrix_field(DEFAULT_GEOMETRY, frequency, 0.0, "TE")
 
     def test_stacks_under_the_cap_stay_finite_up_to_grazing(self):
         # lossy, gaining and high-index walls at 0.99 of the cap, up to 1e-7 rad from grazing

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydant.angular import AngularMomentum
-from rydant.cellfield import MAX_SWEEP_SAMPLES, SAMPLES_PER_WAVELENGTH, SPEED_OF_LIGHT, sweep_samples
+from rydant.cellfield import (
+    MAX_SWEEP_SAMPLES,
+    SAMPLES_PER_WAVELENGTH,
+    SPEED_OF_LIGHT,
+    CellGeometry,
+    check_frequency,
+    check_incidences,
+    check_stack,
+    sweep_samples,
+)
+from rydant.cli import main
 from rydant.config import (
     MAGNITUDE_RANGE,
     MAX_ANGLES,
@@ -20,8 +30,8 @@ from rydant.config import (
     parse_config,
 )
 from rydant.hamiltonian import TransitionSystem
-from rydant.patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG
-from rydant.spectra import MAX_SCAN_POINTS, InputError, check_scan_range
+from rydant.patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG, incidence_angles
+from rydant.spectra import MAX_SCAN_POINTS, InputError, LadderConfig, check_scan_range
 
 FULL_CONFIG = {
     "schema_version": 1,
@@ -500,6 +510,95 @@ class TestSweepRules:
         assert str(info.value) == message
         del payload["sweep"]
         assert parse_config(payload).sweep is None
+
+
+GEOMETRY_MM = {"wall_thickness_mm": 2.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 129.6}
+
+
+def cell_of(**mm):
+    """The library's (CellGeometry, Hz) for the config's cell section with mm overrides, by the config's arithmetic."""
+    cell = dict(GEOMETRY_MM, **mm)
+    geometry = CellGeometry(
+        cell["wall_thickness_mm"] * 1e-3,
+        cell["inner_length_mm"] * 1e-3,
+        complex(cell.get("wall_index_re", 2.1), 0.02),
+        complex(cell.get("inner_index_re", 1.0), 0.0),
+    )
+    return geometry, cell["rf_frequency_ghz"] * 1e9
+
+
+def ladder_of(**fields):
+    rates = dict(omega_p=0.1 * MHZ, omega_c=1.0 * MHZ, omega_rf=10.0 * MHZ, delta_rf=-1.5 * MHZ,
+                 gamma_e=5.2 * MHZ, gamma_r=0.1 * MHZ)
+    return LadderConfig(**dict(rates, **fields))
+
+
+# quantity, config key, the library call that refuses, section, the config keys that reach it
+CELL_RULES = [
+    ("wall_thickness", "cell.wall_thickness_mm", lambda: cell_of(wall_thickness_mm=-2.0), "cell",
+     {"wall_thickness_mm": -2.0}),
+    ("inner_length", "cell.inner_length_mm", lambda: cell_of(inner_length_mm=0.0), "cell", {"inner_length_mm": 0.0}),
+    ("wall_index", "cell.wall_index_re", lambda: cell_of(wall_index_re=0.5), "cell", {"wall_index_re": 0.5}),
+    ("inner_index", "cell.inner_index_re", lambda: cell_of(inner_index_re=0.99), "cell", {"inner_index_re": 0.99}),
+    ("frequency", "cell.rf_frequency_ghz", lambda: check_frequency(cell_of(rf_frequency_ghz=0)[1]), "cell",
+     {"rf_frequency_ghz": 0}),
+    ("frequency", "cell.rf_frequency_ghz", lambda: check_frequency(cell_of(rf_frequency_ghz=1e300)[1]), "cell",
+     {"rf_frequency_ghz": 1e300}),
+    ("frequency x inner_length", "cell.rf_frequency_ghz x cell.inner_length_mm",
+     lambda: sweep_samples(*cell_of(rf_frequency_ghz=1e9)), "cell", {"rf_frequency_ghz": 1e9}),
+    ("stack", "cell: walls (wall_thickness_mm, wall_index_*) and vapor (inner_length_mm, inner_index_*) at "
+     "rf_frequency_ghz", lambda: check_stack(*cell_of(wall_thickness_mm=1000.0)), "cell",
+     {"wall_thickness_mm": 1000.0}),
+    ("omega_p", "ladder.probe_rabi_mhz", lambda: ladder_of(omega_p=-0.1 * MHZ), "ladder", {"probe_rabi_mhz": -0.1}),
+    ("omega_c", "ladder.coupling_rabi_mhz", lambda: ladder_of(omega_c=-1.0 * MHZ), "ladder",
+     {"coupling_rabi_mhz": -1.0}),
+    ("delta_p", "ladder.probe_detuning_mhz", lambda: ladder_of(delta_p=1e308 * MHZ), "ladder",
+     {"probe_detuning_mhz": 1e308}),
+    ("gamma_e", "ladder.gamma_e_mhz", lambda: ladder_of(gamma_e=-5.2 * MHZ), "ladder", {"gamma_e_mhz": -5.2}),
+    ("gamma_r", "ladder.gamma_r_mhz", lambda: ladder_of(gamma_r=-0.1 * MHZ), "ladder", {"gamma_r_mhz": -0.1}),
+    ("doppler_sigma", "ladder.doppler_sigma_mhz", lambda: ladder_of(doppler_sigma=-1.0 * MHZ), "ladder",
+     {"doppler_sigma_mhz": -1.0}),
+    ("angles", "sweep.angles_deg", lambda: check_incidences(incidence_angles("XY", np.radians([0.0, 90.0]))),
+     "sweep", {"angles_deg": [0, 90]}),
+]
+
+
+class TestCellRules:
+    """Each cell and ladder rule lives in the library; the config and the CLI refuse through it, naming the key."""
+
+    @pytest.mark.parametrize("quantity,key,call,section,keys", CELL_RULES, ids=[r[1] for r in CELL_RULES])
+    def test_the_config_refusal_is_the_key_and_the_library_detail(self, quantity, key, call, section, keys):
+        with pytest.raises(InputError) as rule:
+            call()
+        assert rule.value.quantity == quantity
+        payload = make_config()
+        payload[section].update(keys)
+        with pytest.raises(ConfigError) as info:
+            parse_config(payload)
+        assert str(info.value) == key + rule.value.detail
+
+    @pytest.mark.parametrize(
+        "flag,value,angles",
+        [
+            ("--angles", "[0, 90]", np.radians([0.0, 90.0])),
+            ("--angles", "0:30:120", np.radians(0.0 + 30.0 * np.arange(4))),
+            ("--angle-deg", "90", math.radians(90.0)),
+            ("--angle-deg", "-1", math.radians(-1.0)),
+        ],
+    )
+    def test_the_cli_refusal_is_the_flag_and_the_library_detail(self, tmp_path, capsys, flag, value, angles):
+        with pytest.raises(InputError) as rule:
+            check_incidences(angles)
+        assert main(["cellfield", "--preset", "thz-33s", flag, value, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {flag}{rule.value.detail}\n"
+
+    def test_a_plan_on_a_cell_needs_its_frequency(self):
+        plan = parse_config(make_config()).sweep
+        for frequency, got in ((None, "None"), (0.0, "0.0 Hz"), (math.nan, "nan Hz")):
+            with pytest.raises(InputError) as info:
+                replace(plan, cell_frequency=frequency)
+            assert (info.value.quantity, info.value.detail) == ("frequency", f" must be finite and > 0, got {got}")
+        assert replace(plan, cell=None, cell_frequency=None).cell is None
 
 
 class TestTransitions:

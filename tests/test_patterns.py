@@ -143,7 +143,7 @@ class TestCellModulation:
         # must reproduce the bare stack-average spread exactly
         plan = make_plan(angles=self.ANGLES, cell=THZ_CELL, cell_frequency=THZ_FREQ)
         pattern = run_sweep(plan)
-        direct = angle_sweep_deviation(THZ_CELL, THZ_FREQ, self.ANGLES)
+        direct = angle_sweep_deviation(THZ_CELL, THZ_FREQ, self.ANGLES, "TE")
         assert pattern.deviation_db == pytest.approx(direct, abs=1e-12)
 
     def test_grazing_incidence_is_out_of_domain(self):
@@ -399,6 +399,24 @@ class TestDipoleReference:
     def test_empty_angles(self):
         with pytest.raises(ValueError):
             dipole_reference([])
+
+    @pytest.mark.parametrize("plane", ["axial", "equatorial"])
+    @pytest.mark.parametrize("angles", [[math.inf, 1.0], [0.5, math.nan], [-math.inf], [], [[0.1, 0.2]]])
+    def test_refuses_the_angles_a_sweep_refuses(self, plane, angles):
+        with pytest.raises(InputError) as info:
+            dipole_reference(angles, plane)
+        assert str(info.value) == "angles must be a non-empty 1-D array of finite values"
+        with pytest.raises(InputError) as plan:
+            make_plan(angles=angles)
+        assert str(plan.value) == str(info.value)
+
+    def test_keeps_the_bits_of_the_scalar_form(self):
+        # float(a) % 2 pi and math.sin per angle, as before the angle rule moved into sweep_angles
+        angles = np.random.default_rng(3).uniform(-20.0, 20.0, 500).tolist() + [0.0, -0.0, math.pi, -2 * math.pi]
+        folded = [a % (2 * math.pi) for a in angles]
+        pattern = dipole_reference(angles)
+        assert [s.angle for s in pattern.samples] == folded
+        assert [s.raw_ratio for s in pattern.samples] == [max(abs(math.sin(a)), 1e-3) for a in folded]
 
 
 class TestComparison:
