@@ -222,6 +222,8 @@ CASES = [
     cli_case("refuse-cellfield-grazing", "cellfield", "--preset", "thz-33s", "--angles", "[0, 90]"),
     cli_case("refuse-ladder-probe", "spectrum", "--config", "run.json",
              files={"run.json": config("spec", drive={"rabi_mhz": 10.0}, ladder=dict(LADDER, probe_rabi_mhz=-0.1))}),
+    cli_case("refuse-drive-negative", "spectrum", "--config", "run.json",
+             files={"run.json": config("spec", drive={"rabi_mhz": -2.0}, ladder=LADDER)}),
 ]
 
 

@@ -37,7 +37,9 @@ each worker, the parent first in even pairs and the change in odd ones.
 Paired rounds a few milliseconds apart see the same host speed, so the
 script prints, for the round time and for the round's median operation
 time, each side's median and quartiles, the median and quartiles of the
-per-pair change / parent ratios, and the change's wins.  The workers then
+per-pair change / parent ratios, and the change's wins; then the same for
+each operation class both rounds hold, from its time in the round, so a
+gain can be traced to the classes whose code changed.  The workers then
 check their results as the harness does (verify_in_process) and the same
 refusals apply.
 
@@ -79,7 +81,8 @@ print("ready", flush=True)
 for line in sys.stdin:
     if line.strip() == "round":
         latencies, round_seconds = rounds.timed(0.0)
-        out = {"round_s": round_seconds[0], "op_ms_p50": statistics.median(latencies) * 1e3}
+        out = {"round_s": round_seconds[0], "op_ms_p50": statistics.median(latencies) * 1e3,
+               "op_ms": {op.name: seconds * 1e3 for op, seconds in zip(ops, latencies)}}
     else:
         failed, correct = run.verify_in_process(ops, rounds)
         out = {"correct": correct, "attempted": rounds.rounds * len(ops), "failed": failed}
@@ -162,13 +165,13 @@ class Worker:
         self.proc.wait()
 
 
-def paired(name: str, parent: list[float], change: list[float]) -> str:
+def paired(name: str, parent: list[float], change: list[float], width: int = 9) -> str:
     """Lower is better: each side's median and quartiles, the per-pair ratios' and the change's wins."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     r1, rm, r3 = quartiles([c / p for p, c in zip(parent, change)])
     wins = sum(c < p for p, c in zip(parent, change))
-    return (f"{name:9s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
+    return (f"{name:{width}s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
             f"paired ratio {rm:.3f} [{r1:.3f}, {r3:.3f}]  wins {wins}/{len(parent)}")
 
 
@@ -209,6 +212,12 @@ def interleave(sides: dict, workload: str, pairs: int, seed: int) -> int:
     refusals = refusals_of(checks)
     for name in ("round_s", "op_ms_p50"):
         print(paired(name, [r[name] for r in rounds["parent"]], [r[name] for r in rounds["change"]]))
+    classes = [name for name in rounds["parent"][0]["op_ms"] if name in rounds["change"][0]["op_ms"]]
+    print("per operation class, ms per round:")
+    width = max(map(len, classes), default=0)
+    for name in classes:
+        print("  " + paired(name, [r["op_ms"][name] for r in rounds["parent"]],
+                            [r["op_ms"][name] for r in rounds["change"]], width))
     for refusal in refusals:
         print(f"REFUSED: {refusal}")
     return 1 if refusals else 0

@@ -54,7 +54,7 @@ POLARIZATIONS = ("TE", "TM")
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Wall and vapor thicknesses in meters (finite, > 0) and complex indices (real part >= 1), else InputError."""
+    """Wall and vapor thicknesses in meters (finite, > 0), complex indices (finite, real part >= 1), else InputError."""
 
     wall_thickness: float
     inner_length: float
@@ -68,6 +68,8 @@ class CellGeometry:
                 raise InputError(name, f" must be finite and > 0, got {value} m")
         for name in ("wall_index", "inner_index"):
             n = complex(getattr(self, name))
+            if not cmath.isfinite(n):
+                raise InputError(name, f" must have finite real and imaginary parts, got {n}")
             if n.real < 1.0:
                 raise InputError(name, f" must have real part >= 1, got {n}")
             object.__setattr__(self, name, n)
@@ -233,8 +235,11 @@ def _interior_amplitudes(
     follows the TE/TM rule of the module header, and each row depends on its
     angle alone.  With x_j = j h, j = i B + q and B about sqrt(samples), a
     row's u = a exp(i kx x) + b exp(-i kx x) is the product of the tables
-    [a exp(i kx x_iB), b exp(-i kx x_iB)] and [exp(i kx x_q); exp(-i kx x_q)]:
-    2 (M + B) exponentials per row.  TM appends i kx [a .., -b ..] for u'.
+    [a exp(i kx x_iB), b exp(-i kx x_iB)] and [exp(i kx x_q); exp(-i kx x_q)].
+    TM appends i kx [a .., -b ..] for u'.  A lossless vapor (real index) has
+    real kx, so i kx x is imaginary and each exp(-i kx x) table is the
+    conjugate of its exp(i kx x) table, bit for bit: M + B exponentials per
+    row.  A lossy vapor evaluates both, 2 (M + B).
     """
     k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
     betas = [k0 * math.sin(angle) for angle in angles]
@@ -246,15 +251,21 @@ def _interior_amplitudes(
     block = math.isqrt(samples - 1) + 1
     step = geometry.inner_length / (samples - 1)
     coarse, fine = np.arange(0, samples, block) * step, np.arange(block) * step
+    lossless = geometry.inner_index.imag == 0.0
+
+    def phases(ikx, grid):
+        forward = np.exp(ikx * grid)
+        return forward, (forward.conj() if lossless else np.exp(-ikx * grid))
 
     for start in range(0, len(angles), rows):
         chunk = slice(start, start + rows)
         a, b = (amp[chunk, None] for amp in amps[2])
         ikx = 1j * kxs[2][chunk, None]
-        left = np.stack([a * np.exp(ikx * coarse), b * np.exp(-ikx * coarse)], axis=-1)
+        forward, backward = phases(ikx, coarse)
+        left = np.stack([a * forward, b * backward], axis=-1)
         if polarization == "TM":
             left = np.concatenate([left, ikx[..., None] * left * [1.0, -1.0]], axis=1)
-        right = np.stack([np.exp(ikx * fine), np.exp(-ikx * fine)], axis=1)
+        right = np.stack(phases(ikx, fine), axis=1)
         fields = np.matmul(left, right).reshape(len(a), -1, coarse.size * block)[..., :samples]
         if polarization == "TE":
             yield np.abs(fields[:, 0])
@@ -295,10 +306,23 @@ def transfer_matrix_field(
     return FieldProfile(x, amplitude, angle, frequency)
 
 
+def _trapezoid_means(amplitude: np.ndarray, steps: np.ndarray, span: float) -> np.ndarray:
+    """Trapezoidal means along the last axis, bit for bit numpy.trapezoid(amplitude, x, axis=-1) / span.
+
+    steps is np.diff(x) and span x[-1] - x[0].  Forms numpy.trapezoid's
+    d * (y[1:] + y[:-1]) / 2.0 in place in one temporary and sums it as
+    numpy.trapezoid does.
+    """
+    terms = amplitude[..., 1:] + amplitude[..., :-1]
+    terms *= steps
+    terms /= 2.0
+    return terms.sum(axis=-1) / span
+
+
 def path_average(profile: FieldProfile) -> float:
     """Trapezoidal mean of the amplitude along the interior path."""
-    span = profile.positions[-1] - profile.positions[0]
-    return float(np.trapezoid(profile.amplitude, profile.positions) / span)
+    x = profile.positions
+    return float(_trapezoid_means(profile.amplitude, np.diff(x), x[-1] - x[0]))
 
 
 def sweep_samples(geometry: CellGeometry, frequency: float) -> int:
@@ -340,14 +364,14 @@ def path_averages(
     check_incidences(angles)
     check_polarization(polarization)
     x = np.linspace(0.0, geometry.inner_length, samples)
-    span = x[-1] - x[0]
+    steps, span = np.diff(x), x[-1] - x[0]
     angle_list = angles.tolist()
     distinct = list(dict.fromkeys(angle_list))
     averages = []
     for amplitude in _interior_amplitudes(
         geometry, frequency, distinct, polarization, samples, max(1, WALK_SAMPLES // samples)
     ):
-        averages += (np.trapezoid(amplitude, x, axis=-1) / span).tolist()
+        averages += _trapezoid_means(amplitude, steps, span).tolist()
     by_angle = dict(zip(distinct, averages))
     return [by_angle[a] for a in angle_list]
 

@@ -10,16 +10,16 @@ This module's own rules: NaN and +-inf in any number (Python's json reads
 the NaN and Infinity literals), angle grids longer than MAX_ANGLES, and
 drives, couplings and decay rates outside MAGNITUDE_RANGE.  The library's
 rules run here too, before any physics, each from its one home: the
-transition (patterns.check_transition), the scan range and points
-(spectra.check_scan_range and check_scan_points), the ladder
-(spectra.LadderConfig), the cell (cellfield.CellGeometry, and
-cellfield.sweep_samples and check_stack, which hold the frequency rule
-check_frequency) and the sweep, which parse_config builds as a
-patterns.SweepPlan from the system, drive, cell, ladder and scan sections
-(its angles by patterns.sweep_angles, their incidences on a cell by
-cellfield.check_incidences).  An InputError they raise becomes a
-ConfigError naming the key in KEYS; no rule is checked again here in the
-config's units.
+transition (patterns.check_transition), the drive (hamiltonian.RfDrive),
+the scan range and points (spectra.check_scan_range and
+check_scan_points), the ladder (spectra.LadderConfig), the cell
+(cellfield.CellGeometry, and cellfield.sweep_samples and check_stack,
+which hold the frequency rule check_frequency) and the sweep, which
+parse_config builds as a patterns.SweepPlan from the system, drive, cell,
+ladder and scan sections (its angles by patterns.sweep_angles, their
+incidences on a cell by cellfield.check_incidences).  An InputError they
+raise becomes a ConfigError naming the key in KEYS; no rule is checked
+again here in the config's units.
 """
 
 from __future__ import annotations
@@ -230,15 +230,13 @@ def _parse_system(section: dict) -> TransitionSystem:
 def _rf_drive(rabi_mhz, detuning_mhz, rabi_key: str, detuning_key: str) -> RfDrive:
     """The RF drive of a Rabi frequency and a detuning in MHz, each refused naming its key.
 
-    The one rule for the drive, for config keys and CLI flags alike: each
-    number finite, then within MAGNITUDE_RANGE or 0, then the Rabi frequency
-    >= 0.
+    For config keys and CLI flags alike: each number finite, then within
+    MAGNITUDE_RANGE or 0 (the config's rules), then RfDrive's drive rule.
     """
     rabi = _magnitude(_finite(rabi_mhz, rabi_key), rabi_key, zero_ok=True)
-    if rabi < 0:
-        raise ConfigError(f"{rabi_key} must be >= 0, got {rabi!r}")
     detuning = _magnitude(_finite(detuning_mhz, detuning_key), detuning_key, zero_ok=True)
-    return RfDrive(rabi * MHZ, detuning * MHZ)
+    with keyed({"rabi": rabi_key, "detuning": detuning_key}):
+        return RfDrive(rabi * MHZ, detuning * MHZ)
 
 
 def _parse_drive(section: dict) -> RfDrive:

@@ -34,22 +34,27 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import AngularMomentum, clebsch_gordan
+from .spectra import InputError
 
 _PHOTON = AngularMomentum(2)  # rank-1 coupling
 
 
 @dataclass(frozen=True)
 class RfDrive:
-    """Scalar drive parameters: Rabi frequency >= 0 and detuning, in rad/s."""
+    """Scalar drive parameters in rad/s.
+
+    The one drive rule: Rabi frequency finite and >= 0, detuning finite,
+    else InputError("rabi") or InputError("detuning").
+    """
 
     rabi: float
     detuning: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.rabi) or self.rabi < 0:
-            raise ValueError(f"rabi must be finite and >= 0, got {self.rabi}")
+            raise InputError("rabi", f" must be finite and >= 0, got {self.rabi} rad/s")
         if not math.isfinite(self.detuning):
-            raise ValueError(f"detuning must be finite, got {self.detuning}")
+            raise InputError("detuning", f" must be finite, got {self.detuning} rad/s")
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,22 @@ exactly, apart from two changes of method that agree to rounding: the
 sweep takes its splitting from the ground-space Gram matrix of each
 coupling block, the oracle from the full dressed Hamiltonian; and the
 production profile builds exp(+-i kx x) from short phase tables, the
-oracle takes two plain exponentials per sample.  mpmath_interior_amplitudes
-evaluates a profile from the walk's own amplitudes at 30 digits.
+oracle takes two plain exponentials per sample.  two_exponential_profile
+is the production profile of one angle as it was built before a lossless
+vapor took its exp(-i kx x) tables as conjugates: the same walk and phase
+tables with both exponentials evaluated, which the production profile must
+equal bit for bit.  mpmath_interior_amplitudes evaluates a profile from the
+walk's own amplitudes at 30 digits.
 peak_positions is the peak search rebuilt on scipy.signal.find_peaks, with
 a scalar parabola per peak, and splitting_from_peaks the splitting rule
 on it.
-hamiltonian_stack is that full-matrix route for a whole sweep, and
+hamiltonian_stack is that full-matrix route for a whole sweep,
 closed_form_delta_at the splitting of a linearly polarized drive from
-sympy's Clebsch-Gordan coefficients.  build_interaction_paper is the
-paper's hand-written 1/2 -> 3/2 block, the reference of acceptance
-criterion 1; branch_splittings and eigen_closed_form are the hand-derived
+sympy's Clebsch-Gordan coefficients, and cartesian_polarizations the
+spherical components of Cartesian polarization vectors, for drives of any
+ellipticity.  build_interaction_paper is the paper's hand-written
+1/2 -> 3/2 block, the reference of acceptance criterion 1;
+branch_splittings and eigen_closed_form are the hand-derived
 1/2 -> 3/2 closed forms, the reference of criterion 2, which `rydant
 eigen` reads from the Gram modes instead.  folded_incidence folds one XY angle alone, without merging
 the mirror twins that patterns.incidence_angles merges; patterns built on
@@ -132,6 +138,33 @@ def interior_amplitude(geometry, frequency, angle, polarization, x):
     du = 1j * k * (forward - backward)
     n2 = abs(geometry.inner_index) ** 2
     return np.sqrt(beta**2 * np.abs(u) ** 2 + np.abs(du) ** 2) / (k0 * n2)
+
+
+def two_exponential_profile(geometry, frequency, angle, polarization, samples):
+    """|E| on linspace(0, inner_length, samples) for one angle, exp(i kx x) and exp(-i kx x) each evaluated.
+
+    The production walk, phase tables, matmul and reporting rule, one angle
+    at a time, with no conjugate shortcut for a lossless vapor.
+    """
+    k0 = 2.0 * math.pi * frequency / SPEED_OF_LIGHT
+    beta = k0 * math.sin(angle)
+    ns = [1.0 + 0j, geometry.wall_index, geometry.inner_index, geometry.wall_index, 1.0 + 0j]
+    ds = [0.0, geometry.wall_thickness, geometry.inner_length, geometry.wall_thickness, 0.0]
+    kxs, amps = _walk(ns, ds, k0, [beta], polarization)
+    block = math.isqrt(samples - 1) + 1
+    step = geometry.inner_length / (samples - 1)
+    coarse, fine = np.arange(0, samples, block) * step, np.arange(block) * step
+    a, b = (amp[:, None] for amp in amps[2])
+    ikx = 1j * kxs[2][:, None]
+    left = np.stack([a * np.exp(ikx * coarse), b * np.exp(-ikx * coarse)], axis=-1)
+    if polarization == "TM":
+        left = np.concatenate([left, ikx[..., None] * left * [1.0, -1.0]], axis=1)
+    right = np.stack([np.exp(ikx * fine), np.exp(-ikx * fine)], axis=1)
+    fields = np.matmul(left, right).reshape(1, -1, coarse.size * block)[0, :, :samples]
+    if polarization == "TE":
+        return np.abs(fields[0])
+    n2 = abs(geometry.inner_index) ** 2
+    return np.sqrt(beta**2 * np.abs(fields[0]) ** 2 + np.abs(fields[1]) ** 2) / (k0 * n2)
 
 
 def mpmath_interior_amplitudes(geometry, frequency, angle, positions):
@@ -588,6 +621,15 @@ def closed_form_delta_at(two_jg, rabi, detuning):
         for tm in range(-two_jg, two_jg + 1, 2)
     )
     return math.sqrt(detuning**2 + 1.5 * float(cg_max_sq) * rabi**2)
+
+
+def cartesian_polarizations(eps):
+    """coupling_stack's (eps_minus, eps_zero, eps_plus) of Cartesian polarizations eps[..., (x, y, z)].
+
+    eps_minus = (x - i y) / sqrt(2), eps_zero = z, eps_plus = -(x + i y) / sqrt(2).
+    """
+    x, y, z = np.moveaxis(np.asarray(eps, dtype=complex), -1, 0)
+    return (x - 1j * y) / math.sqrt(2.0), z, -(x + 1j * y) / math.sqrt(2.0)
 
 
 def path_averages(geometry, frequency, angles, polarization="TE"):

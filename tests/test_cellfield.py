@@ -10,6 +10,7 @@ from _oracles import (
     random_cell_case,
     rk4_field_profile,
     stack_amplitudes,
+    two_exponential_profile,
 )
 from _oracles import path_averages as per_angle_path_averages
 from rydant.cellfield import (
@@ -220,6 +221,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             CellGeometry(wall_thickness=1e-3, inner_length=1e-2, wall_index=0.9 + 0j)
 
+    @pytest.mark.parametrize("name", ["wall_index", "inner_index"])
+    @pytest.mark.parametrize(
+        "index",
+        [complex(math.nan, 0.0), complex(1.5, math.nan), complex(math.inf, 0.0), complex(-math.inf, 0.0),
+         complex(1.5, math.inf), complex(1.5, -math.inf)],
+    )
+    def test_non_finite_indices_are_refused_by_the_geometry_rule(self, name, index):
+        with pytest.raises(InputError) as info:
+            CellGeometry(wall_thickness=2e-3, inner_length=2e-2, **{name: index})
+        assert info.value.quantity == name
+        assert info.value.detail == f" must have finite real and imaginary parts, got {index}"
+
     def test_profile_constraints(self):
         with pytest.raises(ValueError):
             FieldProfile(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0.0, 1e9)
@@ -380,6 +393,55 @@ def grazing_threshold() -> float:
         else:
             high = mid
     return np.array(low).view(np.float64).item()
+
+
+class TestConjugateTables:
+    """A lossless vapor takes its exp(-i kx x) tables as conjugates of the exp(i kx x) ones; no bit moves."""
+
+    ANGLES = np.radians(np.linspace(0.0, 89.9, 24)).tolist()
+
+    @staticmethod
+    def cells():
+        rng = np.random.default_rng(2718)
+        cells = [(DEFAULT_GEOMETRY, THZ_FREQ)]
+        for inner_index in (1.0, 1.0, 1.2, 1.45, complex(1.3, -0.0), complex(1.1, 0.01)):
+            geometry, frequency, _, _ = random_cell_case(rng)
+            cells.append((CellGeometry(geometry.wall_thickness, geometry.inner_length, geometry.wall_index,
+                                       inner_index), frequency))
+        return cells
+
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    def test_profiles_and_averages_keep_the_two_exponential_bits(self, polarization):
+        for geometry, frequency in self.cells():
+            samples = sweep_samples(geometry, frequency)
+            x = np.linspace(0.0, geometry.inner_length, samples)
+            profiles = [two_exponential_profile(geometry, frequency, a, polarization, samples) for a in self.ANGLES]
+            expected = [float(np.trapezoid(p, x) / (x[-1] - x[0])) for p in profiles]
+            assert path_averages(geometry, frequency, self.ANGLES, polarization) == expected
+            for angle, profile in list(zip(self.ANGLES, profiles))[::4]:
+                got = transfer_matrix_field(geometry, frequency, angle, polarization).amplitude
+                assert got.tobytes() == profile.tobytes()
+
+    @pytest.mark.parametrize("inner_index,tables", [(1.0 + 0j, 1), (complex(1.3, -0.0), 1), (1.0 + 1e-9j, 2)])
+    def test_a_lossless_vapor_evaluates_half_the_exponentials(self, monkeypatch, inner_index, tables):
+        exponentials, real_exp = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda z: exponentials.append(np.size(z)) or real_exp(z))
+        geometry = CellGeometry(2e-3, 20e-3, inner_index=inner_index)
+        path_averages(geometry, THZ_FREQ, self.ANGLES, "TE")
+        samples = sweep_samples(geometry, THZ_FREQ)
+        block = math.isqrt(samples - 1) + 1
+        per_row = len(range(0, samples, block)) + block  # M coarse and B fine phases
+        walk = 3 * len(self.ANGLES)  # one phase per angle across each wall and the vapor
+        assert sum(exponentials) == walk + tables * per_row * len(self.ANGLES)
+
+    def test_this_host_conjugates_imaginary_exponentials_exactly(self):
+        # The lossless tables rest on exp(-z) == conj(exp(z)), bit for bit, for
+        # z = i kx x with real kx; a numpy or libm that breaks it fails here.
+        # Phases reach 3e4 rad, past the 2 pi * 3125 of MAX_SWEEP_SAMPLES.
+        rng = np.random.default_rng(31)
+        ikx = 1j * np.concatenate([[0.0], rng.uniform(0.0, 1e5, 400)]).astype(complex)[:, None]
+        z = ikx * np.concatenate([[0.0], rng.uniform(0.0, 0.3, 300)])
+        assert np.exp(-z).view(np.int64).tobytes() == np.exp(z).conj().view(np.int64).tobytes()
 
 
 class TestIncidenceRule:

@@ -175,7 +175,9 @@ class TestEigenCommand:
     def test_invalid_drive_is_refused_naming_the_flag(self, capsys):
         code = main(["eigen", "--rabi-mhz", "-1"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: --rabi-mhz must be >= 0")
+        assert capsys.readouterr().err == (
+            "config error: --rabi-mhz must be finite and >= 0, got -6283185.307179586 rad/s\n"
+        )
 
     @pytest.mark.parametrize("command", [["eigen"], ["spectrum", "--preset", "thz-33s"]])
     @pytest.mark.parametrize(

@@ -165,7 +165,9 @@ class TestStrictSections:
         payload["drive"]["rabi_mhz"] = -1
         with pytest.raises(ConfigError) as info:
             parse_config(payload)
-        assert str(info.value) == "drive.rabi_mhz must be >= 0, got -1.0"  # the key, in MHz
+        # the key, and RfDrive's rule in its units
+        assert str(info.value) == "drive.rabi_mhz must be finite and >= 0, got -6283185.307179586 rad/s"
+        assert isinstance(info.value.__cause__, InputError) and info.value.__cause__.quantity == "rabi"
         payload = make_config()
         payload["cell"]["wall_index_re"] = 0.5
         with pytest.raises(ConfigError):

@@ -15,6 +15,7 @@ from _oracles import (
 from rydant import hamiltonian
 from rydant.angular import AngularMomentum
 from rydant.hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
+from rydant.spectra import InputError
 
 HALF = AngularMomentum(1)
 THREE_HALF = AngularMomentum(3)
@@ -182,13 +183,14 @@ class TestEigensolutions:
             hits = np.sum(np.abs(spec + drive.detuning) < 1e-12)
             assert hits >= 2
 
-    def test_drive_validation(self):
-        with pytest.raises(ValueError):
-            RfDrive(rabi=-1.0)
-        with pytest.raises(ValueError):
-            RfDrive(rabi=math.inf)
-        with pytest.raises(ValueError):
-            RfDrive(rabi=1.0, detuning=math.nan)
+    @pytest.mark.parametrize(
+        "rabi,detuning,quantity",
+        [(-1.0, 0.0, "rabi"), (math.inf, 0.0, "rabi"), (math.nan, 0.0, "rabi"), (1.0, math.nan, "detuning")],
+    )
+    def test_drive_validation(self, rabi, detuning, quantity):
+        with pytest.raises(InputError) as info:
+            RfDrive(rabi=rabi, detuning=detuning)
+        assert info.value.quantity == quantity
 
 
 class TestStackedBuilder:

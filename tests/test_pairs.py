@@ -51,11 +51,12 @@ NAME, LOG = {name!r}, {log!r}
 
 
 class Op:
-    name, spec = "op", {{}}
+    def __init__(self, name):
+        self.name, self.spec = name, {{}}
 
 
 def eigen_round(seed):
-    return [Op(), Op()]
+    return [Op("cell"), Op("bare")]
 
 
 spectrum_round = eigen_round
@@ -76,7 +77,7 @@ class Rounds:
         self.rounds += 1
         with open(LOG, "a") as fh:
             fh.write(NAME + "\\n")
-        return [{op_s}, {op_s}], [{round_s}]
+        return {latencies!r}, [{round_s}]
 
 
 def verify_in_process(ops, rounds):
@@ -84,11 +85,14 @@ def verify_in_process(ops, rounds):
 """
 
 
-def worker_checkout(root: Path, name: str, round_s: float, op_s: float, failed: int = 0, correct: bool = True) -> str:
+def worker_checkout(root: Path, name: str, round_s: float, op_s: float, failed: int = 0, correct: bool = True,
+                    latencies=None) -> str:
+    """A stub checkout whose rounds take round_s and whose two operations take latencies (default op_s each)."""
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(STUB_RUN.format(
-        name=name, log=str(root / "order.log"), round_s=round_s, op_s=op_s, failed=failed, correct=correct))
+        name=name, log=str(root / "order.log"), round_s=round_s, latencies=latencies or [op_s, op_s],
+        failed=failed, correct=correct))
     return str(tree)
 
 
@@ -111,6 +115,17 @@ class TestInterleave:
         assert ("op_ms_p50 parent 2 [2, 2]  change 1.5 [1.5, 1.5]  "
                 "paired ratio 0.750 [0.750, 0.750]  wins 4/4") in out
         assert not (tmp_path / "parent" / "perfbench" / "__pycache__").exists()
+
+    def test_each_operation_class_gets_its_paired_ratio(self, tmp_path, capsys):
+        parent = worker_checkout(tmp_path, "parent", 0.02, 0.0, latencies=[0.004, 0.001])
+        change = worker_checkout(tmp_path, "change", 0.01, 0.0, latencies=[0.002, 0.001])
+        assert pairs.main(interleave_argv(parent, change)) == 0
+        out = capsys.readouterr().out.splitlines()
+        header = out.index("per operation class, ms per round:")
+        assert out[header + 1:header + 3] == [
+            "  cell parent 4 [4, 4]  change 2 [2, 2]  paired ratio 0.500 [0.500, 0.500]  wins 4/4",
+            "  bare parent 1 [1, 1]  change 1 [1, 1]  paired ratio 1.000 [1.000, 1.000]  wins 0/4",
+        ]
 
     @pytest.mark.parametrize(
         "failed,correct,refusal",
