@@ -20,9 +20,11 @@ Host drift: the host's speed can move by tens of percent between runs,
 enough to cross a benchmark bound with no change in the code.  Before and
 after each run the script times a fixed pure-Python loop in its own
 process (the best of CALIBRATION_REPEATS), prints both timings on the
-run's line, and finally counts the pairs in which any of their four
-timings differ by more than DRIFT_LIMIT: their comparison may reflect the
-host, not the code.
+run's line, and finally counts the pairs whose median of their four
+timings lies more than DRIFT_LIMIT from the median of all the batch's
+timings: the host changed mode around them, so their comparison may
+reflect the host, not the code.  The loop's own jitter between two
+timings of one pair moves no pair's median that far.
 
 Refusals: a run that reports correct: false, or a change whose failed
 share (failed / attempted over all its runs) exceeds the parent's,
@@ -63,7 +65,7 @@ from fractions import Fraction
 
 CALIBRATION_LOOP = 200_000
 CALIBRATION_REPEATS = 3
-DRIFT_LIMIT = 0.10  # largest accepted max / min - 1 of a pair's calibration timings
+DRIFT_LIMIT = 0.10  # largest accepted |pair median / batch median - 1| of the calibration timings
 IN_PROCESS = ("eigen-sweep", "spectrum-sweep")
 
 # One interleave worker: argv is checkout, workload, seed.  It answers each
@@ -100,6 +102,12 @@ def calibrate() -> float:
             total += i * i
         best = min(best, time.perf_counter() - start)
     return best * 1e3
+
+
+def drifted_pairs(calibrations: list[list[float]]) -> int:
+    """The pairs whose median calibration lies more than DRIFT_LIMIT from the whole batch's median."""
+    batch = statistics.median(t for timings in calibrations for t in timings)
+    return sum(abs(statistics.median(timings) / batch - 1.0) > DRIFT_LIMIT for timings in calibrations)
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
@@ -250,7 +258,7 @@ def main(argv=None) -> int:
     if args.seconds is None or args.seconds <= 0:
         parser.error("--seconds must be given and > 0")
     results = {"parent": [], "change": []}
-    drifted = 0
+    calibrations = []
     for i in range(args.pairs):
         seed = args.seed_base + i
         timings = []
@@ -266,12 +274,13 @@ def main(argv=None) -> int:
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"pair {i + 1} seed {seed} {side}: correct={result['correct']} attempted={result['attempted']} "
                   f"failed={result['failed']} {values} calibration_ms={before:.3g}->{after:.3g}", flush=True)
-        drifted += max(timings) / min(timings) - 1.0 > DRIFT_LIMIT
+        calibrations.append(timings)
 
     print(f"\n{args.workload}: {args.pairs} pair(s) of {args.seconds:g} s, seeds {args.seed_base}-"
           f"{args.seed_base + args.pairs - 1}")
     refusals = refusals_of(results)
-    print(f"host drift: the calibration moved by more than {DRIFT_LIMIT:.0%} in {drifted} of {args.pairs} pair(s)")
+    print(f"host drift: the median calibration of {drifted_pairs(calibrations)} of {args.pairs} pair(s) lies "
+          f"more than {DRIFT_LIMIT:.0%} from the batch's")
     for name, better in directions(args.parent).items():
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]

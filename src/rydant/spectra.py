@@ -38,7 +38,13 @@ function, evaluated by Weideman's rational approximation with N = 40 terms:
 relative error below 1.5e-15 against 80-digit mpmath for |z| <= 1e6, the
 real axis included (scipy.special.wofz: up to 3.1e-14 on the same points).
 A trace finds its peaks once, when it is built: local maxima filtered by
-topographic prominence, which extract_splitting then reads.
+topographic prominence, which extract_splitting then reads.  Each kept
+peak is refined on Python floats, with the IEEE operations of an array
+parabola in the same order, so with the same bits.  A sloped block with no
+exact zero is one block, and _block_order returns its natural order
+without squaring the coupling pattern.  A numpy call on a small array
+costs several microseconds whatever its size, so the per-scan bookkeeping
+makes as few of them as it can.
 
 Defaults gamma_e = 2*pi*5.2e6 rad/s and gamma_r = 2*pi*0.1e6 rad/s are
 plausible vapor-cell numbers, not measured values; override per setup.
@@ -164,10 +170,10 @@ class SpectrumTrace:
         if trans.shape != det.shape:
             raise ValueError("transmission and detunings must have equal length")
         for name, arr in (("detunings", det), ("transmission", trans)):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise ValueError(f"{name} must be finite, got {arr[bad[0]]} at index {bad[0]}")
-        if np.any(np.diff(det) <= 0):
+            if not np.isfinite(arr).all():
+                bad = int(np.argmin(np.isfinite(arr)))
+                raise ValueError(f"{name} must be finite, got {arr[bad]} at index {bad}")
+        if not (det[1:] > det[:-1]).all():
             raise ValueError("detunings must be strictly increasing")
         if trans.min() < -1e-9 or trans.max() > 1.0 + 1e-9:
             raise ValueError("transmission must lie within [0, 1]")
@@ -230,6 +236,13 @@ def _ladder_liouvillian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
 # alone, so its entry for rho_gg (the trace row) is zero.
 _SCAN_SLOPE = np.diag(_liouvillian(*_GENERATORS["delta_c"])).copy()
 _SLOPED = np.flatnonzero(_SCAN_SLOPE)
+_SLOPE_COLUMN = _SCAN_SLOPE[_SLOPED, None]
+# The sloped components in their own order, for a sloped block with no zero.
+_NATURAL_ORDER = np.arange(_SLOPED.size)
+_NATURAL_ORDER.flags.writeable = False
+# Row 0 of the solved matrix: the trace condition sum_i rho_ii = 1.
+_TRACE_ROW = np.zeros(_DIM * _DIM)
+_TRACE_ROW[_TRACE_IDX] = 1.0
 # Right-hand side of the one setup solve: the trace condition b, then the
 # sloped columns of S = diag(_SCAN_SLOPE).
 _SETUP_RHS = np.column_stack((np.eye(_DIM * _DIM)[:, 0], np.diag(_SCAN_SLOPE)[:, _SLOPED]))
@@ -242,9 +255,13 @@ def _block_order(k: np.ndarray) -> np.ndarray:
     ones when Omega_rf = 0).  eig keeps contiguous blocks apart, so each
     block's poles round at their own scale; interleaved, a pole near the
     scan centre (|lam| ~ 1 / gamma_r) swamps the small poles of the others.
-    Three squarings of the coupling pattern join every linked pair of the
-    eight components; each takes the first it reaches as its block label.
+    A block with no exact zero is one block, so its natural order returns
+    at once (read-only, shared); otherwise three squarings of the coupling
+    pattern join every linked pair of the eight components, and each takes
+    the first it reaches as its block label.
     """
+    if k.all():
+        return _NATURAL_ORDER
     linked = (k != 0.0) | (k.T != 0.0) | np.eye(k.shape[0], dtype=bool)
     for _ in range(3):
         linked = linked @ linked
@@ -274,8 +291,7 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
     center = 0.5 * (detunings[0] + detunings[-1])
     lv = _ladder_liouvillian(cfg, center)
     a = lv.copy()
-    a[0, :] = 0.0
-    a[0, _TRACE_IDX] = 1.0
+    a[0] = _TRACE_ROW
     try:
         solved = np.linalg.solve(a, _SETUP_RHS)
         x0, m = solved[:, 0], solved[:, 1:]
@@ -287,7 +303,6 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
         raise SteadyStateError(f"singular Liouvillian: {exc}") from exc
 
     eps = detunings - center
-    slope, diagonal = _SCAN_SLOPE[_SLOPED, None], np.diag(lv)
     # states is formed in place: a fresh (16, points) array is a large,
     # page-faulting allocation that can cost more than the subtraction.
     with np.errstate(all="ignore"):
@@ -296,11 +311,13 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
         np.subtract(x0[:, None], states, out=states)
         # L(delta) x = L0 x + eps S x; the slope moves only the sloped diagonal entries.
         lx = lv @ states
-        eps_slope = eps * slope
+        eps_slope = eps * _SLOPE_COLUMN
         lx[_SLOPED] += eps_slope * states[_SLOPED]
         residual = np.abs(lx).max(axis=0)
-        unscanned_max = max(np.abs(lv - np.diag(diagonal)).max(), np.abs(diagonal[_SCAN_SLOPE == 0.0]).max())
-        lv_max = np.maximum(np.abs(diagonal[_SLOPED, None] + eps_slope).max(axis=0), unscanned_max)
+        # Every |L0| entry but the sloped diagonal, which moves with the scan.
+        unscanned = np.abs(lv)
+        unscanned[_SLOPED, _SLOPED] = 0.0
+        lv_max = np.maximum(np.abs(lv[_SLOPED, _SLOPED, None] + eps_slope).max(axis=0), unscanned.max())
         scale = np.maximum(lv_max * np.abs(states).max(axis=0), 1e-300)
     failed = ~np.isfinite(residual) | (residual > RESIDUAL_TOL * scale)
     if failed.any():
@@ -429,11 +446,9 @@ def _local_maxima(y: np.ndarray) -> np.ndarray:
     either end of the trace are never maxima.
     """
     change = np.flatnonzero(y[1:] != y[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [y.size - 1]))
-    inner = (starts > 0) & (ends < y.size - 1)
-    starts, ends = starts[inner], ends[inner]
-    top = (y[starts - 1] < y[starts]) & (y[ends + 1] < y[ends])
+    # The runs between two changes are the inner ones; change[:-1] holds their left neighbours.
+    starts, ends = change[:-1] + 1, change[1:]
+    top = (y[change[:-1]] < y[starts]) & (y[ends + 1] < y[ends])
     return (starts[top] + ends[top]) // 2
 
 
@@ -469,12 +484,15 @@ def _peak_positions(
     peaks = _local_maxima(y)
     proms = _prominences(y, peaks)
     keep = proms >= prominence * span
-    i, proms = peaks[keep], proms[keep]
-    left, mid, right = y[i - 1], y[i], y[i + 1]
-    denom = left - 2.0 * mid + right
-    offset = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom < 0.0)
-    step = np.where(offset >= 0, x[i + 1] - x[i], x[i] - x[i - 1])
-    return x[i] + offset * step, proms
+    positions = []
+    # Python floats round as float64 arrays do, so each peak costs no array op.
+    for i in peaks[keep].tolist():
+        left, mid, right = y.item(i - 1), y.item(i), y.item(i + 1)
+        denom = left - 2.0 * mid + right
+        offset = 0.5 * (left - right) / denom if denom < 0.0 else 0.0
+        step = x.item(i + 1) - x.item(i) if offset >= 0 else x.item(i) - x.item(i - 1)
+        positions.append(x.item(i) + offset * step)
+    return np.array(positions, dtype=float), proms[keep]
 
 
 @dataclass(frozen=True)

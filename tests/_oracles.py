@@ -36,12 +36,20 @@ equal bit for bit.  mpmath_interior_amplitudes evaluates a profile from the
 walk's own amplitudes at 30 digits.
 peak_positions is the peak search rebuilt on scipy.signal.find_peaks, with
 a scalar parabola per peak, and splitting_from_peaks the splitting rule
-on it.
+on it.  run_local_maxima, array_peak_positions and squaring_block_order
+are the spectra module's maxima, peak refinement and block order as they
+ran before they moved to scalars and shortcuts: every run with both ends
+concatenated and masked off, one array parabola over all kept peaks, and
+three squarings of every sloped block.  The production forms must equal
+them bit for bit.
 hamiltonian_stack is that full-matrix route for a whole sweep,
 closed_form_delta_at the splitting of a linearly polarized drive from
 sympy's Clebsch-Gordan coefficients, and cartesian_polarizations the
 spherical components of Cartesian polarization vectors, for drives of any
-ellipticity.  build_interaction_paper is the paper's hand-written
+ellipticity.  angular_momentum_matrices are (J_x, J_y, J_z), wigner_small_d
+is d^J(beta) from the eigendecomposition of J_y, and laser_path_weights the two-photon sublevel weights that
+6S1/2 -> 6P3/2 -> nS1/2 lasers of given polarizations prepare (ROADMAP
+items 4 and 13).  build_interaction_paper is the paper's hand-written
 1/2 -> 3/2 block, the reference of acceptance criterion 1;
 branch_splittings and eigen_closed_form are the hand-derived
 1/2 -> 3/2 closed forms, the reference of criterion 2, which `rydant
@@ -70,6 +78,7 @@ from sympy.physics.quantum.cg import CG
 from rydant.angular import AngularMomentum, clebsch_gordan, decompose_polarizations
 from rydant.cellfield import SPEED_OF_LIGHT, _walk, sweep_samples
 from rydant.hamiltonian import RfDrive, coupling_stack, hamiltonian_array
+from rydant.spectra import _prominences
 
 TWO_PI = 2.0 * math.pi
 
@@ -381,6 +390,46 @@ def splitting_from_peaks(x, y, prominence):
     return float(abs(top_two[1] - top_two[0]))
 
 
+def run_local_maxima(y):
+    """Middle index (rounded down) of every run of equal samples above both neighbours.
+
+    Lists every run, the two touching the ends included, then masks those
+    off: spectra._local_maxima as it was before it took the inner runs
+    straight from the changes.
+    """
+    change = np.flatnonzero(y[1:] != y[:-1])
+    starts = np.concatenate(([0], change + 1))
+    ends = np.concatenate((change, [y.size - 1]))
+    inner = (starts > 0) & (ends < y.size - 1)
+    starts, ends = starts[inner], ends[inner]
+    top = (y[starts - 1] < y[starts]) & (y[ends + 1] < y[ends])
+    return (starts[top] + ends[top]) // 2
+
+
+def array_peak_positions(x, y, prominence):
+    """spectra._peak_positions as one array parabola over all kept peaks, on run_local_maxima."""
+    span = float(y.max() - y.min())
+    if span <= 0.0:
+        return np.array([]), np.array([])
+    peaks = run_local_maxima(y)
+    proms = _prominences(y, peaks)
+    keep = proms >= prominence * span
+    i, proms = peaks[keep], proms[keep]
+    left, mid, right = y[i - 1], y[i], y[i + 1]
+    denom = left - 2.0 * mid + right
+    offset = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom < 0.0)
+    step = np.where(offset >= 0, x[i + 1] - x[i], x[i] - x[i - 1])
+    return x[i] + offset * step, proms
+
+
+def squaring_block_order(k):
+    """spectra._block_order with no shortcut: three squarings of k's coupling pattern, whatever k holds."""
+    linked = (k != 0.0) | (k.T != 0.0) | np.eye(k.shape[0], dtype=bool)
+    for _ in range(3):
+        linked = linked @ linked
+    return np.argsort(linked.argmax(axis=1), kind="stable")
+
+
 def _ladder_liouvillians(cfg, detunings):
     """Row-stacked Liouvillians, one per scanned detuning: shape (n, 16, 16)."""
     n = len(detunings)
@@ -630,6 +679,41 @@ def cartesian_polarizations(eps):
     """
     x, y, z = np.moveaxis(np.asarray(eps, dtype=complex), -1, 0)
     return (x - 1j * y) / math.sqrt(2.0), z, -(x + 1j * y) / math.sqrt(2.0)
+
+
+def angular_momentum_matrices(two_j):
+    """(J_x, J_y, J_z) on the sublevels in ascending m, with the Condon-Shortley J_+."""
+    j = two_j / 2
+    m = np.arange(-j, j + 1)
+    raising = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
+    return (raising + raising.T) / 2, (raising - raising.T) / 2j, np.diag(m)
+
+
+def wigner_small_d(two_j, beta):
+    """d^J(beta)[m, m'] = <J m| exp(-i beta J_y) |J m'>, rows and columns in ascending m.
+
+    J_y is exponentiated through its eigendecomposition; d is real, so the
+    imaginary rounding is dropped.
+    """
+    values, vectors = np.linalg.eigh(angular_momentum_matrices(two_j)[1])
+    return ((vectors * np.exp(-1j * beta * values)) @ vectors.conj().T).real
+
+
+def laser_path_weights(q1, q2):
+    """(w_-1/2, w_+1/2) of nS1/2 after 6S1/2 -> 6P3/2 (photon q1) -> nS1/2 (photon q2).
+
+    w_m = sum over the path of |CG1 CG2|^2 from angular.clebsch_gordan,
+    starting from both 6S1/2 sublevels alike; unnormalized, so pi-pi gives
+    2/9 each.
+    """
+    s_half, p_three_halves, photon = AngularMomentum(1), AngularMomentum(3), AngularMomentum(2)
+    halves, three_halves = (-0.5, 0.5), (-1.5, -0.5, 0.5, 1.5)
+    return np.array([
+        sum((clebsch_gordan(s_half, m0, photon, q1, p_three_halves, m1)
+             * clebsch_gordan(p_three_halves, m1, photon, q2, s_half, m)) ** 2
+            for m0 in halves for m1 in three_halves)
+        for m in halves
+    ])
 
 
 def path_averages(geometry, frequency, angles, polarization="TE"):

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    angular_momentum_matrices,
     branch_splittings,
     cartesian_polarizations,
     closed_form_delta_at,
     hamiltonian_stack,
+    laser_path_weights,
     polarizations,
     splitting,
+    wigner_small_d,
     wrap_orientation,
 )
 from rydant.angular import AngularMomentum, decompose_polarizations
@@ -81,14 +84,6 @@ class TestGramSplittings:
 
     def test_empty_stack(self):
         assert gram_splittings(np.zeros((0, 4, 2), dtype=complex), 1.0).shape == (0, 2)
-
-
-def angular_momentum_matrices(two_j):
-    """(J_x, J_y, J_z) on the sublevels in ascending m, with the Condon-Shortley J_+."""
-    j = two_j / 2
-    m = np.arange(-j, j + 1)
-    raising = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
-    return (raising + raising.T) / 2, (raising - raising.T) / 2j, np.diag(m)
 
 
 class TestGramClosedForm:
@@ -219,6 +214,63 @@ class TestGramLawAtJHalf:
         assert np.abs(modes - 9.0).max() <= self.LAW_TOL * 9.0
         top = gram_splittings(coupling_stack(SYSTEM, np.full(500, 6.0), cartesian_polarizations(eps)), 0.0)[:, -1]
         assert top.max() - top.min() <= self.LAW_TOL * 6.0
+
+
+class TestSublevelWeights:
+    """ROADMAP item 4's weights, for a linear field at polar angle beta from the lasers' Z axis.
+
+    Gram mode k of coupling_stack's block (np.linalg.eigh of V^dag V) is seen
+    with weight p_k = sum_m w_m |<m|u_k>|^2.  Modes come in ascending order,
+    so |m'| = J, J, J - 1, ...; eigh's basis inside each degenerate +-m' pair
+    is arbitrary, so p is summed over each pair.  The rotation of the field
+    onto Z gives it in closed form: sum_m w_m (|d_{m m'}(beta)|^2 + |d_{m -m'}(beta)|^2).
+    """
+
+    BETAS = np.linspace(0.0, math.pi, 13)
+
+    def pair_weights(self, two_jg, w):
+        """(weights from eigh, weights from d^J), one row per beta and one column per |m'| descending."""
+        system = TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
+        eps = np.stack([np.sin(self.BETAS), np.zeros_like(self.BETAS), np.cos(self.BETAS)], axis=1)
+        blocks = coupling_stack(system, np.full(self.BETAS.size, 2.0), cartesian_polarizations(eps))
+        vectors = np.linalg.eigh(blocks.conj().transpose(0, 2, 1) @ blocks)[1]
+        seen = np.einsum("m,bmk->bk", w, np.abs(vectors) ** 2)
+        m = np.arange(-two_jg, two_jg + 1, 2) / 2
+        mode_m = np.sort(np.abs(m))[::-1]
+        pairs = np.unique(mode_m)[::-1]
+        got = np.stack([seen[:, mode_m == mu].sum(axis=1) for mu in pairs], axis=1)
+        d_squared = np.array([np.abs(wigner_small_d(two_jg, beta)) ** 2 for beta in self.BETAS])
+        want = np.stack([(w @ d_squared[:, :, np.abs(m) == mu]).sum(axis=1) for mu in pairs], axis=1)
+        return got, want
+
+    @pytest.mark.parametrize("two_jg", range(10))
+    def test_weights_are_the_small_d_closed_form(self, two_jg):
+        rng = np.random.default_rng(400 + two_jg)
+        n = two_jg + 1
+        stretched, innermost = np.eye(n)[-1], np.eye(n)[n // 2] + np.eye(n)[(n - 1) // 2]
+        for w in (stretched, innermost / innermost.sum(), rng.dirichlet(np.ones(n))):
+            got, want = self.pair_weights(two_jg, w)
+            # Relative to the total weight: at beta = 0 or pi most pairs see exactly none of a stretched w.
+            assert np.abs(got - want).max() <= 1e-12 * w.sum()
+
+    @pytest.mark.parametrize("two_jg", range(10))
+    def test_uniform_preparations_see_every_pair_alike(self, two_jg):
+        n = two_jg + 1
+        got, want = self.pair_weights(two_jg, np.full(n, 1.0 / n))
+        share = np.full(got.shape[1], 2.0 / n)
+        share[-1] /= 1 + n % 2  # an integer J's m' = 0 is a mode of its own
+        assert np.abs(got - share).max() <= 1e-12 and np.abs(want - share).max() <= 1e-12
+
+
+class TestLaserPathWeights:
+    """ROADMAP item 13: the nS1/2 weights that 6S1/2 -> 6P3/2 -> nS1/2 lasers prepare, (w_-1/2, w_+1/2)."""
+
+    def test_pi_pi_lasers_align_without_orienting(self):
+        np.testing.assert_allclose(laser_path_weights(0, 0), [2 / 9, 2 / 9], rtol=1e-14)
+
+    def test_sigma_plus_sigma_minus_lasers_orient(self):
+        np.testing.assert_allclose(laser_path_weights(+1, -1), [1 / 18, 1 / 2], rtol=1e-14)
+        np.testing.assert_allclose(laser_path_weights(-1, +1), [1 / 2, 1 / 18], rtol=1e-14)
 
 
 class TestFieldEstimate:

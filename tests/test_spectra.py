@@ -9,13 +9,16 @@ from scipy.signal import find_peaks
 from scipy.special import wofz
 
 from _oracles import (
+    array_peak_positions,
     column_stacked_liouvillian,
     doppler_absorption,
     full_pole_states,
     ladder_states,
     mpmath_faddeeva,
     peak_positions,
+    run_local_maxima,
     splitting_from_peaks,
+    squaring_block_order,
 )
 from rydant import spectra
 from rydant.spectra import (
@@ -36,6 +39,7 @@ from rydant.spectra import (
 from rydant.spectra import (
     _GE,
     _SCAN_SLOPE,
+    _block_order,
     _faddeeva,
     _faddeeva_coefficients,
     _ladder_liouvillian,
@@ -326,6 +330,34 @@ class TestPoleExpansion:
         # six (16 x points) complex arrays
         assert peak <= 6 * MAX_SCAN_POINTS * 16 * 16
 
+    def test_blocks_without_a_zero_keep_a_shared_read_only_natural_order(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            k = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            order = _block_order(k)
+            assert order is _block_order(-k) and not order.flags.writeable
+            np.testing.assert_array_equal(order, np.arange(8))
+            np.testing.assert_array_equal(order, squaring_block_order(k))
+
+    def test_blocks_with_zeros_take_the_squarings(self):
+        rng = np.random.default_rng(31)
+        zeros = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+        reordered = 0
+        for _ in range(600):
+            k = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            if rng.random() < 0.5:  # uncoupled blocks, as a drive left at zero makes them
+                labels = rng.integers(0, int(rng.integers(2, 5)), size=8)
+                cut = labels[:, None] != labels[None, :]
+            else:
+                cut = rng.random((8, 8)) < rng.choice([0.02, 0.3, 0.7, 0.95])
+            cut[0, 1] |= not cut.any()
+            k[cut] = rng.choice(zeros, size=int(cut.sum()))
+            assert not k.all()
+            order = _block_order(k)
+            np.testing.assert_array_equal(order, squaring_block_order(k))
+            reordered += not np.array_equal(order, np.arange(8))
+        assert reordered > 100
+
     def test_single_detuning_matches_the_scan(self):
         cfg = default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ)
         detunings = np.linspace(-20 * MHZ, 30 * MHZ, 101)
@@ -409,6 +441,37 @@ class TestPeakFinder:
                     assert extract_splitting(trace).delta_at == expected
                     resolved += 1
         assert resolved > 500
+
+    def edge_traces(self, rng, count):
+        """Short traces full of plateaus, flat tops and runs against either end; 2 and 3 samples included."""
+        for y in ([0, 1], [1, 0], [1, 1], [0, 1, 0], [1, 0, 1], [1, 1, 0], [0, 1, 1], [2, 2, 2], [0, 1, 1, 0]):
+            yield np.array(y, dtype=float)
+        for _ in range(count):
+            n = int(rng.integers(2, 30))
+            y = rng.integers(0, int(rng.integers(2, 6)), size=n).astype(float)
+            if rng.random() < 0.5:
+                y = y + rng.normal(scale=1e-3, size=n) * (rng.random(n) < 0.3)
+            yield y
+
+    def test_maxima_and_refinement_equal_the_array_forms_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        seen = dict.fromkeys(("2 samples", "3 samples", "end run", "next to an end", "flat top", "denom >= 0"), 0)
+        for y in self.edge_traces(rng, 400):
+            peaks, want = _local_maxima(y), run_local_maxima(y)
+            assert peaks.dtype == want.dtype and np.array_equal(peaks, want)
+            denom = y[peaks - 1] - 2.0 * y[peaks] + y[peaks + 1]
+            seen["2 samples"] += y.size == 2
+            seen["3 samples"] += y.size == 3
+            seen["end run"] += bool(y[0] == y[1] or y[-1] == y[-2])
+            seen["next to an end"] += bool(np.isin(peaks, (1, y.size - 2)).any())
+            seen["flat top"] += bool((y[peaks] == y[peaks + 1]).any())
+            seen["denom >= 0"] += bool((denom >= 0.0).any())
+            for x in self.grids(rng, y.size):
+                for prominence in (0.0, PROMINENCE_DEFAULT):
+                    got = _peak_positions(x, y, prominence)
+                    for g, w in zip(got, array_peak_positions(x, y, prominence)):
+                        assert g.dtype == w.dtype and np.array_equal(g, w) and g.tobytes() == w.tobytes()
+        assert min(seen.values()) >= 10, seen
 
     def test_maxima_and_prominences_match(self):
         rng = np.random.default_rng(4)
@@ -510,19 +573,41 @@ class TestTraceUtilities:
         with pytest.raises(ValueError):
             SpectrumTrace(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
 
+    @staticmethod
+    def refusal(detunings, transmission):
+        with pytest.raises(ValueError) as info:
+            SpectrumTrace(np.array(detunings), np.array(transmission))
+        return str(info.value)
+
     @pytest.mark.parametrize(
-        "detunings,transmission,match",
+        "detunings,transmission,message",
         [
             ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, math.nan, 1.0, 0.2, 0.5],
              "transmission must be finite, got nan at index 1"),
             ([0.0, 1.0, math.nan, 3.0, 4.0], [0.0, 0.3, 1.0, 0.2, 0.5], "detunings must be finite, got nan at index 2"),
             ([0.0, 1.0, 2.0, 3.0, math.inf], [0.0, 0.3, 1.0, 0.2, 0.5], "detunings must be finite, got inf at index 4"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [-math.inf, 0.3, 1.0, math.nan, 0.5],
+             "transmission must be finite, got -inf at index 0"),
+            ([0.0, 1.0, 2.0, math.nan, 4.0], [0.0, math.nan, 1.0, 0.2, 0.5],
+             "detunings must be finite, got nan at index 3"),
         ],
-        ids=["nan-transmission", "nan-detuning", "inf-detuning"],
+        ids=["nan-transmission", "nan-detuning", "inf-detuning", "inf-transmission", "nan-in-both"],
     )
-    def test_non_finite_samples_are_refused(self, detunings, transmission, match):
-        with pytest.raises(ValueError, match=match):
-            SpectrumTrace(np.array(detunings), np.array(transmission))
+    def test_non_finite_samples_are_refused(self, detunings, transmission, message):
+        assert self.refusal(detunings, transmission) == message
+
+    @pytest.mark.parametrize(
+        "detunings,transmission,message",
+        [
+            ([0.0, 1.0, 1.0, 3.0, 4.0], [0.0, 0.3, 1.0, 0.2, 0.5], "detunings must be strictly increasing"),
+            ([0.0, 1.0, 2.0, 3.0, 2.5], [0.0, 0.3, 1.0, 0.2, 0.5], "detunings must be strictly increasing"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.3, 1.0 + 2e-9, 0.2, 0.5], "transmission must lie within [0, 1]"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [-2e-9, 0.3, 1.0, 0.2, 0.5], "transmission must lie within [0, 1]"),
+        ],
+        ids=["equal-detunings", "falling-detunings", "transmission-above-1", "transmission-below-0"],
+    )
+    def test_disordered_or_out_of_range_samples_are_refused(self, detunings, transmission, message):
+        assert self.refusal(detunings, transmission) == message
 
     def test_csv_round_trip(self):
         x = np.array([0.0, 2.0 * math.pi * 1e6, 2.0 * math.pi * 2e6])
