@@ -120,6 +120,11 @@ CASES = [
     sweep_case("sweep-xy-spectrum-gap",
                {"plane": "XY", "angles_deg": [5, 30, 55, 70, 80, 85], "readout": "spectrum", "use_cell": True},
                drive={"rabi_mhz": 0.5}, ladder=LADDER, cell=THZ_CELL),
+    # no output section and no inner_index_im: the artifacts take the library's output and index defaults
+    ("config-defaults",
+     {"run.json": {"schema_version": 1, "system": SYSTEM_J12, "drive": {"rabi_mhz": 10.0},
+                   "cell": dict(THZ_CELL, inner_index_re=1.01), "sweep": XY_CELL}},
+     [["sweep", "--config", "run.json"]]),
     # spectra
     cli_case("spectrum-thz", "spectrum", "--preset", "thz-33s", "--rabi-mhz", "10"),
     cli_case("spectrum-mw", "spectrum", "--preset", "mw-93s", "--rabi-mhz", "20", "--detuning-mhz", "4"),
@@ -224,6 +229,8 @@ CASES = [
              files={"run.json": config("spec", drive={"rabi_mhz": 10.0}, ladder=dict(LADDER, probe_rabi_mhz=-0.1))}),
     cli_case("refuse-drive-negative", "spectrum", "--config", "run.json",
              files={"run.json": config("spec", drive={"rabi_mhz": -2.0}, ladder=LADDER)}),
+    # an empty output flag is refused as an empty output key is
+    cli_case("refuse-empty-basename", "cellfield", "--preset", "thz-33s", "--basename", ""),
 ]
 
 

@@ -13,8 +13,9 @@ Reported amplitudes are |E| relative to the incident wave: for TE that is
 |u| directly; for TM it is sqrt(beta^2 |u|^2 + |u'|^2) / (k0 |n|^2), which
 makes TE and TM agree exactly at normal incidence.
 
-The wall index default used elsewhere in the package (2.1 + 0.02i) is a
-borosilicate-like stand-in, not a measured value; treat it as a knob.
+CellGeometry's wall index default (2.1 + 0.02i), which a config cell and
+the CLI presets take when they leave it out, is a borosilicate-like
+stand-in, not a measured value; treat it as a knob.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .metrology import GainSample, isotropic_deviation, normalized_gain
+from .metrology import isotropic_deviation, normalized_gain
 from .spectra import InputError
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -388,22 +388,3 @@ def angle_sweep_deviation(
     exactly as a gain pattern (metrology.normalized_gain, isotropic_deviation).
     """
     return isotropic_deviation(normalized_gain(angles, path_averages(geometry, frequency, angles, polarization)))
-
-
-def profile_csv(profile: FieldProfile) -> str:
-    """Profile rows: position_m, amplitude_rel."""
-    lines = ["position_m,amplitude_rel"]
-    for x, a in zip(profile.positions, profile.amplitude):
-        lines.append(f"{x:.9g},{a:.9g}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv(samples: Sequence[GainSample]) -> str:
-    """Angle sweep rows: angle_deg, path_avg_rel, gain_db (0 dB at the max).
-
-    samples are metrology.normalized_gain output over angles and their path averages.
-    """
-    lines = ["angle_deg,path_avg_rel,gain_db"]
-    for s in samples:
-        lines.append(f"{math.degrees(s.angle):.9g},{s.raw_ratio:.9g},{s.gain_db:.9g}")
-    return "\n".join(lines) + "\n"

@@ -22,25 +22,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .angular import AngularMomentum, decompose_polarizations
-from .cellfield import (
-    CellGeometry,
-    path_average,
-    path_averages,
-    profile_csv,
-    sweep_csv,
-    transfer_matrix_field,
+from .cellfield import CellGeometry, path_average, path_averages, transfer_matrix_field
+from .config import (
+    MHZ,
+    ConfigError,
+    OutputSection,
+    RunConfig,
+    _finite,
+    _rf_drive,
+    keyed,
+    load_config,
+    parse_angles_deg,
 )
-from .config import MHZ, ConfigError, RunConfig, _finite, _rf_drive, keyed, load_config, parse_angles_deg
 from .hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
 from .metrology import field_from_splitting, gram_splittings, isotropic_deviation, normalized_gain
-from .patterns import (
-    GainPattern,
-    compare_patterns,
-    json_text,
-    pattern_csv,
-    polar_csv,
-    run_sweep,
-)
+from .patterns import GainPattern, compare_patterns, json_text, run_sweep
 from .spectra import (
     SteadyStateError,
     UnresolvedSplittingError,
@@ -48,7 +44,6 @@ from .spectra import (
     extract_splitting,
     scan_spectrum,
     scan_window,
-    trace_csv,
 )
 
 PLACEHOLDER_MU_MHZ = 1.0  # MHz per V/m; non-physical stand-in for the coupling strength
@@ -131,11 +126,24 @@ def write_outputs(files: dict[str, str]) -> None:
                 pass
 
 
-def _outputs(args, config: RunConfig | None) -> tuple[str, str]:
-    directory = args.out_dir or (config.output.directory if config else ".")
-    basename = args.basename or (config.output.basename if config else "rydant")
-    os.makedirs(directory, exist_ok=True)
-    return directory, basename
+def _output(args, config: RunConfig | None) -> OutputSection:
+    """The config's output section, or OutputSection's defaults, with each output flag given put over it."""
+    flags = {"directory": args.out_dir, "basename": args.basename}
+    given = {name: value for name, value in flags.items() if value is not None}
+    with keyed({"directory": "--out-dir", "basename": "--basename"}):
+        return replace(config.output if config else OutputSection(), **given)
+
+
+def _artifacts(output: OutputSection, texts: dict[str, str]) -> dict[str, str]:
+    """Each text at <directory>/<basename>_<name>, in order; the directory is made if missing."""
+    os.makedirs(output.directory, exist_ok=True)
+    return {os.path.join(output.directory, f"{output.basename}_{name}"): text for name, text in texts.items()}
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, one line per row (floats as %.9g, strings and integers as written), final newline."""
+    lines = (",".join(str(v) if isinstance(v, (str, int)) else f"{v:.9g}" for v in row) for row in rows)
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _mhz(value_rad_s: float) -> float:
@@ -174,31 +182,30 @@ def cmd_eigen(args) -> dict[str, str]:
 
     if not args.csv:
         return {}
-    lines = ["index,closed_form_mhz,numeric_mhz"]
-    for i, (cv, nv) in enumerate(zip(closed, numeric)):
-        lines.append(f"{i},{_mhz(cv):.9g},{_mhz(nv):.9g}")
-    return {args.csv: "\n".join(lines) + "\n"}
+    rows = ((i, _mhz(cv), _mhz(nv)) for i, (cv, nv) in enumerate(zip(closed, numeric)))
+    return {args.csv: _csv("index,closed_form_mhz,numeric_mhz", rows)}
 
 
 def cmd_sweep(args) -> dict[str, str]:
     config = load_config(args.config)
     plan = config.require("sweep")
+    output = _output(args, config)
     if args.seed is not None:
         with keyed({"seed": "--seed"}):
             plan = replace(plan, seed=args.seed)
     pattern = run_sweep(plan)
 
-    directory, basename = _outputs(args, config)
     print(f"plane {pattern.plane} ({pattern.readout} readout), seed {plan.seed}")
     print(f"isotropic_deviation_db = {pattern.deviation_db:.9g}")
     if pattern.gap_angles:
         degrees = ", ".join(f"{math.degrees(a):.4g}" for a in pattern.gap_angles)
         print(f"gap angles (unresolved splitting, excluded): {degrees}")
-    return {
-        os.path.join(directory, f"{basename}_pattern.csv"): pattern_csv(pattern),
-        os.path.join(directory, f"{basename}_pattern.json"): json_text(pattern.to_dict()),
-        os.path.join(directory, f"{basename}_polar.csv"): polar_csv(pattern),
-    }
+    samples = [(math.degrees(s.angle), s.gain_db) for s in pattern.samples]
+    return _artifacts(output, {
+        "pattern.csv": _csv("plane,angle_deg,gain_db", ((pattern.plane, a, g) for a, g in samples)),
+        "pattern.json": json_text(pattern.to_dict()),
+        "polar.csv": _csv("angle_deg,radius", ((a, 10.0 ** (g / 20.0)) for a, g in samples)),
+    })
 
 
 def cmd_spectrum(args) -> dict[str, str]:
@@ -206,6 +213,7 @@ def cmd_spectrum(args) -> dict[str, str]:
     preset = PRESETS[args.preset] if args.preset else None
     if config is None and preset is None:
         raise ConfigError("spectrum needs --config and/or --preset")
+    output = _output(args, config)
 
     drive = _rf_drive(
         10.0 if args.rabi_mhz is None else args.rabi_mhz,
@@ -261,11 +269,11 @@ def cmd_spectrum(args) -> dict[str, str]:
         flag = " (placeholder mu = 1.0 MHz/(V/m), non-physical)" if mu_is_placeholder else ""
         print(f"field_v_per_m = {estimate.amplitude:.9g}{flag}")
 
-    directory, basename = _outputs(args, config)
-    return {
-        os.path.join(directory, f"{basename}_trace.csv"): trace_csv(trace),
-        os.path.join(directory, f"{basename}_spectrum.json"): json_text(summary),
-    }
+    rows = ((d / (2.0 * math.pi), t) for d, t in zip(trace.detunings, trace.transmission))
+    return _artifacts(output, {
+        "trace.csv": _csv("detuning_hz,transmission", rows),
+        "spectrum.json": json_text(summary),
+    })
 
 
 def cmd_cellfield(args) -> dict[str, str]:
@@ -277,6 +285,7 @@ def cmd_cellfield(args) -> dict[str, str]:
         geometry, frequency = preset.cell, preset.rf_frequency_hz
     else:
         raise ConfigError("cellfield needs a cell section in --config or a --preset")
+    output = _output(args, config)
     if args.no_walls:
         geometry = replace(geometry, wall_index=1.0 + 0.0j)
 
@@ -306,20 +315,16 @@ def cmd_cellfield(args) -> dict[str, str]:
         summary["angles_deg"] = [round(math.degrees(a), 12) for a in angles]
         summary["deviation_db"] = deviation
         print(f"angle_sweep_deviation_db = {deviation:.9g}")
-        data_name, data_text = "cellsweep", sweep_csv(samples)
+        rows = ((math.degrees(s.angle), s.raw_ratio, s.gain_db) for s in samples)
+        data_name, data_text = "cellsweep", _csv("angle_deg,path_avg_rel,gain_db", rows)
     else:
         with keyed({"angles": "--angle-deg"}):
             profile = transfer_matrix_field(geometry, frequency, math.radians(args.angle_deg), args.polarization)
         summary["incidence_angle_deg"] = args.angle_deg
         summary["path_average_rel"] = path_average(profile)
         print(f"path_average_rel = {summary['path_average_rel']:.9g}")
-        data_name, data_text = "profile", profile_csv(profile)
-
-    directory, basename = _outputs(args, config)
-    return {
-        os.path.join(directory, f"{basename}_{data_name}.csv"): data_text,
-        os.path.join(directory, f"{basename}_cellfield.json"): json_text(summary),
-    }
+        data_name, data_text = "profile", _csv("position_m,amplitude_rel", zip(profile.positions, profile.amplitude))
+    return _artifacts(output, {f"{data_name}.csv": data_text, "cellfield.json": json_text(summary)})
 
 
 def _load_pattern(path) -> GainPattern:
@@ -343,8 +348,9 @@ def cmd_compare(args) -> dict[str, str]:
 
 
 def _add_output_flags(parser) -> None:
-    parser.add_argument("--out-dir", default=None, help="output directory (default: config or '.')")
-    parser.add_argument("--basename", default=None, help="output file stem (default: config or 'rydant')")
+    default = OutputSection()
+    parser.add_argument("--out-dir", default=None, help=f"output directory (default: config or {default.directory!r})")
+    parser.add_argument("--basename", default=None, help=f"output file stem (default: config or {default.basename!r})")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,10 @@ Every numeric key carries its unit in its name (rabi_mhz, wall_thickness_mm,
 rf_frequency_ghz...).  Unknown keys are rejected, as are missing required
 keys and type mismatches; all such problems raise ConfigError, which the
 CLI maps to exit code 2.  Frequencies given in MHz/GHz convert to angular
-frequencies (rad/s) on load.
+frequencies (rad/s) on load.  A key left out takes the library's default:
+the config passes only the keys it was given, so each default has one home
+(LadderConfig, CellGeometry, SweepPlan, RfDrive, OutputSection); an index
+part left out keeps that part of CellGeometry's index.
 
 This module's own rules: NaN and +-inf in any number (Python's json reads
 the NaN and Infinity literals), angle grids longer than MAX_ANGLES, and
@@ -17,9 +20,12 @@ check_scan_points), the ladder (spectra.LadderConfig), the cell
 which hold the frequency rule check_frequency) and the sweep, which
 parse_config builds as a patterns.SweepPlan from the system, drive, cell,
 ladder and scan sections (its angles by patterns.sweep_angles, their
-incidences on a cell by cellfield.check_incidences).  An InputError they
-raise becomes a ConfigError naming the key in KEYS; no rule is checked
-again here in the config's units.
+incidences on a cell by cellfield.check_incidences), and the output
+(OutputSection, whose rule the CLI's output flags pass through too).  An
+InputError they raise becomes a ConfigError naming the config key: a
+section's own field by its map of config key to field (LADDER_FIELDS,
+CELL_SIZES, SWEEP_FIELDS), anything several sections raise or two keys
+span by KEYS.  No rule is checked again here in the config's units.
 """
 
 from __future__ import annotations
@@ -35,14 +41,7 @@ from .angular import AngularMomentum
 from .cellfield import CellGeometry, check_stack, sweep_samples
 from .hamiltonian import RfDrive, TransitionSystem
 from .patterns import SweepPlan, check_transition, finite_number
-from .spectra import (
-    GAMMA_E_DEFAULT,
-    GAMMA_R_DEFAULT,
-    InputError,
-    LadderConfig,
-    check_scan_points,
-    check_scan_range,
-)
+from .spectra import InputError, LadderConfig, check_scan_points, check_scan_range
 
 SCHEMA_VERSION = 1
 
@@ -58,32 +57,36 @@ MAX_ANGLES = 36_000
 # at cellfield.MAX_STACK_NEPERS, so no sweep quantity leaves the float range.
 MAGNITUDE_RANGE = (1e-9, 1e9)
 
-# The config key of each quantity an InputError names, where the two differ.
+# The config key of each quantity an InputError names that several sections
+# raise or that two keys span; a section's own fields are named by its map below.
 KEYS = {
     "two_je": "system.two_je",
     "two_jg": "system.two_jg",
     "points": "scan.points",
     "scan range": "scan.min_mhz and scan.max_mhz",
-    "plane": "sweep.plane",
-    "readout": "sweep.readout",
-    "angles": "sweep.angles_deg",
-    "noise_sigma_db": "sweep.noise_sigma_db",
     "drive.rabi": "drive.rabi_mhz",
-    "wall_thickness": "cell.wall_thickness_mm",
-    "inner_length": "cell.inner_length_mm",
     "wall_index": "cell.wall_index_re",
     "inner_index": "cell.inner_index_re",
     "frequency": "cell.rf_frequency_ghz",
     "frequency x inner_length": "cell.rf_frequency_ghz x cell.inner_length_mm",
     "stack": "cell: walls (wall_thickness_mm, wall_index_*) and vapor (inner_length_mm, inner_index_*) at "
     "rf_frequency_ghz",
-    "omega_p": "ladder.probe_rabi_mhz",
-    "omega_c": "ladder.coupling_rabi_mhz",
-    "delta_p": "ladder.probe_detuning_mhz",
-    "gamma_e": "ladder.gamma_e_mhz",
-    "gamma_r": "ladder.gamma_r_mhz",
-    "doppler_sigma": "ladder.doppler_sigma_mhz",
 }
+
+# Config key -> library field, for the keys that each set one field of a
+# section's library object: the section's allowed keys (beside those it
+# handles itself), its constructor arguments and the keys its refusals name.
+# A key left out is not passed, so the field takes the library's default.
+LADDER_FIELDS = {
+    "probe_rabi_mhz": "omega_p",
+    "coupling_rabi_mhz": "omega_c",
+    "probe_detuning_mhz": "delta_p",
+    "gamma_e_mhz": "gamma_e",
+    "gamma_r_mhz": "gamma_r",
+    "doppler_sigma_mhz": "doppler_sigma",
+}
+CELL_SIZES = {"wall_thickness_mm": "wall_thickness", "inner_length_mm": "inner_length"}
+SWEEP_FIELDS = {"plane": "plane", "angles_deg": "angles", "readout": "readout", "noise_sigma_db": "noise_sigma_db"}
 
 
 class ConfigError(Exception):
@@ -108,8 +111,16 @@ class ScanSection:
 
 @dataclass(frozen=True)
 class OutputSection:
-    directory: str
-    basename: str
+    """Where a command writes: a directory and a file stem, each a non-empty string, else InputError."""
+
+    directory: str = "."
+    basename: str = "rydant"
+
+    def __post_init__(self):
+        for name in ("directory", "basename"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise InputError(name, " must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,16 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], where: str
 
 def _number(section: dict, key: str, where: str, default=None) -> float:
     return _finite(section[key], f"{where}.{key}") if key in section else default
+
+
+def _numbers(section: dict, fields: dict[str, str], where: str, unit: float) -> dict[str, float]:
+    """The library arguments of the fields' keys that a section holds, each number times unit."""
+    return {field: _number(section, key, where) * unit for key, field in fields.items() if key in section}
+
+
+def _named(fields: dict[str, str], where: str) -> dict[str, str]:
+    """keyed's names for a section: KEYS, and each of its library fields named by its config key."""
+    return dict(KEYS, **{field: f"{where}.{key}" for key, field in fields.items()})
 
 
 def _finite(value, where: str) -> float:
@@ -241,36 +262,21 @@ def _rf_drive(rabi_mhz, detuning_mhz, rabi_key: str, detuning_key: str) -> RfDri
 
 def _parse_drive(section: dict) -> RfDrive:
     _check_keys(section, {"rabi_mhz", "detuning_mhz"}, {"rabi_mhz"}, "drive")
-    return _rf_drive(section["rabi_mhz"], section.get("detuning_mhz", 0.0), "drive.rabi_mhz", "drive.detuning_mhz")
+    detuning = section.get("detuning_mhz", RfDrive.detuning / MHZ)
+    return _rf_drive(section["rabi_mhz"], detuning, "drive.rabi_mhz", "drive.detuning_mhz")
 
 
 def _parse_ladder(section: dict, drive: RfDrive | None) -> LadderConfig:
     where = "ladder"
-    allowed = {
-        "probe_rabi_mhz",
-        "coupling_rabi_mhz",
-        "probe_detuning_mhz",
-        "gamma_e_mhz",
-        "gamma_r_mhz",
-        "doppler_sigma_mhz",
-    }
-    _check_keys(section, allowed, {"probe_rabi_mhz", "coupling_rabi_mhz"}, where)
+    _check_keys(section, set(LADDER_FIELDS), {"probe_rabi_mhz", "coupling_rabi_mhz"}, where)
     if drive is None:
         raise ConfigError("ladder section requires a drive section (RF Rabi/detuning)")
     for key in ("gamma_e_mhz", "gamma_r_mhz"):  # zero leaves no unique steady state
         if key in section:
             _magnitude(_number(section, key, where), f"{where}.{key}", zero_ok=False)
-    with keyed():
-        return LadderConfig(
-            omega_p=_number(section, "probe_rabi_mhz", where) * MHZ,
-            omega_c=_number(section, "coupling_rabi_mhz", where) * MHZ,
-            omega_rf=drive.rabi,
-            delta_p=_number(section, "probe_detuning_mhz", where, 0.0) * MHZ,
-            delta_rf=drive.detuning,
-            gamma_e=_number(section, "gamma_e_mhz", where, GAMMA_E_DEFAULT / MHZ) * MHZ,
-            gamma_r=_number(section, "gamma_r_mhz", where, GAMMA_R_DEFAULT / MHZ) * MHZ,
-            doppler_sigma=_number(section, "doppler_sigma_mhz", where, 0.0) * MHZ,
-        )
+    fields = _numbers(section, LADDER_FIELDS, where, MHZ)
+    with keyed(_named(LADDER_FIELDS, where)):
+        return LadderConfig(omega_rf=drive.rabi, delta_rf=drive.detuning, **fields)
 
 
 def _parse_scan(section: dict) -> ScanSection:
@@ -287,29 +293,16 @@ def _parse_scan(section: dict) -> ScanSection:
 
 def _parse_cell(section: dict) -> tuple[CellGeometry, float]:
     where = "cell"
-    allowed = {
-        "wall_thickness_mm",
-        "inner_length_mm",
-        "wall_index_re",
-        "wall_index_im",
-        "inner_index_re",
-        "inner_index_im",
-        "rf_frequency_ghz",
-    }
-    _check_keys(section, allowed, {"wall_thickness_mm", "inner_length_mm", "rf_frequency_ghz"}, where)
-    with keyed():
-        geometry = CellGeometry(
-            wall_thickness=_number(section, "wall_thickness_mm", where) * 1e-3,
-            inner_length=_number(section, "inner_length_mm", where) * 1e-3,
-            wall_index=complex(
-                _number(section, "wall_index_re", where, 2.1),
-                _number(section, "wall_index_im", where, 0.02),
-            ),
-            inner_index=complex(
-                _number(section, "inner_index_re", where, 1.0),
-                _number(section, "inner_index_im", where, 0.0),
-            ),
-        )
+    indices = ("wall_index", "inner_index")
+    index_keys = {f"{name}_{part}" for name in indices for part in ("re", "im")}
+    _check_keys(section, {*CELL_SIZES, *index_keys, "rf_frequency_ghz"}, {*CELL_SIZES, "rf_frequency_ghz"}, where)
+    arguments = _numbers(section, CELL_SIZES, where, 1e-3)
+    for name in indices:  # a part left out keeps that part of the library's index
+        default = getattr(CellGeometry, name)
+        re = _number(section, f"{name}_re", where, default.real)
+        arguments[name] = complex(re, _number(section, f"{name}_im", where, default.imag))
+    with keyed(_named(CELL_SIZES, where)):
+        geometry = CellGeometry(**arguments)
         frequency = _number(section, "rf_frequency_ghz", where) * 1e9
         sweep_samples(geometry, frequency)
         check_stack(geometry, frequency)
@@ -319,8 +312,7 @@ def _parse_cell(section: dict) -> tuple[CellGeometry, float]:
 def _parse_sweep(section: dict, config: RunConfig) -> SweepPlan:
     """The sweep plan of a config's other sections; SweepPlan holds every rule on the plan."""
     where = "sweep"
-    allowed = {"plane", "angles_deg", "readout", "use_cell", "noise_sigma_db"}
-    _check_keys(section, allowed, {"plane", "angles_deg"}, where)
+    _check_keys(section, {*SWEEP_FIELDS, "use_cell"}, {"plane", "angles_deg"}, where)
     for name in ("system", "drive"):
         if getattr(config, name) is None:
             raise ConfigError(f"sweep section requires a {name} section")
@@ -329,32 +321,22 @@ def _parse_sweep(section: dict, config: RunConfig) -> SweepPlan:
         raise ConfigError(f"{where}.use_cell must be a boolean")
     if use_cell and config.cell is None:
         raise ConfigError(f"{where}.use_cell requires a cell section")
-    angles = parse_angles_deg(section["angles_deg"], f"{where}.angles_deg")
-    with keyed():
-        return SweepPlan(
-            plane=section["plane"],
-            angles=angles,
-            drive=config.drive,
-            system=config.system,
-            readout=section.get("readout", "eigen"),
-            cell=config.cell if use_cell else None,
-            cell_frequency=config.cell_frequency if use_cell else None,
-            noise_sigma_db=_number(section, "noise_sigma_db", where, 0.0),
-            seed=config.seed,
-            ladder=config.ladder,
-            scan_points=config.scan.points if config.scan else 801,
-        )
+    arguments = {field: section[key] for key, field in SWEEP_FIELDS.items() if key in section}
+    arguments["angles"] = parse_angles_deg(arguments["angles"], f"{where}.angles_deg")
+    if "noise_sigma_db" in arguments:
+        arguments["noise_sigma_db"] = _number(section, "noise_sigma_db", where)
+    if use_cell:
+        arguments.update(cell=config.cell, cell_frequency=config.cell_frequency)
+    if config.scan:
+        arguments["scan_points"] = config.scan.points
+    with keyed(_named(SWEEP_FIELDS, where)):
+        return SweepPlan(drive=config.drive, system=config.system, seed=config.seed, ladder=config.ladder, **arguments)
 
 
 def _parse_output(section: dict) -> OutputSection:
-    where = "output"
-    _check_keys(section, {"directory", "basename"}, set(), where)
-    directory = section.get("directory", ".")
-    basename = section.get("basename", "rydant")
-    for name, value in (("directory", directory), ("basename", basename)):
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{where}.{name} must be a non-empty string")
-    return OutputSection(directory, basename)
+    _check_keys(section, {"directory", "basename"}, set(), "output")
+    with keyed({"directory": "output.directory", "basename": "output.basename"}):
+        return OutputSection(**section)
 
 
 def parse_config(payload: dict) -> RunConfig:
@@ -363,7 +345,7 @@ def parse_config(payload: dict) -> RunConfig:
     version = payload["schema_version"]
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}")
-    seed = _integer(payload, "seed", "configuration", 0)
+    seed = _integer(payload, "seed", "configuration", SweepPlan.seed)
 
     drive = _parse_drive(payload["drive"]) if "drive" in payload else None
     cell, cell_frequency = _parse_cell(payload["cell"]) if "cell" in payload else (None, None)

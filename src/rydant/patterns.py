@@ -455,20 +455,3 @@ def compare_patterns(a: GainPattern, b: GainPattern) -> PatternComparison:
 def json_text(payload: dict) -> str:
     """A JSON artifact: sorted keys, two-space indent, final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def pattern_csv(pattern: GainPattern) -> str:
-    """Pattern rows: plane, angle_deg, gain_db."""
-    lines = ["plane,angle_deg,gain_db"]
-    for s in pattern.samples:
-        lines.append(f"{pattern.plane},{math.degrees(s.angle):.9g},{s.gain_db:.9g}")
-    return "\n".join(lines) + "\n"
-
-
-def polar_csv(pattern: GainPattern) -> str:
-    """Polar-plot data: angle in degrees, radius = linear amplitude ratio."""
-    lines = ["angle_deg,radius"]
-    for s in pattern.samples:
-        radius = 10.0 ** (s.gain_db / 20.0)
-        lines.append(f"{math.degrees(s.angle):.9g},{radius:.9g}")
-    return "\n".join(lines) + "\n"

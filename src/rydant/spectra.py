@@ -519,14 +519,6 @@ def extract_splitting(trace: SpectrumTrace) -> SplittingResult:
     return SplittingResult(float(abs(top_two[1] - top_two[0])))
 
 
-def trace_csv(trace: SpectrumTrace) -> str:
-    """A trace as CSV text with the detuning axis converted to Hz."""
-    lines = ["detuning_hz,transmission"]
-    for det, trans in zip(trace.detunings, trace.transmission):
-        lines.append(f"{det / (2.0 * math.pi):.9g},{trans:.9g}")
-    return "\n".join(lines) + "\n"
-
-
 def default_ladder(omega_rf: float, delta_rf: float) -> LadderConfig:
     """A weak-probe ladder wrapped around a given RF drive."""
     return LadderConfig(

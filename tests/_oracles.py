@@ -49,7 +49,9 @@ spherical components of Cartesian polarization vectors, for drives of any
 ellipticity.  angular_momentum_matrices are (J_x, J_y, J_z), wigner_small_d
 is d^J(beta) from the eigendecomposition of J_y, and laser_path_weights the two-photon sublevel weights that
 6S1/2 -> 6P3/2 -> nS1/2 lasers of given polarizations prepare (ROADMAP
-items 4 and 13).  build_interaction_paper is the paper's hand-written
+items 4 and 13); j_half_readout is the weighted 1/2 -> 3/2 readout of a
+wave of any ellipticity in closed form, from the Gram law and the normal
+of the polarization ellipse alone.  build_interaction_paper is the paper's hand-written
 1/2 -> 3/2 block, the reference of acceptance criterion 1;
 branch_splittings and eigen_closed_form are the hand-derived
 1/2 -> 3/2 closed forms, the reference of criterion 2, which `rydant
@@ -714,6 +716,26 @@ def laser_path_weights(q1, q2):
             for m0 in halves for m1 in three_halves)
         for m in halves
     ])
+
+
+def j_half_readout(rabi, detuning, eps, w):
+    """The 1/2 -> 3/2 readout R = (r+ + r-) / 2 + (w0 - w1) / (w0 + w1) cos(beta_v) (r+ - r-) / 2.
+
+    eps[..., (x, y, z)] are unit Cartesian polarizations, v = i (eps* x eps)
+    the real normal of each one's ellipse and beta_v its polar angle from
+    the lasers' Z axis.  r+- = sqrt(detuning^2 + 4 s+-) with the Gram law
+    s+- = rabi^2 / 4 +- (rabi^2 / 8) |v|.  w = (w0, w1) weighs m = -1/2 and
+    m = +1/2, coupling_stack's ground columns in order.  A linear wave
+    (v = 0) reads (r+ + r-) / 2 for every w.
+    """
+    eps = np.asarray(eps, dtype=complex)
+    v = (1j * np.cross(eps.conj(), eps)).real
+    size = np.linalg.norm(v, axis=-1)
+    rabi, detuning = np.asarray(rabi, dtype=float), np.asarray(detuning, dtype=float)
+    r_minus, r_plus = (np.sqrt(detuning ** 2 + rabi ** 2 * (2.0 + sign * size) / 2.0) for sign in (-1.0, 1.0))
+    cos_beta = np.divide(v[..., 2], size, out=np.zeros_like(size), where=size > 0)
+    orientation = (w[0] - w[1]) / (w[0] + w[1])
+    return (r_plus + r_minus) / 2.0 + orientation * cos_beta * (r_plus - r_minus) / 2.0
 
 
 def path_averages(geometry, frequency, angles, polarization="TE"):

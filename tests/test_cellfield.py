@@ -13,6 +13,7 @@ from _oracles import (
     two_exponential_profile,
 )
 from _oracles import path_averages as per_angle_path_averages
+from rydant import cli
 from rydant.cellfield import (
     MAX_STACK_NEPERS,
     MAX_SWEEP_SAMPLES,
@@ -27,12 +28,9 @@ from rydant.cellfield import (
     path_average,
     path_averages,
     stack_nepers,
-    profile_csv,
-    sweep_csv,
     sweep_samples,
     transfer_matrix_field,
 )
-from rydant.metrology import normalized_gain
 from rydant.spectra import InputError
 
 THZ_FREQ = 0.1296e12
@@ -241,16 +239,21 @@ class TestValidation:
 
 
 class TestCsvWriters:
-    def test_profile_csv(self):
+    """`rydant cellfield`'s CSV artifacts, of a profile and of path averages put in its place."""
+
+    def test_profile_csv(self, tmp_path, monkeypatch):
         profile = FieldProfile(np.array([0.0, 0.001]), np.array([1.0, 0.5]), 0.0, 1e9)
-        lines = profile_csv(profile).splitlines()
+        monkeypatch.setattr(cli, "transfer_matrix_field", lambda *args: profile)
+        assert cli.main(["cellfield", "--preset", "thz-33s", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "rydant_profile.csv").read_text().splitlines()
         assert lines[0] == "position_m,amplitude_rel"
         assert lines[1] == "0,1"
         assert lines[2] == "0.001,0.5"
 
-    def test_sweep_csv_references_zero_db_to_the_max(self):
-        samples = normalized_gain([0.0, math.radians(10.0)], [0.5, 1.0])
-        lines = sweep_csv(samples).splitlines()
+    def test_sweep_csv_references_zero_db_to_the_max(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "path_averages", lambda *args: [0.5, 1.0])
+        assert cli.main(["cellfield", "--preset", "thz-33s", "--angles", "[0, 10]", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "rydant_cellsweep.csv").read_text().splitlines()
         assert lines[1].startswith("0,0.5,")
         assert lines[2].startswith("10,1,")
         assert lines[0] == "angle_deg,path_avg_rel,gain_db"

@@ -21,7 +21,7 @@ from _oracles import (
     eigen_closed_form,
     wrap_orientation,
 )
-from rydant.cli import _dressed_levels, cmd_eigen, main, write_outputs
+from rydant.cli import _csv, _dressed_levels, cmd_eigen, main, write_outputs
 from rydant.config import MHZ
 from rydant.hamiltonian import RfDrive, hamiltonian_array
 from rydant.patterns import PLANES, dipole_reference, json_text
@@ -642,6 +642,23 @@ class TestWriteOutputs:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == "error: [Errno 2] No such file or directory: 'missing/x.csv'\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,key", [("--out-dir", "directory"), ("--basename", "basename")])
+    @pytest.mark.parametrize("command", ["sweep", "spectrum", "cellfield"])
+    def test_empty_output_flags_are_refused_like_empty_keys(self, tmp_path, monkeypatch, capsys, command, flag, key):
+        monkeypatch.chdir(tmp_path)
+        config = sweep_config(tmp_path)
+        argv = ["--config", config] if command == "sweep" else ["--preset", "thz-33s"]
+        assert main([command, *argv, flag, ""]) == 2
+        assert capsys.readouterr() == ("", f"config error: {flag} must be a non-empty string\n")
+        assert main(["sweep", "--config", sweep_config(tmp_path, output={key: ""})]) == 2
+        assert capsys.readouterr() == ("", f"config error: output.{key} must be a non-empty string\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_csv_rows(self):
+        rows = [("XY", 3, 1.0 / 3.0), ("YZ", 12345678901, np.float64(2.5e-10))]
+        text = _csv("plane,index,value", rows)
+        assert text == "plane,index,value\nXY,3,0.333333333\nYZ,12345678901,2.5e-10\n"
 
     def test_a_directory_target_writes_nothing(self, tmp_path, capsys):
         config = sweep_config(tmp_path)

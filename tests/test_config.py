@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,13 +24,14 @@ from rydant.config import (
     MAX_ANGLES,
     MHZ,
     ConfigError,
+    OutputSection,
     RunConfig,
     load_config,
     parse_angles_deg,
     parse_config,
 )
 from rydant.hamiltonian import TransitionSystem
-from rydant.patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG, incidence_angles
+from rydant.patterns import MAX_NOISE_SIGMA_DB, MAX_TWO_JG, SweepPlan, incidence_angles
 from rydant.spectra import MAX_SCAN_POINTS, InputError, LadderConfig, check_scan_range
 
 FULL_CONFIG = {
@@ -95,6 +96,43 @@ class TestHappyPath:
         cfg = parse_config({"schema_version": 1})
         with pytest.raises(ConfigError, match="system"):
             cfg.require("system")
+
+
+class TestConfigDefaults:
+    """A key left out takes the library's default: a section of only its required keys is the library's object."""
+
+    REQUIRED = {
+        "system": FULL_CONFIG["system"],
+        "drive": {"rabi_mhz": 10.0},
+        "ladder": {"probe_rabi_mhz": 0.1, "coupling_rabi_mhz": 1.0},
+        "cell": {"wall_thickness_mm": 2.0, "inner_length_mm": 20.0, "rf_frequency_ghz": 129.6},
+        "sweep": {"plane": "XZ", "angles_deg": "0:10:90"},
+    }
+
+    def test_ladder(self):
+        cfg = parse_config({"schema_version": 1, **self.REQUIRED})
+        assert cfg.ladder == LadderConfig(0.1 * MHZ, 1.0 * MHZ, cfg.drive.rabi, delta_rf=cfg.drive.detuning)
+
+    def test_cell(self):
+        cfg = parse_config({"schema_version": 1, **self.REQUIRED})
+        assert cfg.cell == CellGeometry(2.0 * 1e-3, 20.0 * 1e-3)
+
+    def test_an_index_part_left_out_keeps_that_part_of_the_default(self):
+        cell = dict(self.REQUIRED["cell"], inner_index_re=1.01, wall_index_im=0.05)
+        cfg = parse_config({"schema_version": 1, "cell": cell})
+        assert cfg.cell.inner_index == complex(1.01, CellGeometry.inner_index.imag)
+        assert cfg.cell.wall_index == complex(CellGeometry.wall_index.real, 0.05)
+
+    def test_sweep(self):
+        plan = parse_config({"schema_version": 1, **self.REQUIRED}).sweep
+        names = ("readout", "noise_sigma_db", "scan_points", "seed")
+        defaults = {f.name: f.default for f in fields(SweepPlan)}
+        assert [getattr(plan, name) for name in names] == [defaults[name] for name in names]
+        assert (plan.cell, plan.cell_frequency) == (None, None)
+
+    def test_output(self):
+        assert parse_config({"schema_version": 1}).output == OutputSection()
+        assert parse_config({"schema_version": 1, "output": {}}).output == OutputSection()
 
 
 class TestSchemaGate:

@@ -12,6 +12,7 @@ from _oracles import (
     cartesian_polarizations,
     closed_form_delta_at,
     hamiltonian_stack,
+    j_half_readout,
     laser_path_weights,
     polarizations,
     splitting,
@@ -271,6 +272,64 @@ class TestLaserPathWeights:
     def test_sigma_plus_sigma_minus_lasers_orient(self):
         np.testing.assert_allclose(laser_path_weights(+1, -1), [1 / 18, 1 / 2], rtol=1e-14)
         np.testing.assert_allclose(laser_path_weights(-1, +1), [1 / 2, 1 / 18], rtol=1e-14)
+
+
+class TestJHalfReadout:
+    """ROADMAP item 13: at J = 1/2 an oriented preparation reads the RF source's axial ratio.
+
+    The readout weighs each Gram mode (s_k, u_k) of coupling_stack's block,
+    from np.linalg.eigh, by p_k = sum_m w_m |<m|u_k>|^2: it is
+    sum_k p_k r_k / sum w with r_k = sqrt(detuning^2 + 4 s_k).  The waves
+    are unit Cartesian polarizations; a tilted ellipse is
+    (x + i eta y) / sqrt(1 + eta^2), eta = 10^(-AR / 20), rotated about Y.
+    """
+
+    # Axial ratio (dB) -> deviation (dB) over the rotation for w = (1, 0) and w = (0.75, 0.25), at detuning 0.
+    AXIAL_RATIO_TABLE = {40: (0.0869, 0.0434), 30: (0.2745, 0.1372), 20: (0.8628, 0.4311),
+                         10: (2.569, 1.278), 0: (4.771, 2.341)}
+
+    @staticmethod
+    def readout(eps, w, rabi=1.0, detuning=0.0):
+        rabis = np.broadcast_to(np.asarray(rabi, dtype=float), (len(eps),))
+        blocks = coupling_stack(SYSTEM, rabis, cartesian_polarizations(eps))
+        modes, vectors = np.linalg.eigh(blocks.conj().transpose(0, 2, 1) @ blocks)
+        seen = np.einsum("m,bmk->bk", np.asarray(w, dtype=float), np.abs(vectors) ** 2)
+        return (seen * np.sqrt(np.asarray(detuning)[..., None] ** 2 + 4.0 * modes)).sum(axis=1) / sum(w)
+
+    def deviation_db(self, axial_ratio_db, w, detuning=0.0):
+        eta = 10.0 ** (-axial_ratio_db / 20.0)
+        beta = np.radians(np.arange(0.0, 181.0))
+        eps = np.stack([np.cos(beta), np.full(beta.size, 1j * eta), -np.sin(beta)], axis=1) / math.sqrt(1 + eta**2)
+        r = self.readout(eps, w, detuning=detuning)
+        return 20.0 * math.log10(r.max() / r.min())
+
+    def test_w0_weighs_m_minus_half(self):
+        assert AngularMomentum(1).two_m_values()[0] == -1
+        # (x + i y) / sqrt(2) raises m; from m = -1/2 its Clebsch-Gordan square is 1/3, from +1/2 it is 1
+        sigma_plus = np.array([[1.0, 1j, 0.0]]) / math.sqrt(2.0)
+        assert self.readout(sigma_plus, (1.0, 0.0))[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert self.readout(sigma_plus, (0.0, 1.0))[0] == pytest.approx(math.sqrt(1.5), rel=1e-15)
+
+    def test_closed_form_for_random_waves_and_weights(self):
+        rng = np.random.default_rng(1315)
+        eps = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
+        eps /= np.linalg.norm(eps, axis=1)[:, None]
+        rabis, detunings = rng.uniform(0.5, 20.0, 500), rng.uniform(-10.0, 10.0, 500)
+        for w in rng.uniform(size=(4, 2)):
+            got = self.readout(eps, w, rabis, detunings)
+            want = j_half_readout(rabis, detunings, eps, w)
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("axial_ratio_db", sorted(AXIAL_RATIO_TABLE))
+    def test_axial_ratio_table(self, axial_ratio_db):
+        oriented, partial = self.AXIAL_RATIO_TABLE[axial_ratio_db]
+        assert self.deviation_db(axial_ratio_db, (1.0, 0.0)) == pytest.approx(oriented, abs=1e-3)
+        assert self.deviation_db(axial_ratio_db, (0.75, 0.25)) == pytest.approx(partial, abs=1e-3)
+        assert self.deviation_db(axial_ratio_db, (0.5, 0.5)) <= 1e-12
+
+    def test_detuning_narrows_the_spread(self):
+        assert self.deviation_db(30, (1.0, 0.0), detuning=0.5) == pytest.approx(0.2196, abs=1e-3)
+        assert self.deviation_db(30, (1.0, 0.0), detuning=1.0) == pytest.approx(0.1372, abs=1e-3)
 
 
 class TestFieldEstimate:

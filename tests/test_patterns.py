@@ -10,7 +10,7 @@ from rydant.angular import AngularMomentum
 from rydant.cellfield import CellGeometry, angle_sweep_deviation
 from rydant.hamiltonian import RfDrive, TransitionSystem
 from rydant.metrology import GainSample, isotropic_deviation
-from rydant import patterns
+from rydant import cli, patterns
 from rydant.patterns import (
     MAX_NOISE_SIGMA_DB,
     MAX_TWO_JG,
@@ -21,9 +21,7 @@ from rydant.patterns import (
     dipole_reference,
     incidence_angles,
     json_text,
-    pattern_csv,
     plane_angles,
-    polar_csv,
     run_sweep,
 )
 from rydant.spectra import MAX_SCAN_POINTS, InputError, scan_spectrum
@@ -483,14 +481,19 @@ class TestSerialization:
         near = dict(doc, deviation_db=doc["deviation_db"] + 0.9 * patterns.DEVIATION_MATCH_DB)
         assert GainPattern.from_dict(near).deviation_db == near["deviation_db"]
 
-    def test_csv_writers(self):
+    def test_csv_writers(self, tmp_path, monkeypatch):
         pattern = run_sweep(make_plan(angles=np.radians([0.0, 90.0])))
-        lines = pattern_csv(pattern).splitlines()
+        monkeypatch.setattr(cli, "run_sweep", lambda plan: pattern)
+        config = {"schema_version": 1, "system": {"two_jg": 1, "two_je": 3, "mu_mhz_per_v_per_m": 1.0},
+                  "drive": {"rabi_mhz": 10.0}, "sweep": {"plane": "XY", "angles_deg": [0, 90]}}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        assert cli.main(["sweep", "--config", str(tmp_path / "run.json"), "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "rydant_pattern.csv").read_text().splitlines()
         assert lines[0] == "plane,angle_deg,gain_db"
         assert lines[1].startswith("XY,0,")
         assert len(lines) == 3
 
-        plines = polar_csv(pattern).splitlines()
+        plines = (tmp_path / "rydant_polar.csv").read_text().splitlines()
         assert plines[0] == "angle_deg,radius"
         radius = float(plines[1].split(",")[1])
         assert radius == pytest.approx(10 ** (pattern.samples[0].gain_db / 20.0), rel=1e-6)

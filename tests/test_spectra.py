@@ -20,7 +20,7 @@ from _oracles import (
     splitting_from_peaks,
     squaring_block_order,
 )
-from rydant import spectra
+from rydant import cli, spectra
 from rydant.spectra import (
     MAX_SCAN_POINTS,
     PROMINENCE_DEFAULT,
@@ -34,7 +34,6 @@ from rydant.spectra import (
     normalize_trace,
     scan_spectrum,
     scan_window,
-    trace_csv,
 )
 from rydant.spectra import (
     _GE,
@@ -609,10 +608,12 @@ class TestTraceUtilities:
     def test_disordered_or_out_of_range_samples_are_refused(self, detunings, transmission, message):
         assert self.refusal(detunings, transmission) == message
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path, monkeypatch):
         x = np.array([0.0, 2.0 * math.pi * 1e6, 2.0 * math.pi * 2e6])
         trace = SpectrumTrace(x, np.array([0.0, 1.0, 0.5]))
-        lines = trace_csv(trace).splitlines()
+        monkeypatch.setattr(cli, "scan_spectrum", lambda *args: trace)
+        assert cli.main(["spectrum", "--preset", "thz-33s", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "rydant_trace.csv").read_text().splitlines()
         assert lines[0] == "detuning_hz,transmission"
         assert lines[1] == "0,0"
         assert lines[2] == "1000000,1"
