@@ -231,6 +231,9 @@ CASES = [
              files={"run.json": config("spec", drive={"rabi_mhz": -2.0}, ladder=LADDER)}),
     # an empty output flag is refused as an empty output key is
     cli_case("refuse-empty-basename", "cellfield", "--preset", "thz-33s", "--basename", ""),
+    # a NUL byte in an output name is refused before any physics runs
+    cli_case("refuse-output-nul", "cellfield", "--config", "run.json",
+             files={"run.json": config("a\0b", cell=THZ_CELL)}),
 ]
 
 

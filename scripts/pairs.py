@@ -17,14 +17,9 @@ and whether the gap between the medians exceeds the parent's interquartile
 range.  It also prints every run's correct, attempted and failed.
 
 Host drift: the host's speed can move by tens of percent between runs,
-enough to cross a benchmark bound with no change in the code.  Before and
-after each run the script times a fixed pure-Python loop in its own
-process (the best of CALIBRATION_REPEATS), prints both timings on the
-run's line, and finally counts the pairs whose median of their four
-timings lies more than DRIFT_LIMIT from the median of all the batch's
-timings: the host changed mode around them, so their comparison may
-reflect the host, not the code.  The loop's own jitter between two
-timings of one pair moves no pair's median that far.
+enough to cross a benchmark bound with no change in the code.  Judge a
+change by the medians and wins over many pairs, or better by
+--interleave, whose paired rounds run milliseconds apart.
 
 Refusals: a run that reports correct: false, or a change whose failed
 share (failed / attempted over all its runs) exceeds the parent's,
@@ -60,18 +55,15 @@ import os
 import statistics
 import subprocess
 import sys
-import time
 from fractions import Fraction
 
-CALIBRATION_LOOP = 200_000
-CALIBRATION_REPEATS = 3
-DRIFT_LIMIT = 0.10  # largest accepted |pair median / batch median - 1| of the calibration timings
 IN_PROCESS = ("eigen-sweep", "spectrum-sweep")
 
 # One interleave worker: argv is checkout, workload, seed.  It answers each
-# "round" line on stdin with one JSON line, and "verify" with the checks.
+# "round" line on stdin with one JSON line, "rss" with its peak resident
+# memory so far, and "verify" with the checks.
 WORKER = """
-import json, os, statistics, sys
+import json, os, resource, statistics, sys
 checkout, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path.insert(0, os.path.join(checkout, "perfbench"))
 import run
@@ -85,29 +77,13 @@ for line in sys.stdin:
         latencies, round_seconds = rounds.timed(0.0)
         out = {"round_s": round_seconds[0], "op_ms_p50": statistics.median(latencies) * 1e3,
                "op_ms": {op.name: seconds * 1e3 for op, seconds in zip(ops, latencies)}}
+    elif line.strip() == "rss":
+        out = {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     else:
         failed, correct = run.verify_in_process(ops, rounds)
         out = {"correct": correct, "attempted": rounds.rounds * len(ops), "failed": failed}
     print(json.dumps(out), flush=True)
 """
-
-
-def calibrate() -> float:
-    """Milliseconds for a fixed standard-library loop, the best of CALIBRATION_REPEATS."""
-    best = float("inf")
-    for _ in range(CALIBRATION_REPEATS):
-        start = time.perf_counter()
-        total = 0
-        for i in range(CALIBRATION_LOOP):
-            total += i * i
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
-
-
-def drifted_pairs(calibrations: list[list[float]]) -> int:
-    """The pairs whose median calibration lies more than DRIFT_LIMIT from the whole batch's median."""
-    batch = statistics.median(t for timings in calibrations for t in timings)
-    return sum(abs(statistics.median(timings) / batch - 1.0) > DRIFT_LIMIT for timings in calibrations)
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
@@ -173,14 +149,21 @@ class Worker:
         self.proc.wait()
 
 
+def paired_ratio(parent: list[float], change: list[float]) -> dict:
+    """Lower is better: the median and quartiles of the per-pair change / parent ratios, and the change's wins."""
+    r1, rm, r3 = quartiles([c / p for p, c in zip(parent, change)])
+    return {"ratio": rm, "quartiles": [r1, r3], "wins": sum(c < p for p, c in zip(parent, change)),
+            "pairs": len(parent)}
+
+
 def paired(name: str, parent: list[float], change: list[float], width: int = 9) -> str:
-    """Lower is better: each side's median and quartiles, the per-pair ratios' and the change's wins."""
+    """Lower is better: each side's median and quartiles, then paired_ratio."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
-    r1, rm, r3 = quartiles([c / p for p, c in zip(parent, change)])
-    wins = sum(c < p for p, c in zip(parent, change))
+    ratio = paired_ratio(parent, change)
+    (r1, r3), rm = ratio["quartiles"], ratio["ratio"]
     return (f"{name:{width}s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
-            f"paired ratio {rm:.3f} [{r1:.3f}, {r3:.3f}]  wins {wins}/{len(parent)}")
+            f"paired ratio {rm:.3f} [{r1:.3f}, {r3:.3f}]  wins {ratio['wins']}/{ratio['pairs']}")
 
 
 def refusals_of(results: dict) -> list[str]:
@@ -200,7 +183,8 @@ def refusals_of(results: dict) -> list[str]:
     return refusals
 
 
-def interleave(sides: dict, workload: str, pairs: int, seed: int) -> int:
+def interleaved_rounds(sides: dict, workload: str, pairs: int, seed: int) -> tuple[dict, dict]:
+    """Each side's rounds of the N interleaved pairs, then its worker's checks; RuntimeError if a worker fails."""
     workers = {}
     try:
         for side, checkout in sides.items():
@@ -209,13 +193,18 @@ def interleave(sides: dict, workload: str, pairs: int, seed: int) -> int:
         for i in range(pairs):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 rounds[side].append(workers[side].ask("round"))
-        checks = {side: [worker.ask("verify")] for side, worker in workers.items()}
-    except RuntimeError as exc:
-        print(f"no result: {exc}")
-        return 1
+        return rounds, {side: [worker.ask("verify")] for side, worker in workers.items()}
     finally:
         for worker in workers.values():
             worker.close()
+
+
+def interleave(sides: dict, workload: str, pairs: int, seed: int) -> int:
+    try:
+        rounds, checks = interleaved_rounds(sides, workload, pairs, seed)
+    except RuntimeError as exc:
+        print(f"no result: {exc}")
+        return 1
     print(f"{workload}: {pairs} interleaved pair(s) of rounds, seed {seed}")
     refusals = refusals_of(checks)
     for name in ("round_s", "op_ms_p50"):
@@ -258,29 +247,21 @@ def main(argv=None) -> int:
     if args.seconds is None or args.seconds <= 0:
         parser.error("--seconds must be given and > 0")
     results = {"parent": [], "change": []}
-    calibrations = []
     for i in range(args.pairs):
         seed = args.seed_base + i
-        timings = []
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            before = calibrate()
             result = run_once(sides[side], args.workload, seed, args.seconds)
-            after = calibrate()
-            timings += [before, after]
             if result is None:
                 print(f"pair {i + 1} seed {seed} {side}: no result")
                 return 1
             results[side].append(result)
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"pair {i + 1} seed {seed} {side}: correct={result['correct']} attempted={result['attempted']} "
-                  f"failed={result['failed']} {values} calibration_ms={before:.3g}->{after:.3g}", flush=True)
-        calibrations.append(timings)
+                  f"failed={result['failed']} {values}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pair(s) of {args.seconds:g} s, seeds {args.seed_base}-"
           f"{args.seed_base + args.pairs - 1}")
     refusals = refusals_of(results)
-    print(f"host drift: the median calibration of {drifted_pairs(calibrations)} of {args.pairs} pair(s) lies "
-          f"more than {DRIFT_LIMIT:.0%} from the batch's")
     for name, better in directions(args.parent).items():
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]

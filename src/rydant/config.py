@@ -111,7 +111,7 @@ class ScanSection:
 
 @dataclass(frozen=True)
 class OutputSection:
-    """Where a command writes: a directory and a file stem, each a non-empty string, else InputError."""
+    """Where a command writes: a directory and a file stem, each a non-empty string without NUL, else InputError."""
 
     directory: str = "."
     basename: str = "rydant"
@@ -121,6 +121,8 @@ class OutputSection:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise InputError(name, " must be a non-empty string")
+            if "\0" in value:
+                raise InputError(name, " must not hold a NUL byte")
 
 
 @dataclass(frozen=True)

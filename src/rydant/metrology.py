@@ -59,6 +59,35 @@ def gram_splittings(blocks: np.ndarray, detuning: float) -> np.ndarray:
     return np.sqrt(detuning**2 + 4.0 * gram)
 
 
+def gram_modes(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram eigenpairs of a stack of coupling blocks: (s, u), shapes (n, ground) and (n, ground, ground).
+
+    s[i] holds the eigenvalues s_k of V^dag V for block i, ascending, and
+    column k of u[i] its ground-space eigenvector u_k, from np.linalg.eigh.
+    Inside a degenerate +-m pair eigh's basis is arbitrary; a readout that
+    weighs the modes must not depend on it, as weighted_splittings does not.
+    """
+    return np.linalg.eigh(blocks.conj().transpose(0, 2, 1) @ blocks)
+
+
+def weighted_splittings(blocks: np.ndarray, detuning: float, populations) -> np.ndarray:
+    """The laser-weighted readout of each block: sum_k p_k sqrt(detuning^2 + 4 s_k), shape (n,).
+
+    Bright pair k (a Gram mode (s_k, u_k), see gram_modes) is seen with
+    weight p_k = sum_m w_m |<m|u_k>|^2 / sum w, where populations holds w,
+    one per ground sublevel in ascending m: finite, >= 0 and not all zero,
+    else ValueError.  Uniform w reads the mean of gram_splittings' modes.
+    A degenerate pair's weight sums over the pair, so eigh's basis inside
+    it drops out.
+    """
+    w = np.asarray(populations, dtype=float)
+    if w.shape != (blocks.shape[-1],) or not np.isfinite(w).all() or (w < 0).any() or not w.any():
+        raise ValueError(f"populations must be {blocks.shape[-1]} finite values >= 0, not all 0, got {w.tolist()}")
+    s, u = gram_modes(blocks)
+    seen = np.einsum("m,nmk->nk", w / w.sum(), np.abs(u) ** 2)
+    return (seen * np.sqrt(detuning**2 + 4.0 * s)).sum(axis=1)
+
+
 def field_from_splitting(delta_at: float, detuning: float, mu: float) -> FieldEstimate:
     """Invert the splitting relation to a field amplitude.
 

@@ -27,24 +27,26 @@ a fixed table builds it, whose rows are the Liouvillians of the eight unit
 generators (three detuning diagonals, three half-Rabi couplings, three
 collapses in two rates).  The scanned detuning enters it through a diagonal
 slope that is nonzero only on the eight coherences between {g, e} and
-{r1, r2}.  One solve at the scan centre and one eigendecomposition of that
-8 x 8 sloped block turn a whole scan into a sum of eight poles in the
+{r1, r2}.  One complex solve at the scan centre and one eigendecomposition
+of that sloped block turn a whole scan into a sum of poles in the
 detuning; a single-detuning steady state is the one-point scan.  The
-per-point stage runs component-major, on (16, points) arrays, so each
-reduction over the components is a fast elementwise pass.  Doppler
-averaging shifts only the scanned detuning by a Gaussian velocity term; the
-average of each pole over that Gaussian is exact through the Faddeeva
-function, evaluated by Weideman's rational approximation with N = 40 terms:
-relative error below 1.5e-15 against 80-digit mpmath for |z| <= 1e6, the
-real axis included (scipy.special.wofz: up to 3.1e-14 on the same points).
+setup's results then move to rho's real coordinates (4 populations, Re and
+Im of 6 coherences), where the block is real 8 x 8 and its poles come in
+exact conjugate pairs: one pole per pair is evaluated, at weight 2, and
+the per-point stage runs in real arithmetic, component-major on
+(16, points) arrays.  Its residual check is the same rule on the real
+Liouvillian.  Doppler averaging shifts only the scanned detuning by a
+Gaussian velocity term; the average of each pole over that Gaussian is
+exact through the Faddeeva function, evaluated by Weideman's rational
+approximation with N = 40 terms: relative error below 1.5e-15 against
+80-digit mpmath for |z| <= 1e6, the real axis included
+(scipy.special.wofz: up to 3.1e-14 on the same points).
 A trace finds its peaks once, when it is built: local maxima filtered by
 topographic prominence, which extract_splitting then reads.  Each kept
 peak is refined on Python floats, with the IEEE operations of an array
-parabola in the same order, so with the same bits.  A sloped block with no
-exact zero is one block, and _block_order returns its natural order
-without squaring the coupling pattern.  A numpy call on a small array
-costs several microseconds whatever its size, so the per-scan bookkeeping
-makes as few of them as it can.
+parabola in the same order, so with the same bits.  A numpy call on a
+small array costs several microseconds whatever its size, so the per-scan
+bookkeeping makes as few of them as it can.
 
 Defaults gamma_e = 2*pi*5.2e6 rad/s and gamma_r = 2*pi*0.1e6 rad/s are
 plausible vapor-cell numbers, not measured values; override per setup.
@@ -78,7 +80,6 @@ MAX_SCAN_POINTS = 20_001
 
 _DIM = 4
 _TRACE_IDX = np.arange(_DIM) * (_DIM + 1)
-_GE = _DIM  # rho[0, 1] in the column-stacked state
 _IDENTITY = np.eye(_DIM)
 
 
@@ -225,10 +226,10 @@ def _liouvillian_table() -> np.ndarray:
     return table
 
 
-def _ladder_liouvillian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
-    """The ladder's Liouvillian at scanned coupling detuning delta_c, as one matmul."""
+def _ladder_liouvillian(cfg: LadderConfig, delta_c: float, table: np.ndarray | None = None) -> np.ndarray:
+    """The Liouvillian at scanned detuning delta_c: its parameters times table (default _liouvillian_table())."""
     params = np.array([delta_c if name == "delta_c" else getattr(cfg, name) for name in _PARAMETERS])
-    return (params @ _liouvillian_table()).reshape(_DIM * _DIM, _DIM * _DIM)
+    return (params @ (_liouvillian_table() if table is None else table)).reshape(_DIM * _DIM, _DIM * _DIM)
 
 
 # Diagonal of d(Liouvillian)/d(delta_c): the scan enters H only on the
@@ -236,16 +237,47 @@ def _ladder_liouvillian(cfg: LadderConfig, delta_c: float) -> np.ndarray:
 # alone, so its entry for rho_gg (the trace row) is zero.
 _SCAN_SLOPE = np.diag(_liouvillian(*_GENERATORS["delta_c"])).copy()
 _SLOPED = np.flatnonzero(_SCAN_SLOPE)
-_SLOPE_COLUMN = _SCAN_SLOPE[_SLOPED, None]
-# The sloped components in their own order, for a sloped block with no zero.
-_NATURAL_ORDER = np.arange(_SLOPED.size)
-_NATURAL_ORDER.flags.writeable = False
 # Row 0 of the solved matrix: the trace condition sum_i rho_ii = 1.
 _TRACE_ROW = np.zeros(_DIM * _DIM)
 _TRACE_ROW[_TRACE_IDX] = 1.0
 # Right-hand side of the one setup solve: the trace condition b, then the
 # sloped columns of S = diag(_SCAN_SLOPE).
 _SETUP_RHS = np.column_stack((np.eye(_DIM * _DIM)[:, 0], np.diag(_SCAN_SLOPE)[:, _SLOPED]))
+
+# The real coordinates y of a Hermitian rho: the populations rho_ii, then
+# Re rho_ij and Im rho_ij over i < j, each in column-stacked order, whose
+# second to fifth are the sloped coherences.  The slope turns each of them:
+# d(Re)/d(delta_c) = Im and d(Im)/d(delta_c) = -Re, so in the real
+# Liouvillian it adds eps at (_REAL_SLOPED, _TURN_COLUMNS) times _TURN_SIGNS.
+_UPPER = [(i, j) for j in range(_DIM) for i in range(j)]
+_IM_GE = _DIM + len(_UPPER)  # Im rho[0, 1], the probe absorption
+_SLOPED_RE, _SLOPED_IM = slice(_DIM + 1, _DIM + 5), slice(_IM_GE + 1, _IM_GE + 5)
+_REAL_SLOPED, _TURN_COLUMNS = np.r_[_SLOPED_RE, _SLOPED_IM], np.r_[_SLOPED_IM, _SLOPED_RE]
+_TURN_SIGNS = np.repeat([1.0, -1.0], 4)
+# The sloped coordinates in their own order, for a sloped block with no zero.
+_NATURAL_ORDER = np.arange(_REAL_SLOPED.size)
+_NATURAL_ORDER.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _real_frame() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(R, Q, Q_s, table): y = R x and x = Q y between the column-stacked x and y, R Q = I exactly.
+
+    Q_s = Q[_SLOPED, _REAL_SLOPED]; table row k is R L_k Q (real) for row k of
+    _liouvillian_table().  Built on first use, as that table, and read-only.
+    """
+    n = _DIM * _DIM
+    r, q = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    r[:_DIM, _TRACE_IDX] = q[_TRACE_IDX, :_DIM] = np.eye(_DIM)
+    for k, (i, j) in enumerate(_UPPER):
+        re, im, ij, ji = _DIM + k, _IM_GE + k, i + _DIM * j, j + _DIM * i
+        r[re, [ij, ji]], r[im, [ij, ji]] = 0.5, (-0.5j, 0.5j)
+        q[[ij, ji], re], q[[ij, ji], im] = 1.0, (1j, -1j)
+    table = np.array([(r @ row.reshape(n, n) @ q).real.ravel() for row in _liouvillian_table()])
+    frame = r, q, q[np.ix_(_SLOPED, _REAL_SLOPED)], table
+    for a in frame:
+        a.flags.writeable = False
+    return frame
 
 
 def _block_order(k: np.ndarray) -> np.ndarray:
@@ -269,56 +301,58 @@ def _block_order(k: np.ndarray) -> np.ndarray:
 
 
 def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
-    """Column-stacked steady states, one row per scanned detuning.
+    """Steady states in the real coordinates y (see _real_frame), one row per scanned detuning.
 
-    With the trace row in place of row 0, the Liouvillian is
-    A(delta) = A0 + eps S, with A0 at the scan centre delta0,
-    eps = delta - delta0 and S the diagonal scan slope, nonzero on the eight
-    sloped components s.  One solve of A0 against [b, S[:, s]] gives
-    x0 = A0^-1 b and M = (A0^-1 S)[:, s].  As x(eps) = x0 - eps M x(eps)[s],
-    the poles lam are the eigenvalues of the 8 x 8 block K = M[s], its
-    uncoupled diagonal blocks made contiguous first (see _block_order); with
-    K = U diag(lam) U^-1 and c = U^-1 x0[s], every point is
-    x(eps) = x0 - W [eps / (1 + lam eps)], W = M U diag(c), and a one-point
-    scan returns x0 itself.  The per-point stage works on (16, points)
-    arrays and returns the transposed view.  Each point's residual
-    |L(delta) x(delta)| is checked against RESIDUAL_TOL * max|L(delta)| *
-    max|x(delta)|, the slope entering only the sloped rows.
+    With the trace row in place of row 0, the Liouvillian is A0 + eps S,
+    A0 at the scan centre delta0, eps = delta - delta0, S the diagonal scan
+    slope on the eight sloped components s.  One complex solve of A0 against
+    [b, S[:, s]] gives x0 = A0^-1 b and M = (A0^-1 S)[:, s], which become
+    the real y0 = R x0 and M = R M Q_s.  As y = y0 - eps M y[s], the poles
+    lam are the eigenvalues of the real block K = M[s] (blocks made
+    contiguous by _block_order), in exact conjugate pairs; with
+    K = U diag(lam) U^-1, c = U^-1 y0[s] and W = M U diag(c), every point is
+    y0 - W f, f = eps / (1 + lam eps), which is y0 - Re(W f) over the poles
+    with Im lam >= 0, those above the axis at weight 2.  The per-point stage
+    runs on real (16, points) arrays.  Each point's residual |L(delta) y|,
+    with the real Liouvillian, is checked against RESIDUAL_TOL *
+    max|L(delta)| * max|y|.
 
     cfg.doppler_sigma > 0 returns instead the average over a Gaussian shift
     of the scanned detuning: each term becomes its closed-form average.
     """
     center = 0.5 * (detunings[0] + detunings[-1])
-    lv = _ladder_liouvillian(cfg, center)
-    a = lv.copy()
+    a = _ladder_liouvillian(cfg, center)
     a[0] = _TRACE_ROW
+    r, _, q_s, table = _real_frame()
     try:
-        solved = np.linalg.solve(a, _SETUP_RHS)
-        x0, m = solved[:, 0], solved[:, 1:]
-        order = _block_order(m[_SLOPED])
-        sloped, m = _SLOPED[order], m[:, order]
+        solved = r @ np.linalg.solve(a, _SETUP_RHS)
+        y0, m = solved[:, 0].real, (solved[:, 1:] @ q_s).real
+        order = _block_order(m[_REAL_SLOPED])
+        sloped, m = _REAL_SLOPED[order], m[:, order]
         lam, u = np.linalg.eig(m[sloped])
-        c = np.linalg.solve(u, x0[sloped])
+        c = np.linalg.solve(u, y0[sloped])
     except np.linalg.LinAlgError as exc:
         raise SteadyStateError(f"singular Liouvillian: {exc}") from exc
+    kept = lam.imag >= 0.0
+    lam = lam[kept]
+    w = m @ (u[:, kept] * (c[kept] * np.where(lam.imag > 0.0, 2.0, 1.0)))
 
     eps = detunings - center
-    # states is formed in place: a fresh (16, points) array is a large,
-    # page-faulting allocation that can cost more than the subtraction.
+    lv = _ladder_liouvillian(cfg, center, table)
     with np.errstate(all="ignore"):
-        w = m @ (u * c)
-        states = w @ (eps / (1.0 + lam[:, None] * eps))
-        np.subtract(x0[:, None], states, out=states)
-        # L(delta) x = L0 x + eps S x; the slope moves only the sloped diagonal entries.
+        states = _pole_sum(y0, w, eps / (1.0 + lam[:, None] * eps))
+        # L(delta) y = L0 y + eps S y; the slope turns only the sloped coherences.
         lx = lv @ states
-        eps_slope = eps * _SLOPE_COLUMN
-        lx[_SLOPED] += eps_slope * states[_SLOPED]
-        residual = np.abs(lx).max(axis=0)
-        # Every |L0| entry but the sloped diagonal, which moves with the scan.
+        lx[_SLOPED_RE] += eps * states[_SLOPED_IM]
+        lx[_SLOPED_IM] -= eps * states[_SLOPED_RE]
+        residual = np.abs(lx, out=lx).max(axis=0)
+        # Every |L0| entry but the eight turns t = sign L0, which read |t + eps|:
+        # the largest t or the smallest gives their maximum, with the same rounding.
         unscanned = np.abs(lv)
-        unscanned[_SLOPED, _SLOPED] = 0.0
-        lv_max = np.maximum(np.abs(lv[_SLOPED, _SLOPED, None] + eps_slope).max(axis=0), unscanned.max())
-        scale = np.maximum(lv_max * np.abs(states).max(axis=0), 1e-300)
+        unscanned[_REAL_SLOPED, _TURN_COLUMNS] = 0.0
+        turns = lv[_REAL_SLOPED, _TURN_COLUMNS] * _TURN_SIGNS
+        lv_max = np.maximum(np.abs(turns.max() + eps), np.abs(turns.min() + eps))
+        scale = np.maximum(np.maximum(lv_max, unscanned.max()) * np.abs(states).max(axis=0), 1e-300)
     failed = ~np.isfinite(residual) | (residual > RESIDUAL_TOL * scale)
     if failed.any():
         i = int(np.argmax(failed))
@@ -327,9 +361,15 @@ def _steady_states(cfg: LadderConfig, detunings: np.ndarray) -> np.ndarray:
             f"residual {residual[i]:.3e} vs scale {scale[i]:.3e}"
         )
     if cfg.doppler_sigma > 0.0:
-        states = w @ _doppler_pole_average(eps, lam, cfg.doppler_sigma)
-        np.subtract(x0[:, None], states, out=states)
+        states = _pole_sum(y0, w, _doppler_pole_average(eps, lam, cfg.doppler_sigma))
     return states.T
+
+
+def _pole_sum(y0: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """y0 - Re(w f) on (16, points) arrays, as one real matmul: Re(w f) = Re w Re f - Im w Im f."""
+    states = np.concatenate((w.imag, -w.real), axis=1) @ np.concatenate((f.imag, f.real))
+    states += y0[:, None]
+    return states
 
 
 def _doppler_pole_average(eps: np.ndarray, lam: np.ndarray, sigma: float) -> np.ndarray:
@@ -434,7 +474,7 @@ def scan_spectrum(cfg: LadderConfig, scan: tuple[float, float], points: int) -> 
     check_scan_points(points)
 
     detunings = np.linspace(low, high, points)
-    absorption = _steady_states(cfg, detunings)[:, _GE].imag
+    absorption = _steady_states(cfg, detunings)[:, _IM_GE]
     return SpectrumTrace(detunings, normalize_trace(-absorption))
 
 

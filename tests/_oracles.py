@@ -520,6 +520,54 @@ def full_pole_states(cfg, detunings):
     return (x0[:, None] - v @ (terms * c)).T, lam[:, 0]
 
 
+def all_pole_states(cfg, detunings):
+    """spectra._steady_states summed over all eight poles of its real block, each at weight 1.
+
+    The same setup (the complex solve, the real frame, the block order and
+    eig), then y0 - W f in complex arithmetic over every pole, conjugates
+    included, where _steady_states keeps one pole per conjugate pair at
+    weight 2.  With cfg.doppler_sigma > 0 each term is its Gaussian average.
+    Returns the real coordinates, one row per detuning, with the imaginary
+    part the sum leaves.  No residual check.
+    """
+    from rydant import spectra
+
+    center = 0.5 * (detunings[0] + detunings[-1])
+    a = spectra._ladder_liouvillian(cfg, center)
+    a[0] = spectra._TRACE_ROW
+    r, _, q_s, _ = spectra._real_frame()
+    solved = r @ np.linalg.solve(a, spectra._SETUP_RHS)
+    y0, m = solved[:, 0].real, (solved[:, 1:] @ q_s).real
+    order = spectra._block_order(m[spectra._REAL_SLOPED])
+    sloped, m = spectra._REAL_SLOPED[order], m[:, order]
+    lam, u = np.linalg.eig(m[sloped])
+    w = m @ (u * np.linalg.solve(u, y0[sloped]))
+    eps = detunings - center
+    with np.errstate(all="ignore"):
+        if cfg.doppler_sigma > 0.0:
+            terms = spectra._doppler_pole_average(eps, lam, cfg.doppler_sigma)
+        else:
+            terms = eps / (1.0 + lam[:, None] * eps)
+    return (y0[:, None] - w @ terms).T
+
+
+def mpmath_coherence(cfg, delta_c, dps=50):
+    """Im(rho_ge) at one scanned detuning: a dps-digit mpmath LU solve of the column-stacked Liouvillian.
+
+    The double-precision Liouvillian of column_stacked_liouvillian, with the
+    trace condition in place of row 0, solved exactly enough that only its
+    entries' own rounding remains.
+    """
+    lv = column_stacked_liouvillian(cfg, delta_c)
+    with mpmath.workdps(dps):
+        a = mpmath.matrix([[mpmath.mpc(v) for v in row] for row in lv.tolist()])
+        for j in range(16):
+            a[0, j] = 1 if j in (0, 5, 10, 15) else 0
+        b = mpmath.matrix(16, 1)
+        b[0] = 1
+        return float(mpmath.im(mpmath.lu_solve(a, b)[4]))
+
+
 def doppler_absorption(cfg, low, high, points, sigma, max_grid_step, span_sigmas=10.0):
     """Gaussian velocity average of Im(rho_ge) at linspace(low, high, points).
 

@@ -655,6 +655,17 @@ class TestWriteOutputs:
         assert capsys.readouterr() == ("", f"config error: output.{key} must be a non-empty string\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("flag,key", [("--out-dir", "directory"), ("--basename", "basename")])
+    def test_a_nul_byte_in_an_output_name_is_refused_before_the_physics(self, tmp_path, monkeypatch, capsys, flag,
+                                                                       key):
+        monkeypatch.chdir(tmp_path)
+        assert main(["cellfield", "--preset", "thz-33s", flag, "a\0b"]) == 2
+        assert capsys.readouterr() == ("", f"config error: {flag} must not hold a NUL byte\n")
+        config = sweep_config(tmp_path, output={key: "a\0b"})
+        assert main(["sweep", "--config", config]) == 2
+        assert capsys.readouterr() == ("", f"config error: output.{key} must not hold a NUL byte\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_csv_rows(self):
         rows = [("XY", 3, 1.0 / 3.0), ("YZ", 12345678901, np.float64(2.5e-10))]
         text = _csv("plane,index,value", rows)

@@ -21,6 +21,7 @@ from _oracles import (
 )
 from rydant.angular import AngularMomentum, decompose_polarizations
 from rydant.hamiltonian import RfDrive, TransitionSystem, coupling_stack, hamiltonian_array
+from rydant import metrology
 from rydant.metrology import (
     FieldEstimate,
     GainSample,
@@ -28,6 +29,7 @@ from rydant.metrology import (
     gram_splittings,
     isotropic_deviation,
     normalized_gain,
+    weighted_splittings,
 )
 from rydant.spectra import SplittingResult
 
@@ -330,6 +332,109 @@ class TestJHalfReadout:
     def test_detuning_narrows_the_spread(self):
         assert self.deviation_db(30, (1.0, 0.0), detuning=0.5) == pytest.approx(0.2196, abs=1e-3)
         assert self.deviation_db(30, (1.0, 0.0), detuning=1.0) == pytest.approx(0.1372, abs=1e-3)
+
+
+def system_for(two_jg):
+    return TransitionSystem(AngularMomentum(two_jg), AngularMomentum(two_jg + 2), mu=1.0)
+
+
+def random_waves(rng, n, linear=False):
+    """n unit Cartesian polarizations: real directions times a global phase when linear, else complex."""
+    if linear:
+        eps = rng.normal(size=(n, 3)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))[:, None]
+    else:
+        eps = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    return eps / np.linalg.norm(eps, axis=1)[:, None]
+
+
+def deviation_db(readout):
+    return 20.0 * math.log10(readout.max() / readout.min())
+
+
+class TestWeightedReadout:
+    """ROADMAP item 4a: weighted_splittings weighs each Gram mode (s_k, u_k) by p_k = sum_m w_m |<m|u_k>|^2."""
+
+    @pytest.mark.parametrize("two_jg", range(10))
+    def test_uniform_populations_read_the_mode_mean(self, two_jg):
+        rng = np.random.default_rng(500 + two_jg)
+        waves = cartesian_polarizations(random_waves(rng, 50))
+        blocks = coupling_stack(system_for(two_jg), rng.uniform(0.5, 20.0, 50), waves)
+        for detuning in (0.0, rng.uniform(-5.0, 5.0)):
+            got = weighted_splittings(blocks, detuning, np.full(two_jg + 1, 0.3))
+            want = gram_splittings(blocks, detuning).mean(axis=1)
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_j_half_reads_flat_for_every_population_of_a_linear_field(self):
+        rng = np.random.default_rng(510)
+        blocks = coupling_stack(SYSTEM, np.full(500, 2.0), cartesian_polarizations(random_waves(rng, 500, linear=True)))
+        for w in [(1.0, 0.0), (0.0, 1.0), *rng.uniform(size=(20, 2))]:
+            for detuning in (0.0, 1.0):
+                assert deviation_db(weighted_splittings(blocks, detuning, w)) <= 1e-12
+
+    @pytest.mark.parametrize("two_jg", range(10))
+    def test_rotations_about_the_laser_axis_change_nothing(self, two_jg):
+        rng = np.random.default_rng(520 + two_jg)
+        eps, alpha = random_waves(rng, 30), rng.uniform(0.0, 2.0 * math.pi, 30)
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        turned = np.stack([cos * eps[:, 0] - sin * eps[:, 1], sin * eps[:, 0] + cos * eps[:, 1], eps[:, 2]], axis=1)
+        w, rabis = rng.dirichlet(np.ones(two_jg + 1)), rng.uniform(0.5, 20.0, 30)
+        system = system_for(two_jg)
+        before = weighted_splittings(coupling_stack(system, rabis, cartesian_polarizations(eps)), 0.7, w)
+        after = weighted_splittings(coupling_stack(system, rabis, cartesian_polarizations(turned)), 0.7, w)
+        assert np.abs(20.0 * np.log10(after / before)).max() <= 1e-12
+
+    @pytest.mark.parametrize("two_jg", [1, 3, 4, 9])
+    def test_a_unitary_inside_a_degenerate_pair_changes_nothing(self, two_jg, monkeypatch):
+        # A linear field's modes come in +-m' pairs, ascending: |m'| = J, J, J - 1, ...
+        rng = np.random.default_rng(530 + two_jg)
+        n = two_jg + 1
+        waves = cartesian_polarizations(random_waves(rng, 40, linear=True))
+        blocks = coupling_stack(system_for(two_jg), np.full(40, 3.0), waves)
+        w = np.eye(n)[-1]  # stretched: the pairs' members see it very differently
+        eigh_modes = metrology.gram_modes
+        s, u = eigh_modes(blocks)
+        pairs = [slice(k, k + 2) for k in range(0, n - 1, 2)]
+        assert all(np.abs(np.diff(s[:, k])).max() <= 1e-12 * s.max() for k in pairs)
+        unitaries = np.linalg.qr(rng.normal(size=(len(pairs), 2, 2)) + 1j * rng.normal(size=(len(pairs), 2, 2)))[0]
+        mixed = u.copy()
+        for k, unitary in zip(pairs, unitaries):
+            mixed[:, :, k] = u[:, :, k] @ unitary
+        assert np.abs(np.abs(mixed) ** 2 - np.abs(u) ** 2).max() > 0.01
+        want = weighted_splittings(blocks, 0.5, w)
+        monkeypatch.setattr(metrology, "gram_modes", lambda b: (s, mixed))
+        got = weighted_splittings(blocks, 0.5, w)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_laser_path_weights_at_j_half(self):
+        rng = np.random.default_rng(540)
+        eps, rabis = random_waves(rng, 300), rng.uniform(0.5, 20.0, 300)
+        blocks = coupling_stack(SYSTEM, rabis, cartesian_polarizations(eps))
+        # pi-pi lasers align without orienting: every wave reads its mode mean, so one fixed rabi reads flat
+        flat = coupling_stack(SYSTEM, np.full(300, 2.0), cartesian_polarizations(random_waves(rng, 300, linear=True)))
+        assert deviation_db(weighted_splittings(flat, 0.3, laser_path_weights(0, 0))) <= 1e-12
+        aligned = weighted_splittings(blocks, 0.3, laser_path_weights(0, 0))
+        assert np.max(np.abs(aligned - gram_splittings(blocks, 0.3).mean(axis=1)) / aligned) <= 1e-12
+        # sigma+ sigma- lasers prepare (1/18, 1/2), which reads an ellipse's handedness
+        w = laser_path_weights(+1, -1)
+        np.testing.assert_allclose(w, [1 / 18, 1 / 2], rtol=1e-14)
+        want = j_half_readout(rabis, 0.3, eps, w)
+        assert np.max(np.abs(weighted_splittings(blocks, 0.3, w) - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("detuning,want_db", [(0.0, 1.29), (1.0, 0.97)])
+    def test_j_three_halves_reads_the_xz_table(self, detuning, want_db):
+        # ROADMAP item 4's table: |m| = 1/2 prepared, lasers along Z, a linear field swept through XZ
+        beta = np.radians(np.arange(0.0, 360.0, 2.5))
+        eps = np.stack([np.sin(beta), np.zeros_like(beta), np.cos(beta)], axis=1)
+        blocks = coupling_stack(system_for(3), np.full(beta.size, 2.0), cartesian_polarizations(eps))
+        readout = weighted_splittings(blocks, detuning, (0.0, 1.0, 1.0, 0.0))
+        assert deviation_db(readout) == pytest.approx(want_db, abs=5e-3)
+        assert deviation_db(gram_splittings(blocks, detuning).mean(axis=1)) <= 1e-12
+
+    def test_bad_populations_are_refused(self):
+        blocks = block_for(2.0, 0.0)[None]
+        for w in ((1.0,), (1.0, -0.1), (0.0, 0.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="populations must be 2 finite values >= 0, not all 0"):
+                weighted_splittings(blocks, 0.0, w)
 
 
 class TestFieldEstimate:

@@ -33,8 +33,7 @@ def checkout(root: Path, name: str, correct: bool, attempted: int, failed: int) 
         ((True, 7, 3), 1, "the change's failed share 0.4286 exceeds the parent's 0.2857"),
     ],
 )
-def test_refusals_exit_1_and_say_why(tmp_path, monkeypatch, capsys, change, code, refusal):
-    monkeypatch.setattr(pairs, "calibrate", lambda: 1.0)
+def test_refusals_exit_1_and_say_why(tmp_path, capsys, change, code, refusal):
     argv = ["--parent", checkout(tmp_path, "parent", True, 7, 2), "--change", checkout(tmp_path, "change", *change),
             "--workload", "w", "--pairs", "1", "--seconds", "1", "--seed-base", "0"]
     assert pairs.main(argv) == code
@@ -42,31 +41,6 @@ def test_refusals_exit_1_and_say_why(tmp_path, monkeypatch, capsys, change, code
     assert "parent: correct 1/1, attempted 7, failed 2, failed share 0.2857" in out
     refused = [line for line in out.splitlines() if line.startswith("REFUSED: ")]
     assert refused == ([] if refusal is None else [f"REFUSED: {refusal}"])
-
-
-STEADY = [[10.0, 11.8, 9.1, 10.3], [9.4, 10.1, 12.6, 9.8], [10.2, 9.0, 10.6, 11.9], [11.5, 9.9, 10.0, 9.3]]
-ONE_AT_1_6X = [STEADY[0], [16.0, 16.6, 15.7, 16.3], *STEADY[2:]]
-
-
-@pytest.mark.parametrize(
-    "timings,drifted",
-    [
-        (STEADY, 0),  # the loop's own jitter: up to 30% between two timings of a pair, but no pair's median moves
-        (ONE_AT_1_6X, 1),  # the host changed mode around one pair
-    ],
-    ids=["jittery-but-steady", "one-pair-at-1.6x"],
-)
-def test_host_drift_counts_pairs_whose_median_moved(timings, drifted):
-    assert pairs.drifted_pairs(timings) == drifted
-
-
-def test_the_drift_count_is_printed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(pairs, "calibrate", iter([t for pair in ONE_AT_1_6X for t in pair]).__next__)
-    argv = ["--parent", checkout(tmp_path, "parent", True, 7, 2), "--change", checkout(tmp_path, "change", True, 7, 2),
-            "--workload", "w", "--pairs", "4", "--seconds", "1", "--seed-base", "0"]
-    assert pairs.main(argv) == 0
-    out = capsys.readouterr().out
-    assert "host drift: the median calibration of 1 of 4 pair(s) lies more than 10% from the batch's" in out
 
 
 STUB_RUN = """

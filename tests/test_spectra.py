@@ -9,11 +9,13 @@ from scipy.signal import find_peaks
 from scipy.special import wofz
 
 from _oracles import (
+    all_pole_states,
     array_peak_positions,
     column_stacked_liouvillian,
     doppler_absorption,
     full_pole_states,
     ladder_states,
+    mpmath_coherence,
     mpmath_faddeeva,
     peak_positions,
     run_local_maxima,
@@ -36,7 +38,6 @@ from rydant.spectra import (
     scan_window,
 )
 from rydant.spectra import (
-    _GE,
     _SCAN_SLOPE,
     _block_order,
     _faddeeva,
@@ -45,6 +46,7 @@ from rydant.spectra import (
     _local_maxima,
     _peak_positions,
     _prominences,
+    _real_frame,
     _steady_states,
 )
 
@@ -52,6 +54,12 @@ from rydant.spectra import (
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MHZ = 2.0 * math.pi * 1e6
+_GE = 4  # rho[0, 1] in the column-stacked state
+
+
+def steady_states(cfg, detunings):
+    """_steady_states in the column-stacked frame: x = Q y for each row y."""
+    return _steady_states(cfg, detunings) @ _real_frame()[1].T
 
 
 def two_level_coherence(omega, delta, gamma):
@@ -67,13 +75,13 @@ class TestSteadyState:
                 omega_p=omega, omega_c=0.0, omega_rf=0.0,
                 delta_p=delta, gamma_e=gamma, gamma_r=0.3,
             )
-            got = _steady_states(cfg, np.array([0.123]))[0, _GE].imag
+            got = steady_states(cfg, np.array([0.123]))[0, _GE].imag
             assert got == pytest.approx(two_level_coherence(omega, delta, gamma), abs=1e-15)
 
     def test_two_level_result_ignores_scan_detuning(self):
         cfg = LadderConfig(omega_p=0.03, omega_c=0.0, omega_rf=0.0, gamma_e=1.0, gamma_r=0.2)
-        at_zero = _steady_states(cfg, np.array([0.0]))[0, _GE].imag
-        assert at_zero == pytest.approx(_steady_states(cfg, np.array([10.0]))[0, _GE].imag, abs=1e-15)
+        at_zero = steady_states(cfg, np.array([0.0]))[0, _GE].imag
+        assert at_zero == pytest.approx(steady_states(cfg, np.array([10.0]))[0, _GE].imag, abs=1e-15)
 
     def test_density_matrix_is_physical(self):
         rng = np.random.default_rng(5)
@@ -87,7 +95,7 @@ class TestSteadyState:
                 gamma_e=1.0,
                 gamma_r=0.1,
             )
-            rho = _steady_states(cfg, np.array([rng.uniform(-2.0, 2.0)]))[0].reshape((4, 4), order="F")
+            rho = steady_states(cfg, np.array([rng.uniform(-2.0, 2.0)]))[0].reshape((4, 4), order="F")
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
             assert abs(np.trace(rho).imag) < 1e-12
             assert np.abs(rho - rho.conj().T).max() < 1e-10
@@ -95,18 +103,18 @@ class TestSteadyState:
 
     def test_absorption_positive_on_resonance(self):
         cfg = LadderConfig(omega_p=0.02, omega_c=0.0, omega_rf=0.0, gamma_e=1.0, gamma_r=0.1)
-        assert _steady_states(cfg, np.array([0.0]))[0, _GE].imag > 0.0
+        assert steady_states(cfg, np.array([0.0]))[0, _GE].imag > 0.0
 
     def test_undamped_system_has_no_steady_state(self):
         cfg = LadderConfig(omega_p=0.1, omega_c=1.0, omega_rf=1.0, gamma_e=0.0, gamma_r=0.0)
         with pytest.raises(SteadyStateError):
-            _steady_states(cfg, np.array([0.0]))
+            steady_states(cfg, np.array([0.0]))
 
     def test_unrelaxed_rydberg_levels_are_rejected(self):
         # without Rydberg relaxation the populations up there never drain
         cfg = LadderConfig(omega_p=0.1, omega_c=1.0, omega_rf=0.0, gamma_e=1.0, gamma_r=0.0)
         with pytest.raises(SteadyStateError):
-            _steady_states(cfg, np.array([0.0]))
+            steady_states(cfg, np.array([0.0]))
 
     def test_strong_probe_warns(self):
         with pytest.warns(UserWarning, match="weak-probe"):
@@ -225,13 +233,13 @@ class TestPoleExpansion:
         return seen
 
     def assert_matches_direct_solve(self, cfg, detunings):
-        poles = _steady_states(cfg, detunings).reshape(-1, 4, 4).transpose(0, 2, 1)
+        poles = steady_states(cfg, detunings).reshape(-1, 4, 4).transpose(0, 2, 1)
         direct = ladder_states(cfg, detunings)
         assert np.abs(poles - direct).max() < 1e-10 * np.abs(direct).max()
 
     def assert_block_poles_are_the_live_poles(self, cfg, detunings, eig_inputs, all_resolved):
         eig_inputs.clear()
-        _steady_states(cfg, detunings)
+        steady_states(cfg, detunings)
         (block,) = eig_inputs
         assert block.shape == (8, 8)
         got, right = np.linalg.eig(block)
@@ -273,7 +281,7 @@ class TestPoleExpansion:
         ladders += [LadderConfig(**{**drive, **kw}, doppler_sigma=2.0 * MHZ) for kw in DEGENERATE_LADDERS.values()]
         for cfg in ladders:
             detunings = np.linspace(*scan_window(cfg), 201)
-            got = _steady_states(cfg, detunings)
+            got = steady_states(cfg, detunings)
             want = full_pole_states(cfg, detunings)[0]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -284,7 +292,7 @@ class TestPoleExpansion:
         cfg = LadderConfig(omega_p=0.1 * MHZ, omega_c=omega_c * MHZ, omega_rf=0.0, gamma_e=gamma_e * MHZ,
                            gamma_r=1e-9 * MHZ, doppler_sigma=1.0 * MHZ)
         low, high = -10.0 * MHZ, 10.0 * MHZ
-        got = _steady_states(cfg, np.linspace(low, high, 41))[:, _GE].imag
+        got = steady_states(cfg, np.linspace(low, high, 41))[:, _GE].imag
         want = doppler_absorption(cfg, low, high, 41, cfg.doppler_sigma, 0.002 * MHZ)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -293,7 +301,7 @@ class TestPoleExpansion:
         # two poles of the block are exactly zero, and the state stays |g><g|.
         cfg = LadderConfig(omega_p=0.0, omega_c=1e9 * MHZ, omega_rf=0.0, gamma_e=1e9 * MHZ, gamma_r=1e-9 * MHZ,
                            doppler_sigma=1.0 * MHZ)
-        states = _steady_states(cfg, np.linspace(*scan_window(cfg), 101))
+        states = steady_states(cfg, np.linspace(*scan_window(cfg), 101))
         assert np.count_nonzero(np.linalg.eigvals(eig_inputs[0]) == 0.0) == 2
         ground = np.zeros(16)
         ground[0] = 1.0
@@ -360,9 +368,80 @@ class TestPoleExpansion:
     def test_single_detuning_matches_the_scan(self):
         cfg = default_ladder(omega_rf=10.0 * MHZ, delta_rf=5.0 * MHZ)
         detunings = np.linspace(-20 * MHZ, 30 * MHZ, 101)
-        scan = _steady_states(cfg, detunings)
+        scan = steady_states(cfg, detunings)
         for i in (0, 37, 50, 100):
-            np.testing.assert_allclose(_steady_states(cfg, detunings[i : i + 1])[0], scan[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(steady_states(cfg, detunings[i : i + 1])[0], scan[i], rtol=0, atol=1e-12)
+
+
+# Item 5's slow-decay ladders (gamma_e = 1e-3 MHz), in MHz: (omega_p, omega_c, omega_rf, gamma_r),
+# and the points of a 21-point scan over scan_window checked against mpmath.
+SLOW_DECAY_LADDERS = [((0.1, 1.0, 10.0, 1e-9), (0, 10, 19)), ((0.1, 10.0, 0.0, 1e-9), (0, 10, 20)),
+                      ((0.1, 10.0, 100.0, 1e-9), (0, 9, 20))]
+
+
+class TestRealFrame:
+    """The per-point stage in rho's real coordinates: y = R x, x = Q y."""
+
+    def test_the_maps_invert_each_other_exactly(self):
+        r, q, q_s, _ = _real_frame()
+        assert np.array_equal(r @ q, np.eye(16))
+        assert np.array_equal(q_s, q[np.ix_(spectra._SLOPED, spectra._REAL_SLOPED)])
+        assert not any(a.flags.writeable for a in _real_frame())
+
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+    def test_the_liouvillian_is_real_in_the_real_frame(self):
+        r, q = _real_frame()[:2]
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            cfg = replace(random_ladder(rng), omega_p=rng.uniform(0.0, 0.5) * MHZ)
+            delta_c = rng.uniform(-30.0, 30.0) * MHZ
+            real = r @ _ladder_liouvillian(cfg, delta_c) @ q
+            assert not real.imag.any()
+            table = _ladder_liouvillian(cfg, delta_c, _real_frame()[3])
+            assert np.abs(table.reshape(16, 16) - real.real).max() <= 4 * np.spacing(np.abs(real).max())
+
+    def test_the_slope_turns_each_sloped_coherence(self):
+        r, q = _real_frame()[:2]
+        slope = r @ np.diag(_SCAN_SLOPE) @ q
+        want = np.zeros((16, 16))
+        want[spectra._SLOPED_RE, spectra._SLOPED_IM] = np.eye(4)
+        want[spectra._SLOPED_IM, spectra._SLOPED_RE] = -np.eye(4)
+        assert np.array_equal(slope, want)
+
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+    def test_the_sloped_block_is_real_with_conjugate_pairs_of_poles(self, monkeypatch):
+        seen, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: seen.append(m.copy()) or eig(m))
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            _steady_states(random_ladder(rng), np.linspace(-30.0 * MHZ, 30.0 * MHZ, 5))
+            lam = eig(seen[-1])[0]
+            assert seen[-1].dtype == float and np.iscomplexobj(lam)
+            assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+    def test_one_pole_per_pair_sums_as_all_eight(self):
+        rng = np.random.default_rng(42)
+        drive = dict(omega_p=0.1 * MHZ, omega_c=1.0 * MHZ, omega_rf=10.0 * MHZ)
+        ladders = [random_ladder(rng) for _ in range(30)]
+        ladders += [replace(random_ladder(rng), doppler_sigma=rng.uniform(0.1, 10.0) * MHZ) for _ in range(30)]
+        ladders += [LadderConfig(**{**drive, **kw}, doppler_sigma=2.0 * MHZ) for kw in DEGENERATE_LADDERS.values()]
+        for cfg in ladders:
+            detunings = np.linspace(*scan_window(cfg), 201)
+            got = _steady_states(cfg, detunings)
+            want = all_pole_states(cfg, detunings)
+            assert np.abs(want.imag).max() <= 1e-13 * np.abs(want).max()
+            assert np.abs(got - want.real).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.filterwarnings("ignore:probe Rabi frequency")
+    @pytest.mark.parametrize("ladder,points", SLOW_DECAY_LADDERS, ids=[str(c[0]) for c in SLOW_DECAY_LADDERS])
+    def test_slow_decay_ladders_match_a_50_digit_solve(self, ladder, points):
+        omega_p, omega_c, omega_rf, gamma_r = (v * MHZ for v in ladder)
+        cfg = LadderConfig(omega_p=omega_p, omega_c=omega_c, omega_rf=omega_rf, gamma_e=1e-3 * MHZ, gamma_r=gamma_r)
+        detunings = np.linspace(*scan_window(cfg), 21)
+        got = _steady_states(cfg, detunings)[:, spectra._IM_GE]
+        want = np.array([mpmath_coherence(cfg, detunings[i]) for i in points])
+        assert np.abs(got[list(points)] - want).max() <= 1e-8 * np.abs(got).max()
 
 
 def upper_half_plane(magnitudes):
