@@ -1,35 +1,33 @@
 #!/usr/bin/env python3
-"""Golden-set check: run the same rydant commands from two source trees and
-compare every byte they leave behind.
+"""Golden-set check: run a fixed set of rydant commands and hold what they
+leave behind to one rule.
 
 Usage:
     python3 scripts/golden.py --parent SRC --change SRC [--work DIR]
     python3 scripts/golden.py --manifest PATH --source SRC [--work DIR]
 
-Each SRC is a checkout: the directory that holds src/rydant.  Every case
-runs its commands as `python -m rydant.cli ...` with PYTHONPATH=SRC/src,
-in a fresh directory of its own under the work directory (a new temporary
-directory unless --work is given), once per tree.  The case's config files
-are written there first and all paths are relative, so both trees see the
-same arguments.  The check then compares, command by command, the exit
-code, standard output and standard error, and, file by file, everything
-the case left in its directory.  Every difference is printed; for a CSV or
-JSON artifact whose numbers line up on both sides, so are the largest
-absolute and the largest relative difference per column or key.  A
-relative difference is |parent - change| / max(|parent|, |change|).
+Each SRC is a checkout (the directory that holds src/rydant).  Each case
+runs its commands as `python -m rydant.cli ...` with PYTHONPATH=SRC/src, in
+a fresh directory under the work directory (a new temporary one unless
+--work is given) that holds the case's config files.  A case's record is
+whether it scans a ladder spectrum, each command's exit code, stdout and
+stderr, and each file's sha256 and, for a CSV or JSON artifact, its parsed
+content.  --manifest writes every record of the SRC checkout to PATH as JSON
+lines after a line with the numpy version and the BLAS, on which last-bit
+identity depends; tests/test_golden.py reads tests/golden_manifest.jsonl.
 
-Exit status: 0 when both trees agree byte for byte, 1 when anything
-differs, 2 on a usage error.
+The golden rule, `differences`, holds a record to another: exit codes and
+output exactly, and every file byte for byte, except that a spectrum case
+may move its CSV and JSON numbers by TRACE_TOL absolute on the normalized
+trace (a `transmission` column) and FLOAT_TOL relative on any other number.
 
-The --manifest mode runs every case once, from the SRC checkout, and
-writes what it left behind to PATH as JSON lines (tests/golden_manifest.jsonl
-is the one tests/test_golden.py reads).  The first line holds the numpy
-version and the BLAS, the two things last-bit identity depends on; then
-each case has a line saying whether it scans a ladder spectrum, one line
-per command with its exit code, standard output and standard error, and
-one line per file with its sha256 and, for a CSV or JSON artifact the case
-wrote, its parsed content.  Standard library only, apart from the host
-line, which imports numpy.
+--parent/--change records both trees' runs in memory and prints a line per
+case (identical, or its number of differences) and the counts; then each
+file whose sha256 differs, whether it keeps the golden rule and its largest
+absolute and relative move per column or key; then what the rule finds; and
+last `byte-identical` or the number of differences.  Exit status: 0 when
+both trees agree byte for byte, 1 when anything differs, 2 on a usage error.
+Standard library only, apart from the host line, which imports numpy.
 """
 
 from __future__ import annotations
@@ -37,10 +35,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+
+TRACE_TOL = 1e-10  # absolute, on the normalized trace
+FLOAT_TOL = 1e-12  # relative, on every other number
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 SYSTEM_J12 = {"two_jg": 1, "two_je": 3, "mu_mhz_per_v_per_m": 1.0}
 LADDER = {"probe_rabi_mhz": 0.1, "coupling_rabi_mhz": 1.0}
@@ -267,14 +271,6 @@ def artifacts(case_dir: str) -> dict[str, bytes]:
     return found
 
 
-def first_difference(a: bytes, b: bytes) -> str:
-    lines_a, lines_b = a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines()
-    for i, (la, lb) in enumerate(zip(lines_a, lines_b)):
-        if la != lb:
-            return f"line {i + 1}: parent {la[:120]!r} / change {lb[:120]!r}"
-    return f"{len(lines_a)} lines in parent, {len(lines_b)} in change"
-
-
 def parsed(path: str, data: bytes):
     """A JSON artifact as its document; a CSV one as its header and columns, numbers as floats; else None."""
     text = data.decode(errors="replace")
@@ -297,47 +293,6 @@ def parsed(path: str, data: bytes):
             return None
         return {"header": names, "columns": [[cell(row[i]) for row in cells] for i in range(len(names))]}
     return None
-
-
-def numbers(path: str, data: bytes) -> list[tuple[str, float]] | None:
-    """Every number of a CSV or JSON artifact with its column or key, in order; None for other files."""
-    content = parsed(path, data)
-    if content is None:
-        return None
-    if path.endswith(".csv"):
-        content = dict(zip(content["header"], content["columns"]))
-    found = []
-
-    def walk(node, key):
-        if isinstance(node, dict):
-            for k in sorted(node):
-                walk(node[k], k)
-        elif isinstance(node, list):
-            for item in node:
-                walk(item, key)
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            found.append((key, float(node)))
-
-    walk(content, "")
-    return found
-
-
-def largest_differences(path: str, a: bytes, b: bytes) -> str:
-    """The largest absolute and relative difference per column or key between two CSV or JSON artifacts."""
-    old, new = numbers(path, a), numbers(path, b)
-    if old is None or new is None:
-        return ""
-    if [label for label, _ in old] != [label for label, _ in new]:
-        return "; numbers not comparable"
-    largest = {}
-    for (label, x), (_, y) in zip(old, new):
-        gap = abs(x - y)
-        relative = gap / max(abs(x), abs(y)) if gap else 0.0
-        previous = largest.get(label, (0.0, 0.0))
-        largest[label] = (max(previous[0], gap), max(previous[1], relative))
-    moved = [f"{label or 'value'} {gap:.2g} (relative {rel:.2g})"
-             for label, (gap, rel) in sorted(largest.items()) if gap]
-    return f"; largest numeric differences: {', '.join(moved) or 'none'}"
 
 
 def scans_spectrum(files: dict, commands: list) -> bool:
@@ -373,6 +328,20 @@ def case_records(name: str, files: dict, commands: list, results: list, case_dir
     return records
 
 
+def cases_of(lines: list[dict]) -> dict:
+    """Manifest lines as {case: {"spectrum", "commands": [...], "files": {path: entry}}}, one record per case."""
+    cases = {}
+    for line in lines:
+        case = cases.setdefault(line.pop("case"), {"commands": [], "files": {}})
+        if "command" in line:
+            case["commands"].append(line)
+        elif "file" in line:
+            case["files"][line.pop("file")] = line
+        else:
+            case.update(line)
+    return cases
+
+
 def write_manifest(path: str, src: str, work: str) -> None:
     lines = [host()]
     for name, files, commands in CASES:
@@ -385,40 +354,107 @@ def write_manifest(path: str, src: str, work: str) -> None:
 
 
 def read_manifest(path: str) -> tuple[dict, dict]:
-    """A manifest as (host, {case: {"spectrum", "commands": [...], "files": {path: entry}}})."""
+    """A manifest as (host, its records by case)."""
     with open(path, encoding="utf-8") as fh:
         host_line, *lines = (json.loads(line) for line in fh)
-    cases = {}
-    for line in lines:
-        case = cases.setdefault(line.pop("case"), {"commands": [], "files": {}})
-        if "command" in line:
-            case["commands"].append(line)
-        elif "file" in line:
-            case["files"][line.pop("file")] = line
+    return host_line, cases_of(lines)
+
+
+def printed_close(want: str, got: str) -> bool:
+    """Two printed numbers that differ by at most one unit in the last printed digit, or by FLOAT_TOL."""
+    digits = len(re.sub(r"[^0-9]", "", re.split(r"[eE]", want)[0]).lstrip("0")) or 1
+    top = max(abs(float(want)), abs(float(got)))
+    unit = 10.0 ** (math.floor(math.log10(top)) - digits + 1) if top else 0.0
+    return abs(float(want) - float(got)) <= max(unit, FLOAT_TOL * top)
+
+
+def text_differs(want: str, got: str, same_host: bool) -> bool:
+    """Not the exact text; on another host, not the same text around numbers that are printed_close."""
+    if want == got or same_host:
+        return want != got
+    want_numbers, got_numbers = NUMBER.findall(want), NUMBER.findall(got)
+    return (NUMBER.sub("#", want) != NUMBER.sub("#", got) or len(want_numbers) != len(got_numbers)
+            or not all(printed_close(a, b) for a, b in zip(want_numbers, got_numbers)))
+
+
+def walk(want, got, where="", column=""):
+    """Two parsed artifacts side by side as (where, bound, want, got) leaves: bound is the largest move the
+    rule allows a pair of numbers, None for any other pair.  A key set or list length that differs is one leaf."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if "columns" in want and "header" in want:
+            yield from walk(want["header"], got.get("header"), f"{where} header")
+            for name, a, b in zip(want["header"], want["columns"], got["columns"]):
+                yield from walk(a, b, f"{where} column {name}", name)
+        elif sorted(want) != sorted(got):
+            yield f"{where} keys", None, sorted(want), sorted(got)
         else:
-            case.update(line)
-    return host_line, cases
+            for key in sorted(want):
+                yield from walk(want[key], got[key], f"{where}.{key}")
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        for i, (a, b) in enumerate(zip(want, got)):
+            yield from walk(a, b, f"{where}[{i}]", column)
+    elif isinstance(want, list) and isinstance(got, list):
+        yield where, None, f"{len(want)} entries", f"{len(got)} entries"
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (want, got)):
+        yield where, TRACE_TOL if column == "transmission" else FLOAT_TOL * max(abs(want), abs(got)), want, got
+    else:
+        yield where, None, want, got
 
 
-def compare(name: str, commands: list, parent_dir: str, change_dir: str, results: tuple) -> list[str]:
+def file_differences(path: str, want: dict, got: dict, spectrum: bool, same_host: bool = True) -> list[str]:
+    """Where one file departs from its record, in one line or none: the first difference in bytes, or in
+    a spectrum case or on another host the first number outside the bounds; nowhere if the sha256 matches."""
+    if got["sha256"] == want["sha256"]:
+        return []
+    if "parsed" not in want or "parsed" not in got:
+        return [f"{path}: sha256 differs and the file cannot be compared by its numbers"]
+    exact = same_host and not spectrum
+    outside = [f"{where}: {b!r} != {a!r}" for where, bound, a, b in walk(want["parsed"], got["parsed"], path)
+               if not (a == b if bound is None else abs(a - b) <= (0.0 if exact else bound))]
+    if exact:
+        return [f"{path}: bytes differ{''.join(', first at ' + p for p in outside[:1])}"]
+    return [f"{path}: {len(outside)} place(s) outside the bounds, first at {outside[0]}"] if outside else []
+
+
+def differences(want: dict, got: dict, same_host: bool = True) -> list[str]:
+    """The golden rule: every way a case's record departs from the one it must match.  With same_host false
+    (another numpy or BLAS), CSV and JSON artifacts keep to the bounds, not bytes, and text to printed_close."""
     problems = []
-    for argv, old, new in zip(commands, *results):
-        label = f"{name}: rydant {' '.join(argv)}"
-        if old[0] != new[0]:
-            problems.append(f"{label}: exit code {old[0]} -> {new[0]}")
-        for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
-            if a != b:
-                problems.append(f"{label}: {stream} differs, {first_difference(a, b)}")
-    old_files, new_files = artifacts(parent_dir), artifacts(change_dir)
-    for path in sorted(set(old_files) | set(new_files)):
-        if path not in new_files:
-            problems.append(f"{name}: {path} written by the parent only")
-        elif path not in old_files:
-            problems.append(f"{name}: {path} written by the change only")
-        elif old_files[path] != new_files[path]:
-            problems.append(f"{name}: {path} differs, {first_difference(old_files[path], new_files[path])}"
-                            f"{largest_differences(path, old_files[path], new_files[path])}")
+    for a, b in zip(want["commands"], got["commands"]):
+        label = f"rydant {' '.join(a['command'])}"
+        if b["exit"] != a["exit"]:
+            problems.append(f"{label}: exit {b['exit']} != {a['exit']}")
+        problems += [f"{label}: {stream} {b[stream]!r} != {a[stream]!r}" for stream in ("stdout", "stderr")
+                     if text_differs(a[stream], b[stream], same_host)]
+    if sorted(got["files"]) != sorted(want["files"]):
+        problems.append(f"files {sorted(got['files'])} != {sorted(want['files'])}")
+    for path in sorted(set(got["files"]) & set(want["files"])):
+        problems += file_differences(path, want["files"][path], got["files"][path], want["spectrum"], same_host)
     return problems
+
+
+def largest_moves(want, got) -> str:
+    """The largest absolute and relative move per column or key between two parsed artifacts."""
+    largest = {}
+    for where, bound, a, b in walk(want, got):
+        if bound is not None and a != b:
+            moves = (abs(a - b), abs(a - b) / max(abs(a), abs(b)))
+            label = re.sub(r"\[\d+\]", "", where).lstrip(" .") or "value"
+            largest[label] = [max(pair) for pair in zip(largest.get(label, moves), moves)]
+    return ", ".join(f"{key} {gap:.2g} (relative {rel:.2g})" for key, (gap, rel) in sorted(largest.items())) or "none"
+
+
+def byte_differences(name: str, old: dict, new: dict) -> list[str]:
+    """Every byte difference between the parent's and the change's record of one case: each file whose
+    sha256 differs, with its largest moves and whether it keeps the golden rule, then `differences`."""
+    moved = []
+    for path in sorted(set(old["files"]) & set(new["files"])):
+        a, b = old["files"][path], new["files"][path]
+        if a["sha256"] != b["sha256"]:
+            verdict = "breaks" if file_differences(path, a, b, old["spectrum"]) else "keeps"
+            moved.append(f"{path} differs, {verdict} the golden rule; largest moves: "
+                         f"{largest_moves(a.get('parsed'), b.get('parsed'))}")
+    return [f"{name}: {line}" for line in moved + differences(old, new)]
 
 
 def main(argv=None) -> int:
@@ -444,20 +480,19 @@ def main(argv=None) -> int:
         write_manifest(args.manifest, args.source, work)
         return 0
 
-    problems, commands_run, artifact_count = [], 0, 0
+    found, file_count = [], 0
     for name, files, commands in CASES:
         dirs = [os.path.join(work, side, name) for side in ("parent", "change")]
-        results = tuple(run_case(src, d, files, commands) for src, d in zip((args.parent, args.change), dirs))
-        found = compare(name, commands, *dirs, results)
-        commands_run += len(commands)
-        artifact_count += len(artifacts(dirs[0]))
-        print(f"{name}: {'identical' if not found else f'{len(found)} difference(s)'}", flush=True)
-        problems += found
-    print(f"\n{len(CASES)} cases, {commands_run} commands, {artifact_count} files per tree, work directory {work}")
-    for problem in problems:
-        print(problem)
-    print("byte-identical" if not problems else f"{len(problems)} difference(s)")
-    return 1 if problems else 0
+        old, new = (cases_of(case_records(name, files, commands, run_case(src, d, files, commands), d))[name]
+                    for src, d in zip((args.parent, args.change), dirs))
+        moved = byte_differences(name, old, new)
+        file_count += len(old["files"])
+        print(f"{name}: {'identical' if not moved else f'{len(moved)} difference(s)'}", flush=True)
+        found += moved
+    commands_run = sum(len(commands) for _, _, commands in CASES)
+    print(f"\n{len(CASES)} cases, {commands_run} commands, {file_count} files per tree, work directory {work}")
+    print("\n".join(found + ["byte-identical" if not found else f"{len(found)} difference(s)"]))
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

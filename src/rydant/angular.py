@@ -51,13 +51,6 @@ class AngularMomentum:
         if self.two_j < 0:
             raise ValueError(f"two_j must be >= 0, got {self.two_j}")
 
-    @classmethod
-    def from_j(cls, j: float) -> "AngularMomentum":
-        two_j = round(2 * j)
-        if abs(2 * j - two_j) > 1e-9:
-            raise ValueError(f"j must be integer or half-integer, got {j}")
-        return cls(two_j)
-
     @property
     def j(self) -> float:
         return self.two_j / 2

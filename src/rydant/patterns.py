@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import decompose_polarizations
+from .angular import TWO_PI, decompose_polarizations
 from .cellfield import CellGeometry, check_frequency, check_incidences, path_averages
 from .hamiltonian import RfDrive, TransitionSystem, coupling_stack
 from .metrology import GainSample, gram_splittings, isotropic_deviation, normalized_gain
@@ -78,8 +78,6 @@ MAX_NOISE_SIGMA_DB = 100.0
 # largest transition whose Clebsch-Gordan coefficients the tests verify.
 MAX_TWO_JG = 9
 
-TWO_PI = 2.0 * math.pi
-
 # Largest gap between a pattern file's deviation_db and the spread of its
 # gain_db values that GainPattern.from_dict accepts.
 DEVIATION_MATCH_DB = 1e-9
@@ -107,6 +105,16 @@ class SweepPlan:
     numpy release.  seed is an integer >= 0.  The spectrum readout takes
     scan_points samples over scan_window of each cell factor's ladder; a
     config's scan.min_mhz and scan.max_mhz never reach a sweep.
+
+    Beam geometry: the laser axis sets both the quantization axis and how
+    the probe samples the cell.  G1: the probe runs along the cell normal,
+    and the cell factor, the path mean of |E|, assumes it; in an XY sweep
+    the angle beta between the field and the laser axis is then the sweep
+    angle.  G2: the probe runs along Z, beside the walls; Z is the
+    quantization axis of a laser-weighted sublevel readout, and the probe
+    reads |E| at one depth.  Both readouts here are axis-free, so they read
+    the same under G1 and G2.  The paper names neither geometry, and
+    neither is claimed as its.
     """
 
     plane: str

@@ -75,7 +75,7 @@ RESIDUAL_TOL = 1e-8
 PROMINENCE_DEFAULT = 0.05
 
 # Longest accepted scan: a 0.01 MHz step over a 200 MHz window.  A scan
-# holds a few (points x 16) complex arrays, about 5 MB each at this size.
+# holds a few real (points x 16) arrays, about 2.6 MB each at this size.
 MAX_SCAN_POINTS = 20_001
 
 _DIM = 4

@@ -40,12 +40,6 @@ class TestAngularMomentum:
         assert j.sublevel_count == 4
         assert j.two_m_values() == [-3, -1, 1, 3]
 
-    def test_from_j(self):
-        assert AngularMomentum.from_j(0.5) == HALF
-        assert AngularMomentum.from_j(2) == AngularMomentum(4)
-        with pytest.raises(ValueError):
-            AngularMomentum.from_j(0.3)
-
     def test_rejects_bad_two_j(self):
         with pytest.raises(ValueError):
             AngularMomentum(-1)

@@ -1,27 +1,15 @@
-"""The golden set in tier-1: every scripts/golden.py case against tests/golden_manifest.jsonl.
-
-Each case runs in-process through rydant.cli.main in a temporary directory;
-one runs as a `python -m rydant.cli` subprocess as well, so the in-process
-path cannot drift from what the command writes.  Exit codes, standard
-output and standard error must match the manifest exactly, and so must
-every file's bytes, with one exception: a case that scans a ladder spectrum
-may move its CSV and JSON artifacts within the bounds of a change of
-solver, 1e-10 absolute on the normalized trace (the `transmission`
-column) and 1e-12 relative on every other number.  Where this host's numpy
-or BLAS differs from the one the manifest was written with, every CSV and
-JSON artifact is held to those bounds instead of bytes, printed numbers to
-their last printed digit, and a failure says so.
-
-A by-design move of an artifact is recorded by rewriting the manifest:
+"""The golden set in tier-1: every scripts/golden.py case, run in-process through
+rydant.cli.main (and one as a `python -m rydant.cli` subprocess, so the two
+paths cannot drift), held to its tests/golden_manifest.jsonl record by the
+golden rule, golden.differences.  Where this host's numpy or BLAS differs
+from the manifest's, artifacts are held to the rule's bounds, not bytes, and
+a failure says so.  A by-design move of an artifact rewrites the manifest:
     python3 scripts/golden.py --manifest tests/golden_manifest.jsonl --source .
 """
 
-import contextlib
-import hashlib
-import io
-import math
-import os
-import re
+import copy
+import functools
+import operator
 import sys
 from pathlib import Path
 
@@ -34,100 +22,77 @@ import golden  # noqa: E402
 from rydant.cli import main  # noqa: E402
 
 HOST, MANIFEST = golden.read_manifest(str(REPO / "tests" / "golden_manifest.jsonl"))
-HERE = golden.host()
-SAME_HOST = HERE == HOST
+SAME_HOST = golden.host() == HOST
 HOST_NOTE = "" if SAME_HOST else (
-    f" [numpy/BLAS here {HERE} differ from the manifest's {HOST}: artifacts compared at the numeric bounds, not bytes]"
-)
-TRACE_TOL = 1e-10  # absolute, on the normalized trace
-FLOAT_TOL = 1e-12  # relative, on every other number
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+    f" [numpy/BLAS here {golden.host()} differ from the manifest's {HOST}: artifacts held to the bounds, not bytes]")
 
 
-def run_in_process(case_dir, files, commands):
+def run_in_process(case_dir, files, commands, monkeypatch, capsys):
     """golden.run_case through rydant.cli.main: [(exit code, stdout, stderr)] per command."""
     golden.write_inputs(str(case_dir), files)
+    monkeypatch.chdir(case_dir)
     results = []
-    cwd = os.getcwd()
-    os.chdir(case_dir)
-    try:
-        for argv in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(list(argv))
-            results.append((code, out.getvalue(), err.getvalue()))
-    finally:
-        os.chdir(cwd)
+    for argv in commands:
+        code = main(list(argv))
+        results.append((code, *(text.encode() for text in capsys.readouterr())))
     return results
 
 
-def printed_close(want, got):
-    """Two printed numbers that differ by at most one unit in the last printed digit, or by FLOAT_TOL."""
-    digits = len(re.sub(r"[^0-9]", "", re.split(r"[eE]", want)[0]).lstrip("0")) or 1
-    top = max(abs(float(want)), abs(float(got)))
-    unit = 10.0 ** (math.floor(math.log10(top)) - digits + 1) if top else 0.0
-    return abs(float(want) - float(got)) <= max(unit, FLOAT_TOL * top)
+def differences(name, files, commands, results, case_dir):
+    """Every way a run of one case departs from its manifest record, by golden.differences."""
+    got = golden.cases_of(golden.case_records(name, files, commands, results, str(case_dir)))[name]
+    return [problem + HOST_NOTE for problem in golden.differences(MANIFEST[name], got, SAME_HOST)]
 
 
-def text_differs(want, got):
-    """Exact text, or on another host the same text around numbers that agree to their printed digits."""
-    if want == got or SAME_HOST:
-        return want != got
-    want_numbers, got_numbers = NUMBER.findall(want), NUMBER.findall(got)
-    return (NUMBER.sub("#", want) != NUMBER.sub("#", got) or len(want_numbers) != len(got_numbers)
-            or not all(printed_close(a, b) for a, b in zip(want_numbers, got_numbers)))
+def perturbed(name, keys, change):
+    """A copy of a case's manifest record with change applied at keys; a changed file gets a new sha256."""
+    record = copy.deepcopy(MANIFEST[name])
+    *path, last = keys
+    node = functools.reduce(operator.getitem, path, record)
+    node[last] = change(node[last])
+    if keys[0] == "files":
+        record["files"][keys[1]]["sha256"] = "0" * 64
+    return record
 
 
-def content_differences(want, got, where, column="", exact=False):
-    """Every place where a parsed artifact leaves the bounds, or with exact any difference, as text."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        if "columns" in want and "header" in want:
-            if want["header"] != got.get("header"):
-                return [f"{where}: header {got.get('header')} != {want['header']}"]
-            return [problem for name, a, b in zip(want["header"], want["columns"], got["columns"])
-                    for problem in content_differences(a, b, f"{where} column {name}", name, exact)]
-        if sorted(want) != sorted(got):
-            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
-        return [problem for key in sorted(want)
-                for problem in content_differences(want[key], got[key], f"{where}.{key}", "", exact)]
-    if isinstance(want, list) and isinstance(got, list):
-        if len(want) != len(got):
-            return [f"{where}: {len(got)} entries != {len(want)}"]
-        return [problem for i, (a, b) in enumerate(zip(want, got))
-                for problem in content_differences(a, b, f"{where}[{i}]", column, exact)]
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (want, got)):
-        bound = TRACE_TOL if column == "transmission" else FLOAT_TOL * max(abs(want), abs(got))
-        return [] if abs(want - got) <= (0.0 if exact else bound) else [f"{where}: {got!r} != {want!r}"]
-    return [] if want == got else [f"{where}: {got!r} != {want!r}"]
+STDOUT = ("eigen", ("commands", 0, "stdout"), lambda text: text.replace("11.1803399", "11.1803398"))
+EIGEN_CSV = ("files", "eigen0.csv", "parsed", "columns", 2, 0)
+TRANSMISSION = ("files", "rydant_trace.csv", "parsed", "columns", 1, 600)
+DELTA_AT = ("files", "rydant_spectrum.json", "parsed", "delta_at_mhz")
+# (case, keys, change, whether the golden rule refuses the changed record)
+PERTURBATIONS = {
+    "exit-code": ("eigen", ("commands", 0, "exit"), lambda code: code + 1, True),
+    "stdout-character": (*STDOUT, True),
+    "csv-byte": ("eigen", EIGEN_CSV, lambda x: -8.09016995, True),  # one byte: -8.09016994 -> -8.09016995
+    "csv-1e-13": ("eigen", EIGEN_CSV, lambda x: x * (1 + 1e-13), True),  # no bounds outside a spectrum case
+    "trace-2e-10": ("spectrum-thz", TRANSMISSION, lambda x: x + 2e-10, True),
+    "json-float-1e-11": ("spectrum-thz", DELTA_AT, lambda x: x * (1 + 1e-11), True),
+    "trace-5e-11": ("spectrum-thz", TRANSMISSION, lambda x: x + 5e-11, False),
+    "json-float-1e-13": ("spectrum-thz", DELTA_AT, lambda x: x * (1 + 1e-13), False),
+}
 
 
-def differences(name, commands, results, case_dir):
-    """Every way a run of one case departs from its manifest record."""
-    record = MANIFEST[name]
-    problems = []
-    for argv, want, (code, out, err) in zip(commands, record["commands"], results):
-        label = f"rydant {' '.join(argv)}"
-        if code != want["exit"]:
-            problems.append(f"{label}: exit {code} != {want['exit']}")
-        for stream, text in (("stdout", out), ("stderr", err)):
-            if text_differs(want[stream], text):
-                problems.append(f"{label}: {stream} {text!r} != {want[stream]!r}")
-    found = golden.artifacts(str(case_dir))
-    if sorted(found) != sorted(record["files"]):
-        problems.append(f"files {sorted(found)} != {sorted(record['files'])}")
-    for path in sorted(set(found) & set(record["files"])):
-        want = record["files"][path]
-        if hashlib.sha256(found[path]).hexdigest() == want["sha256"]:
-            continue
-        got = golden.parsed(path, found[path])
-        if "parsed" not in want or got is None:
-            problems.append(f"{path}: sha256 differs and the file cannot be compared by its numbers")
-        elif record["spectrum"] or not SAME_HOST:
-            problems += content_differences(want["parsed"], got, path)
-        else:
-            first = content_differences(want["parsed"], got, path, exact=True)[:1]
-            problems.append(f"{path}: bytes differ{''.join(', first at ' + p for p in first)}")
-    return [problem + HOST_NOTE for problem in problems]
+@pytest.mark.parametrize("name,keys,change,refused", PERTURBATIONS.values(), ids=PERTURBATIONS)
+def test_the_golden_rule_refuses_what_leaves_its_bounds(name, keys, change, refused):
+    assert bool(golden.differences(MANIFEST[name], perturbed(name, keys, change))) == refused
+
+
+def test_on_another_host_a_printed_number_may_move_by_its_last_digit():
+    assert golden.differences(MANIFEST["eigen"], perturbed(*STDOUT), same_host=False) == []
+
+
+def test_a_moved_file_is_reported_with_its_largest_move_and_verdict():
+    got = perturbed("spectrum-thz", TRANSMISSION, lambda x: x + 5e-11)
+    [line] = golden.byte_differences("spectrum-thz", MANIFEST["spectrum-thz"], got)
+    assert line.startswith("spectrum-thz: rydant_trace.csv differs, keeps the golden rule; largest moves: "
+                           "column transmission 5e-11 (relative ")
+
+
+def test_a_tree_against_itself_is_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(golden, "CASES", [case for case in golden.CASES if case[0] in ("eigen", "spectrum-thz")])
+    assert golden.main(["--parent", str(REPO), "--change", str(REPO), "--work", str(tmp_path / "work")]) == 0
+    out = capsys.readouterr().out
+    assert "2 cases, 2 commands, " in out and out.endswith("\nbyte-identical\n")
 
 
 def test_manifest_covers_every_case():
@@ -138,10 +103,10 @@ def test_manifest_covers_every_case():
 
 
 @pytest.mark.parametrize("name,files,commands", golden.CASES, ids=[case[0] for case in golden.CASES])
-def test_case_matches_the_manifest(tmp_path, name, files, commands):
+def test_case_matches_the_manifest(tmp_path, monkeypatch, capsys, name, files, commands):
     case_dir = tmp_path / name
-    results = run_in_process(case_dir, files, commands)
-    problems = differences(name, commands, results, case_dir)
+    results = run_in_process(case_dir, files, commands, monkeypatch, capsys)
+    problems = differences(name, files, commands, results, case_dir)
     assert not problems, "\n".join(problems[:20])
 
 
@@ -149,6 +114,5 @@ def test_one_case_as_a_subprocess(tmp_path):
     name, files, commands = next(case for case in golden.CASES if case[0] == "eigen-elliptical")
     case_dir = tmp_path / name
     results = golden.run_case(str(REPO), str(case_dir), files, commands)
-    decoded = [(code, out.decode(), err.decode()) for code, out, err in results]
-    problems = differences(name, commands, decoded, case_dir)
+    problems = differences(name, files, commands, results, case_dir)
     assert not problems, "\n".join(problems)
